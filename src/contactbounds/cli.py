@@ -624,7 +624,7 @@ def sweep(config, param, lo, hi, steps):
                     iv.regime,
                 )
             )
-        except ContactBoundsError as e:
+        except (ContactBoundsError, OverflowError) as e:
             rows.append('%s,,,,,"%s"' % (_f(v), e))
     return "\n".join(rows) + "\n"
 
@@ -807,11 +807,14 @@ def verify(config):
 
 
 def _emit(text, output):
-    if output:
+    if not output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(output, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        raise ValidationError("cannot write --output: %s" % e) from None
 
 
 def main(argv=None):
@@ -844,37 +847,40 @@ def main(argv=None):
         sys.stderr.write("error: %s\n" % e)
         return 2
     try:
-        config = parse_config(text)
-        for field, name in (
-            ("seed", "seed"),
-            ("quad_order", "quad_order"),
-            ("grid_n", "grid_n"),
-        ):
-            v = getattr(args, field, None)
-            if v is not None:
-                config = dataclasses.replace(config, **{name: v})
-                config = parse_config(serialize_config(config))  # revalidate
-        if args.command == "run":
-            report = run(config)
-            _emit(FORMATS[args.format](report), args.output)
-            return 0
-        if args.command == "sweep":
-            parts = args.sweep_range.split(":")
-            if len(parts) != 3:
-                raise ValidationError("--range must be lo:hi:steps")
-            try:
-                lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
-            except ValueError:
-                raise ValidationError("--range must be lo:hi:steps") from None
-            _emit(sweep(config, args.param, lo, hi, steps), args.output)
-            return 0
-        code, text = verify(config)
-        _emit(text, args.output)
-        return code
+        # an overflow ends in a failed check or in one of the errors below;
+        # numpy's warnings about it would only add lines to stderr
+        with np.errstate(all="ignore"):
+            config = parse_config(text)
+            for field, name in (
+                ("seed", "seed"),
+                ("quad_order", "quad_order"),
+                ("grid_n", "grid_n"),
+            ):
+                v = getattr(args, field, None)
+                if v is not None:
+                    config = dataclasses.replace(config, **{name: v})
+                    config = parse_config(serialize_config(config))  # revalidate
+            if args.command == "run":
+                report = run(config)
+                _emit(FORMATS[args.format](report), args.output)
+                return 0
+            if args.command == "sweep":
+                parts = args.sweep_range.split(":")
+                if len(parts) != 3:
+                    raise ValidationError("--range must be lo:hi:steps")
+                try:
+                    lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+                except ValueError:
+                    raise ValidationError("--range must be lo:hi:steps") from None
+                _emit(sweep(config, args.param, lo, hi, steps), args.output)
+                return 0
+            code, text = verify(config)
+            _emit(text, args.output)
+            return code
     except (ParseError, ValidationError, InvalidParameters, OutOfDomain, FamilyMismatch) as e:
         sys.stderr.write("error: %s\n" % e)
         return 2
-    except ContactBoundsError as e:
+    except (ContactBoundsError, OverflowError) as e:
         sys.stderr.write("numerical failure: %s\n" % e)
         return 3
 

@@ -72,10 +72,6 @@ TOLERANCES = {
     "action_reaction": 1e-8,
 }
 
-#: number of fixed-step intervals for the radial equilibrium integration
-RADIAL_GRID = 2000
-
-
 @dataclass(frozen=True)
 class BodySpec:
     """One body: reference box, material, deformation, pressure field."""
@@ -181,11 +177,15 @@ class AdmissibilityReport:
     residuals: dict
 
 
-def _face_radius(map_, x_face):
+def _face_rho(map_, x_face):
     rho = 2.0 * map_.a * x_face + map_.b
     if rho <= 0.0:
         raise InvalidParameters("bending face radius^2 = %.3e" % rho)
-    return math.sqrt(rho)
+    return rho
+
+
+def _face_radius(map_, x_face):
+    return math.sqrt(_face_rho(map_, x_face))
 
 
 def gap_value(system):
@@ -431,12 +431,18 @@ def check_static(system, tau):
 
 
 def solve_radial_pressure(body, boundary_traction, anchor="inner"):
-    """Integrate the radial momentum balance across a bending body.
+    """Exact radial equilibrium pressure across a bending body.
 
     boundary_traction is the Cauchy radial stress sigma_rr on the anchor
-    face ("inner" or "outer"). Returns the pressure as a RadialProfile.
-    The right-hand side (sigma_tt - sigma_rr)/r is pressure free, so the
-    classic RK4 march is exact to O(h^4) with no stiffness concerns.
+    face ("inner" or "outer"). The radial balance
+    d(sigma_rr)/dr = C (A^2 r / a - a^2 / r^3) has a pressure-free
+    right-hand side, so it integrates in closed form (Rivlin's flexure):
+
+        sigma_rr(r) = sigma_anchor + f(r^2) - f(rho),
+        f(s) = C (A^2 s / (2 a) + a^2 / (2 s)),
+
+    with rho the squared radius of the anchor face. Since
+    sigma_rr = C a^2 / r^2 - p, the pressure is a RadialProfile.
     """
     m = body.map
     if not isinstance(m, StretchBend):
@@ -445,30 +451,11 @@ def solve_radial_pressure(body, boundary_traction, anchor="inner"):
         raise InvalidParameters("anchor must be 'inner' or 'outer'")
     C = body.material.C
     a, A = m.a, m.A
-    r_in = _face_radius(m, body.domain.x_lo)
-    r_out = _face_radius(m, body.domain.x_hi)
-    n = RADIAL_GRID
-    rs = np.linspace(r_in, r_out, n + 1)
-
-    def f(r):
-        return C * (A**2 * r / a - a**2 / r**3)
-
-    sig = np.empty(n + 1)
-    if anchor == "inner":
-        sig[0] = boundary_traction
-        order = range(n)
-        step = rs[1] - rs[0]
-    else:
-        sig[n] = boundary_traction
-        order = range(n, 0, -1)
-        step = rs[0] - rs[1]
-    for i in order:
-        j = i + 1 if anchor == "inner" else i - 1
-        r0 = rs[i]
-        k1 = f(r0)
-        k2 = f(r0 + 0.5 * step)
-        k3 = k2  # rhs has no sigma dependence
-        k4 = f(r0 + step)
-        sig[j] = sig[i] + step * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-    p = C * a**2 / rs**2 - sig
-    return RadialProfile(rs, p)
+    rho_in = _face_rho(m, body.domain.x_lo)
+    rho_out = _face_rho(m, body.domain.x_hi)
+    rho = rho_in if anchor == "inner" else rho_out
+    return RadialProfile(
+        c_inv=0.5 * C * a**2,
+        c_sq=-0.5 * C * A**2 / a,
+        c0=-boundary_traction + C * (A**2 * rho / (2.0 * a) + a**2 / (2.0 * rho)),
+    )

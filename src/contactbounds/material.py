@@ -15,10 +15,9 @@ penalty; there the pressure argument is ignored.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ConstraintViolated, InvalidParameters, NonPositiveJacobian
 from .tensor3 import cofactor, ddot, det
@@ -74,32 +73,29 @@ class Constant:
             raise InvalidParameters("pressure must be finite")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RadialProfile:
-    """Pressure sampled on a radial grid, evaluated by cubic spline."""
+    """Pressure varying with the current radius r of a bent block:
 
-    r_grid: np.ndarray
-    p_values: np.ndarray
-    _spline: CubicSpline = field(init=False, repr=False)
+        p(r) = c_inv / r^2 + c_sq r^2 + c0.
+
+    This family holds the exact equilibrium pressure of Rivlin's flexure
+    (see contact.solve_radial_pressure).
+    """
+
+    c_inv: float
+    c_sq: float
+    c0: float
 
     def __post_init__(self):
-        r = np.asarray(self.r_grid, dtype=float)
-        p = np.asarray(self.p_values, dtype=float)
-        if r.ndim != 1 or r.shape != p.shape or r.size < 4:
-            raise InvalidParameters("profile needs matching 1-d grids, >= 4 points")
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(p))):
-            raise InvalidParameters("profile values must be finite")
-        if np.any(np.diff(r) <= 0.0):
-            raise InvalidParameters("radial grid must be strictly increasing")
-        object.__setattr__(self, "r_grid", r)
-        object.__setattr__(self, "p_values", p)
-        object.__setattr__(self, "_spline", CubicSpline(r, p))
+        if not all(math.isfinite(c) for c in (self.c_inv, self.c_sq, self.c0)):
+            raise InvalidParameters("profile coefficients must be finite")
 
     def __call__(self, r):
-        return float(self._spline(r))
+        return float(self.c_inv / r**2 + self.c_sq * r**2 + self.c0)
 
     def derivative(self, r):
-        return float(self._spline(r, 1))
+        return float(-2.0 * self.c_inv / r**3 + 2.0 * self.c_sq * r)
 
 
 def pressure_at(pressure, r=None):

@@ -15,8 +15,6 @@ Two constructions are provided for each family:
 import dataclasses
 import math
 
-from scipy.optimize import brentq
-
 from .errors import InvalidParameters
 from .kinematics import Box3, R_MIN, StretchBend, TriaxialStretch
 from .material import Constant, NeoHookeanIncompressible
@@ -45,20 +43,24 @@ def load_from_stretch_ratio(C, a):
 
 
 def stretch_ratio_from_load(C, tau):
-    """Invert load_from_stretch_ratio; the map is strictly increasing."""
-    f = lambda a: load_from_stretch_ratio(C, a) - tau
-    lo, hi = 1.0, 1.0
-    while f(lo) > 0.0:
-        lo *= 0.5
-        if lo < 1e-9:
-            raise InvalidParameters("no stretch ratio for tau = %r" % (tau,))
-    while f(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e9:
-            raise InvalidParameters("no stretch ratio for tau = %r" % (tau,))
-    if lo == hi:
-        return lo
-    return brentq(f, lo, hi, xtol=1e-15, rtol=8.881784197001252e-16)
+    """Invert load_from_stretch_ratio; the map is strictly increasing.
+
+    The stretch is the positive root of f(a) = a^3 - k a^2 - 1, k = tau / C.
+    Newton starts at a = max(1, k + 1), where f >= 0; above the root f is
+    increasing and convex, so the iterates fall monotonically and the
+    first one that does not has reached rounding level.
+    """
+    if not (
+        load_from_stretch_ratio(C, 1e-9) <= tau <= load_from_stretch_ratio(C, 1e9)
+    ):
+        raise InvalidParameters("no stretch ratio for tau = %r" % (tau,))
+    k = tau / C
+    a = max(1.0, k + 1.0)
+    while True:
+        nxt = a - (a * a * (a - k) - 1.0) / (a * (3.0 * a - 2.0 * k))
+        if not nxt < a:
+            return a
+        a = nxt
 
 
 def stretch_pair(C1, C2, tau, b2=0.0, g=0.0, d_allow=0.0):

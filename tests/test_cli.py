@@ -240,6 +240,13 @@ def test_sweep_quotes_error_rows():
     assert any(r.endswith(",") for r in rows)  # the feasible end still evaluates
 
 
+def test_sweep_quotes_overflow_rows():
+    cfg = cli.parse_config(COMP_CFG.replace("a = 0.81", "a = 1e200", 1))
+    rows = cli.sweep(cfg, "C2", 1.0, 2.0, 2).splitlines()[1:]
+    assert len(rows) == 2
+    assert all(',,,,,"' in r for r in rows)
+
+
 def test_sweep_argument_validation():
     cfg = cli.parse_config(COMP_CFG)
     with pytest.raises(ValidationError, match="sweep parameter"):
@@ -298,6 +305,17 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert "error:" in capsys.readouterr().err
     good = tmp_path / "good.cfg"
     good.write_text(COMP_CFG)
+    unwritable = str(tmp_path / "missing" / "out.txt")
+    for extra in (["run"], ["sweep", "--param", "a1", "--range", "0.6:0.9:3"]):
+        argv = [extra[0], "--config", str(good), "--output", unwritable] + extra[1:]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write --output") and err.count("\n") == 1
+    huge = tmp_path / "huge.cfg"
+    huge.write_text(COMP_CFG.replace("a = 0.81", "a = 1e200", 1))
+    assert cli.main(["run", "--config", str(huge)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and err.count("\n") == 1
 
     def boom(config):
         raise ContactBoundsError("solver diverged")
@@ -326,3 +344,22 @@ def test_console_script_entry(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("source,tau_lo")
+
+
+def test_package_runs_without_scipy():
+    # a None entry in sys.modules makes every later "import scipy..." fail
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from contactbounds import cli\n"
+        "for text in sys.argv[1:]:\n"
+        "    config = cli.parse_config(text)\n"
+        "    cli.format_report(cli.run(config))\n"
+        "    print(cli.verify(config)[0])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, COMP_CFG, COH_CFG, BEND_CFG],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0", "0"]

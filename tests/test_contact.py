@@ -86,7 +86,7 @@ def test_incompressible_homogeneous_must_be_isochoric():
 
 
 def test_triaxial_body_rejects_radial_pressure():
-    prof = RadialProfile(np.linspace(1.0, 2.0, 5), np.zeros(5))
+    prof = RadialProfile(0.0, 0.0, 0.0)
     with pytest.raises(InvalidParameters):
         BodySpec(BOX1, NeoHookeanIncompressible(1.0), TriaxialStretch(1.0), prof)
 
@@ -287,6 +287,26 @@ def test_radial_pressure_satisfies_momentum_balance():
         rhs = C * (A**2 * r / a - a**2 / r**3)
         worst = max(worst, abs(dsig - rhs))
     assert worst < 1e-8
+
+
+def test_radial_pressure_frozen_rivlin():
+    # C = 1.3, a = 0.9, A = 1.1 on x in (0, 1/2) with b = 1.2: squared radii
+    # 1.2 (inner) and 2.1 (outer). Rivlin's sigma_rr(rho) = sigma_0
+    # + C [A^2 (rho - rho_0) / (2 a) + a^2 (1 / rho - 1 / rho_0) / 2],
+    # evaluated by hand in fractions.
+    body = BodySpec(
+        BOX1, NeoHookeanIncompressible(1.3), StretchBend(1.1, 0.9, 1.2)
+    )
+    C, a = 1.3, 0.9
+
+    def sigma_rr(prof, rho):
+        return C * a**2 / rho - prof(math.sqrt(rho))
+
+    prof = solve_radial_pressure(body, -0.5, anchor="inner")
+    assert sigma_rr(prof, 1.5) == pytest.approx(-3907 / 12000, abs=1e-13)
+    assert sigma_rr(prof, 2.1) == pytest.approx(2757 / 28000, abs=1e-13)
+    prof = solve_radial_pressure(body, 0.0, anchor="outer")
+    assert sigma_rr(prof, 1.2) == pytest.approx(-16757 / 28000, abs=1e-13)
 
 
 def test_radial_pressure_anchor_roundtrip():

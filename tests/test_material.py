@@ -177,30 +177,25 @@ def test_unknown_model_rejected():
         piola_stress(object(), np.eye(3))
 
 
-def test_radial_profile_reproduces_cubic():
-    r = np.linspace(0.5, 2.0, 9)
-    poly = lambda x: 1.0 + x - 2.0 * x**2 + 0.5 * x**3
-    dpoly = lambda x: 1.0 - 4.0 * x + 1.5 * x**2
-    prof = RadialProfile(r, poly(r))
-    for x in np.linspace(0.55, 1.95, 17):
-        assert prof(x) == pytest.approx(poly(x), abs=1e-12)
-        assert prof.derivative(x) == pytest.approx(dpoly(x), abs=1e-11)
+def test_radial_profile_matches_formula():
+    prof = RadialProfile(0.7, -0.3, 1.1)
+    for r in np.linspace(0.5, 2.0, 17):
+        assert prof(r) == pytest.approx(0.7 / r**2 - 0.3 * r**2 + 1.1, abs=1e-12)
+        assert prof.derivative(r) == pytest.approx(-1.4 / r**3 - 0.6 * r, abs=1e-11)
 
 
 def test_radial_profile_validation():
-    with pytest.raises(InvalidParameters):
-        RadialProfile(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0]))  # < 4 pts
-    with pytest.raises(InvalidParameters):
-        RadialProfile(np.array([1.0, 2.0, 2.0, 3.0]), np.zeros(4))  # not increasing
-    with pytest.raises(InvalidParameters):
-        RadialProfile(np.linspace(1, 2, 5), np.full(5, np.inf))
+    for bad in (math.inf, -math.inf, math.nan):
+        for coeffs in ((bad, 0.0, 0.0), (0.0, bad, 0.0), (0.0, 0.0, bad)):
+            with pytest.raises(InvalidParameters):
+                RadialProfile(*coeffs)
 
 
 def test_pressure_at_dispatch():
     assert pressure_at(Constant(0.3)) == 0.3
     assert pressure_at(Constant(0.3), r=2.0) == 0.3
-    prof = RadialProfile(np.linspace(1.0, 2.0, 5), np.linspace(0.0, 1.0, 5))
-    assert pressure_at(prof, r=1.5) == pytest.approx(0.5, abs=1e-12)
+    prof = RadialProfile(1.0, 1.0, -0.5)
+    assert pressure_at(prof, r=2.0) == pytest.approx(3.75, abs=1e-12)
     with pytest.raises(InvalidParameters):
         pressure_at(prof)
     with pytest.raises(InvalidParameters):
