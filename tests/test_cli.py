@@ -198,6 +198,84 @@ def test_run_csv_rows():
     assert rows[1].startswith("closed_form,")
 
 
+# report and csv bytes of the shipped configs: a change to any number they
+# print must be deliberate and show up here
+GOLDEN = {
+    ("COMP_CFG", "report"): """\
+run: example=compression
+load: tau=-0.3
+kinematic: ok=yes dirichlet=0 gap=0 constraint=2.22044604925e-16
+static: ok=no equilibrium=0 neumann=0.414157902759 contact_traction_sign=0 action_reaction=0 constraint=2.22044604925e-16
+contact: regime=closed gap=0 traction=-0.578467901235 complementarity=0 action_reaction=0
+enclosure: unavailable
+criteria body1: primal=violated complementary=violated min_q=-0.371742112483 window=(-0.9, 0.9)
+criteria body2: primal=violated complementary=violated min_q=-0.371742112483 window=(-0.9, 0.9)
+closed_form: tau_lo=-0.2439 tau_hi=0 regime=closed empty=false
+numeric: tau_lo=-0.243900002664 tau_hi=4.22300977839e-09 regime=closed empty=false
+oracle: tau_lo=-0.235789955556 tau_hi=0 regime=closed empty=false
+warnings:
+- enclosure skipped: static trial: neumann residual = 4.142e-01
+""",
+    ("COMP_CFG", "csv"): """\
+source,tau_lo,tau_hi,empty,regime
+closed_form,-0.2439,0,false,closed
+numeric,-0.243900002664,4.22300977839e-09,false,closed
+oracle,-0.235789955556,0,false,closed
+""",
+    ("COH_CFG", "report"): """\
+run: example=cohesive
+load: tau=none
+kinematic: ok=yes dirichlet=0 gap=0 constraint=0
+static: ok=no equilibrium=0 neumann=0 contact_traction_sign=0 action_reaction=0.334567901235 constraint=0
+contact: regime=closed gap=0 traction=-0.301111111111 complementarity=0 action_reaction=0.301111111111
+enclosure: unavailable
+criteria body1: primal=violated complementary=violated min_q=-0.171213948211 window=(-0.948683298051, 0.948683298051)
+criteria body2: primal=violated complementary=violated min_q=-0.342427896421 window=(-1.8973665961, 1.8973665961)
+closed_form: tau_lo=-0.138683298051 tau_hi=0.6 regime=closed empty=false
+numeric: tau_lo=-0.1386833018 tau_hi=0.599999996119 regime=closed empty=false
+oracle: tau_lo=-0.137818510678 tau_hi=0.597716587261 regime=closed empty=false
+warnings: none
+""",
+    ("COH_CFG", "csv"): """\
+source,tau_lo,tau_hi,empty,regime
+closed_form,-0.138683298051,0.6,false,closed
+numeric,-0.1386833018,0.599999996119,false,closed
+oracle,-0.137818510678,0.597716587261,false,closed
+""",
+    ("BEND_CFG", "report"): """\
+run: example=bending
+load: tau=none
+kinematic: ok=yes dirichlet=7.40619412728e-17 gap=0 constraint=0
+static: ok=no equilibrium=2.22044604925e-16 neumann=0 contact_traction_sign=0.353553390593 action_reaction=2.22044604925e-16 constraint=0
+contact: regime=closed gap=0 traction=0.25 complementarity=0 action_reaction=1.66533453694e-16
+enclosure: unavailable
+criteria body1: primal=ok complementary=violated min_q=0 window=(-0.707106781187, 0.707106781187)
+criteria body2: primal=ok complementary=ok min_q=0.42264973081 window=(-0.57735026919, 0.57735026919)
+closed_form: tau_lo=-0.0773502691896 tau_hi=0 regime=closed empty=false
+numeric: tau_lo=-0.0773502715005 tau_hi=2.54442059209e-09 regime=closed empty=false
+oracle: tau_lo=-0.0764974226119 tau_hi=0 regime=closed empty=false
+warnings:
+- degenerate: identity stretch
+- bending intervals use the contact-plane pressure linkage; the equilibrium pressure profile varies across each body
+""",
+    ("BEND_CFG", "csv"): """\
+source,tau_lo,tau_hi,empty,regime
+closed_form,-0.0773502691896,0,false,closed
+numeric,-0.0773502715005,2.54442059209e-09,false,closed
+oracle,-0.0764974226119,0,false,closed
+""",
+}
+
+
+@pytest.mark.parametrize(
+    "name, text", [("COMP_CFG", COMP_CFG), ("COH_CFG", COH_CFG), ("BEND_CFG", BEND_CFG)]
+)
+def test_report_bytes_are_pinned(name, text):
+    report = cli.run(cli.parse_config(text))
+    assert cli.format_report(report) == GOLDEN[name, "report"]
+    assert cli.format_csv(report) == GOLDEN[name, "csv"]
+
+
 def test_run_degenerate_state_warns_and_blanks_numeric():
     text = COMP_CFG.replace("0.81", "1.0").replace("tau = -0.3", "tau = 0.0")
     report = cli.run(cli.parse_config(text))

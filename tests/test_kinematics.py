@@ -186,3 +186,19 @@ def test_stretch_triple_plain_container():
     t = StretchTriple(0.8, 1.1, 1.2)
     assert t.as_tuple() == (0.8, 1.1, 1.2)
     assert t.max() == 1.2
+
+
+def test_unknown_map_rejected():
+    from contactbounds.bounds import pressure_window
+    from contactbounds.contact import BodySpec
+    from contactbounds.material import NeoHookeanIncompressible
+
+    unknown = object()
+    for call in (
+        lambda: deformation_gradient(unknown, (0.1, 0.5, 0.5)),
+        lambda: placement(unknown, (0.1, 0.5, 0.5)),
+        lambda: image_volume(unknown, BOX),
+        lambda: pressure_window(BodySpec(BOX, NeoHookeanIncompressible(1.0), unknown)),
+    ):
+        with pytest.raises(InvalidParameters, match="unknown deformation map"):
+            call()
