@@ -25,20 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FamilyMismatch, InfeasibleProblem, InvalidParameters
-from .kinematics import (
-    Homogeneous,
-    R_MIN,
-    StretchBend,
-    TriaxialStretch,
-    deformation_gradient,
-    principal_stretches,
-)
-from .material import (
-    NeoHookeanIncompressible,
-    RadialProfile,
-    hessian_quadratic_form,
-    pressure_at,
-)
+from .kinematics import R_MIN, TriaxialStretch, _family
+from .material import NeoHookeanIncompressible, hessian_quadratic_form
 
 __all__ = [
     "LoadInterval",
@@ -85,25 +73,11 @@ def _check_positive(**kw):
             raise InvalidParameters("%s = %r must be positive" % (name, v))
 
 
-def _lambda_max(body):
-    m = body.map
-    if isinstance(m, TriaxialStretch):
-        return max(m.a, 1.0 / math.sqrt(m.a))
-    if isinstance(m, StretchBend):
-        r_in = math.sqrt(2.0 * m.a * body.domain.x_lo + m.b)
-        r_out = math.sqrt(2.0 * m.a * body.domain.x_hi + m.b)
-        sa = math.sqrt(m.a)
-        return max(m.a / r_in, m.A * r_out / sa, 1.0 / (m.A * sa))
-    if isinstance(m, Homogeneous):
-        return principal_stretches(m, (0.0, 0.0, 0.0)).max()
-    raise InvalidParameters("unknown deformation map %r" % (m,))
-
-
 def pressure_window(body):
     """Pressure interval keeping the constrained Hessian positive."""
     if not isinstance(body.material, NeoHookeanIncompressible):
         raise InvalidParameters("pressure window applies to incompressible bodies")
-    w = body.material.C / _lambda_max(body)
+    w = body.material.C / _family(body.map).stretch_max(body.domain)
     return (-w, w)
 
 
@@ -115,13 +89,6 @@ def _x_samples(body, interior):
     if interior:
         return np.linspace(lo, hi, X_SAMPLES + 2)[1:-1]
     return np.linspace(lo, hi, X_SAMPLES)
-
-
-def _pressure_at_x(body, x):
-    if isinstance(body.map, StretchBend):
-        r = math.sqrt(2.0 * body.map.a * x + body.map.b)
-        return pressure_at(body.pressure, r)
-    return pressure_at(body.pressure)
 
 
 def _probes(rng, count):
@@ -164,13 +131,11 @@ def criteria_check(body, probe_count=200, seed=42):
     comp_min = math.inf
     primal_min = math.inf
     for x in _x_samples(body, interior=False):
-        F = deformation_gradient(body.map, (x, 0.0, 0.0))
-        p = _pressure_at_x(body, x)
+        F, p = body.state(x)
         for G in probes:
             comp_min = min(comp_min, hessian_quadratic_form(body.material, F, p, G))
     for x in _x_samples(body, interior=True):
-        F = deformation_gradient(body.map, (x, 0.0, 0.0))
-        p = _pressure_at_x(body, x)
+        F, p = body.state(x)
         w = ((x - lo) * (hi - x)) ** 2
         for G in probes:
             q = hessian_quadratic_form(body.material, F, p, G)

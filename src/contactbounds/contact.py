@@ -28,7 +28,7 @@ from .kinematics import (
     Homogeneous,
     StretchBend,
     TriaxialStretch,
-    deformation_gradient,
+    _family,
     placement,
 )
 from .material import (
@@ -94,6 +94,10 @@ class BodySpec:
             self.pressure, RadialProfile
         ):
             raise InvalidParameters("triaxial bodies take a Constant pressure field")
+
+    def state(self, x):
+        """(F, p) at the abscissa x: the map's gradient and the pressure."""
+        return self.map.gradient(x), pressure_at(self.pressure, self.map.radius(x))
 
 
 @dataclass(frozen=True)
@@ -177,17 +181,6 @@ class AdmissibilityReport:
     residuals: dict
 
 
-def _face_rho(map_, x_face):
-    rho = 2.0 * map_.a * x_face + map_.b
-    if rho <= 0.0:
-        raise InvalidParameters("bending face radius^2 = %.3e" % rho)
-    return rho
-
-
-def _face_radius(map_, x_face):
-    return math.sqrt(_face_rho(map_, x_face))
-
-
 def gap_value(system):
     """Normal gap at the contact plane: body 1 face minus body 2 face.
 
@@ -195,18 +188,14 @@ def gap_value(system):
     body 2), positive means interpenetration.
     """
     m1, m2 = system.body1.map, system.body2.map
-    xc = system.x_c
-    if isinstance(m1, TriaxialStretch) and isinstance(m2, TriaxialStretch):
-        return (m1.a * xc + m1.b) - (m2.a * xc + m2.b)
-    if isinstance(m1, StretchBend) and isinstance(m2, StretchBend):
-        return _face_radius(m1, xc) - _face_radius(m2, xc)
-    if isinstance(m1, Homogeneous) and isinstance(m2, Homogeneous):
-        Xc = np.array([xc, system.body1.domain.center()[1], system.body1.domain.center()[2]])
-        return float(placement(m1, Xc)[0] - placement(m2, Xc)[0])
-    raise FamilyMismatch(
-        "bodies deform in different families: %s vs %s"
-        % (type(m1).__name__, type(m2).__name__)
-    )
+    if type(m1) is not type(m2):
+        raise FamilyMismatch(
+            "bodies deform in different families: %s vs %s"
+            % (type(m1).__name__, type(m2).__name__)
+        )
+    Xc = system.body1.domain.center()
+    Xc[0] = system.x_c
+    return float(_family(m1).normal_position(Xc) - m2.normal_position(Xc))
 
 
 def contact_traction(body, at_r=None):
@@ -215,25 +204,14 @@ def contact_traction(body, at_r=None):
     For the bending family at_r selects the face radius (required);
     triaxial and homogeneous states are uniform so it is ignored.
     """
-    m = body.map
-    if isinstance(m, TriaxialStretch):
-        F = deformation_gradient(m, (0.0, 0.0, 0.0))
-        p = pressure_at(body.pressure)
-        sig = cauchy_stress(body.material, F, p)
-        return float(sig[0, 0])
+    m = _family(body.map)
     if isinstance(m, StretchBend):
         if at_r is None:
             raise InvalidParameters("bending traction needs the face radius at_r")
-        sa = math.sqrt(m.a)
-        F = np.diag([m.a / at_r, m.A * at_r / sa, 1.0 / (m.A * sa)])
-        p = pressure_at(body.pressure, at_r)
-        sig = cauchy_stress(body.material, F, p)
-        return float(sig[0, 0])
-    if isinstance(m, Homogeneous):
-        p = pressure_at(body.pressure)
-        sig = cauchy_stress(body.material, m.F0, p)
-        return float(sig[0, 0])
-    raise InvalidParameters("unknown deformation map %r" % (m,))
+        F, p = m.frame(at_r), pressure_at(body.pressure, at_r)
+    else:
+        F, p = body.state(0.0)
+    return float(cauchy_stress(body.material, F, p)[0, 0])
 
 
 def nominal_traction(body, x_face):
@@ -242,17 +220,13 @@ def nominal_traction(body, x_face):
     This is force per unit reference area; it is the quantity matched
     across the interface by the energy identities.
     """
-    m = body.map
-    if isinstance(m, StretchBend):
-        r = _face_radius(m, x_face)
-        return contact_traction(body, at_r=r) * r / m.a
-    if isinstance(m, TriaxialStretch):
-        return contact_traction(body) / m.a
+    m = _family(body.map)
     if isinstance(m, Homogeneous):
-        p = pressure_at(body.pressure)
-        P = piola_stress(body.material, m.F0, p)
-        return float(P[0, 0])
-    raise InvalidParameters("unknown deformation map %r" % (m,))
+        return float(piola_stress(body.material, *body.state(x_face))[0, 0])
+    r = m.radius(x_face)
+    if r is None:
+        return contact_traction(body) / m.a
+    return contact_traction(body, at_r=r) * r / m.a
 
 
 def evaluate_contact(system):
@@ -260,12 +234,8 @@ def evaluate_contact(system):
     gap = gap_value(system) - system.d_allow
     xc = system.x_c
     b1, b2 = system.body1, system.body2
-    if isinstance(b1.map, StretchBend):
-        t1 = contact_traction(b1, at_r=_face_radius(b1.map, xc))
-        t2 = contact_traction(b2, at_r=_face_radius(b2.map, xc))
-    else:
-        t1 = contact_traction(b1)
-        t2 = contact_traction(b2)
+    t1 = contact_traction(b1, at_r=b1.map.radius(xc))
+    t2 = contact_traction(b2, at_r=b2.map.radius(xc))
     regime = "closed" if abs(gap) <= GAP_TOL else "open"
     comp = abs(gap) * abs(t1 - system.g)
     return ContactEvaluation(
@@ -307,8 +277,7 @@ def _constraint_residual(body):
         return 0.0
     worst = 0.0
     for X in _volume_points(body.domain):
-        F = deformation_gradient(body.map, X)
-        worst = max(worst, abs(det(F) - 1.0))
+        worst = max(worst, abs(det(body.map.gradient(X[0])) - 1.0))
     return worst
 
 
@@ -353,19 +322,15 @@ def check_kinematic(system, dirichlet=None):
     return AdmissibilityReport(kinematic_ok=ok, static_ok=None, residuals=residuals)
 
 
-def _sigma_rr(body, r):
-    return contact_traction(body, at_r=r)
-
-
 def _equilibrium_residual(body):
     m = body.map
-    if isinstance(m, (TriaxialStretch, Homogeneous)):
+    r_in = m.radius(body.domain.x_lo)
+    if r_in is None:
         # constant state: divergence vanishes identically
         return 0.0
     C = body.material.C
     a, A = m.a, m.A
-    r_in = _face_radius(m, body.domain.x_lo)
-    r_out = _face_radius(m, body.domain.x_hi)
+    r_out = m.radius(body.domain.x_hi)
     rs = np.linspace(r_in, r_out, 101)
     worst = 0.0
     for r in rs:
@@ -386,13 +351,7 @@ def _neumann_residual(system, tau):
         return abs(nominal_traction(b1, b1.domain.x_lo) - tau)
     worst = 0.0
     for body, loaded in ((b1, True), (b2, False)):
-        m = body.map
-        if isinstance(m, TriaxialStretch):
-            F = deformation_gradient(m, (0.0, 0.0, 0.0))
-        else:
-            F = m.F0
-        p = pressure_at(body.pressure)
-        P = piola_stress(body.material, F, p)
+        P = piola_stress(body.material, *body.state(0.0))
         target = np.zeros((3, 3))
         if loaded:
             target[0, 0] = tau
@@ -451,8 +410,7 @@ def solve_radial_pressure(body, boundary_traction, anchor="inner"):
         raise InvalidParameters("anchor must be 'inner' or 'outer'")
     C = body.material.C
     a, A = m.a, m.A
-    rho_in = _face_rho(m, body.domain.x_lo)
-    rho_out = _face_rho(m, body.domain.x_hi)
+    rho_in, rho_out = m.rho(body.domain.x_lo), m.rho(body.domain.x_hi)
     rho = rho_in if anchor == "inner" else rho_out
     return RadialProfile(
         c_inv=0.5 * C * a**2,

@@ -24,19 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InadmissibleTrial, InvalidParameters, NonFiniteIntegrand
-from .kinematics import (
-    Homogeneous,
-    StretchBend,
-    TriaxialStretch,
-    deformation_gradient,
-    placement,
-)
-from .material import (
-    complementary_density,
-    piola_stress,
-    pressure_at,
-    strain_energy,
-)
+from .kinematics import StretchBend
+from .material import complementary_density, piola_stress, strain_energy
 from .contact import DirichletData, check_kinematic, check_static
 from .tensor3 import ddot
 
@@ -133,13 +122,26 @@ def _resolved_data(system):
 
 
 def _body_piola(body, X):
-    F = deformation_gradient(body.map, X)
-    if isinstance(body.map, StretchBend):
-        r = math.sqrt(2.0 * body.map.a * float(X[0]) + body.map.b)
-        p = pressure_at(body.pressure, r)
-    else:
-        p = pressure_at(body.pressure)
+    F, p = body.state(float(X[0]))
     return piola_stress(body.material, F, p), F
+
+
+def _face_pairing(body, dmap, axis, side, rule):
+    """Integral of (P N) . chi over the face {axis = side} of body.
+
+    N is the outward normal and chi is dmap's image point in the frame
+    of body's gradient, so one expression pairs Cartesian and bending
+    faces; on a bending meridian flank it is an exact zero.
+    """
+    col = "xyz".index(axis)
+    sign = 1.0 if side == "hi" else -1.0
+
+    def pairing(X):
+        P, _ = _body_piola(body, X)
+        return sign * float(P[:, col] @ dmap.frame_place(X))
+
+    face = getattr(body.domain, "%s_%s" % (axis, side))
+    return integrate_face(pairing, body.domain, axis, face, rule)
 
 
 def potential_energy(system, tau, rule=None):
@@ -148,24 +150,14 @@ def potential_energy(system, tau, rule=None):
     total = 0.0
     for body in (system.body1, system.body2):
         total += integrate_volume(
-            lambda X, b=body: strain_energy(b.material, deformation_gradient(b.map, X)),
+            lambda X, b=body: strain_energy(b.material, b.map.gradient(float(X[0]))),
             body.domain,
             rule,
         )
+    # the dead load pairs with the image coordinate along the load:
+    # x for the affine families, the face radius for bending
     b1 = system.body1
-    if isinstance(b1.map, StretchBend):
-        # radial dead load pairs with the face radius
-        load = integrate_face(
-            lambda X: math.sqrt(2.0 * b1.map.a * b1.domain.x_lo + b1.map.b),
-            b1.domain,
-            "x",
-            b1.domain.x_lo,
-            rule,
-        )
-    else:
-        load = integrate_face(
-            lambda X: placement(b1.map, X)[0], b1.domain, "x", b1.domain.x_lo, rule
-        )
+    load = integrate_face(b1.map.normal_position, b1.domain, "x", b1.domain.x_lo, rule)
     return total + tau * load
 
 
@@ -179,42 +171,18 @@ def complementary_energy(system, rule=None):
             lambda X, b=body: _wc_at(b, X), body.domain, rule
         )
     b2 = system.body2
+    total += _face_pairing(b2, data.map2, "x", "hi", rule)
     if isinstance(b2.map, StretchBend):
-        # held face: radial traction times data radius
-        def held(X):
-            P, _ = _body_piola(b2, X)
-            r_d = math.sqrt(2.0 * data.map2.a * float(X[0]) + data.map2.b)
-            return P[0, 0] * r_d
-
-        total += integrate_face(held, b2.domain, "x", b2.domain.x_hi, rule)
-        # axial faces: axial traction times data axial placement
+        # the axial faces hold the axial placement too; the meridian
+        # flanks pair to zero (azimuthal traction _|_ flank plane)
         for body, dmap in ((system.body1, data.map1), (b2, data.map2)):
-            for zv, sgn in ((body.domain.z_lo, -1.0), (body.domain.z_hi, 1.0)):
-
-                def axial(X, b=body, d=dmap, s=sgn):
-                    P, _ = _body_piola(b, X)
-                    return s * P[2, 2] * placement(d, X)[2]
-
-                total += integrate_face(axial, body.domain, "z", zv, rule)
-        # meridian flanks pair to zero: azimuthal traction _|_ flank plane
-    else:
-
-        def held(X):
-            P, _ = _body_piola(b2, X)
-            return float(P[:, 0] @ placement(data.map2, X))
-
-        total += integrate_face(held, b2.domain, "x", b2.domain.x_hi, rule)
+            for side in ("lo", "hi"):
+                total += _face_pairing(body, dmap, "z", side, rule)
     return total
 
 
 def _wc_at(body, X):
-    F = deformation_gradient(body.map, X)
-    if isinstance(body.map, StretchBend):
-        r = math.sqrt(2.0 * body.map.a * float(X[0]) + body.map.b)
-        p = pressure_at(body.pressure, r)
-    else:
-        p = pressure_at(body.pressure)
-    return complementary_density(body.material, F, p)
+    return complementary_density(body.material, *body.state(float(X[0])))
 
 
 def divergence_identity_residual(system, rule=None):
@@ -231,37 +199,9 @@ def divergence_identity_residual(system, rule=None):
         rhs += integrate_volume(
             lambda X, b=body: ddot(*_body_piola(b, X)), body.domain, rule
         )
-        if isinstance(body.map, StretchBend):
-            for xv, sgn in ((body.domain.x_lo, -1.0), (body.domain.x_hi, 1.0)):
-
-                def radial(X, b=body, s=sgn):
-                    P, _ = _body_piola(b, X)
-                    r = math.sqrt(2.0 * b.map.a * float(X[0]) + b.map.b)
-                    return s * P[0, 0] * r
-
-                lhs += integrate_face(radial, body.domain, "x", xv, rule)
-            for zv, sgn in ((body.domain.z_lo, -1.0), (body.domain.z_hi, 1.0)):
-
-                def axial(X, b=body, s=sgn):
-                    P, _ = _body_piola(b, X)
-                    return s * P[2, 2] * placement(b.map, X)[2]
-
-                lhs += integrate_face(axial, body.domain, "z", zv, rule)
-            # flanks: (P e_theta) . x = 0 pointwise
-        else:
-            for axis, faces in (
-                ("x", ((body.domain.x_lo, -1.0), (body.domain.x_hi, 1.0))),
-                ("y", ((body.domain.y_lo, -1.0), (body.domain.y_hi, 1.0))),
-                ("z", ((body.domain.z_lo, -1.0), (body.domain.z_hi, 1.0))),
-            ):
-                col = {"x": 0, "y": 1, "z": 2}[axis]
-                for fv, sgn in faces:
-
-                    def pairing(X, b=body, c=col, s=sgn):
-                        P, _ = _body_piola(b, X)
-                        return s * float(P[:, c] @ placement(b.map, X))
-
-                    lhs += integrate_face(pairing, body.domain, axis, fv, rule)
+        for axis in "xyz":
+            for side in ("lo", "hi"):
+                lhs += _face_pairing(body, body.map, axis, side, rule)
     return abs(lhs - rhs)
 
 

@@ -11,6 +11,11 @@ X = x_c. Deformations are drawn from three families:
 
 The first two families are isochoric by construction; their gradients are
 reported in the principal frame (radial, azimuthal, axial for bending).
+
+Each family carries its formulas as methods: gradient(x), place(X),
+radius(x) (None for the affine families), normal_position(X) (the image
+coordinate along the load, r for bending), frame_place(X), image_volume
+and stretch_max. The module functions check the family and delegate.
 """
 
 import math
@@ -103,6 +108,29 @@ class TriaxialStretch:
         if not math.isfinite(self.b):
             raise InvalidParameters("offset b must be finite")
 
+    def gradient(self, x):
+        s = 1.0 / math.sqrt(self.a)
+        return np.diag([self.a, s, s])
+
+    def place(self, X):
+        s = 1.0 / math.sqrt(self.a)
+        return np.array([self.normal_position(X), s * float(X[1]), s * float(X[2])])
+
+    def radius(self, x):
+        return None
+
+    def normal_position(self, X):
+        return self.a * float(X[0]) + self.b
+
+    def frame_place(self, X):
+        return self.place(X)
+
+    def image_volume(self, domain):
+        return domain.volume()
+
+    def stretch_max(self, domain):
+        return max(self.a, 1.0 / math.sqrt(self.a))
+
 
 @dataclass(frozen=True)
 class StretchBend:
@@ -120,6 +148,56 @@ class StretchBend:
         if not math.isfinite(self.b):
             raise InvalidParameters("offset b must be finite")
 
+    def rho(self, x):
+        """Squared bend radius 2 a x + b; raises below R_MIN^2."""
+        rho = 2.0 * self.a * x + self.b
+        if rho < R_MIN**2:
+            raise InvalidParameters(
+                "bending radius^2 = %.3e below minimum at X = %.6g" % (rho, x)
+            )
+        return rho
+
+    def radius(self, x):
+        return math.sqrt(self.rho(x))
+
+    def frame(self, r):
+        """Gradient on the cylinder of radius r, in (e_r, e_theta, e_z)."""
+        sa = math.sqrt(self.a)
+        return np.diag([self.a / r, self.A * r / sa, 1.0 / (self.A * sa)])
+
+    def gradient(self, x):
+        return self.frame(self.radius(x))
+
+    def place(self, X):
+        r, _, z = self.frame_place(X)
+        th = self.A * float(X[1]) / math.sqrt(self.a)
+        return np.array([r * math.cos(th), r * math.sin(th), z])
+
+    def normal_position(self, X):
+        return self.radius(float(X[0]))
+
+    def frame_place(self, X):
+        """(r, 0, z): the image point in the frame of gradient()."""
+        sa = math.sqrt(self.a)
+        return np.array([self.radius(float(X[0])), 0.0, float(X[2]) / (self.A * sa)])
+
+    def image_volume(self, domain):
+        r_lo = self.radius(domain.x_lo)
+        r_hi = self.radius(domain.x_hi)
+        sa = math.sqrt(self.a)
+        # sectors overlap once the sweep exceeds a full turn
+        theta = min(self.A * (domain.y_hi - domain.y_lo) / sa, 2.0 * math.pi)
+        dz = domain.z_hi - domain.z_lo
+        return 0.5 * (r_hi**2 - r_lo**2) * theta * dz / (self.A * sa)
+
+    def stretch_max(self, domain):
+        sa = math.sqrt(self.a)
+        return max(
+            self.a / self.radius(domain.x_lo),
+            self.A * self.radius(domain.x_hi) / sa,
+            1.0 / (self.A * sa),
+        )
+
 
 @dataclass(frozen=True)
 class Homogeneous:
@@ -134,6 +212,35 @@ class Homogeneous:
         if t.shape != (3,) or not np.all(np.isfinite(t)):
             raise InvalidParameters("translation t must be a finite 3-vector")
         object.__setattr__(self, "t", t)
+
+    def gradient(self, x):
+        return self.F0.copy()
+
+    def place(self, X):
+        return self.F0 @ np.array([float(X[0]), float(X[1]), float(X[2])]) + self.t
+
+    def radius(self, x):
+        return None
+
+    def normal_position(self, X):
+        return float(self.place(X)[0])
+
+    def frame_place(self, X):
+        return self.place(X)
+
+    def image_volume(self, domain):
+        J = det(self.F0)
+        if J <= 0.0:
+            raise NonPositiveJacobian("det F0 = %.6g" % J)
+        return (
+            J
+            * (domain.x_hi - domain.x_lo)
+            * (domain.y_hi - domain.y_lo)
+            * (domain.z_hi - domain.z_lo)
+        )
+
+    def stretch_max(self, domain):
+        return principal_stretches(self, (0.0, 0.0, 0.0)).max()
 
 
 @dataclass(frozen=True)
@@ -151,18 +258,19 @@ class StretchTriple:
         return max(self.l1, self.l2, self.l3)
 
 
+_FAMILIES = (TriaxialStretch, StretchBend, Homogeneous)
+
+
+def _family(map_):
+    """map_ itself; raises for a map outside the three families."""
+    if not isinstance(map_, _FAMILIES):
+        raise InvalidParameters("unknown deformation map %r" % (map_,))
+    return map_
+
+
 def _check_domain(X, domain):
     if domain is not None and not domain.contains(X):
         raise OutOfDomain("point %s outside reference box" % (np.asarray(X),))
-
-
-def _bend_radius(m, X0):
-    rho = 2.0 * m.a * X0 + m.b
-    if rho < R_MIN**2:
-        raise InvalidParameters(
-            "bending radius^2 = %.3e below minimum at X = %.6g" % (rho, X0)
-        )
-    return math.sqrt(rho)
 
 
 def deformation_gradient(map_, X, domain=None):
@@ -173,23 +281,13 @@ def deformation_gradient(map_, X, domain=None):
     (e_r, e_theta, e_z), where it is diagonal.
     """
     _check_domain(X, domain)
-    if isinstance(map_, TriaxialStretch):
-        a = map_.a
-        s = 1.0 / math.sqrt(a)
-        return np.diag([a, s, s])
-    if isinstance(map_, StretchBend):
-        r = _bend_radius(map_, float(X[0]))
-        sa = math.sqrt(map_.a)
-        return np.diag([map_.a / r, map_.A * r / sa, 1.0 / (map_.A * sa)])
-    if isinstance(map_, Homogeneous):
-        return map_.F0.copy()
-    raise InvalidParameters("unknown deformation map %r" % (map_,))
+    return _family(map_).gradient(float(X[0]))
 
 
 def principal_stretches(map_, X, domain=None):
     """Principal stretches at X, in family order."""
     F = deformation_gradient(map_, X, domain)
-    if isinstance(map_, (TriaxialStretch, StretchBend)):
+    if not isinstance(map_, Homogeneous):
         return StretchTriple(F[0, 0], F[1, 1], F[2, 2])
     # general affine: singular values, descending
     w = sym_eigenvalues(F.T @ F)
@@ -208,18 +306,7 @@ def jacobian(map_, X, domain=None):
 def placement(map_, X, domain=None):
     """Image point chi(X) in Cartesian coordinates."""
     _check_domain(X, domain)
-    x, y, z = float(X[0]), float(X[1]), float(X[2])
-    if isinstance(map_, TriaxialStretch):
-        s = 1.0 / math.sqrt(map_.a)
-        return np.array([map_.a * x + map_.b, s * y, s * z])
-    if isinstance(map_, StretchBend):
-        r = _bend_radius(map_, x)
-        sa = math.sqrt(map_.a)
-        th = map_.A * y / sa
-        return np.array([r * math.cos(th), r * math.sin(th), z / (map_.A * sa)])
-    if isinstance(map_, Homogeneous):
-        return map_.F0 @ np.array([x, y, z]) + map_.t
-    raise InvalidParameters("unknown deformation map %r" % (map_,))
+    return _family(map_).place(X)
 
 
 def displacement(map_, X, domain=None):
@@ -229,24 +316,7 @@ def displacement(map_, X, domain=None):
 
 def image_volume(map_, domain):
     """Volume of chi(domain), analytic per family."""
-    dx = domain.x_hi - domain.x_lo
-    dy = domain.y_hi - domain.y_lo
-    dz = domain.z_hi - domain.z_lo
-    if isinstance(map_, TriaxialStretch):
-        return dx * dy * dz
-    if isinstance(map_, StretchBend):
-        r_lo = _bend_radius(map_, domain.x_lo)
-        r_hi = _bend_radius(map_, domain.x_hi)
-        sa = math.sqrt(map_.a)
-        # sectors overlap once the sweep exceeds a full turn
-        theta = min(map_.A * dy / sa, 2.0 * math.pi)
-        return 0.5 * (r_hi**2 - r_lo**2) * theta * dz / (map_.A * sa)
-    if isinstance(map_, Homogeneous):
-        J = det(map_.F0)
-        if J <= 0.0:
-            raise NonPositiveJacobian("det F0 = %.6g" % J)
-        return J * dx * dy * dz
-    raise InvalidParameters("unknown deformation map %r" % (map_,))
+    return _family(map_).image_volume(domain)
 
 
 def injectivity_check(map_, domain, quad_order=8):

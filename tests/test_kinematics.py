@@ -202,3 +202,31 @@ def test_unknown_map_rejected():
     ):
         with pytest.raises(InvalidParameters, match="unknown deformation map"):
             call()
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        TriaxialStretch(0.81, 0.1),
+        StretchBend(1.1, 0.9, 1.3),
+        Homogeneous(np.diag([0.5, 2.0, 1.0]), t=(0.1, 0.0, -0.2)),
+    ],
+)
+def test_family_methods_match_module_functions(m):
+    X = np.array([0.3, 0.4, 0.7])
+    x_chi = placement(m, X)
+    assert np.array_equal(m.gradient(0.3), deformation_gradient(m, X))
+    assert np.array_equal(m.place(X), x_chi)
+    assert m.image_volume(BOX) == image_volume(m, BOX)
+    stations = [principal_stretches(m, (x, 0.5, 0.5)).max() for x in (BOX.x_lo, BOX.x_hi)]
+    assert m.stretch_max(BOX) == max(stations)
+    r = m.radius(0.3)
+    if r is None:
+        # affine: the gradient's frame is Cartesian, the load axis is x
+        assert m.normal_position(X) == x_chi[0]
+        assert np.array_equal(m.frame_place(X), x_chi)
+    else:
+        assert r == math.sqrt(m.rho(0.3)) == m.normal_position(X)
+        assert r == pytest.approx(math.hypot(x_chi[0], x_chi[1]), rel=1e-15)
+        assert np.array_equal(m.frame_place(X), [r, 0.0, x_chi[2]])
+        assert np.array_equal(m.frame(r), deformation_gradient(m, X))
