@@ -96,7 +96,18 @@ from .states import (
     stretch_pair,
     stretch_ratio_from_load,
 )
-from .cli import ProblemConfig, RunReport, parse_config, run, serialize_config, sweep, verify
 from .tensor3 import cofactor, ddot, det, inverse, sym_eigenvalues
 
 __version__ = "0.1.0"
+
+_CLI_NAMES = ("ProblemConfig", "RunReport", "parse_config", "run", "serialize_config", "sweep", "verify")
+
+
+def __getattr__(name):
+    # cli loads on first use: imported here eagerly, it would already sit in
+    # sys.modules when `python -m contactbounds.cli` runs it, and runpy warns
+    if name in _CLI_NAMES:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

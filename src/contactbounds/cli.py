@@ -328,15 +328,15 @@ def build_system(config):
         if config.body1.pressure is not None:
             body1 = dataclasses.replace(body1, pressure=Constant(config.body1.pressure))
         else:
-            r0 = math.sqrt(b1)
+            r0 = map1.radius(BOX1.x_lo)
             prof1 = solve_radial_pressure(body1, tau * a1 / r0, anchor="inner")
             body1 = dataclasses.replace(body1, pressure=prof1)
         body2 = BodySpec(BOX2, NeoHookeanIncompressible(C2), map2)
         if config.body2.pressure is not None:
             body2 = dataclasses.replace(body2, pressure=Constant(config.body2.pressure))
         else:
-            r2i = math.sqrt(a2 + b2)
-            r1o = math.sqrt(a1 + b1)
+            r2i = map2.radius(BOX2.x_lo)
+            r1o = map1.radius(BOX1.x_hi)
             if abs(r1o - r2i) <= 1e-10:
                 sig2 = nominal_traction(body1, BOX1.x_hi) * a2 / r2i
             else:
@@ -841,9 +841,9 @@ def main(argv=None):
             )
     args = parser.parse_args(argv)
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         sys.stderr.write("error: %s\n" % e)
         return 2
     try:

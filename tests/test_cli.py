@@ -389,6 +389,18 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write --output") and err.count("\n") == 1
+    # bending radii that are not real: r0 = sqrt(b1), r = sqrt(a2 + b2)
+    for bad_text in (
+        BEND_CFG.replace("b = 1.0", "b = -0.5"),
+        BEND_CFG.replace("[body2]\nC = 1.0\na = 1.0", "[body2]\nC = 1.0\na = 5\nb = -20"),
+    ):
+        bad.write_text(bad_text)
+        assert cli.main(["run", "--config", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: bending radius^2")
+    bad.write_bytes(b"\xff\xfe" + COMP_CFG.encode())
+    assert cli.main(["run", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
     huge = tmp_path / "huge.cfg"
     huge.write_text(COMP_CFG.replace("a = 0.81", "a = 1e200", 1))
     assert cli.main(["run", "--config", str(huge)]) == 3
@@ -422,6 +434,7 @@ def test_console_script_entry(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("source,tau_lo")
+    assert proc.stderr == ""  # no runpy warning about a preloaded cli module
 
 
 def test_package_runs_without_scipy():
