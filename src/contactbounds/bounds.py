@@ -266,7 +266,8 @@ def search_bracket(example, fixed_params):
 def numeric_load_bounds(example, fixed_params, search_config=None):
     """Bisect the feasibility predicate for the load interval endpoints.
 
-    Matches the closed forms to the bisection tolerance. Raises
+    Returns the feasible side of each final bracket, so both endpoints
+    are accepted loads within tol of the closed forms. Raises
     InfeasibleProblem when no load in the bracket is feasible.
     """
     sc = search_config or {}
@@ -299,7 +300,8 @@ def numeric_load_bounds(example, fixed_params, search_config=None):
             hi_in = mid
         else:
             hi_out = mid
-    return LoadInterval(0.5 * (lo_out + lo_in), 0.5 * (hi_in + hi_out), "closed", False)
+    # the feasible-side ends: every reported load passes the predicate
+    return LoadInterval(lo_in, hi_in, "closed", False)
 
 
 def brute_force_oracle(example, fixed_params, grid_n=1000):

@@ -22,6 +22,8 @@ from contactbounds.bounds import (
     numeric_load_bounds,
     pressure_window,
     search_bracket,
+    _feasible_closed,
+    _linkage,
 )
 
 # frozen endpoint values for the worked parameter sets
@@ -170,6 +172,24 @@ def test_numeric_bounds_match_closed_form():
     fp = {"C1": 1.0, "C2": 1.0, "A": 1.0, "a1": 1.0, "a2": 1.0, "b1": 1.0, "b2": 1.0}
     iv = numeric_load_bounds("bending", fp)
     assert iv.tau_lo == pytest.approx(BENDING_LO_WORKED, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "example, fp",
+    [
+        # README compression config and the cohesive example config
+        ("compression", {"C1": 1.0, "C2": 1.0, "a1": 0.81, "a2": 0.81}),
+        ("cohesive", {"C1": 1.0, "C2": 2.0, "a1": 0.9, "a2": 0.9, "g": 0.6}),
+        ("bending", {"C1": 1.0, "C2": 1.0, "A": 1.0, "a1": 1.0, "a2": 1.0, "b1": 1.0}),
+    ],
+)
+def test_numeric_bounds_are_certified(example, fp):
+    # both reported ends are loads the feasibility predicate accepts
+    iv = numeric_load_bounds(example, fp, {"tol": 1e-8})
+    linkage = _linkage(example, fp)
+    cap = fp.get("g", 0.0)
+    assert _feasible_closed(iv.tau_lo, linkage, cap)
+    assert _feasible_closed(iv.tau_hi, linkage, cap)
 
 
 def test_numeric_bounds_infeasible_when_closed_set_is_empty():

@@ -211,7 +211,7 @@ enclosure: unavailable
 criteria body1: primal=violated complementary=violated min_q=-0.371742112483 window=(-0.9, 0.9)
 criteria body2: primal=violated complementary=violated min_q=-0.371742112483 window=(-0.9, 0.9)
 closed_form: tau_lo=-0.2439 tau_hi=0 regime=closed empty=false
-numeric: tau_lo=-0.243900002664 tau_hi=4.22300977839e-09 regime=closed empty=false
+numeric: tau_lo=-0.243899998639 tau_hi=0 regime=closed empty=false
 oracle: tau_lo=-0.235789955556 tau_hi=0 regime=closed empty=false
 warnings:
 - enclosure skipped: static trial: neumann residual = 4.142e-01
@@ -219,7 +219,7 @@ warnings:
     ("COMP_CFG", "csv"): """\
 source,tau_lo,tau_hi,empty,regime
 closed_form,-0.2439,0,false,closed
-numeric,-0.243900002664,4.22300977839e-09,false,closed
+numeric,-0.243899998639,0,false,closed
 oracle,-0.235789955556,0,false,closed
 """,
     ("COH_CFG", "report"): """\
@@ -232,14 +232,14 @@ enclosure: unavailable
 criteria body1: primal=violated complementary=violated min_q=-0.171213948211 window=(-0.948683298051, 0.948683298051)
 criteria body2: primal=violated complementary=violated min_q=-0.342427896421 window=(-1.8973665961, 1.8973665961)
 closed_form: tau_lo=-0.138683298051 tau_hi=0.6 regime=closed empty=false
-numeric: tau_lo=-0.1386833018 tau_hi=0.599999996119 regime=closed empty=false
+numeric: tau_lo=-0.138683297914 tau_hi=0.599999992169 regime=closed empty=false
 oracle: tau_lo=-0.137818510678 tau_hi=0.597716587261 regime=closed empty=false
 warnings: none
 """,
     ("COH_CFG", "csv"): """\
 source,tau_lo,tau_hi,empty,regime
 closed_form,-0.138683298051,0.6,false,closed
-numeric,-0.1386833018,0.599999996119,false,closed
+numeric,-0.138683297914,0.599999992169,false,closed
 oracle,-0.137818510678,0.597716587261,false,closed
 """,
     ("BEND_CFG", "report"): """\
@@ -252,7 +252,7 @@ enclosure: unavailable
 criteria body1: primal=ok complementary=violated min_q=0 window=(-0.707106781187, 0.707106781187)
 criteria body2: primal=ok complementary=ok min_q=0.42264973081 window=(-0.57735026919, 0.57735026919)
 closed_form: tau_lo=-0.0773502691896 tau_hi=0 regime=closed empty=false
-numeric: tau_lo=-0.0773502715005 tau_hi=2.54442059209e-09 regime=closed empty=false
+numeric: tau_lo=-0.077350268956 tau_hi=0 regime=closed empty=false
 oracle: tau_lo=-0.0764974226119 tau_hi=0 regime=closed empty=false
 warnings:
 - degenerate: identity stretch
@@ -261,14 +261,16 @@ warnings:
     ("BEND_CFG", "csv"): """\
 source,tau_lo,tau_hi,empty,regime
 closed_form,-0.0773502691896,0,false,closed
-numeric,-0.0773502715005,2.54442059209e-09,false,closed
+numeric,-0.077350268956,0,false,closed
 oracle,-0.0764974226119,0,false,closed
 """,
 }
 
 
 @pytest.mark.parametrize(
-    "name, text", [("COMP_CFG", COMP_CFG), ("COH_CFG", COH_CFG), ("BEND_CFG", BEND_CFG)]
+    "name, text",
+    [("COMP_CFG", COMP_CFG), ("COH_CFG", COH_CFG), ("BEND_CFG", BEND_CFG)],
+    ids=["compression", "cohesive", "bending"],
 )
 def test_report_bytes_are_pinned(name, text):
     report = cli.run(cli.parse_config(text))
