@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FamilyMismatch, InfeasibleProblem, InvalidParameters
-from .kinematics import R_MIN, TriaxialStretch, _family
+from .errors import InfeasibleProblem, InvalidParameters
+from .kinematics import R_MIN, TriaxialStretch
 from .material import NeoHookeanIncompressible, hessian_quadratic_form
 
 __all__ = [
@@ -77,7 +77,7 @@ def pressure_window(body):
     """Pressure interval keeping the constrained Hessian positive."""
     if not isinstance(body.material, NeoHookeanIncompressible):
         raise InvalidParameters("pressure window applies to incompressible bodies")
-    w = body.material.C / _family(body.map).stretch_max(body.domain)
+    w = body.material.C / body.map.stretch_max(body.domain)
     return (-w, w)
 
 

@@ -34,7 +34,6 @@ from .kinematics import (
 from .material import (
     CONSTRAINT_TOL,
     Constant,
-    NeoHookeanCompressible,
     NeoHookeanIncompressible,
     RadialProfile,
     cauchy_stress,
@@ -82,6 +81,7 @@ class BodySpec:
     pressure: object = Constant(0.0)
 
     def __post_init__(self):
+        _family(self.map)
         if isinstance(self.material, NeoHookeanIncompressible) and isinstance(
             self.map, Homogeneous
         ):
@@ -195,7 +195,7 @@ def gap_value(system):
         )
     Xc = system.body1.domain.center()
     Xc[0] = system.x_c
-    return float(_family(m1).normal_position(Xc) - m2.normal_position(Xc))
+    return float(m1.normal_position(Xc) - m2.normal_position(Xc))
 
 
 def contact_traction(body, at_r=None):
@@ -204,7 +204,7 @@ def contact_traction(body, at_r=None):
     For the bending family at_r selects the face radius (required);
     triaxial and homogeneous states are uniform so it is ignored.
     """
-    m = _family(body.map)
+    m = body.map
     if isinstance(m, StretchBend):
         if at_r is None:
             raise InvalidParameters("bending traction needs the face radius at_r")
@@ -220,7 +220,7 @@ def nominal_traction(body, x_face):
     This is force per unit reference area; it is the quantity matched
     across the interface by the energy identities.
     """
-    m = _family(body.map)
+    m = body.map
     if isinstance(m, Homogeneous):
         return float(piola_stress(body.material, *body.state(x_face))[0, 0])
     r = m.radius(x_face)

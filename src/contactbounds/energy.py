@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InadmissibleTrial, InvalidParameters, NonFiniteIntegrand
-from .kinematics import StretchBend
+from .kinematics import StretchBend, _family
 from .material import complementary_density, piola_stress, strain_energy
 from .contact import DirichletData, check_kinematic, check_static
 from .tensor3 import ddot
@@ -116,8 +116,8 @@ class EnergyEnclosure:
 def _resolved_data(system):
     d = system.dirichlet
     return DirichletData(
-        map1=d.map1 if d.map1 is not None else system.body1.map,
-        map2=d.map2 if d.map2 is not None else system.body2.map,
+        map1=_family(d.map1) if d.map1 is not None else system.body1.map,
+        map2=_family(d.map2) if d.map2 is not None else system.body2.map,
     )
 
 
@@ -168,7 +168,9 @@ def complementary_energy(system, rule=None):
     total = 0.0
     for body in (system.body1, system.body2):
         total -= integrate_volume(
-            lambda X, b=body: _wc_at(b, X), body.domain, rule
+            lambda X, b=body: complementary_density(b.material, *b.state(float(X[0]))),
+            body.domain,
+            rule,
         )
     b2 = system.body2
     total += _face_pairing(b2, data.map2, "x", "hi", rule)
@@ -179,10 +181,6 @@ def complementary_energy(system, rule=None):
             for side in ("lo", "hi"):
                 total += _face_pairing(body, dmap, "z", side, rule)
     return total
-
-
-def _wc_at(body, X):
-    return complementary_density(body.material, *body.state(float(X[0])))
 
 
 def divergence_identity_residual(system, rule=None):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from contactbounds.errors import InadmissibleTrial, InvalidParameters, NonFiniteIntegrand
+from contactbounds.contact import DirichletData
 from contactbounds.kinematics import Box3, TriaxialStretch
 from contactbounds.energy import (
     QuadratureRule,
@@ -145,6 +146,14 @@ def test_enclosure_rejects_penetrating_trial():
     trial = dataclasses.replace(exact, body1=body)
     with pytest.raises(InadmissibleTrial, match="gap"):
         enclosure(trial, exact, tau)
+
+
+def test_complementary_energy_rejects_unknown_dirichlet_map():
+    system = dataclasses.replace(
+        stretch_pair(1.3, 0.9, -0.12), dirichlet=DirichletData(map2=object())
+    )
+    with pytest.raises(InvalidParameters, match="unknown deformation map"):
+        complementary_energy(system)
 
 
 def test_enclosure_rejects_unbalanced_static_state():

@@ -194,6 +194,8 @@ def test_unknown_map_rejected():
     from contactbounds.material import NeoHookeanIncompressible
 
     unknown = object()
+    # a body cannot even be built around an unknown map, so no pressure
+    # window, traction or gap is ever computed for one
     for call in (
         lambda: deformation_gradient(unknown, (0.1, 0.5, 0.5)),
         lambda: placement(unknown, (0.1, 0.5, 0.5)),
