@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from contactbounds.errors import InfeasibleProblem, InvalidParameters
-from contactbounds.kinematics import StretchBend, TriaxialStretch
+from contactbounds.kinematics import Homogeneous, StretchBend, TriaxialStretch
 from contactbounds.material import (
     Constant,
     NeoHookeanCompressible,
     NeoHookeanIncompressible,
+    hessian_quadratic_form,
 )
 from contactbounds.contact import BodySpec
-from contactbounds.states import BOX1, BOX2, linked_bend_pair
+from contactbounds.states import BOX1, BOX2, bend_pair, linked_bend_pair
 from contactbounds.bounds import (
     brute_force_oracle,
     criteria_check,
@@ -91,6 +92,69 @@ def test_criteria_bending_body_runs_across_stations():
     body = dataclasses.replace(sys_.body1, pressure=Constant(0.75))
     res = criteria_check(body, probe_count=50)
     assert not res.complementary_ok  # window is 1/sqrt(2) = 0.707
+
+
+def _pointwise_criteria(body, probe_count, seed):
+    """(min over stations of q, min of bubble-weighted q), one form per pair."""
+    rng = np.random.default_rng(seed)
+    probes = []
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        for s in (1.0, -1.0):
+            G = np.zeros((3, 3))
+            G[i, j] = 1.0 / math.sqrt(2.0)
+            G[j, i] = s / math.sqrt(2.0)
+            probes.append(G)
+    for _ in range(probe_count):
+        G = np.zeros((3, 3))
+        G[0, 1], G[0, 2], G[1, 0], G[1, 2], G[2, 0], G[2, 1] = rng.standard_normal(6)
+        probes.append(G / math.sqrt(float(np.sum(G * G))))
+    lo, hi = body.domain.x_lo, body.domain.x_hi
+    if isinstance(body.map, TriaxialStretch):
+        edge, inner = np.array([lo, 0.5 * (lo + hi), hi]), np.array([0.5 * (lo + hi)])
+    else:
+        edge, inner = np.linspace(lo, hi, 33), np.linspace(lo, hi, 35)[1:-1]
+    comp = primal = math.inf
+    for x in edge:
+        F, p = body.state(x)
+        for G in probes:
+            comp = min(comp, hessian_quadratic_form(body.material, F, p, G))
+    for x in inner:
+        F, p = body.state(x)
+        w = ((x - lo) * (hi - x)) ** 2
+        for G in probes:
+            primal = min(primal, w * hessian_quadratic_form(body.material, F, p, G))
+    return comp, primal
+
+
+def _sheared_body(p):
+    # dense gradient with det 1 up to rounding: a rotation of an isochoric
+    # upper-triangular stretch
+    c, s = math.cos(0.4), math.sin(0.4)
+    Q = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    Q = Q @ np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    U = np.array([[1.2, 0.3, -0.1], [0.0, 0.8, 0.25], [0.0, 0.0, 1.0 / (1.2 * 0.8)]])
+    return BodySpec(BOX1, NeoHookeanIncompressible(1.3), Homogeneous(Q @ U), Constant(p))
+
+
+@pytest.mark.parametrize(
+    "body, probe_count, seed",
+    [
+        (triaxial_body(1.0, 0.81, 0.88), 200, 42),
+        (triaxial_body(1.7, 1.2, -0.4), 1, 0),
+        (bend_pair(1.0, 1.4, 1.1, 0.9, 1.0, 3.4, -0.8).body1, 50, 3),
+        (bend_pair(1.0, 1.4, 1.1, 0.9, 1.0, 3.4, -0.8).body2, 1, 0),
+        (_sheared_body(0.3), 50, 3),
+        (_sheared_body(-1.1), 1, 0),
+    ],
+    ids=["triaxial-200", "triaxial-1", "bend1-50", "bend2-1", "sheared-50", "sheared-1"],
+)
+def test_criteria_equal_pointwise_forms(body, probe_count, seed):
+    # bit-identical to one hessian_quadratic_form call per probe and station
+    comp, primal = _pointwise_criteria(body, probe_count, seed)
+    res = criteria_check(body, probe_count, seed)
+    assert res.min_quadratic_value == comp
+    assert res.complementary_ok is bool(comp > 0.0)
+    assert res.primal_ok is bool(primal > 0.0)
 
 
 def test_criteria_argument_validation():

@@ -198,8 +198,8 @@ def test_run_csv_rows():
     assert rows[1].startswith("closed_form,")
 
 
-# report and csv bytes of the shipped configs: a change to any number they
-# print must be deliberate and show up here
+# report, csv and verify bytes of the shipped configs: a change to any
+# number they print must be deliberate and show up here
 GOLDEN = {
     ("COMP_CFG", "report"): """\
 run: example=compression
@@ -264,6 +264,45 @@ closed_form,-0.0773502691896,0,false,closed
 numeric,-0.077350268956,0,false,closed
 oracle,-0.0764974226119,0,false,closed
 """,
+    ("COMP_CFG", "verify"): """\
+verify: 10 checks, 0 failed
+PASS tensor identities: inverse residual 1.632e-15, eigenvalue trace residual 4.441e-16
+PASS isochoric maps: |J - 1| max 2.220e-16
+PASS injectivity: volume test on both bodies
+PASS quadrature convergence: order 8 vs 16: delta 5.274e-16
+PASS stress derivative: max relative gap 3.011e-10
+PASS interval consistency: numeric gap 1.361e-09, oracle gap 8.110e-03 (res 9.069e-03)
+PASS window flip: edges +/-0.9 bracket the flip
+PASS energy equality: duality gap 5.360e-16 at tau=-0.3
+PASS enclosure: smallest duality gap over trials 0.000e+00
+PASS determinism: report bytes on repeated runs
+""",
+    ("COH_CFG", "verify"): """\
+verify: 10 checks, 0 failed
+PASS tensor identities: inverse residual 1.632e-15, eigenvalue trace residual 4.441e-16
+PASS isochoric maps: |J - 1| max 0.000e+00
+PASS injectivity: volume test on both bodies
+PASS quadrature convergence: order 8 vs 16: delta 1.388e-17
+PASS stress derivative: max relative gap 3.011e-10
+PASS interval consistency: numeric gap 7.831e-09, oracle gap 2.283e-03 (res 1.751e-02)
+PASS window flip: edges +/-0.948683298051 bracket the flip
+PASS energy equality: duality gap 7.112e-17 at tau=-0.3
+PASS enclosure: smallest duality gap over trials 0.000e+00
+PASS determinism: report bytes on repeated runs
+""",
+    ("BEND_CFG", "verify"): """\
+verify: 10 checks, 0 failed
+PASS tensor identities: inverse residual 1.632e-15, eigenvalue trace residual 4.441e-16
+PASS isochoric maps: |J - 1| max 1.110e-16
+PASS injectivity: volume test on both bodies
+PASS quadrature convergence: order 8 vs 16: delta 1.486e-13
+PASS stress derivative: max relative gap 3.011e-10
+PASS interval consistency: numeric gap 2.336e-10, oracle gap 8.528e-04 (res 1.093e-02)
+PASS window flip: edges +/-0.707106781187 bracket the flip
+PASS energy equality: duality gap 3.553e-15 at tau=-0.75
+PASS enclosure: smallest duality gap over trials 0.000e+00
+PASS determinism: report bytes on repeated runs
+""",
 }
 
 
@@ -273,9 +312,12 @@ oracle,-0.0764974226119,0,false,closed
     ids=["compression", "cohesive", "bending"],
 )
 def test_report_bytes_are_pinned(name, text):
-    report = cli.run(cli.parse_config(text))
+    config = cli.parse_config(text)
+    report = cli.run(config)
     assert cli.format_report(report) == GOLDEN[name, "report"]
     assert cli.format_csv(report) == GOLDEN[name, "csv"]
+    # verify prints roundoff-level gaps, so it moves with any reordered sum
+    assert cli.verify(config) == (0, GOLDEN[name, "verify"])
 
 
 def test_run_degenerate_state_warns_and_blanks_numeric():

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from contactbounds.errors import InadmissibleTrial, InvalidParameters, NonFiniteIntegrand
-from contactbounds.contact import DirichletData
-from contactbounds.kinematics import Box3, TriaxialStretch
+from contactbounds.contact import BodySpec, DirichletData, SystemSpec
+from contactbounds.kinematics import Box3, Homogeneous, StretchBend, TriaxialStretch
 from contactbounds.energy import (
     QuadratureRule,
     complementary_energy,
@@ -16,7 +16,15 @@ from contactbounds.energy import (
     integrate_volume,
     potential_energy,
 )
+from contactbounds.material import (
+    NeoHookeanCompressible,
+    complementary_density,
+    piola_stress,
+    strain_energy,
+)
 from contactbounds.states import (
+    BOX1,
+    BOX2,
     bend_pair,
     linked_bend_pair,
     linked_stretch_pair,
@@ -161,3 +169,92 @@ def test_enclosure_rejects_unbalanced_static_state():
     exact = stretch_pair(1.0, 1.0, tau)
     with pytest.raises(InadmissibleTrial, match="neumann"):
         enclosure(exact, exact, tau + 0.1)
+
+
+def _by_x(f):
+    # a volume integrand of the abscissa alone, memoised so the pointwise
+    # reference below stays cheap at order 13; every node is still summed
+    cache = {}
+
+    def at(X):
+        x = float(X[0])
+        if x not in cache:
+            cache[x] = f(x)
+        return cache[x]
+
+    return at
+
+
+def _pointwise_pairing(body, dmap, axis, side, rule):
+    col = "xyz".index(axis)
+    sign = 1.0 if side == "hi" else -1.0
+
+    def pairing(X):
+        P = piola_stress(body.material, *body.state(float(X[0])))
+        return sign * float(P[:, col] @ dmap.frame_place(X))
+
+    face = getattr(body.domain, "%s_%s" % (axis, side))
+    return integrate_face(pairing, body.domain, axis, face, rule)
+
+
+def _pointwise_energies(system, tau, rule):
+    """(potential, complementary, divergence residual) through the
+    node-by-node integrate_volume and integrate_face."""
+    bodies = (system.body1, system.body2)
+    b1 = system.body1
+    e_p = 0.0
+    for b in bodies:
+        w = lambda x, b=b: strain_energy(b.material, b.map.gradient(x))
+        e_p += integrate_volume(_by_x(w), b.domain, rule)
+    face = integrate_face(b1.map.normal_position, b1.domain, "x", b1.domain.x_lo, rule)
+    e_p += tau * face
+    d = system.dirichlet
+    maps = (d.map1 or b1.map, d.map2 or system.body2.map)
+    e_c = 0.0
+    for b in bodies:
+        wc = lambda x, b=b: complementary_density(b.material, *b.state(x))
+        e_c -= integrate_volume(_by_x(wc), b.domain, rule)
+    e_c += _pointwise_pairing(system.body2, maps[1], "x", "hi", rule)
+    if isinstance(system.body2.map, StretchBend):
+        for b, dmap in zip(bodies, maps):
+            for side in ("lo", "hi"):
+                e_c += _pointwise_pairing(b, dmap, "z", side, rule)
+    lhs = rhs = 0.0
+    for b in bodies:
+        pf = lambda x, b=b: float(
+            np.sum(piola_stress(b.material, *b.state(x)) * b.map.gradient(x))
+        )
+        rhs += integrate_volume(_by_x(pf), b.domain, rule)
+        for axis in "xyz":
+            for side in ("lo", "hi"):
+                lhs += _pointwise_pairing(b, b.map, axis, side, rule)
+    return e_p, e_c, abs(lhs - rhs)
+
+
+def _compressible_pair():
+    F0 = np.array([[1.1, 0.2, -0.1], [0.05, 0.95, 0.15], [-0.1, 0.1, 1.02]])
+    t = np.array([0.02, -0.01, 0.03])
+    model = NeoHookeanCompressible(1.3, 2.5)
+    return SystemSpec(
+        BodySpec(BOX1, model, Homogeneous(F0, t)),
+        BodySpec(BOX2, model, Homogeneous(F0, t)),
+    )
+
+
+@pytest.mark.parametrize("order", [1, 3, 8, 13])
+@pytest.mark.parametrize(
+    "system, tau",
+    [
+        (stretch_pair(1.3, 0.9, -0.12), -0.12),
+        (bend_pair(1.0, 1.4, 1.1, 0.9, 1.0, 3.4, -0.8), -0.8),
+        (_compressible_pair(), 0.1),
+    ],
+    ids=["stretch", "bend", "compressible"],
+)
+def test_energies_equal_pointwise_quadrature(system, tau, order):
+    # bit-identical to calling each integrand at every node, not merely close
+    rule = QuadratureRule(order)
+    e_p, e_c, div = _pointwise_energies(system, tau, rule)
+    assert potential_energy(system, tau, rule) == e_p
+    assert complementary_energy(system, rule) == e_c
+    assert divergence_identity_residual(system, rule) == div
