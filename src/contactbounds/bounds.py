@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import InfeasibleProblem, InvalidParameters
 from .kinematics import R_MIN, TriaxialStretch
-from .material import NeoHookeanIncompressible, hessian_quadratic_form
+from .material import NeoHookeanIncompressible
+from .tensor3 import cofactor
 
 __all__ = [
     "LoadInterval",
@@ -91,23 +92,31 @@ def _x_samples(body, interior):
     return np.linspace(lo, hi, X_SAMPLES)
 
 
+def _sum9(m):
+    # sum of each 3x3 block over a contiguous axis of 9: the pairwise order
+    # of tensor3.ddot's np.sum, block by block (a strided axis would be
+    # summed sequentially)
+    return np.sum(np.ascontiguousarray(m).reshape(-1, 9), axis=-1)
+
+
 def _probes(rng, count):
-    # shear probes are tangent to the constraint at a diagonal state:
-    # cof(F) : G = 0 whenever G has no diagonal entries
-    probes = []
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        for s in (1.0, -1.0):
-            G = np.zeros((3, 3))
-            G[i, j] = 1.0 / math.sqrt(2.0)
-            G[j, i] = s / math.sqrt(2.0)
-            probes.append(G)
-    for _ in range(count):
-        entries = rng.standard_normal(6)
-        G = np.zeros((3, 3))
-        G[0, 1], G[0, 2], G[1, 0], G[1, 2], G[2, 0], G[2, 1] = entries
-        n = math.sqrt(float(np.sum(G * G)))
-        probes.append(G / n)
-    return probes
+    """(6 + count, 3, 3) array of unit probes.
+
+    Shear probes are tangent to the constraint at a diagonal state:
+    cof(F) : G = 0 whenever G has no diagonal entries. The seeded ones
+    take six normal draws each, in row order, off-diagonal entries only.
+    """
+    G = np.zeros((6 + count, 3, 3))
+    shear = [(i, j, s) for i, j in ((0, 1), (0, 2), (1, 2)) for s in (1.0, -1.0)]
+    for n, (i, j, s) in enumerate(shear):
+        G[n, i, j] = 1.0 / math.sqrt(2.0)
+        G[n, j, i] = s / math.sqrt(2.0)
+    R = G[6:]
+    R[:, 0, 1], R[:, 0, 2], R[:, 1, 0], R[:, 1, 2], R[:, 2, 0], R[:, 2, 1] = (
+        rng.standard_normal((count, 6)).T
+    )
+    R /= np.sqrt(_sum9(R * R))[:, None, None]
+    return G
 
 
 def criteria_check(body, probe_count=200, seed=42):
@@ -128,18 +137,23 @@ def criteria_check(body, probe_count=200, seed=42):
     rng = np.random.default_rng(seed)
     lo, hi = body.domain.x_lo, body.domain.x_hi
     probes = _probes(rng, probe_count)
+    C = body.material.C
+    gg = _sum9(probes * probes)
+    cof = cofactor(probes)
+
+    def forms(x):
+        # material.hessian_quadratic_form for every probe at the station x
+        F, p = body.state(x)
+        return C * gg - p * 2.0 * _sum9(cof * F)
+
+    # min(m, *q) compares left to right, as one min per probe would
     comp_min = math.inf
     primal_min = math.inf
     for x in _x_samples(body, interior=False):
-        F, p = body.state(x)
-        for G in probes:
-            comp_min = min(comp_min, hessian_quadratic_form(body.material, F, p, G))
+        comp_min = min(comp_min, *forms(x).tolist())
     for x in _x_samples(body, interior=True):
-        F, p = body.state(x)
         w = ((x - lo) * (hi - x)) ** 2
-        for G in probes:
-            q = hessian_quadratic_form(body.material, F, p, G)
-            primal_min = min(primal_min, w * q)
+        primal_min = min(primal_min, *(w * forms(x)).tolist())
     return CriteriaResult(
         primal_ok=bool(primal_min > 0.0),
         complementary_ok=bool(comp_min > 0.0),
@@ -243,14 +257,23 @@ def _window_threshold(C, stretches):
     return worst
 
 
-def _feasible_closed(tau, linkage, cap):
+def _windows(linkage):
+    # per body (C, s, window threshold): the thresholds do not depend on tau
+    return [(C, s, _window_threshold(C, stretches)) for C, s, stretches in linkage]
+
+
+def _within_windows(tau, windows, cap):
     if tau > cap:
         return False
-    for C, s, stretches in linkage:
+    for C, s, threshold in windows:
         p = C * s - tau
-        if abs(p) >= _window_threshold(C, stretches):
+        if abs(p) >= threshold:
             return False
     return True
+
+
+def _feasible_closed(tau, linkage, cap):
+    return _within_windows(tau, _windows(linkage), cap)
 
 
 def search_bracket(example, fixed_params):
@@ -280,23 +303,23 @@ def numeric_load_bounds(example, fixed_params, search_config=None):
         _check_positive(g=fp.get("g", 0.0))
     if not contact_closed:
         return LoadInterval(cap, cap, "open", False)
-    linkage = _linkage(example, fp)
+    windows = _windows(_linkage(example, fp))
     b_lo, b_hi = search_bracket(example, fp)
     taus = np.linspace(b_lo, b_hi, coarse_n)
-    feas = [t for t in taus if _feasible_closed(t, linkage, cap)]
+    feas = [t for t in taus if _within_windows(t, windows, cap)]
     if not feas:
         raise InfeasibleProblem("no feasible load in [%g, %g]" % (b_lo, b_hi))
     lo_out, lo_in = b_lo, feas[0]
     while lo_in - lo_out > tol:
         mid = 0.5 * (lo_out + lo_in)
-        if _feasible_closed(mid, linkage, cap):
+        if _within_windows(mid, windows, cap):
             lo_in = mid
         else:
             lo_out = mid
     hi_in, hi_out = feas[-1], b_hi
     while hi_out - hi_in > tol:
         mid = 0.5 * (hi_in + hi_out)
-        if _feasible_closed(mid, linkage, cap):
+        if _within_windows(mid, windows, cap):
             hi_in = mid
         else:
             hi_out = mid

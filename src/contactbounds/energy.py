@@ -18,13 +18,14 @@ to zero identically (the azimuthal traction is orthogonal to any
 placement lying in the flank plane).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InadmissibleTrial, InvalidParameters, NonFiniteIntegrand
-from .kinematics import StretchBend, _family
+from .kinematics import StretchBend, _family, _x_node_sum
 from .material import complementary_density, piola_stress, strain_energy
 from .contact import DirichletData, check_kinematic, check_static
 from .tensor3 import ddot
@@ -83,6 +84,18 @@ def integrate_volume(fn, domain, rule=None):
     return total
 
 
+def _x_integral(fn, domain, rule):
+    """integrate_volume of fn(x), an integrand of the abscissa alone.
+
+    fn is called once per x node, in node order, instead of once per
+    node; the sum is the same float (see kinematics._x_node_sum).
+    """
+    xs, wx = rule.mapped(domain.x_lo, domain.x_hi)
+    _, wy = rule.mapped(domain.y_lo, domain.y_hi)
+    _, wz = rule.mapped(domain.z_lo, domain.z_hi)
+    return _x_node_sum([_check_finite(float(fn(float(x)))) for x in xs], wx, wy, wz)
+
+
 def integrate_face(fn, domain, axis, value, rule=None):
     """Integral of fn(X) over the face {axis = value} of the box."""
     rule = rule or QuadratureRule()
@@ -121,8 +134,8 @@ def _resolved_data(system):
     )
 
 
-def _body_piola(body, X):
-    F, p = body.state(float(X[0]))
+def _body_piola(body, x):
+    F, p = body.state(x)
     return piola_stress(body.material, F, p), F
 
 
@@ -135,10 +148,11 @@ def _face_pairing(body, dmap, axis, side, rule):
     """
     col = "xyz".index(axis)
     sign = 1.0 if side == "hi" else -1.0
+    # the stress depends on x alone: one Piola stress per distinct x
+    piola = functools.lru_cache(maxsize=None)(lambda x: _body_piola(body, x)[0])
 
     def pairing(X):
-        P, _ = _body_piola(body, X)
-        return sign * float(P[:, col] @ dmap.frame_place(X))
+        return sign * float(piola(float(X[0]))[:, col] @ dmap.frame_place(X))
 
     face = getattr(body.domain, "%s_%s" % (axis, side))
     return integrate_face(pairing, body.domain, axis, face, rule)
@@ -149,8 +163,8 @@ def potential_energy(system, tau, rule=None):
     rule = rule or QuadratureRule()
     total = 0.0
     for body in (system.body1, system.body2):
-        total += integrate_volume(
-            lambda X, b=body: strain_energy(b.material, b.map.gradient(float(X[0]))),
+        total += _x_integral(
+            lambda x, b=body: strain_energy(b.material, b.map.gradient(x)),
             body.domain,
             rule,
         )
@@ -167,8 +181,8 @@ def complementary_energy(system, rule=None):
     data = _resolved_data(system)
     total = 0.0
     for body in (system.body1, system.body2):
-        total -= integrate_volume(
-            lambda X, b=body: complementary_density(b.material, *b.state(float(X[0]))),
+        total -= _x_integral(
+            lambda x, b=body: complementary_density(b.material, *b.state(x)),
             body.domain,
             rule,
         )
@@ -194,9 +208,7 @@ def divergence_identity_residual(system, rule=None):
     lhs = 0.0
     rhs = 0.0
     for body in (system.body1, system.body2):
-        rhs += integrate_volume(
-            lambda X, b=body: ddot(*_body_piola(b, X)), body.domain, rule
-        )
+        rhs += _x_integral(lambda x, b=body: ddot(*_body_piola(b, x)), body.domain, rule)
         for axis in "xyz":
             for side in ("lo", "hi"):
                 lhs += _face_pairing(body, body.map, axis, side, rule)

@@ -51,20 +51,20 @@ def cofactor(m):
     """Cofactor matrix (signed minors), defined for singular input too.
 
     Satisfies cof(m).T @ m = det(m) * I and, for invertible m,
-    cof(m) = det(m) * inv(m).T.
+    cof(m) = det(m) * inv(m).T. A (..., 3, 3) stack gives the stack of
+    cofactors, each entry the same float as for its matrix alone.
     """
     m = np.asarray(m, dtype=float)
-    c = np.empty((3, 3))
-    c[0, 0] = m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1]
-    c[0, 1] = m[1, 2] * m[2, 0] - m[1, 0] * m[2, 2]
-    c[0, 2] = m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0]
-    c[1, 0] = m[0, 2] * m[2, 1] - m[0, 1] * m[2, 2]
-    c[1, 1] = m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0]
-    c[1, 2] = m[0, 1] * m[2, 0] - m[0, 0] * m[2, 1]
-    c[2, 0] = m[0, 1] * m[1, 2] - m[0, 2] * m[1, 1]
-    c[2, 1] = m[0, 2] * m[1, 0] - m[0, 0] * m[1, 2]
-    c[2, 2] = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    return c
+    (m00, m10, m20), (m01, m11, m21), (m02, m12, m22) = m.T
+    c = np.array(
+        [
+            [m11 * m22 - m12 * m21, m12 * m20 - m10 * m22, m10 * m21 - m11 * m20],
+            [m02 * m21 - m01 * m22, m00 * m22 - m02 * m20, m01 * m20 - m00 * m21],
+            [m01 * m12 - m02 * m11, m02 * m10 - m00 * m12, m00 * m11 - m01 * m10],
+        ]
+    )
+    # c is indexed (i, j, ...); move the stack axes back to the front
+    return c.T.swapaxes(-2, -1)
 
 
 def inverse(m):

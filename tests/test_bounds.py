@@ -129,7 +129,7 @@ def _pointwise_criteria(body, probe_count, seed):
 def _sheared_body(p):
     # dense gradient with det 1 up to rounding: a rotation of an isochoric
     # upper-triangular stretch
-    c, s = math.cos(0.4), math.sin(0.4)
+    c, s = math.cos(1.3), math.sin(1.3)
     Q = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     Q = Q @ np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
     U = np.array([[1.2, 0.3, -0.1], [0.0, 0.8, 0.25], [0.0, 0.0, 1.0 / (1.2 * 0.8)]])
@@ -143,10 +143,19 @@ def _sheared_body(p):
         (triaxial_body(1.7, 1.2, -0.4), 1, 0),
         (bend_pair(1.0, 1.4, 1.1, 0.9, 1.0, 3.4, -0.8).body1, 50, 3),
         (bend_pair(1.0, 1.4, 1.1, 0.9, 1.0, 3.4, -0.8).body2, 1, 0),
-        (_sheared_body(0.3), 50, 3),
+        (_sheared_body(2.0), 200, 42),
+        (_sheared_body(0.9), 50, 3),
         (_sheared_body(-1.1), 1, 0),
     ],
-    ids=["triaxial-200", "triaxial-1", "bend1-50", "bend2-1", "sheared-50", "sheared-1"],
+    ids=[
+        "triaxial-200",
+        "triaxial-1",
+        "bend1-50",
+        "bend2-1",
+        "sheared-200",
+        "sheared-50",
+        "sheared-1",
+    ],
 )
 def test_criteria_equal_pointwise_forms(body, probe_count, seed):
     # bit-identical to one hessian_quadratic_form call per probe and station
