@@ -281,9 +281,10 @@ def search_bracket(example, fixed_params):
     fp = fixed_params
     cap = fp.get("g", 0.0) if example == "cohesive" else 0.0
     linkage = _linkage(example, fp)
-    # |tau| <= C s + C lambda_max on any feasible load
+    # |tau| <= C s + C lambda_max on any feasible load, so a cohesive cap
+    # above span cuts off nothing and must not stretch the bracket
     span = max(C * s + C * max(max(f) for f in st) for C, s, st in linkage)
-    return -2.0 * span - 1.0, cap + 2.0 * span + 1.0
+    return -2.0 * span - 1.0, min(cap, span) + 2.0 * span + 1.0
 
 
 def numeric_load_bounds(example, fixed_params, search_config=None):

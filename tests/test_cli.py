@@ -320,6 +320,18 @@ def test_report_bytes_are_pinned(name, text):
     assert cli.verify(config) == (0, GOLDEN[name, "verify"])
 
 
+@pytest.mark.parametrize("g", ["1e3", "1e6"])
+def test_large_cohesive_cap_keeps_the_numeric_interval(g):
+    # a cap far above every feasible load must not coarsen the bracket scan
+    config = cli.parse_config(COH_CFG.replace("g = 0.6", "g = " + g))
+    report = cli.run(config)
+    assert report.numeric is not None
+    assert abs(report.numeric.tau_lo - report.closed_form.tau_lo) <= 1e-6
+    assert abs(report.numeric.tau_hi - report.closed_form.tau_hi) <= 1e-6
+    code, text = cli.verify(config)
+    assert code == 0, text
+
+
 def test_run_degenerate_state_warns_and_blanks_numeric():
     text = COMP_CFG.replace("0.81", "1.0").replace("tau = -0.3", "tau = 0.0")
     report = cli.run(cli.parse_config(text))
