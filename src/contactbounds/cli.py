@@ -84,6 +84,10 @@ SECTIONS = {
 
 SWEEP_PARAMS = ("a1", "a2", "g", "A", "b1", "b2", "C1", "C2")
 
+#: largest accepted [numerics] grid_n and probe_count
+MAX_GRID_N = 1_000_000
+MAX_PROBE_COUNT = 100_000
+
 # closed warning vocabulary; every warning a run can emit is one of these
 W_DEGENERATE = "degenerate: identity stretch"
 W_OPEN_CONTACT = "open contact at the shared plane"
@@ -249,10 +253,14 @@ def parse_config(text):
     seed = _take_int(raw, "numerics", "seed", 42)
     if not 1 <= quad_order <= 64:
         raise ValidationError("[numerics] quad_order must be in [1, 64]")
-    if grid_n < 2:
-        raise ValidationError("[numerics] grid_n must be >= 2")
-    if probe_count < 1:
-        raise ValidationError("[numerics] probe_count must be >= 1")
+    # upper bounds keep the oracle's load grid and the criteria's
+    # probe arrays (9 floats per probe) to a few megabytes
+    if not 2 <= grid_n <= MAX_GRID_N:
+        raise ValidationError("[numerics] grid_n must be in [2, %d]" % MAX_GRID_N)
+    if not 1 <= probe_count <= MAX_PROBE_COUNT:
+        raise ValidationError(
+            "[numerics] probe_count must be in [1, %d]" % MAX_PROBE_COUNT
+        )
     if seed < 0:
         raise ValidationError("[numerics] seed must be >= 0")
     return ProblemConfig(

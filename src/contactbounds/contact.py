@@ -406,8 +406,14 @@ def solve_radial_pressure(body, boundary_traction, anchor="inner"):
     a, A = m.a, m.A
     rho_in, rho_out = m.rho(body.domain.x_lo), m.rho(body.domain.x_hi)
     rho = rho_in if anchor == "inner" else rho_out
+    try:
+        A2 = A**2
+    except OverflowError:
+        raise OverflowError(
+            "radial pressure coefficient A^2 overflows for A = %r" % (A,)
+        ) from None
     return RadialProfile(
         c_inv=0.5 * C * a**2,
-        c_sq=-0.5 * C * A**2 / a,
-        c0=-boundary_traction + C * (A**2 * rho / (2.0 * a) + a**2 / (2.0 * rho)),
+        c_sq=-0.5 * C * A2 / a,
+        c0=-boundary_traction + C * (A2 * rho / (2.0 * a) + a**2 / (2.0 * rho)),
     )

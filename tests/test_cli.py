@@ -115,6 +115,8 @@ def test_parse_errors_carry_line_numbers(text, line, fragment):
         (lambda t: t + "[numerics]\nquad_order = 0\n", "quad_order"),
         (lambda t: t + "[numerics]\ngrid_n = 1\n", "grid_n"),
         (lambda t: t + "[numerics]\nprobe_count = 0\n", "probe_count"),
+        (lambda t: t + "[numerics]\ngrid_n = 1000001\n", "grid_n must be in"),
+        (lambda t: t + "[numerics]\nprobe_count = 100001\n", "probe_count must be in"),
         (lambda t: t + "[numerics]\nseed = -1\n", "seed"),
     ],
 )
@@ -462,6 +464,11 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert cli.main(["run", "--config", str(huge)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:") and err.count("\n") == 1
+    huge.write_text(BEND_CFG.replace("A = 1.0", "A = 1e300"))
+    assert cli.main(["run", "--config", str(huge)]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: radial pressure coefficient A^2 overflows for A = 1e+300\n"
+    )
 
     def boom(config):
         raise ContactBoundsError("solver diverged")
@@ -474,10 +481,11 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
 def test_main_numerics_overrides_revalidate(tmp_path, capsys):
     cfg_path = tmp_path / "case.cfg"
     cfg_path.write_text(COMP_CFG)
-    assert cli.main([
-        "run", "--config", str(cfg_path), "--grid-n", "1",
-    ]) == 2
-    assert "grid_n" in capsys.readouterr().err
+    for grid_n in ("1", "1000001"):
+        assert cli.main([
+            "run", "--config", str(cfg_path), "--grid-n", grid_n,
+        ]) == 2
+        assert "grid_n" in capsys.readouterr().err
 
 
 def test_console_script_entry(tmp_path):
