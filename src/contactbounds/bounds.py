@@ -100,21 +100,16 @@ def _sum9(m):
 
 
 def _probes(rng, count):
-    """(6 + count, 3, 3) array of unit probes.
-
-    Shear probes are tangent to the constraint at a diagonal state:
-    cof(F) : G = 0 whenever G has no diagonal entries. The seeded ones
-    take six normal draws each, in row order, off-diagonal entries only.
-    """
+    # (6 + count, 3, 3) unit probes. Shear probes are tangent to the
+    # constraint at a diagonal state: cof(F) : G = 0 whenever G has no
+    # diagonal entries; the seeded ones fill the off-diagonal entries
     G = np.zeros((6 + count, 3, 3))
     shear = [(i, j, s) for i, j in ((0, 1), (0, 2), (1, 2)) for s in (1.0, -1.0)]
     for n, (i, j, s) in enumerate(shear):
         G[n, i, j] = 1.0 / math.sqrt(2.0)
         G[n, j, i] = s / math.sqrt(2.0)
     R = G[6:]
-    R[:, 0, 1], R[:, 0, 2], R[:, 1, 0], R[:, 1, 2], R[:, 2, 0], R[:, 2, 1] = (
-        rng.standard_normal((count, 6)).T
-    )
+    R[:, [0, 0, 1, 1, 2, 2], [1, 2, 0, 2, 0, 1]] = rng.standard_normal((count, 6))
     R /= np.sqrt(_sum9(R * R))[:, None, None]
     return G
 
@@ -146,7 +141,7 @@ def criteria_check(body, probe_count=200, seed=42):
         F, p = body.state(x)
         return C * gg - p * 2.0 * _sum9(cof * F)
 
-    # min(m, *q) compares left to right, as one min per probe would
+    # min(m, *q) is a running minimum in probe order: a NaN form is skipped
     comp_min = math.inf
     primal_min = math.inf
     for x in _x_samples(body, interior=False):

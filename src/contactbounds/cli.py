@@ -84,10 +84,6 @@ SECTIONS = {
 
 SWEEP_PARAMS = ("a1", "a2", "g", "A", "b1", "b2", "C1", "C2")
 
-#: largest accepted [numerics] grid_n and probe_count
-MAX_GRID_N = 1_000_000
-MAX_PROBE_COUNT = 100_000
-
 # closed warning vocabulary; every warning a run can emit is one of these
 W_DEGENERATE = "degenerate: identity stretch"
 W_OPEN_CONTACT = "open contact at the shared plane"
@@ -253,14 +249,12 @@ def parse_config(text):
     seed = _take_int(raw, "numerics", "seed", 42)
     if not 1 <= quad_order <= 64:
         raise ValidationError("[numerics] quad_order must be in [1, 64]")
-    # upper bounds keep the oracle's load grid and the criteria's
+    # the upper bounds keep the oracle's load grid and the criteria's
     # probe arrays (9 floats per probe) to a few megabytes
-    if not 2 <= grid_n <= MAX_GRID_N:
-        raise ValidationError("[numerics] grid_n must be in [2, %d]" % MAX_GRID_N)
-    if not 1 <= probe_count <= MAX_PROBE_COUNT:
-        raise ValidationError(
-            "[numerics] probe_count must be in [1, %d]" % MAX_PROBE_COUNT
-        )
+    if not 2 <= grid_n <= 1_000_000:
+        raise ValidationError("[numerics] grid_n must be in [2, 1000000]")
+    if not 1 <= probe_count <= 100_000:
+        raise ValidationError("[numerics] probe_count must be in [1, 100000]")
     if seed < 0:
         raise ValidationError("[numerics] seed must be >= 0")
     return ProblemConfig(

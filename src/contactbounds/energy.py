@@ -85,11 +85,8 @@ def integrate_volume(fn, domain, rule=None):
 
 
 def _x_integral(fn, domain, rule):
-    """integrate_volume of fn(x), an integrand of the abscissa alone.
-
-    fn is called once per x node, in node order, instead of once per
-    node; the sum is the same float (see kinematics._x_node_sum).
-    """
+    """integrate_volume of fn(x), an integrand of the abscissa alone:
+    one call per x node, in node order, and the same float sum."""
     xs, wx = rule.mapped(domain.x_lo, domain.x_hi)
     _, wy = rule.mapped(domain.y_lo, domain.y_hi)
     _, wz = rule.mapped(domain.z_lo, domain.z_hi)

@@ -320,12 +320,10 @@ def image_volume(map_, domain):
 
 
 def _x_node_sum(fx, wx, wy, wz):
-    """Tensor-product quadrature sum of an integrand of x alone.
+    """Tensor-product quadrature sum of fx[i], the integrand at x node i.
 
-    fx[i] is the integrand at the i-th x node. Each term is formed as
-    ((wx[i] * wy[j]) * wz[k]) * fx[i] and the terms are added left to
-    right from 0.0 (cumsum is sequential), so the result is the float a
-    node-by-node loop over (i, j, k) produces.
+    Each term is ((wx[i] * wy[j]) * wz[k]) * fx[i], added left to right
+    from 0.0 (cumsum is sequential): the float a node loop gives.
     """
     w = np.multiply.outer(np.multiply.outer(wx, wy), wz)
     terms = w * np.reshape(fx, (-1, 1, 1))
