@@ -200,8 +200,14 @@ def test_run_csv_rows():
     assert rows[1].startswith("closed_form,")
 
 
-# report, csv and verify bytes of the shipped configs: a change to any
-# number they print must be deliberate and show up here
+# report, csv, json-like, sweep and verify bytes of the shipped configs: a
+# change to any number they print must be deliberate and show up here
+SWEEPS = {
+    "COMP_CFG": ("a1", 0.6, 0.9, 4),
+    "COH_CFG": ("a1", 0.6, 0.9, 4),
+    "BEND_CFG": ("b1", 0.5, 2.0, 4),
+}
+
 GOLDEN = {
     ("COMP_CFG", "report"): """\
 run: example=compression
@@ -305,6 +311,108 @@ PASS energy equality: duality gap 3.553e-15 at tau=-0.75
 PASS enclosure: smallest duality gap over trials 0.000e+00
 PASS determinism: report bytes on repeated runs
 """,
+    ("COMP_CFG", "json-like"): (
+        '{"config": {"example": "compression", "body1": {"C": 1, "a": 0.81, '
+        '"b": null, "pressure": null}, "body2": {"C": 1, "a": 0.81, '
+        '"b": null, "pressure": null}, "A": null, "d_allow": 0, "g": 0, '
+        '"tau": -0.3, "quad_order": 8, "grid_n": 1000, "probe_count": 200, '
+        '"seed": 42}, "kinematic": {"kinematic_ok": true, "static_ok": null, '
+        '"residuals": {"dirichlet": 0, "gap": 0, '
+        '"constraint": 2.22044604925e-16}}, "static": {"kinematic_ok": null, '
+        '"static_ok": false, "residuals": {"equilibrium": 0, '
+        '"neumann": 0.414157902759, "contact_traction_sign": 0, '
+        '"action_reaction": 0, "constraint": 2.22044604925e-16}}, '
+        '"contact": {"gap": 0, "traction_normal": -0.578467901235, '
+        '"complementarity_residual": 0, "action_reaction_residual": 0, '
+        '"regime": "closed"}, "enclosure": null, '
+        '"closed_form": {"tau_lo": -0.2439, "tau_hi": 0, "regime": "closed", '
+        '"empty": false}, "numeric": {"tau_lo": -0.243899998639, '
+        '"tau_hi": 0, "regime": "closed", "empty": false}, '
+        '"oracle": {"tau_lo": -0.235789955556, "tau_hi": 0, '
+        '"regime": "closed", "empty": false}, '
+        '"criteria": [{"primal_ok": false, "complementary_ok": false, '
+        '"min_quadratic_value": -0.371742112483, "pressure_window": [-0.9, '
+        '0.9]}, {"primal_ok": false, "complementary_ok": false, '
+        '"min_quadratic_value": -0.371742112483, "pressure_window": [-0.9, '
+        "0.9]}], "
+        '"warnings": ["enclosure skipped: static trial: neumann residual = 4.142e-01"]}\n'
+    ),
+    ("COMP_CFG", "sweep"): """\
+param,tau_lo,tau_hi,empty,regime,error
+0.6,-0.2439,0,false,closed,
+0.7,-0.2439,0,false,closed,
+0.8,-0.2439,0,false,closed,
+0.9,-0.138683298051,0,false,closed,
+""",
+    ("COH_CFG", "json-like"): (
+        '{"config": {"example": "cohesive", "body1": {"C": 1, "a": 0.9, '
+        '"b": null, "pressure": null}, "body2": {"C": 2, "a": 0.9, '
+        '"b": null, "pressure": null}, "A": null, "d_allow": 0, "g": 0.6, '
+        '"tau": null, "quad_order": 8, "grid_n": 1000, "probe_count": 200, '
+        '"seed": 42}, "kinematic": {"kinematic_ok": true, "static_ok": null, '
+        '"residuals": {"dirichlet": 0, "gap": 0, "constraint": 0}}, '
+        '"static": {"kinematic_ok": null, "static_ok": false, '
+        '"residuals": {"equilibrium": 0, "neumann": 0, '
+        '"contact_traction_sign": 0, "action_reaction": 0.334567901235, '
+        '"constraint": 0}}, "contact": {"gap": 0, '
+        '"traction_normal": -0.301111111111, "complementarity_residual": 0, '
+        '"action_reaction_residual": 0.301111111111, "regime": "closed"}, '
+        '"enclosure": null, "closed_form": {"tau_lo": -0.138683298051, '
+        '"tau_hi": 0.6, "regime": "closed", "empty": false}, '
+        '"numeric": {"tau_lo": -0.138683297914, "tau_hi": 0.599999992169, '
+        '"regime": "closed", "empty": false}, '
+        '"oracle": {"tau_lo": -0.137818510678, "tau_hi": 0.597716587261, '
+        '"regime": "closed", "empty": false}, '
+        '"criteria": [{"primal_ok": false, "complementary_ok": false, '
+        '"min_quadratic_value": -0.171213948211, '
+        '"pressure_window": [-0.948683298051, 0.948683298051]}, '
+        '{"primal_ok": false, "complementary_ok": false, '
+        '"min_quadratic_value": -0.342427896421, '
+        '"pressure_window": [-1.8973665961, 1.8973665961]}], '
+        '"warnings": []}\n'
+    ),
+    ("COH_CFG", "sweep"): """\
+param,tau_lo,tau_hi,empty,regime,error
+0.6,-0.277366596101,0.6,false,closed,
+0.7,-0.277366596101,0.6,false,closed,
+0.8,-0.254427191,0.6,false,closed,
+0.9,-0.138683298051,0.6,false,closed,
+""",
+    ("BEND_CFG", "json-like"): (
+        '{"config": {"example": "bending", "body1": {"C": 1, "a": 1, "b": 1, '
+        '"pressure": null}, "body2": {"C": 1, "a": 1, "b": null, '
+        '"pressure": null}, "A": 1, "d_allow": 0, "g": 0, "tau": null, '
+        '"quad_order": 8, "grid_n": 1000, "probe_count": 200, "seed": 42}, '
+        '"kinematic": {"kinematic_ok": true, "static_ok": null, '
+        '"residuals": {"dirichlet": 7.40619412728e-17, "gap": 0, '
+        '"constraint": 0}}, "static": {"kinematic_ok": null, '
+        '"static_ok": false, "residuals": {"equilibrium": 2.22044604925e-16, '
+        '"neumann": 0, "contact_traction_sign": 0.353553390593, '
+        '"action_reaction": 2.22044604925e-16, "constraint": 0}}, '
+        '"contact": {"gap": 0, "traction_normal": 0.25, '
+        '"complementarity_residual": 0, '
+        '"action_reaction_residual": 1.66533453694e-16, "regime": "closed"}, '
+        '"enclosure": null, "closed_form": {"tau_lo": -0.0773502691896, '
+        '"tau_hi": 0, "regime": "closed", "empty": false}, '
+        '"numeric": {"tau_lo": -0.077350268956, "tau_hi": 0, '
+        '"regime": "closed", "empty": false}, '
+        '"oracle": {"tau_lo": -0.0764974226119, "tau_hi": 0, '
+        '"regime": "closed", "empty": false}, '
+        '"criteria": [{"primal_ok": true, "complementary_ok": false, '
+        '"min_quadratic_value": 0, "pressure_window": [-0.707106781187, '
+        '0.707106781187]}, {"primal_ok": true, "complementary_ok": true, '
+        '"min_quadratic_value": 0.42264973081, '
+        '"pressure_window": [-0.57735026919, 0.57735026919]}], '
+        '"warnings": ["degenerate: identity stretch", '
+        '"bending intervals use the contact-plane pressure linkage; the equilibrium pressure profile varies across each body"]}\n'
+    ),
+    ("BEND_CFG", "sweep"): """\
+param,tau_lo,tau_hi,empty,regime,error
+0.5,0.034211134633,0,true,closed,
+1,-0.0773502691896,0,false,closed,
+1.5,-0.134522483825,0,false,closed,
+2,-0.166666666667,0,false,closed,
+""",
 }
 
 
@@ -318,6 +426,8 @@ def test_report_bytes_are_pinned(name, text):
     report = cli.run(config)
     assert cli.format_report(report) == GOLDEN[name, "report"]
     assert cli.format_csv(report) == GOLDEN[name, "csv"]
+    assert cli.format_jsonish(report) == GOLDEN[name, "json-like"]
+    assert cli.sweep(config, *SWEEPS[name]) == GOLDEN[name, "sweep"]
     # verify prints roundoff-level gaps, so it moves with any reordered sum
     assert cli.verify(config) == (0, GOLDEN[name, "verify"])
 
