@@ -34,16 +34,7 @@ from .errors import (
 from . import tensor3
 from .kinematics import StretchBend, TriaxialStretch, injectivity_check, jacobian
 from .material import Constant, NeoHookeanIncompressible, piola_stress
-from .contact import (
-    BodySpec,
-    DirichletData,
-    SystemSpec,
-    check_kinematic,
-    check_static,
-    evaluate_contact,
-    nominal_traction,
-    solve_radial_pressure,
-)
+from .contact import check_kinematic, check_static, evaluate_contact, nominal_traction
 from .energy import QuadratureRule, enclosure, potential_energy
 from .bounds import (
     brute_force_oracle,
@@ -55,7 +46,7 @@ from .bounds import (
     pressure_window,
     search_bracket,
 )
-from .states import BOX1, BOX2, bend_pair, stretch_pair
+from .states import bend_pair, bending_b2, bending_system, stretch_pair, triaxial_system
 
 __all__ = [
     "BodyConfig",
@@ -83,6 +74,8 @@ SECTIONS = {
 }
 
 SWEEP_PARAMS = ("a1", "a2", "g", "A", "b1", "b2", "C1", "C2")
+#: bounds the linspace and the output of one sweep
+MAX_SWEEP_STEPS = 100_000
 
 # closed warning vocabulary; every warning a run can emit is one of these
 W_DEGENERATE = "degenerate: identity stretch"
@@ -299,76 +292,26 @@ def serialize_config(config):
     return "\n".join(out) + "\n"
 
 
-def _effective_offsets(config):
-    a1, a2 = config.body1.a, config.body2.a
-    if config.example == "bending":
-        b1 = config.body1.b
-        b2 = config.body2.b if config.body2.b is not None else (a1 + b1 - a2)
-        return b1, b2
-    b2 = config.body2.b if config.body2.b is not None else 0.0
-    xc = BOX1.x_hi
-    b1 = config.body1.b if config.body1.b is not None else (a2 - a1) * xc + b2
-    return b1, b2
-
-
 def build_system(config):
-    """Materialize the configured SystemSpec.
+    """Materialize the configured SystemSpec through its family's constructor.
 
-    Bodies without an explicit pressure get the equilibrium one: the
-    transverse-face reaction C / a for the triaxial family, the radial
-    momentum-balance profile (anchored by the load and by traction
-    continuity at the interface) for bending.
+    Offsets and pressures the config leaves unset take the constructor's
+    defaults: the gap-closing offset and the equilibrium pressure.
     """
-    b1, b2 = _effective_offsets(config)
-    C1, C2 = config.body1.C, config.body2.C
-    a1, a2 = config.body1.a, config.body2.a
-    tau = config.tau if config.tau is not None else 0.0
+    c1, c2 = config.body1, config.body2
+    given = dict(b1=c1.b, b2=c2.b, p1=c1.pressure, p2=c2.pressure)
     if config.example == "bending":
-        map1 = StretchBend(config.A, a1, b1)
-        map2 = StretchBend(config.A, a2, b2)
-        body1 = BodySpec(BOX1, NeoHookeanIncompressible(C1), map1)
-        if config.body1.pressure is not None:
-            body1 = dataclasses.replace(body1, pressure=Constant(config.body1.pressure))
-        else:
-            r0 = map1.radius(BOX1.x_lo)
-            prof1 = solve_radial_pressure(body1, tau * a1 / r0, anchor="inner")
-            body1 = dataclasses.replace(body1, pressure=prof1)
-        body2 = BodySpec(BOX2, NeoHookeanIncompressible(C2), map2)
-        if config.body2.pressure is not None:
-            body2 = dataclasses.replace(body2, pressure=Constant(config.body2.pressure))
-        else:
-            r2i = map2.radius(BOX2.x_lo)
-            r1o = map1.radius(BOX1.x_hi)
-            if abs(r1o - r2i) <= 1e-10:
-                sig2 = nominal_traction(body1, BOX1.x_hi) * a2 / r2i
-            else:
-                sig2 = 0.0  # open interface face is traction free
-            prof2 = solve_radial_pressure(body2, sig2, anchor="inner")
-            body2 = dataclasses.replace(body2, pressure=prof2)
-        return SystemSpec(
-            body1,
-            body2,
-            d_allow=config.d_allow,
-            g=config.g,
-            dirichlet=DirichletData(map1=map1, map2=map2),
-        )
-    map1 = TriaxialStretch(a1, b1)
-    map2 = TriaxialStretch(a2, b2)
-    p1 = config.body1.pressure if config.body1.pressure is not None else C1 / a1
-    p2 = config.body2.pressure if config.body2.pressure is not None else C2 / a2
-    body1 = BodySpec(BOX1, NeoHookeanIncompressible(C1), map1, Constant(p1))
-    body2 = BodySpec(BOX2, NeoHookeanIncompressible(C2), map2, Constant(p2))
-    return SystemSpec(
-        body1,
-        body2,
-        d_allow=config.d_allow,
-        g=config.g,
-        dirichlet=DirichletData(map2=map2),
+        given.update(A=config.A, tau=config.tau)
+        build = bending_system
+    else:
+        build = triaxial_system
+    given = {k: v for k, v in given.items() if v is not None}
+    return build(
+        C1=c1.C, C2=c2.C, a1=c1.a, a2=c2.a, g=config.g, d_allow=config.d_allow, **given
     )
 
 
 def _fixed_params(config):
-    b1, b2 = _effective_offsets(config)
     fp = {
         "C1": config.body1.C,
         "C2": config.body2.C,
@@ -379,21 +322,42 @@ def _fixed_params(config):
     if config.example == "cohesive":
         fp["g"] = config.g
     if config.example == "bending":
+        b1, b2 = config.body1.b, config.body2.b
         fp["A"] = config.A
         fp["b1"] = b1
-        fp["b2"] = b2
+        fp["b2"] = bending_b2(fp["a1"], b1, fp["a2"]) if b2 is None else b2
     return fp
 
 
+CLOSED_FORMS = {
+    "compression": load_interval_compression,
+    "cohesive": load_interval_cohesive,
+    "bending": load_interval_bending,
+}
+
+
 def _closed_form(config):
-    b1, b2 = _effective_offsets(config)
-    C1, C2 = config.body1.C, config.body2.C
-    a1, a2 = config.body1.a, config.body2.a
-    if config.example == "compression":
-        return load_interval_compression(C1, C2, a1, a2)
-    if config.example == "cohesive":
-        return load_interval_cohesive(C1, C2, a1, a2, config.g)
-    return load_interval_bending(C1, C2, config.A, a1, a2, b1, b2)
+    # the fixed parameters are exactly the closed form's keyword arguments
+    return CLOSED_FORMS[config.example](**_fixed_params(config))
+
+
+def _agreement(config, closed, numeric, oracle):
+    """Compare the numeric and oracle intervals with a non-empty closed form.
+
+    Bisection must land within 1e-6 of both endpoints, the oracle within
+    two steps of its load grid. Returns (numeric_ok, oracle_ok, detail);
+    without a numeric interval numeric_ok is false and detail None.
+    """
+    b_lo, b_hi = search_bracket(config.example, _fixed_params(config))
+    res = (b_hi - b_lo) / config.grid_n
+    lo, hi = closed.tau_lo, closed.tau_hi
+    d_orc = max(abs(oracle.tau_lo - lo), abs(oracle.tau_hi - hi))
+    oracle_ok = oracle.regime == "closed" and d_orc <= 2.0 * res
+    if numeric is None:
+        return False, oracle_ok, None
+    d_num = max(abs(numeric.tau_lo - lo), abs(numeric.tau_hi - hi))
+    detail = "numeric gap %.3e, oracle gap %.3e (res %.3e)" % (d_num, d_orc, res)
+    return d_num <= 1e-6, oracle_ok, detail
 
 
 def run(config):
@@ -434,18 +398,11 @@ def run(config):
     except InfeasibleProblem as e:
         warnings.append(W_EMPTY % e)
     oracle = brute_force_oracle(config.example, fp, config.grid_n)
-    b_lo, b_hi = search_bracket(config.example, fp)
-    res = (b_hi - b_lo) / config.grid_n
     if not closed.empty:
-        if numeric is not None and (
-            abs(numeric.tau_lo - closed.tau_lo) > 1e-6
-            or abs(numeric.tau_hi - closed.tau_hi) > 1e-6
-        ):
+        numeric_ok, oracle_ok, _ = _agreement(config, closed, numeric, oracle)
+        if numeric is not None and not numeric_ok:
             warnings.append(W_MISMATCH % "numeric endpoints off the closed form")
-        if oracle.regime != "closed" or (
-            abs(oracle.tau_lo - closed.tau_lo) > 2.0 * res
-            or abs(oracle.tau_hi - closed.tau_hi) > 2.0 * res
-        ):
+        if not oracle_ok:
             warnings.append(W_MISMATCH % "oracle endpoints off the closed form")
     elif oracle.regime == "closed" and not oracle.empty:
         warnings.append(W_MISMATCH % "closed form empty but oracle accepts loads")
@@ -548,26 +505,16 @@ def format_report(report):
     return "\n".join(out) + "\n"
 
 
+def _csv_row(label, iv):
+    empty = "true" if iv.empty else "false"
+    return "%s,%s,%s,%s,%s" % (label, _f(iv.tau_lo), _f(iv.tau_hi), empty, iv.regime)
+
+
 def format_csv(report):
     rows = ["source,tau_lo,tau_hi,empty,regime"]
-    for name, iv in (
-        ("closed_form", report.closed_form),
-        ("numeric", report.numeric),
-        ("oracle", report.oracle),
-    ):
-        if iv is None:
-            rows.append("%s,,,," % name)
-        else:
-            rows.append(
-                "%s,%s,%s,%s,%s"
-                % (
-                    name,
-                    _f(iv.tau_lo),
-                    _f(iv.tau_hi),
-                    "true" if iv.empty else "false",
-                    iv.regime,
-                )
-            )
+    for name in ("closed_form", "numeric", "oracle"):
+        iv = getattr(report, name)
+        rows.append("%s,,,," % name if iv is None else _csv_row(name, iv))
     return "\n".join(rows) + "\n"
 
 
@@ -607,25 +554,21 @@ def sweep(config, param, lo, hi, steps):
         raise ValidationError(
             "sweep parameter must be one of %s" % ", ".join(SWEEP_PARAMS)
         )
+    if param not in _fixed_params(config):
+        raise ValidationError(
+            "sweep parameter %s does not enter the %s example" % (param, config.example)
+        )
     if not (isinstance(steps, int) and steps >= 2):
         raise ValidationError("sweep needs at least 2 steps")
+    if steps > MAX_SWEEP_STEPS:
+        raise ValidationError("sweep takes at most %d steps" % MAX_SWEEP_STEPS)
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValidationError("sweep range must be finite with lo < hi")
     rows = ["param,tau_lo,tau_hi,empty,regime,error"]
     for v in np.linspace(lo, hi, steps):
         cfg = _with_param(config, param, float(v))
         try:
-            iv = _closed_form(cfg)
-            rows.append(
-                "%s,%s,%s,%s,%s,"
-                % (
-                    _f(v),
-                    _f(iv.tau_lo),
-                    _f(iv.tau_hi),
-                    "true" if iv.empty else "false",
-                    iv.regime,
-                )
-            )
+            rows.append(_csv_row(_f(v), _closed_form(cfg)) + ",")
         except (ContactBoundsError, OverflowError) as e:
             rows.append('%s,,,,,"%s"' % (_f(v), e))
     return "\n".join(rows) + "\n"
@@ -712,33 +655,24 @@ def verify(config):
         worst_fd = max(worst_fd, abs(fd - tensor3.ddot(P, G)) / max(1.0, abs(fd)))
     check("stress derivative", worst_fd < 1e-6, "max relative gap %.3e" % worst_fd)
 
-    closed = _closed_form(config)
-    fp = _fixed_params(config)
+    report = run(config)
+    closed, numeric = report.closed_form, report.numeric
     if closed.empty:
-        try:
-            numeric_load_bounds(config.example, fp, {"tol": 1e-8})
-            ok_iv = False
-            detail = "closed form empty but bisection found loads"
-        except InfeasibleProblem:
-            ok_iv = True
-            detail = "closed form empty, bisection agrees"
+        ok_iv = numeric is None
+        detail = (
+            "closed form empty, bisection agrees"
+            if ok_iv
+            else "closed form empty but bisection found loads"
+        )
     else:
-        try:
-            numeric = numeric_load_bounds(config.example, fp, {"tol": 1e-8})
-            oracle = brute_force_oracle(config.example, fp, config.grid_n)
-            b_lo, b_hi = search_bracket(config.example, fp)
-            res = (b_hi - b_lo) / config.grid_n
-            d_num = max(
-                abs(numeric.tau_lo - closed.tau_lo), abs(numeric.tau_hi - closed.tau_hi)
+        oracle = report.oracle
+        numeric_ok, oracle_ok, detail = _agreement(config, closed, numeric, oracle)
+        ok_iv = numeric_ok and oracle_ok
+        if numeric is None:  # the bisection's reason, as run() warned it
+            prefix = W_EMPTY % ""
+            detail = next(
+                w[len(prefix):] for w in report.warnings if w.startswith(prefix)
             )
-            d_orc = max(
-                abs(oracle.tau_lo - closed.tau_lo), abs(oracle.tau_hi - closed.tau_hi)
-            )
-            ok_iv = d_num <= 1e-6 and oracle.regime == "closed" and d_orc <= 2.0 * res
-            detail = "numeric gap %.3e, oracle gap %.3e (res %.3e)" % (d_num, d_orc, res)
-        except InfeasibleProblem as e:
-            ok_iv = False
-            detail = str(e)
     check("interval consistency", ok_iv, detail)
 
     body = system.body1
@@ -754,7 +688,7 @@ def verify(config):
     check("window flip", ok_flip, "edges +/-%s bracket the flip" % _f(window))
 
     if config.example == "bending":
-        b1, _ = _effective_offsets(config)
+        b1 = config.body1.b
         rho_out = config.body1.a + config.body2.a + b1
         C1 = config.body1.C
         a1 = config.body1.a
@@ -799,9 +733,8 @@ def verify(config):
         "smallest duality gap over trials %.3e" % worst_gap,
     )
 
-    rep1 = format_report(run(config))
-    rep2 = format_report(run(config))
-    check("determinism", rep1 == rep2, "report bytes on repeated runs")
+    same = format_report(report) == format_report(run(config))
+    check("determinism", same, "report bytes on repeated runs")
 
     code = 0 if failures == 0 else 1
     header = "verify: %d checks, %d failed" % (len(lines), failures)
@@ -853,15 +786,11 @@ def main(argv=None):
         # numpy's warnings about it would only add lines to stderr
         with np.errstate(all="ignore"):
             config = parse_config(text)
-            for field, name in (
-                ("seed", "seed"),
-                ("quad_order", "quad_order"),
-                ("grid_n", "grid_n"),
-            ):
-                v = getattr(args, field, None)
-                if v is not None:
-                    config = dataclasses.replace(config, **{name: v})
-                    config = parse_config(serialize_config(config))  # revalidate
+            flags = ("seed", "quad_order", "grid_n")
+            given = {f: getattr(args, f) for f in flags if getattr(args, f) is not None}
+            if given:  # revalidate the overridden config
+                config = dataclasses.replace(config, **given)
+                config = parse_config(serialize_config(config))
             if args.command == "run":
                 report = run(config)
                 _emit(FORMATS[args.format](report), args.output)

@@ -1,9 +1,11 @@
-"""Ready-made two-body states on the standard unit geometry.
+"""Two-body states on the standard unit geometry.
 
 Body 1 occupies (0, 1/2) x (0, 1)^2 and body 2 occupies (1/2, 1) x (0, 1)^2.
-Two constructions are provided for each family:
+triaxial_system and bending_system are the one constructor per family;
+they close the contact gap and equilibrate the pressures by default.
+Built on them, for each family:
 
-* equilibrium pairs: pressures chosen so the state satisfies the full
+* equilibrium pairs: stretches chosen so the state satisfies the full
   static admissibility conditions for the load tau (these are the states
   whose potential and complementary energies coincide),
 * linked pairs: constant pressures read off the contact-plane Cauchy
@@ -13,18 +15,27 @@ Two constructions are provided for each family:
 """
 
 import dataclasses
-import math
 
 from .errors import InvalidParameters
 from .kinematics import Box3, R_MIN, StretchBend, TriaxialStretch
 from .material import Constant, NeoHookeanIncompressible
-from .contact import BodySpec, DirichletData, SystemSpec, solve_radial_pressure
+from .contact import (
+    GAP_TOL,
+    BodySpec,
+    DirichletData,
+    SystemSpec,
+    nominal_traction,
+    solve_radial_pressure,
+)
 
 __all__ = [
     "BOX1",
     "BOX2",
     "load_from_stretch_ratio",
     "stretch_ratio_from_load",
+    "triaxial_system",
+    "bending_system",
+    "bending_b2",
     "stretch_pair",
     "bend_pair",
     "linked_stretch_pair",
@@ -63,109 +74,104 @@ def stretch_ratio_from_load(C, tau):
         a = nxt
 
 
-def stretch_pair(C1, C2, tau, b2=0.0, g=0.0, d_allow=0.0):
-    """Equilibrium triaxial pair under the axial dead load tau.
+def triaxial_system(
+    C1, C2, a1, a2, b1=None, b2=0.0, p1=None, p2=None, g=0.0, d_allow=0.0
+):
+    """Triaxial pair; body 2's map is the held Dirichlet data.
 
-    Both bodies carry the reaction pressure p = C / a that frees their
-    transverse faces; the stretches balance the load and the offsets
-    close the contact gap against the held placement of body 2.
+    By default body 1's offset closes the contact gap against body 2 and
+    each body carries the reaction pressure p = C / a that frees its
+    transverse faces.
     """
-    a1 = stretch_ratio_from_load(C1, tau)
-    a2 = stretch_ratio_from_load(C2, tau)
-    xc = BOX1.x_hi
-    b1 = (a2 - a1) * xc + b2
-    body1 = BodySpec(
-        BOX1,
-        NeoHookeanIncompressible(C1),
-        TriaxialStretch(a1, b1),
-        Constant(C1 / a1),
-    )
+    if b1 is None:
+        b1 = (a2 - a1) * BOX1.x_hi + b2
+    map1 = TriaxialStretch(a1, b1)
     map2 = TriaxialStretch(a2, b2)
-    body2 = BodySpec(BOX2, NeoHookeanIncompressible(C2), map2, Constant(C2 / a2))
+    p1 = C1 / a1 if p1 is None else p1
+    p2 = C2 / a2 if p2 is None else p2
+    body1 = BodySpec(BOX1, NeoHookeanIncompressible(C1), map1, Constant(p1))
+    body2 = BodySpec(BOX2, NeoHookeanIncompressible(C2), map2, Constant(p2))
     return SystemSpec(
         body1, body2, d_allow=d_allow, g=g, dirichlet=DirichletData(map2=map2)
     )
 
 
-def bend_pair(C1, C2, A, a1, a2, rho_out, tau, g=0.0):
-    """Equilibrium bending pair with outer held square radius rho_out.
+def bending_b2(a1, b1, a2):
+    """Body 2's bending offset that closes the gap at body 1's outer radius."""
+    return a1 + b1 - a2
 
-    The radial stress in body 1 is anchored by the dead load on the
-    inner face (per reference area) and propagated outward by the radial
-    momentum balance; body 2 is anchored by nominal traction matching at
-    the interface. Every parameter choice yields an equilibrium state
-    for its own held-face data.
+
+def _radial(body, sigma):
+    # the body under the radial equilibrium profile whose Cauchy radial
+    # stress on the inner face is sigma
+    return dataclasses.replace(body, pressure=solve_radial_pressure(body, sigma))
+
+
+def bending_system(
+    C1, C2, A, a1, a2, b1, b2=None, tau=0.0, p1=None, p2=None, g=0.0, d_allow=0.0
+):
+    """Bending pair; both maps are held Dirichlet data.
+
+    By default body 2's offset closes the contact gap and each body
+    carries Rivlin's radial equilibrium profile: body 1 anchored by the
+    dead load tau (per reference area) on its inner face, body 2 by the
+    nominal traction of body 1 across a closed interface, or by zero
+    traction on an open one.
     """
-    rho2o = rho_out
-    rho2i = rho2o - a2
-    rho1o = rho2i
-    rho1i = rho1o - a1
-    if rho1i < R_MIN**2:
-        raise InvalidParameters("inner square radius %.3e below minimum" % rho1i)
-    b1 = rho1i
-    b2 = rho2i - a2
+    if b2 is None:
+        b2 = bending_b2(a1, b1, a2)
     map1 = StretchBend(A, a1, b1)
     map2 = StretchBend(A, a2, b2)
-    r0, r1 = math.sqrt(rho1i), math.sqrt(rho1o)
     body1 = BodySpec(BOX1, NeoHookeanIncompressible(C1), map1)
-    prof1 = solve_radial_pressure(body1, tau * a1 / r0, anchor="inner")
-    body1 = dataclasses.replace(body1, pressure=prof1)
-    sig1_c = C1 * a1**2 / r1**2 - prof1(r1)
-    # nominal traction continuity across the interface
-    sig2_c = (sig1_c * r1 / a1) * a2 / r1
+    if p1 is None:
+        body1 = _radial(body1, tau * a1 / map1.radius(BOX1.x_lo))
+    else:
+        body1 = dataclasses.replace(body1, pressure=Constant(p1))
     body2 = BodySpec(BOX2, NeoHookeanIncompressible(C2), map2)
-    prof2 = solve_radial_pressure(body2, sig2_c, anchor="inner")
-    body2 = dataclasses.replace(body2, pressure=prof2)
-    return SystemSpec(
-        body1, body2, g=g, dirichlet=DirichletData(map1=map1, map2=map2)
-    )
+    if p2 is None:
+        r2 = map2.radius(BOX2.x_lo)
+        closed = abs(map1.radius(BOX1.x_hi) - r2) <= GAP_TOL
+        # an open interface face is traction free
+        sigma = nominal_traction(body1, BOX1.x_hi) * a2 / r2 if closed else 0.0
+        body2 = _radial(body2, sigma)
+    else:
+        body2 = dataclasses.replace(body2, pressure=Constant(p2))
+    dirichlet = DirichletData(map1=map1, map2=map2)
+    return SystemSpec(body1, body2, d_allow=d_allow, g=g, dirichlet=dirichlet)
+
+
+def stretch_pair(C1, C2, tau, b2=0.0, g=0.0, d_allow=0.0):
+    """Equilibrium triaxial pair under the axial dead load tau."""
+    a1 = stretch_ratio_from_load(C1, tau)
+    a2 = stretch_ratio_from_load(C2, tau)
+    return triaxial_system(C1, C2, a1, a2, b2=b2, g=g, d_allow=d_allow)
+
+
+def bend_pair(C1, C2, A, a1, a2, rho_out, tau, g=0.0):
+    """Equilibrium bending pair with outer held square radius rho_out."""
+    rho2i = rho_out - a2
+    rho1i = rho2i - a1
+    if rho1i < R_MIN**2:
+        raise InvalidParameters("inner square radius %.3e below minimum" % rho1i)
+    return bending_system(C1, C2, A, a1, a2, rho1i, b2=rho2i - a2, tau=tau, g=g)
 
 
 def linked_stretch_pair(C1, C2, a1, a2, tau, g=0.0, b2=0.0):
     """Triaxial pair with contact-linked constant pressures.
 
-    p_i = C_i a_i^2 - tau makes both Cauchy contact tractions equal tau;
-    offsets close the gap.
+    p_i = C_i a_i^2 - tau makes both Cauchy contact tractions equal tau.
     """
-    xc = BOX1.x_hi
-    b1 = (a2 - a1) * xc + b2
-    body1 = BodySpec(
-        BOX1,
-        NeoHookeanIncompressible(C1),
-        TriaxialStretch(a1, b1),
-        Constant(C1 * a1**2 - tau),
-    )
-    map2 = TriaxialStretch(a2, b2)
-    body2 = BodySpec(
-        BOX2, NeoHookeanIncompressible(C2), map2, Constant(C2 * a2**2 - tau)
-    )
-    return SystemSpec(body1, body2, g=g, dirichlet=DirichletData(map2=map2))
+    p1, p2 = C1 * a1**2 - tau, C2 * a2**2 - tau
+    return triaxial_system(C1, C2, a1, a2, b2=b2, p1=p1, p2=p2, g=g)
 
 
 def linked_bend_pair(C1, C2, A, a1, a2, b1, tau, g=0.0):
     """Bending pair with contact-linked constant pressures.
 
-    The contact radius is body 1's outer radius; body 2's offset closes
-    the gap there. p_i = C_i a_i^2 / r_c^2 - tau.
+    The contact radius is body 1's outer radius; p_i = C_i a_i^2 / r_c^2 - tau.
     """
     rho_c = a1 + b1
     if b1 < R_MIN**2 or rho_c <= 0.0:
         raise InvalidParameters("bending offsets give nonpositive radius")
-    b2 = rho_c - a2
-    map1 = StretchBend(A, a1, b1)
-    map2 = StretchBend(A, a2, b2)
-    body1 = BodySpec(
-        BOX1,
-        NeoHookeanIncompressible(C1),
-        map1,
-        Constant(C1 * a1**2 / rho_c - tau),
-    )
-    body2 = BodySpec(
-        BOX2,
-        NeoHookeanIncompressible(C2),
-        map2,
-        Constant(C2 * a2**2 / rho_c - tau),
-    )
-    return SystemSpec(
-        body1, body2, g=g, dirichlet=DirichletData(map1=map1, map2=map2)
-    )
+    p1, p2 = C1 * a1**2 / rho_c - tau, C2 * a2**2 / rho_c - tau
+    return bending_system(C1, C2, A, a1, a2, b1, p1=p1, p2=p2, g=g)

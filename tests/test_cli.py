@@ -518,6 +518,67 @@ def test_verify_passes_on_compression_config():
     assert "FAIL" not in text
 
 
+@pytest.mark.parametrize(
+    "text", [COMP_CFG, COH_CFG, BEND_CFG], ids=["compression", "cohesive", "bending"]
+)
+def test_verify_reads_its_own_run(monkeypatch, text):
+    # one run for the interval line, one more for determinism; the
+    # bisection runs only inside them
+    calls = {"run": 0, "numeric": 0}
+    real_run, real_numeric = cli.run, cli.numeric_load_bounds
+
+    def counted_run(config):
+        calls["run"] += 1
+        return real_run(config)
+
+    def counted_numeric(*args, **kwargs):
+        calls["numeric"] += 1
+        return real_numeric(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run", counted_run)
+    monkeypatch.setattr(cli, "numeric_load_bounds", counted_numeric)
+    assert cli.verify(cli.parse_config(text))[0] == 0
+    assert calls == {"run": 2, "numeric": 2}
+
+
+@pytest.mark.parametrize(
+    "example, param",
+    [
+        ("compression", "g"),
+        ("compression", "A"),
+        ("compression", "b1"),
+        ("compression", "b2"),
+        ("cohesive", "A"),
+        ("cohesive", "b1"),
+        ("cohesive", "b2"),
+        ("bending", "g"),
+    ],
+)
+def test_sweep_rejects_parameters_the_example_ignores(tmp_path, capsys, example, param):
+    text = {"compression": COMP_CFG, "cohesive": COH_CFG, "bending": BEND_CFG}[example]
+    with pytest.raises(ValidationError, match="does not enter the %s" % example):
+        cli.sweep(cli.parse_config(text), param, 0.5, 1.0, 3)
+    cfg_path = tmp_path / "case.cfg"
+    cfg_path.write_text(text)
+    argv = ["sweep", "--config", str(cfg_path), "--param", param, "--range", "0.5:1:3"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: sweep parameter %s does not enter the %s example\n" % (param, example)
+    )
+
+
+def test_sweep_steps_are_bounded(tmp_path, capsys):
+    # rejected before the load grid is allocated, so no huge sweep runs
+    cfg = cli.parse_config(COMP_CFG)
+    with pytest.raises(ValidationError, match="at most 100000 steps"):
+        cli.sweep(cfg, "a1", 0.6, 0.9, 100_001)
+    cfg_path = tmp_path / "case.cfg"
+    cfg_path.write_text(COMP_CFG)
+    argv = ["sweep", "--config", str(cfg_path), "--param", "a1"]
+    assert cli.main(argv + ["--range", "0:1:1000000000"]) == 2
+    assert capsys.readouterr().err == "error: sweep takes at most 100000 steps\n"
+
+
 def test_main_run_and_output_file(tmp_path, capsys):
     cfg_path = tmp_path / "case.cfg"
     cfg_path.write_text(COMP_CFG)
@@ -596,6 +657,19 @@ def test_main_numerics_overrides_revalidate(tmp_path, capsys):
             "run", "--config", str(cfg_path), "--grid-n", grid_n,
         ]) == 2
         assert "grid_n" in capsys.readouterr().err
+
+
+def test_main_overrides_apply_together(tmp_path, capsys):
+    cfg_path = tmp_path / "case.cfg"
+    cfg_path.write_text(COMP_CFG)
+    argv = ["run", "--config", str(cfg_path), "--format", "json-like"]
+    assert cli.main(argv + ["--seed", "3", "--quad-order", "5", "--grid-n", "50"]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert (config["seed"], config["quad_order"], config["grid_n"]) == (3, 5, 50)
+    # two invalid flags: the message names the field parse_config checks first
+    assert cli.main(argv + ["--seed", "-1", "--grid-n", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: [numerics] grid_n must be in [2, 1000000]\n"
 
 
 def test_console_script_entry(tmp_path):

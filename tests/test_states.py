@@ -16,11 +16,13 @@ from contactbounds.states import (
     BOX1,
     BOX2,
     bend_pair,
+    bending_system,
     linked_bend_pair,
     linked_stretch_pair,
     load_from_stretch_ratio,
     stretch_pair,
     stretch_ratio_from_load,
+    triaxial_system,
 )
 
 # frozen by independent bisection on a - 1/a^2 + 0.3 = 0
@@ -128,3 +130,31 @@ def test_linked_bend_pair_tractions():
 def test_linked_bend_pair_rejects_tiny_core():
     with pytest.raises(InvalidParameters):
         linked_bend_pair(1.0, 1.0, 1.0, 1.0, 1.0, 1e-14, tau=0.0)
+
+
+def test_triaxial_system_defaults():
+    sys_ = triaxial_system(1.0, 2.0, 0.8, 0.9, b2=0.3)
+    assert evaluate_contact(sys_).regime == "closed"
+    assert sys_.body1.map.b == (0.9 - 0.8) * 0.5 + 0.3
+    # the transverse-face reaction pressure p = C / a
+    assert sys_.body1.pressure.p == 1.0 / 0.8
+    assert sys_.body2.pressure.p == 2.0 / 0.9
+    assert sys_.dirichlet.map1 is None and sys_.dirichlet.map2 is sys_.body2.map
+    explicit = triaxial_system(1.0, 2.0, 0.8, 0.9, b1=0.0, p1=0.25, g=0.1, d_allow=0.01)
+    assert explicit.body1.map.b == 0.0 and explicit.body1.pressure.p == 0.25
+    assert (explicit.g, explicit.d_allow) == (0.1, 0.01)
+
+
+def test_bending_system_anchors():
+    tau = -0.6
+    sys_ = bending_system(1.0, 1.5, 1.1, 0.9, 1.0, 2.0, tau=tau)
+    assert evaluate_contact(sys_).regime == "closed"
+    assert sys_.body2.map.b == 0.9 + 2.0 - 1.0
+    # the dead load on body 1's inner face, nominal traction across the interface
+    assert nominal_traction(sys_.body1, BOX1.x_lo) == pytest.approx(tau, abs=1e-12)
+    t1 = nominal_traction(sys_.body1, BOX1.x_hi)
+    assert nominal_traction(sys_.body2, BOX2.x_lo) == pytest.approx(t1, abs=1e-12)
+    # an open interface leaves body 2's inner face traction free
+    open_ = bending_system(1.0, 1.5, 1.1, 0.9, 1.0, 2.0, b2=2.5, tau=tau)
+    assert evaluate_contact(open_).regime == "open"
+    assert nominal_traction(open_.body2, BOX2.x_lo) == pytest.approx(0.0, abs=1e-12)
