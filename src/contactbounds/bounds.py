@@ -45,6 +45,12 @@ __all__ = [
 #: X-resolution for pointwise checks across a bending body
 X_SAMPLES = 33
 
+#: bisection stops once each final bracket is this narrow
+BISECTION_TOL = 1e-8
+
+#: loads in the coarse scan that seeds the bisection
+COARSE_N = 129
+
 
 @dataclass(frozen=True)
 class LoadInterval:
@@ -271,10 +277,15 @@ def _feasible_closed(tau, linkage, cap):
     return _within_windows(tau, _windows(linkage), cap)
 
 
+def _cap(example, fp):
+    # the cohesive traction cap; the other examples admit no tension
+    return fp.get("g", 0.0) if example == "cohesive" else 0.0
+
+
 def search_bracket(example, fixed_params):
     """Load bracket guaranteed to contain every feasible load."""
     fp = fixed_params
-    cap = fp.get("g", 0.0) if example == "cohesive" else 0.0
+    cap = _cap(example, fp)
     linkage = _linkage(example, fp)
     # |tau| <= C s + C lambda_max on any feasible load, so a cohesive cap
     # above span cuts off nothing and must not stretch the bracket
@@ -282,38 +293,34 @@ def search_bracket(example, fixed_params):
     return -2.0 * span - 1.0, min(cap, span) + 2.0 * span + 1.0
 
 
-def numeric_load_bounds(example, fixed_params, search_config=None):
+def numeric_load_bounds(example, fixed_params):
     """Bisect the feasibility predicate for the load interval endpoints.
 
     Returns the feasible side of each final bracket, so both endpoints
-    are accepted loads within tol of the closed forms. Raises
+    are accepted loads within BISECTION_TOL of the closed forms. Raises
     InfeasibleProblem when no load in the bracket is feasible.
     """
-    sc = search_config or {}
-    tol = sc.get("tol", 1e-8)
-    coarse_n = sc.get("coarse_n", 129)
     fp = fixed_params
-    contact_closed = fp.get("contact_closed", True)
-    cap = fp.get("g", 0.0) if example == "cohesive" else 0.0
+    cap = _cap(example, fp)
     if example == "cohesive":
-        _check_positive(g=fp.get("g", 0.0))
-    if not contact_closed:
+        _check_positive(g=cap)
+    if not fp.get("contact_closed", True):
         return LoadInterval(cap, cap, "open", False)
     windows = _windows(_linkage(example, fp))
     b_lo, b_hi = search_bracket(example, fp)
-    taus = np.linspace(b_lo, b_hi, coarse_n)
+    taus = np.linspace(b_lo, b_hi, COARSE_N)
     feas = [t for t in taus if _within_windows(t, windows, cap)]
     if not feas:
         raise InfeasibleProblem("no feasible load in [%g, %g]" % (b_lo, b_hi))
     lo_out, lo_in = b_lo, feas[0]
-    while lo_in - lo_out > tol:
+    while lo_in - lo_out > BISECTION_TOL:
         mid = 0.5 * (lo_out + lo_in)
         if _within_windows(mid, windows, cap):
             lo_in = mid
         else:
             lo_out = mid
     hi_in, hi_out = feas[-1], b_hi
-    while hi_out - hi_in > tol:
+    while hi_out - hi_in > BISECTION_TOL:
         mid = 0.5 * (hi_in + hi_out)
         if _within_windows(mid, windows, cap):
             hi_in = mid
@@ -334,7 +341,7 @@ def brute_force_oracle(example, fixed_params, grid_n=1000):
     if grid_n < 2:
         raise InvalidParameters("grid_n must be >= 2")
     fp = fixed_params
-    cap = fp.get("g", 0.0) if example == "cohesive" else 0.0
+    cap = _cap(example, fp)
     linkage = _linkage(example, fp)
     b_lo, b_hi = search_bracket(example, fp)
     taus = np.linspace(b_lo, b_hi, grid_n + 1)

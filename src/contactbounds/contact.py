@@ -28,6 +28,8 @@ from .kinematics import (
     Homogeneous,
     StretchBend,
     TriaxialStretch,
+    _face_grid,
+    _face_spans,
     _family,
     placement,
 )
@@ -54,6 +56,7 @@ __all__ = [
     "evaluate_contact",
     "check_kinematic",
     "check_static",
+    "rivlin_f",
     "solve_radial_pressure",
 ]
 
@@ -248,21 +251,9 @@ def evaluate_contact(system):
 
 
 def _face_points(domain, axis, value, n=5):
-    # n x n sample grid on the face {axis = value}
-    us = {"x": ("y_lo", "y_hi"), "y": ("x_lo", "x_hi"), "z": ("x_lo", "x_hi")}[axis]
-    vs = {"x": ("z_lo", "z_hi"), "y": ("z_lo", "z_hi"), "z": ("y_lo", "y_hi")}[axis]
-    u = np.linspace(getattr(domain, us[0]), getattr(domain, us[1]), n)
-    v = np.linspace(getattr(domain, vs[0]), getattr(domain, vs[1]), n)
-    pts = []
-    for ui in u:
-        for vi in v:
-            if axis == "x":
-                pts.append((value, ui, vi))
-            elif axis == "y":
-                pts.append((ui, value, vi))
-            else:
-                pts.append((ui, vi, value))
-    return pts
+    # n x n sample grid on the face {axis = value}, one point per row
+    us, vs = (np.linspace(lo, hi, n) for lo, hi in _face_spans(domain, axis))
+    return _face_grid(axis, value, us, vs).reshape(-1, 3)
 
 
 def _constraint_residual(body):
@@ -383,6 +374,15 @@ def check_static(system, tau):
     return AdmissibilityReport(kinematic_ok=None, static_ok=ok, residuals=residuals)
 
 
+def rivlin_f(C, A, a, s):
+    """Rivlin's f(s) = C (A^2 s / (2 a) + a^2 / (2 s)) at squared radius s.
+
+    sigma_rr(r) - f(r^2) is constant across a bent block in radial
+    equilibrium (see solve_radial_pressure).
+    """
+    return C * (A**2 * s / (2.0 * a) + a**2 / (2.0 * s))
+
+
 def solve_radial_pressure(body, boundary_traction, anchor="inner"):
     """Exact radial equilibrium pressure across a bending body.
 
@@ -392,10 +392,9 @@ def solve_radial_pressure(body, boundary_traction, anchor="inner"):
     right-hand side, so it integrates in closed form (Rivlin's flexure):
 
         sigma_rr(r) = sigma_anchor + f(r^2) - f(rho),
-        f(s) = C (A^2 s / (2 a) + a^2 / (2 s)),
 
-    with rho the squared radius of the anchor face. Since
-    sigma_rr = C a^2 / r^2 - p, the pressure is a RadialProfile.
+    with f = rivlin_f and rho the squared radius of the anchor face.
+    Since sigma_rr = C a^2 / r^2 - p, the pressure is a RadialProfile.
     """
     m = body.map
     if not isinstance(m, StretchBend):
@@ -415,5 +414,5 @@ def solve_radial_pressure(body, boundary_traction, anchor="inner"):
     return RadialProfile(
         c_inv=0.5 * C * a**2,
         c_sq=-0.5 * C * A2 / a,
-        c0=-boundary_traction + C * (A2 * rho / (2.0 * a) + a**2 / (2.0 * rho)),
+        c0=-boundary_traction + rivlin_f(C, A, a, rho),
     )

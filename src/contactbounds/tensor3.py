@@ -83,14 +83,22 @@ def ddot(a, b):
     return float(np.sum(a * b))
 
 
-def _eig_trig(a):
-    # Closed-form eigenvalues of a symmetric 3x3 matrix via the
-    # trigonometric solution of the characteristic cubic.
+def sym_eigenvalues(m):
+    """Eigenvalues of a symmetric 3x3 matrix, descending.
+
+    Uses the trigonometric solution of the characteristic cubic. Raises
+    NotSymmetric when max|m - m.T| exceeds the symmetry tolerance.
+    """
+    m = np.asarray(m, dtype=float)
+    asym = np.max(np.abs(m - m.T))
+    if asym > SYMMETRY_TOL:
+        raise NotSymmetric("max|m - m.T| = %.3e" % asym)
+    a = 0.5 * (m + m.T)
     p1 = a[0, 1] ** 2 + a[0, 2] ** 2 + a[1, 2] ** 2
     q = (a[0, 0] + a[1, 1] + a[2, 2]) / 3.0
     if p1 == 0.0:
         # already diagonal
-        return sorted((a[0, 0], a[1, 1], a[2, 2]), reverse=True)
+        return tuple(sorted((a[0, 0], a[1, 1], a[2, 2]), reverse=True))
     p2 = (
         (a[0, 0] - q) ** 2
         + (a[1, 1] - q) ** 2
@@ -106,67 +114,4 @@ def _eig_trig(a):
     eig1 = q + 2.0 * p * math.cos(phi)
     eig3 = q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
     eig2 = 3.0 * q - eig1 - eig3
-    return [eig1, eig2, eig3]
-
-
-def _eig_deflate(a):
-    # Fallback for nearly degenerate spectra: shift by the Gershgorin
-    # bound so the largest root is well separated, then polish each root
-    # of the characteristic polynomial with a few Newton steps.
-    shift = max(
-        abs(a[i, i]) + sum(abs(a[i, j]) for j in range(3) if j != i)
-        for i in range(3)
-    )
-    tr = a[0, 0] + a[1, 1] + a[2, 2]
-    c2 = -tr
-    c1 = (
-        a[0, 0] * a[1, 1]
-        + a[0, 0] * a[2, 2]
-        + a[1, 1] * a[2, 2]
-        - a[0, 1] ** 2
-        - a[0, 2] ** 2
-        - a[1, 2] ** 2
-    )
-    c0 = -det(a)
-
-    def f(x):
-        return ((x + c2) * x + c1) * x + c0
-
-    def fp(x):
-        return (3.0 * x + 2.0 * c2) * x + c1
-
-    roots = []
-    for x in _eig_trig(a):
-        for _ in range(4):
-            d = fp(x)
-            if d == 0.0:
-                break
-            step = f(x) / d
-            if abs(step) > shift:
-                break
-            x -= step
-        roots.append(x)
-    roots.sort(reverse=True)
-    return roots
-
-
-def sym_eigenvalues(m):
-    """Eigenvalues of a symmetric 3x3 matrix, descending.
-
-    Uses the trigonometric closed form; for spectra where the cubic is
-    ill conditioned the roots are polished by Newton deflation. Raises
-    NotSymmetric when max|m - m.T| exceeds the symmetry tolerance.
-    """
-    m = np.asarray(m, dtype=float)
-    asym = np.max(np.abs(m - m.T))
-    if asym > SYMMETRY_TOL:
-        raise NotSymmetric("max|m - m.T| = %.3e" % asym)
-    a = 0.5 * (m + m.T)
-    w = _eig_trig(a)
-    # accept the trig solution when it reproduces trace and determinant
-    scale = max(1.0, np.max(np.abs(a)))
-    tr_err = abs(sum(w) - (a[0, 0] + a[1, 1] + a[2, 2]))
-    det_err = abs(w[0] * w[1] * w[2] - det(a))
-    if tr_err > 1e-10 * scale or det_err > 1e-9 * scale**3:
-        w = _eig_deflate(a)
-    return tuple(w)
+    return (eig1, eig2, eig3)

@@ -258,7 +258,7 @@ def test_numeric_bounds_match_closed_form():
 )
 def test_numeric_bounds_are_certified(example, fp):
     # both reported ends are loads the feasibility predicate accepts
-    iv = numeric_load_bounds(example, fp, {"tol": 1e-8})
+    iv = numeric_load_bounds(example, fp)
     linkage = _linkage(example, fp)
     cap = fp.get("g", 0.0)
     assert _feasible_closed(iv.tau_lo, linkage, cap)

@@ -175,6 +175,9 @@ def test_unknown_model_rejected():
         strain_energy(object(), np.eye(3))
     with pytest.raises(InvalidParameters):
         piola_stress(object(), np.eye(3))
+    # the quadratic form is defined for the incompressible model only
+    with pytest.raises(InvalidParameters):
+        hessian_quadratic_form(NeoHookeanCompressible(1.0, 2.0), np.eye(3), 0.0, np.eye(3))
 
 
 def test_radial_profile_matches_formula():
