@@ -8,8 +8,9 @@ a shear probe in the (i, j) plane has eigenvalues C +/- p * lambda_k,
 so positivity fails first on the pair whose complementary stretch is
 largest.
 
-Closed-form intervals implement the per-family formulas (their sqrt(a)
-window is the transverse-pair threshold, the binding one for a <= 1).
+Closed-form intervals implement the per-family formulas: the triaxial
+window is C sqrt(a) (transverse pairs) for a <= 1 and C / a (axial pair,
+the largest stretch) above 1; bending takes its largest stretch.
 numeric_load_bounds reproduces them by bisection on the feasibility
 predicate; brute_force_oracle does so by brute scan, deriving the window
 from sampled principal stretches rather than from any formula here.
@@ -163,12 +164,20 @@ def criteria_check(body, probe_count=200, seed=42):
     )
 
 
+def _body_loads(C, a):
+    """(lo, hi) of the loads with |C a^2 - tau| inside one triaxial body's
+    window: C sqrt(a) for a <= 1, C / a above 1."""
+    if a <= 1.0:
+        return -(C * (math.sqrt(a) - a**2)), C * (math.sqrt(a) + a**2)
+    return C * (a**2 - 1.0 / a), C * (a**2 + 1.0 / a)
+
+
 def load_interval_compression(C1, C2, a1, a2, contact_closed=True):
     """Sustainable compressive loads for the triaxial pair."""
     _check_positive(C1=C1, C2=C2, a1=a1, a2=a2)
     if not contact_closed:
         return LoadInterval(0.0, 0.0, "open", False)
-    lo = -min(C1 * (math.sqrt(a1) - a1**2), C2 * (math.sqrt(a2) - a2**2))
+    lo = max(_body_loads(C1, a1)[0], _body_loads(C2, a2)[0])
     hi = 0.0
     return LoadInterval(lo, hi, "closed", not lo < hi)
 
@@ -178,8 +187,9 @@ def load_interval_cohesive(C1, C2, a1, a2, g, contact_closed=True):
     _check_positive(C1=C1, C2=C2, a1=a1, a2=a2, g=g)
     if not contact_closed:
         return LoadInterval(g, g, "open", False)
-    lo = -min(C1 * (math.sqrt(a1) - a1**2), C2 * (math.sqrt(a2) - a2**2))
-    hi = min(g, C1 * (math.sqrt(a1) + a1**2), C2 * (math.sqrt(a2) + a2**2))
+    (lo1, hi1), (lo2, hi2) = _body_loads(C1, a1), _body_loads(C2, a2)
+    lo = max(lo1, lo2)
+    hi = min(g, hi1, hi2)
     return LoadInterval(lo, hi, "closed", not lo < hi)
 
 
@@ -264,7 +274,7 @@ def _windows(linkage):
 
 
 def _within_windows(tau, windows, cap):
-    if tau > cap:
+    if not tau <= cap:  # unlike tau > cap, this rejects a NaN load
         return False
     for C, s, threshold in windows:
         p = C * s - tau

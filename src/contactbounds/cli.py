@@ -160,12 +160,8 @@ def _parse_sections(text):
     return raw
 
 
-def _take(raw, section, key):
-    return raw.get(section, {}).get(key)
-
-
 def _take_number(raw, section, key, default=None, kind=float):
-    item = _take(raw, section, key)
+    item = raw.get(section, {}).get(key)
     if item is None:
         return default
     val, ln = item
@@ -179,7 +175,7 @@ def _take_number(raw, section, key, default=None, kind=float):
 def parse_config(text):
     """Parse config text into a ProblemConfig, validating every field."""
     raw = _parse_sections(text)
-    item = _take(raw, "system", "example")
+    item = raw.get("system", {}).get("example")
     if item is None:
         raise ValidationError("[system] example is required")
     example = item[0]
@@ -393,8 +389,11 @@ def run(config):
             warnings.append(W_MISMATCH % "numeric endpoints off the closed form")
         if not oracle_ok:
             warnings.append(W_MISMATCH % "oracle endpoints off the closed form")
-    elif oracle.regime == "closed" and not oracle.empty:
-        warnings.append(W_MISMATCH % "closed form empty but oracle accepts loads")
+    else:
+        if numeric is not None:
+            warnings.append(W_MISMATCH % "closed form empty but bisection found loads")
+        if oracle.regime == "closed" and not oracle.empty:
+            warnings.append(W_MISMATCH % "closed form empty but oracle accepts loads")
     if abs(config.body1.a - 1.0) < 1e-12 or abs(config.body2.a - 1.0) < 1e-12:
         warnings.append(W_DEGENERATE)
     if config.example == "bending":

@@ -8,6 +8,7 @@ import pytest
 from contactbounds import cli
 from contactbounds.errors import (
     ContactBoundsError,
+    InfeasibleProblem,
     ParseError,
     ValidationError,
 )
@@ -444,6 +445,44 @@ def test_large_cohesive_cap_keeps_the_numeric_interval(g):
     assert code == 0, text
 
 
+def test_cohesive_stretch_above_one_agrees():
+    # for a > 1 the axial stretch is the largest, so the window is C / a
+    text = COH_CFG.replace("a = 0.9", "a = 1.2").replace("g = 0.6", "g = 2.0")
+    config = cli.parse_config(text)
+    assert cli.run(config).warnings == ()
+    code, out = cli.verify(config)
+    assert code == 0, out
+
+
+def test_sweep_across_unit_stretch_matches_bisection():
+    config = cli.parse_config(COH_CFG)
+    rows = cli.sweep(config, "a1", 0.8, 1.6, 9).splitlines()[1:]
+    assert len(rows) == 9
+    for row in rows:
+        param, lo, hi, empty = row.split(",")[:4]
+        fp = cli._fixed_params(cli._with_param(config, "a1", float(param)))
+        try:
+            numeric = cli.numeric_load_bounds("cohesive", fp)
+        except InfeasibleProblem:
+            numeric = None
+        assert (empty == "true") == (numeric is None), row
+        if numeric is not None:
+            assert abs(numeric.tau_lo - float(lo)) <= 1e-6, row
+            assert abs(numeric.tau_hi - float(hi)) <= 1e-6, row
+
+
+def test_overflowing_bracket_gives_no_numeric_interval(tmp_path, capsys):
+    # the load bracket overflows to (-inf, inf); its NaN scan loads are
+    # infeasible, so no NaN interval is reported
+    text = COMP_CFG.replace("C = 1.0\na = 0.81", "C = 1e300\na = 1e10", 1)
+    cfg_path = tmp_path / "case.cfg"
+    cfg_path.write_text(text)
+    assert cli.main(["run", "--config", str(cfg_path)]) == 0
+    out = capsys.readouterr().out
+    assert "numeric: unavailable\n" in out
+    assert "=nan" not in out
+
+
 def test_run_degenerate_state_warns_and_blanks_numeric():
     text = COMP_CFG.replace("0.81", "1.0").replace("tau = -0.3", "tau = 0.0")
     report = cli.run(cli.parse_config(text))
@@ -600,6 +639,19 @@ def test_main_sweep(tmp_path, capsys):
     ])
     assert code == 0
     assert len(capsys.readouterr().out.splitlines()) == 4
+
+
+def test_main_verify_and_output_file(tmp_path, capsys):
+    code, text = cli.verify(cli.parse_config(COMP_CFG))
+    cfg_path = tmp_path / "case.cfg"
+    cfg_path.write_text(COMP_CFG)
+    assert cli.main(["verify", "--config", str(cfg_path)]) == code
+    assert capsys.readouterr().out == text
+    out_path = tmp_path / "verify.txt"
+    argv = ["verify", "--config", str(cfg_path), "--output", str(out_path)]
+    assert cli.main(argv) == code
+    assert capsys.readouterr().out == ""
+    assert out_path.read_text() == text
 
 
 def test_main_exit_codes(tmp_path, capsys, monkeypatch):
