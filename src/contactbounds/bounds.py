@@ -28,7 +28,7 @@ import numpy as np
 from .errors import InfeasibleProblem, InvalidParameters
 from .kinematics import R_MIN, TriaxialStretch
 from .material import NeoHookeanIncompressible
-from .tensor3 import cofactor
+from .tensor3 import _sum9, cofactor
 
 __all__ = [
     "LoadInterval",
@@ -99,13 +99,6 @@ def _x_samples(body, interior):
     return np.linspace(lo, hi, X_SAMPLES)
 
 
-def _sum9(m):
-    # sum of each 3x3 block over a contiguous axis of 9: the pairwise order
-    # of tensor3.ddot's np.sum, block by block (a strided axis would be
-    # summed sequentially)
-    return np.sum(np.ascontiguousarray(m).reshape(-1, 9), axis=-1)
-
-
 def _probes(rng, count):
     # (6 + count, 3, 3) unit probes. Shear probes are tangent to the
     # constraint at a diagonal state: cof(F) : G = 0 whenever G has no
@@ -143,19 +136,19 @@ def criteria_check(body, probe_count=200, seed=42):
     gg = _sum9(probes * probes)
     cof = cofactor(probes)
 
-    def forms(x):
-        # material.hessian_quadratic_form for every probe at the station x
-        F, p = body.state(x)
-        return C * gg - p * 2.0 * _sum9(cof * F)
+    def forms(xs):
+        # material.hessian_quadratic_form for every station (row) and probe
+        F, p = body.state(xs)
+        return C * gg - p[:, None] * 2.0 * _sum9(cof * F[:, None])
 
-    # min(m, *q) is a running minimum in probe order: a NaN form is skipped
-    comp_min = math.inf
-    primal_min = math.inf
-    for x in _x_samples(body, interior=False):
-        comp_min = min(comp_min, *forms(x).tolist())
-    for x in _x_samples(body, interior=True):
-        w = ((x - lo) * (hi - x)) ** 2
-        primal_min = min(primal_min, *(w * forms(x)).tolist())
+    # min(m, *q) is a running minimum in station then probe order: a NaN
+    # form is skipped
+    comp_min = min(math.inf, *forms(_x_samples(body, interior=False)).ravel().tolist())
+    xs = _x_samples(body, interior=True)
+    # the bubble weight per station, with numpy's scalar power (an array
+    # square can differ in the last bit)
+    w = np.array([((x - lo) * (hi - x)) ** 2 for x in xs])
+    primal_min = min(math.inf, *(w[:, None] * forms(xs)).ravel().tolist())
     return CriteriaResult(
         primal_ok=bool(primal_min > 0.0),
         complementary_ok=bool(comp_min > 0.0),

@@ -31,7 +31,6 @@ from .kinematics import (
     _face_grid,
     _face_spans,
     _family,
-    placement,
 )
 from .material import (
     CONSTRAINT_TOL,
@@ -99,8 +98,17 @@ class BodySpec:
             raise InvalidParameters("triaxial bodies take a Constant pressure field")
 
     def state(self, x):
-        """(F, p) at the abscissa x: the map's gradient and the pressure."""
-        return self.map.gradient(x), pressure_at(self.pressure, self.map.radius(x))
+        """(F, p) at the abscissa x: the map's gradient and the pressure.
+
+        An array of abscissae gives the stacks of both. The pressure is
+        evaluated at one Python float radius at a time: a RadialProfile's
+        powers on an array would differ in the last bit.
+        """
+        F, r = self.map.gradient(x), self.map.radius(x)
+        if np.ndim(x) == 0:
+            return F, pressure_at(self.pressure, r)
+        rs = [None] * len(x) if r is None else r.tolist()
+        return F, np.array([pressure_at(self.pressure, ri) for ri in rs])
 
 
 @dataclass(frozen=True)
@@ -250,20 +258,23 @@ def evaluate_contact(system):
     )
 
 
-def _face_points(domain, axis, value, n=5):
-    # n x n sample grid on the face {axis = value}, one point per row
+def _face_points(domain, axis, values, n=5):
+    # n x n sample grid on each face {axis = v}, v in values, one point per row
     us, vs = (np.linspace(lo, hi, n) for lo, hi in _face_spans(domain, axis))
-    return _face_grid(axis, value, us, vs).reshape(-1, 3)
+    return np.concatenate([_face_grid(axis, v, us, vs).reshape(-1, 3) for v in values])
+
+
+def _running_max(worst, values):
+    # max(worst, v0, v1, ...) left to right: a NaN value is never taken
+    return max(worst, *np.ravel(values).tolist())
 
 
 def _constraint_residual(body):
     if not isinstance(body.material, NeoHookeanIncompressible):
         return 0.0
     # det F depends on x alone: the 5 abscissae of a 5 x 5 x 5 sample grid
-    worst = 0.0
-    for x in np.linspace(body.domain.x_lo, body.domain.x_hi, 5):
-        worst = max(worst, abs(det(body.map.gradient(x)) - 1.0))
-    return worst
+    xs = np.linspace(body.domain.x_lo, body.domain.x_hi, 5)
+    return _running_max(0.0, np.abs(det(body.map.gradient(xs)) - 1.0))
 
 
 def check_kinematic(system, dirichlet=None):
@@ -280,22 +291,23 @@ def check_kinematic(system, dirichlet=None):
     data = dirichlet if dirichlet is not None else system.dirichlet
     worst_d = 0.0
     if data.map2 is not None:
-        for X in _face_points(system.body2.domain, "x", system.body2.domain.x_hi):
-            d = placement(system.body2.map, X) - placement(data.map2, X)
-            worst_d = max(worst_d, float(np.max(np.abs(d))))
+        X = _face_points(system.body2.domain, "x", [system.body2.domain.x_hi])
+        d = system.body2.map.place(X) - _family(data.map2).place(X)
+        worst_d = _running_max(worst_d, np.max(np.abs(d), axis=-1))
     if isinstance(system.body1.map, StretchBend):
         for body, dmap in ((system.body1, data.map1), (system.body2, data.map2)):
             if dmap is None:
                 continue
-            for zv in (body.domain.z_lo, body.domain.z_hi):
-                for X in _face_points(body.domain, "z", zv):
-                    dz = placement(body.map, X)[2] - placement(dmap, X)[2]
-                    worst_d = max(worst_d, abs(dz))
-            for yv in (body.domain.y_lo, body.domain.y_hi):
-                th = dmap.A * yv / math.sqrt(dmap.a)
-                n = np.array([-math.sin(th), math.cos(th), 0.0])
-                for X in _face_points(body.domain, "y", yv):
-                    worst_d = max(worst_d, abs(float(placement(body.map, X) @ n)))
+            X = _face_points(body.domain, "z", (body.domain.z_lo, body.domain.z_hi))
+            dz = body.map.place(X)[:, 2] - _family(dmap).place(X)[:, 2]
+            worst_d = _running_max(worst_d, np.abs(dz))
+            X = _face_points(body.domain, "y", (body.domain.y_lo, body.domain.y_hi))
+            # the data's flank normal at each point, and (n . chi) by a
+            # stacked matmul: np.dot's float, point by point
+            th = dmap.A * X[:, 1] / math.sqrt(dmap.a)
+            n = np.stack([-np.sin(th), np.cos(th), np.zeros_like(th)], axis=-1)
+            nchi = n[:, None, :] @ body.map.place(X)[..., None]
+            worst_d = _running_max(worst_d, np.abs(nchi))
     gap_res = max(0.0, gap_value(system) - system.d_allow)
     con_res = max(_constraint_residual(system.body1), _constraint_residual(system.body2))
     residuals = {

@@ -18,8 +18,6 @@ to zero identically (the azimuthal traction is orthogonal to any
 placement lying in the flank plane).
 """
 
-import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +30,7 @@ from .kinematics import (
     _face_grid,
     _face_spans,
     _family,
-    _x_node_sum,
+    _node_sum,
 )
 from .material import complementary_density, piola_stress, strain_energy
 from .contact import DirichletData, check_kinematic, check_static
@@ -51,8 +49,10 @@ __all__ = [
 
 
 def _check_finite(v):
-    if not math.isfinite(v):
-        raise NonFiniteIntegrand("integrand returned %r" % (v,))
+    # v, or an error naming its first non-finite value in node order
+    bad = ~np.isfinite(v)
+    if bad.any():
+        raise NonFiniteIntegrand("integrand returned %r" % (float(np.asarray(v)[bad][0]),))
     return v
 
 
@@ -72,26 +72,37 @@ def integrate_volume(fn, domain, rule=None):
 
 
 def _x_integral(fn, domain, rule):
-    """integrate_volume of fn(x), an integrand of the abscissa alone:
-    one call per x node, in node order, and the same float sum."""
+    """integrate_volume of fn(xs), an integrand of the abscissa alone
+    evaluated on the array of x nodes: the same float sum."""
     xs, wx = rule.mapped(domain.x_lo, domain.x_hi)
     _, wy = rule.mapped(domain.y_lo, domain.y_hi)
     _, wz = rule.mapped(domain.z_lo, domain.z_hi)
-    return _x_node_sum([_check_finite(float(fn(float(x)))) for x in xs], wx, wy, wz)
+    return _node_sum(np.reshape(_check_finite(fn(xs)), (-1, 1, 1)), wx, wy, wz)
+
+
+def _face_nodes(domain, axis, value, rule):
+    # the (nu, nv, 3) node grid of the face {axis = value} and its weights
+    (u_lo, u_hi), (v_lo, v_hi) = _face_spans(domain, axis)
+    us, wu = rule.mapped(u_lo, u_hi)
+    vs, wv = rule.mapped(v_lo, v_hi)
+    return _face_grid(axis, value, us, vs), wu, wv
 
 
 def integrate_face(fn, domain, axis, value, rule=None):
     """Integral of fn(X) over the face {axis = value} of the box."""
-    rule = rule or QuadratureRule()
-    (u_lo, u_hi), (v_lo, v_hi) = _face_spans(domain, axis)
-    us, wu = rule.mapped(u_lo, u_hi)
-    vs, wv = rule.mapped(v_lo, v_hi)
-    X = _face_grid(axis, value, us, vs)
+    X, wu, wv = _face_nodes(domain, axis, value, rule or QuadratureRule())
     total = 0.0
-    for i in range(len(us)):
-        for j in range(len(vs)):
+    for i in range(len(wu)):
+        for j in range(len(wv)):
             total += wu[i] * wv[j] * _check_finite(float(fn(X[i, j])))
     return total
+
+
+def _face_integral(fn, domain, axis, value, rule):
+    """integrate_face of fn evaluated on the whole node grid at once:
+    the same float sum."""
+    X, wu, wv = _face_nodes(domain, axis, value, rule)
+    return _node_sum(_check_finite(fn(X)), wu, wv)
 
 
 @dataclass(frozen=True)
@@ -109,8 +120,8 @@ def _resolved_data(system):
     )
 
 
-def _body_piola(body, x):
-    F, p = body.state(x)
+def _body_piola(body, xs):
+    F, p = body.state(xs)
     return piola_stress(body.material, F, p), F
 
 
@@ -123,14 +134,15 @@ def _face_pairing(body, dmap, axis, side, rule):
     """
     col = "xyz".index(axis)
     sign = 1.0 if side == "hi" else -1.0
-    # the stress depends on x alone: one Piola stress per distinct x
-    piola = functools.lru_cache(maxsize=None)(lambda x: _body_piola(body, x)[0])
 
     def pairing(X):
-        return sign * float(piola(float(X[0]))[:, col] @ dmap.frame_place(X))
+        # the stress depends on x alone, which is constant along each row
+        # of the grid; the stacked matmul is np.dot's float, row by row
+        c = _body_piola(body, X[:, 0, 0])[0][:, :, col]
+        return sign * (c[:, None, None, :] @ dmap.frame_place(X)[..., None])[..., 0, 0]
 
     face = getattr(body.domain, "%s_%s" % (axis, side))
-    return integrate_face(pairing, body.domain, axis, face, rule)
+    return _face_integral(pairing, body.domain, axis, face, rule)
 
 
 def potential_energy(system, tau, rule=None):
@@ -139,14 +151,14 @@ def potential_energy(system, tau, rule=None):
     total = 0.0
     for body in (system.body1, system.body2):
         total += _x_integral(
-            lambda x, b=body: strain_energy(b.material, b.map.gradient(x)),
+            lambda xs, b=body: strain_energy(b.material, b.map.gradient(xs)),
             body.domain,
             rule,
         )
     # the dead load pairs with the image coordinate along the load:
     # x for the affine families, the face radius for bending
     b1 = system.body1
-    load = integrate_face(b1.map.normal_position, b1.domain, "x", b1.domain.x_lo, rule)
+    load = _face_integral(b1.map.normal_position, b1.domain, "x", b1.domain.x_lo, rule)
     return total + tau * load
 
 
@@ -157,7 +169,7 @@ def complementary_energy(system, rule=None):
     total = 0.0
     for body in (system.body1, system.body2):
         total -= _x_integral(
-            lambda x, b=body: complementary_density(b.material, *b.state(x)),
+            lambda xs, b=body: complementary_density(b.material, *b.state(xs)),
             body.domain,
             rule,
         )
@@ -183,7 +195,7 @@ def divergence_identity_residual(system, rule=None):
     lhs = 0.0
     rhs = 0.0
     for body in (system.body1, system.body2):
-        rhs += _x_integral(lambda x, b=body: ddot(*_body_piola(b, x)), body.domain, rule)
+        rhs += _x_integral(lambda xs, b=body: ddot(*_body_piola(b, xs)), body.domain, rule)
         for axis in "xyz":
             for side in ("lo", "hi"):
                 lhs += _face_pairing(body, body.map, axis, side, rule)

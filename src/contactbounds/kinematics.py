@@ -16,8 +16,13 @@ Each family carries its formulas as methods: gradient(x), place(X),
 radius(x) (None for the affine families), normal_position(X) (the image
 coordinate along the load, r for bending), frame_place(X), image_volume
 and stretch_max. The module functions check the family and delegate.
+gradient and radius also take an array of abscissae, and place,
+normal_position and frame_place an (..., 3) stack of points: one array
+holds, point by point, the floats of single calls, which return Python
+floats where the result is a scalar.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -98,6 +103,18 @@ class Box3:
         )
 
 
+def _scalar(v):
+    # a single call's scalar result as a Python float
+    return float(v) if np.ndim(v) == 0 else v
+
+
+def _diag(x, d0, d1, d2):
+    # diagonal gradients, one per abscissa in x
+    F = np.zeros(np.shape(x) + (3, 3))
+    F[..., 0, 0], F[..., 1, 1], F[..., 2, 2] = d0, d1, d2
+    return F
+
+
 def _face_spans(domain, axis):
     """(lo, hi) of the two in-face axes of the faces {axis = const}, in xyz order."""
     return [(getattr(domain, c + "_lo"), getattr(domain, c + "_hi")) for c in "xyz" if c != axis]
@@ -150,17 +167,18 @@ class TriaxialStretch:
 
     def gradient(self, x):
         s = 1.0 / math.sqrt(self.a)
-        return np.diag([self.a, s, s])
+        return _diag(x, self.a, s, s)
 
     def place(self, X):
+        X = np.asarray(X, dtype=float)
         s = 1.0 / math.sqrt(self.a)
-        return np.array([self.normal_position(X), s * float(X[1]), s * float(X[2])])
+        return np.stack([self.normal_position(X), s * X[..., 1], s * X[..., 2]], axis=-1)
 
     def radius(self, x):
         return None
 
     def normal_position(self, X):
-        return self.a * float(X[0]) + self.b
+        return _scalar(self.a * np.asarray(X, dtype=float)[..., 0] + self.b)
 
     def frame_place(self, X):
         return self.place(X)
@@ -189,37 +207,43 @@ class StretchBend:
             raise InvalidParameters("offset b must be finite")
 
     def rho(self, x):
-        """Squared bend radius 2 a x + b; raises below R_MIN^2."""
-        rho = 2.0 * self.a * x + self.b
-        if rho < R_MIN**2:
+        """Squared bend radius 2 a x + b; raises at the first x below R_MIN^2."""
+        rho = 2.0 * self.a * np.asarray(x, dtype=float) + self.b
+        low = rho < R_MIN**2
+        if low.any():
+            i = np.argmax(low)
             raise InvalidParameters(
-                "bending radius^2 = %.3e below minimum at X = %.6g" % (rho, x)
+                "bending radius^2 = %.3e below minimum at X = %.6g"
+                % (np.ravel(rho)[i], np.ravel(x)[i])
             )
-        return rho
+        return _scalar(rho)
 
     def radius(self, x):
-        return math.sqrt(self.rho(x))
+        return _scalar(np.sqrt(self.rho(x)))
 
     def frame(self, r):
         """Gradient on the cylinder of radius r, in (e_r, e_theta, e_z)."""
         sa = math.sqrt(self.a)
-        return np.diag([self.a / r, self.A * r / sa, 1.0 / (self.A * sa)])
+        return _diag(r, self.a / r, self.A * r / sa, 1.0 / (self.A * sa))
 
     def gradient(self, x):
         return self.frame(self.radius(x))
 
     def place(self, X):
-        r, _, z = self.frame_place(X)
-        th = self.A * float(X[1]) / math.sqrt(self.a)
-        return np.array([r * math.cos(th), r * math.sin(th), z])
+        X = np.asarray(X, dtype=float)
+        chi = self.frame_place(X)
+        r, th = chi[..., 0], self.A * X[..., 1] / math.sqrt(self.a)
+        return np.stack([r * np.cos(th), r * np.sin(th), chi[..., 2]], axis=-1)
 
     def normal_position(self, X):
-        return self.radius(float(X[0]))
+        return self.radius(np.asarray(X, dtype=float)[..., 0])
 
     def frame_place(self, X):
         """(r, 0, z): the image point in the frame of gradient()."""
+        X = np.asarray(X, dtype=float)
+        r = self.radius(X[..., 0])
         sa = math.sqrt(self.a)
-        return np.array([self.radius(float(X[0])), 0.0, float(X[2]) / (self.A * sa)])
+        return np.stack([r, np.zeros_like(r), X[..., 2] / (self.A * sa)], axis=-1)
 
     def image_volume(self, domain):
         r_lo = self.radius(domain.x_lo)
@@ -254,16 +278,16 @@ class Homogeneous:
         object.__setattr__(self, "t", t)
 
     def gradient(self, x):
-        return self.F0.copy()
+        return np.broadcast_to(self.F0, np.shape(x) + (3, 3)).copy()
 
     def place(self, X):
-        return self.F0 @ np.array([float(X[0]), float(X[1]), float(X[2])]) + self.t
+        return (self.F0 @ np.asarray(X, dtype=float)[..., None])[..., 0] + self.t
 
     def radius(self, x):
         return None
 
     def normal_position(self, X):
-        return float(self.place(X)[0])
+        return _scalar(self.place(X)[..., 0])
 
     def frame_place(self, X):
         return self.place(X)
@@ -359,14 +383,14 @@ def image_volume(map_, domain):
     return _family(map_).image_volume(domain)
 
 
-def _x_node_sum(fx, wx, wy, wz):
-    """Tensor-product quadrature sum of fx[i], the integrand at x node i.
+def _node_sum(f, *ws):
+    """Tensor-product quadrature sum of the node values f.
 
-    Each term is ((wx[i] * wy[j]) * wz[k]) * fx[i], added left to right
-    from 0.0 (cumsum is sequential): the float a node loop gives.
+    Each term is ((w0[i] * w1[j]) * ...) * f[i, j, ...], f broadcasting
+    against the grid of the axis weights ws, and the terms are added in
+    node order from 0.0 (cumsum is sequential): the float a node loop gives.
     """
-    w = np.multiply.outer(np.multiply.outer(wx, wy), wz)
-    terms = w * np.reshape(fx, (-1, 1, 1))
+    terms = functools.reduce(np.multiply.outer, ws) * f
     return np.cumsum(np.concatenate(([0.0], terms.ravel())))[-1]
 
 
@@ -383,6 +407,7 @@ def injectivity_check(map_, domain, quad_order=8):
     ys, wy = rule.mapped(domain.y_lo, domain.y_hi)
     zs, wz = rule.mapped(domain.z_lo, domain.z_hi)
     # det F depends on x alone; (x, ys[0], zs[0]) is the first node at x
-    total = _x_node_sum([jacobian(map_, (x, ys[0], zs[0])) for x in xs], wx, wy, wz)
+    Js = [jacobian(map_, (x, ys[0], zs[0])) for x in xs]
+    total = _node_sum(np.reshape(Js, (-1, 1, 1)), wx, wy, wz)
     vol = image_volume(map_, domain)
     return total <= vol + 1e-9 * max(1.0, abs(vol))

@@ -12,6 +12,11 @@ At det F = 1 the cofactor equals the inverse transpose, so this agrees
 with the usual C F - p F^{-T} while staying polynomial in F. A weakly
 compressible variant replaces the constraint by a quadratic volumetric
 penalty; there the pressure argument is ignored.
+
+strain_energy, piola_stress and complementary_density also take a
+(..., 3, 3) stack of gradients (with a matching stack of pressures) and
+give, matrix by matrix, the floats of single calls; a check that fails
+names the first failing matrix.
 """
 
 import math
@@ -109,24 +114,37 @@ def pressure_at(pressure, r=None):
     raise InvalidParameters("unknown pressure field %r" % (pressure,))
 
 
-def _check_det(F):
+def _check_det(F, constrained=False):
+    # det F, or an error at the first matrix with det F <= 0 or, when
+    # constrained, with |det F - 1| beyond the constraint tolerance
     J = det(F)
-    if J <= 0.0:
-        raise NonPositiveJacobian("det F = %.6g" % J)
+    bad = J <= 0.0
+    if constrained:
+        bad = bad | (np.abs(J - 1.0) > CONSTRAINT_TOL)
+    if np.any(bad):
+        j = np.ravel(J)[np.argmax(np.ravel(bad))]
+        if j <= 0.0:
+            raise NonPositiveJacobian("det F = %.6g" % j)
+        raise ConstraintViolated("|det F - 1| = %.3e" % abs(j - 1.0))
     return J
+
+
+def _per_matrix(v):
+    # a scalar per matrix, shaped to scale its (3, 3) block
+    return np.reshape(v, np.shape(v) + (1, 1))
 
 
 def strain_energy(model, F):
     """Stored energy density W(F)."""
     F = np.asarray(F, dtype=float)
-    J = _check_det(F)
+    J = _check_det(F, isinstance(model, NeoHookeanIncompressible))
     i1 = ddot(F, F)
     if isinstance(model, NeoHookeanIncompressible):
-        if abs(J - 1.0) > CONSTRAINT_TOL:
-            raise ConstraintViolated("|det F - 1| = %.3e" % abs(J - 1.0))
         return 0.5 * model.C * (i1 - 3.0)
     if isinstance(model, NeoHookeanCompressible):
-        return 0.5 * model.C * (i1 - 3.0) + model.D * (J - 1.0) ** 2
+        # C pow per value: numpy's array square can differ in the last bit
+        vol = np.reshape([(j - 1.0) ** 2 for j in np.ravel(J).tolist()], np.shape(J))
+        return 0.5 * model.C * (i1 - 3.0) + model.D * vol[()]
     raise InvalidParameters("unknown material model %r" % (model,))
 
 
@@ -149,9 +167,9 @@ def piola_stress(model, F, pressure=0.0):
     F = np.asarray(F, dtype=float)
     J = _check_det(F)
     if isinstance(model, NeoHookeanIncompressible):
-        return model.C * F - pressure * cofactor(F)
+        return model.C * F - _per_matrix(pressure) * cofactor(F)
     if isinstance(model, NeoHookeanCompressible):
-        return model.C * F + 2.0 * model.D * (J - 1.0) * cofactor(F)
+        return model.C * F + _per_matrix(2.0 * model.D * (J - 1.0)) * cofactor(F)
     raise InvalidParameters("unknown material model %r" % (model,))
 
 

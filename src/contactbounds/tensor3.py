@@ -2,7 +2,8 @@
 
 Everything here is closed form. The matrices are tiny and appear in inner
 loops, so we avoid LAPACK round trips and keep results bit-reproducible
-across runs of the same interpreter.
+across runs of the same interpreter. det, cofactor and ddot also take a
+(..., 3, 3) stack and give, matrix by matrix, the floats of a single call.
 """
 
 import math
@@ -39,11 +40,9 @@ def as_mat3(m):
 
 def det(m):
     """Determinant by cofactor expansion along the first row."""
-    m = np.asarray(m, dtype=float)
-    return (
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
+    (m00, m10, m20), (m01, m11, m21), (m02, m12, m22) = np.asarray(m, dtype=float).T
+    return m00 * (m11 * m22 - m12 * m21) - m01 * (m10 * m22 - m12 * m20) + m02 * (
+        m10 * m21 - m11 * m20
     )
 
 
@@ -76,11 +75,20 @@ def inverse(m):
     return cofactor(m).T / d
 
 
+def _sum9(m):
+    """Sum of each trailing 3x3 block, shape m.shape[:-2].
+
+    Every block is summed as one contiguous run of 9, in numpy's pairwise
+    order; a strided axis would be summed sequentially instead.
+    """
+    m = np.ascontiguousarray(m)
+    return np.sum(m.reshape(-1, 9), axis=-1).reshape(m.shape[:-2])
+
+
 def ddot(a, b):
-    """Full contraction a : b = sum_ij a_ij b_ij."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return float(np.sum(a * b))
+    """Full contraction a : b = sum_ij a_ij b_ij, a float per matrix."""
+    s = _sum9(np.asarray(a, dtype=float) * np.asarray(b, dtype=float))
+    return float(s) if s.ndim == 0 else s
 
 
 def sym_eigenvalues(m):
