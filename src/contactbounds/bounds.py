@@ -314,7 +314,13 @@ def numeric_load_bounds(example, fixed_params):
     taus = np.linspace(b_lo, b_hi, COARSE_N)
     feas = [t for t in taus if _within_windows(t, windows, cap)]
     if not feas:
-        raise InfeasibleProblem("no feasible load in [%g, %g]" % (b_lo, b_hi))
+        # the scan can step over a narrow interval: seed both bisections
+        # from the middle of the windows' own intersection
+        lo_w = max(C * s - thr for C, s, thr in windows)
+        hi_w = min(cap, *(C * s + thr for C, s, thr in windows))
+        feas = [0.5 * (lo_w + hi_w)]
+        if not _within_windows(feas[0], windows, cap):
+            raise InfeasibleProblem("no feasible load in [%g, %g]" % (b_lo, b_hi))
     lo_out, lo_in = b_lo, feas[0]
     while lo_in - lo_out > BISECTION_TOL:
         mid = 0.5 * (lo_out + lo_in)

@@ -133,6 +133,14 @@ def _face_grid(axis, value, us, vs):
     return pts
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(order):
+    # one read-only copy per order, shared by every rule of that order
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Tensor-product Gauss-Legendre rule, exact through degree 2n-1 per axis."""
@@ -142,7 +150,7 @@ class QuadratureRule:
     def __post_init__(self):
         if not (isinstance(self.order, int) and 1 <= self.order <= 64):
             raise InvalidParameters("quadrature order must be an int in [1, 64]")
-        nodes, weights = np.polynomial.legendre.leggauss(self.order)
+        nodes, weights = _gauss_legendre(self.order)
         object.__setattr__(self, "_nodes", nodes)
         object.__setattr__(self, "_weights", weights)
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from contactbounds.errors import InfeasibleProblem, InvalidParameters
 from contactbounds.kinematics import Homogeneous, StretchBend, TriaxialStretch
@@ -269,6 +271,61 @@ def test_numeric_bounds_infeasible_when_closed_set_is_empty():
     fp = {"C1": 1.0, "C2": 1.0, "a1": 1.0, "a2": 1.0}
     with pytest.raises(InfeasibleProblem):
         numeric_load_bounds("compression", fp)
+
+
+# cohesive: the closed interval (3.8837, 4.1467) is narrower than one
+# step of the 129-point coarse scan, which steps over it
+SCAN_MISS = {"C1": 2.5536, "a1": 1.4818, "C2": 2.5165, "a2": 0.8515, "g": 4.9415}
+
+
+def test_numeric_bounds_survive_a_scan_miss():
+    b_lo, b_hi = search_bracket("cohesive", SCAN_MISS)
+    linkage = _linkage("cohesive", SCAN_MISS)
+    scan = np.linspace(b_lo, b_hi, 129)
+    assert not any(_feasible_closed(t, linkage, SCAN_MISS["g"]) for t in scan)
+    closed = load_interval_cohesive(**SCAN_MISS)
+    iv = numeric_load_bounds("cohesive", SCAN_MISS)
+    assert abs(iv.tau_lo - closed.tau_lo) <= 1e-6
+    assert abs(iv.tau_hi - closed.tau_hi) <= 1e-6
+    assert _feasible_closed(iv.tau_lo, linkage, SCAN_MISS["g"])
+    assert _feasible_closed(iv.tau_hi, linkage, SCAN_MISS["g"])
+
+
+CLOSED_FORMS = {
+    "compression": load_interval_compression,
+    "cohesive": load_interval_cohesive,
+    "bending": load_interval_bending,
+}
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(
+    example=st.sampled_from(sorted(CLOSED_FORMS)),
+    C1=st.floats(0.5, 3.0),
+    C2=st.floats(0.5, 3.0),
+    a1=st.floats(0.3, 2.0),
+    a2=st.floats(0.3, 2.0),
+    g=st.floats(0.05, 5.0),
+    A=st.floats(0.3, 2.0),
+    b1=st.floats(0.05, 3.0),
+)
+@example(example="cohesive", A=1.0, b1=1.0, **SCAN_MISS)
+def test_closed_form_and_bisection_agree(example, C1, C2, a1, a2, g, A, b1):
+    # both stretches range across 1, where the binding window changes
+    fp = {"C1": C1, "C2": C2, "a1": a1, "a2": a2}
+    if example == "cohesive":
+        fp["g"] = g
+    if example == "bending":
+        fp.update(A=A, b1=b1, b2=a1 + b1 - a2)
+    closed = CLOSED_FORMS[example](**fp)
+    try:
+        numeric = numeric_load_bounds(example, fp)
+    except InfeasibleProblem:
+        numeric = None
+    assert closed.empty == (numeric is None)
+    if numeric is not None:
+        assert abs(numeric.tau_lo - closed.tau_lo) <= 1e-6
+        assert abs(numeric.tau_hi - closed.tau_hi) <= 1e-6
 
 
 def test_numeric_bounds_open_regime_passthrough():

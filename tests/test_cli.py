@@ -454,6 +454,23 @@ def test_cohesive_stretch_above_one_agrees():
     assert code == 0, out
 
 
+def test_scan_miss_config_gets_a_numeric_interval():
+    # the closed interval (3.8837, 4.1467) is narrower than one coarse
+    # scan step; the bisection starts inside the windows' intersection
+    text = (
+        "[system]\nexample = cohesive\n[body1]\nC = 2.5536\na = 1.4818\n"
+        "[body2]\nC = 2.5165\na = 0.8515\n[contact]\ng = 4.9415\n"
+    )
+    config = cli.parse_config(text)
+    report = cli.run(config)
+    assert report.warnings == ()
+    assert abs(report.numeric.tau_lo - report.closed_form.tau_lo) <= 1e-6
+    assert abs(report.numeric.tau_hi - report.closed_form.tau_hi) <= 1e-6
+    assert "numeric: tau_lo=3.88370980" in cli.format_report(report)
+    code, out = cli.verify(config)
+    assert code == 0, out
+
+
 def test_sweep_across_unit_stretch_matches_bisection():
     config = cli.parse_config(COH_CFG)
     rows = cli.sweep(config, "a1", 0.8, 1.6, 9).splitlines()[1:]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from contactbounds.errors import ConstraintViolated, FamilyMismatch, InvalidParameters
-from contactbounds.kinematics import Box3, Homogeneous, StretchBend, TriaxialStretch
+from contactbounds.kinematics import Box3, Homogeneous, StretchBend, TriaxialStretch, placement
 from contactbounds.material import Constant, NeoHookeanIncompressible, RadialProfile
 from contactbounds.contact import (
     BodySpec,
@@ -19,6 +19,7 @@ from contactbounds.contact import (
     nominal_traction,
     solve_radial_pressure,
 )
+from contactbounds.tensor3 import det
 from contactbounds.states import (
     BOX1,
     BOX2,
@@ -328,3 +329,66 @@ def test_radial_pressure_argument_validation():
     bend = BodySpec(BOX1, NeoHookeanIncompressible(1.0), StretchBend(1.0, 1.0, 1.0))
     with pytest.raises(InvalidParameters):
         solve_radial_pressure(bend, 0.0, anchor="middle")
+
+
+def _face_samples(domain, axis, value):
+    # the 5 x 5 sample points of the face {axis = value}, one at a time
+    col = "xyz".index(axis)
+    spans = [(getattr(domain, c + "_lo"), getattr(domain, c + "_hi")) for c in "xyz" if c != axis]
+    for u in np.linspace(*spans[0], 5):
+        for v in np.linspace(*spans[1], 5):
+            X = [u, v]
+            X.insert(col, value)
+            yield np.array(X)
+
+
+def _pointwise_kinematic(system, data):
+    """check_kinematic's residuals from one placement() call per point."""
+    b1, b2 = system.body1, system.body2
+    worst = 0.0
+    for X in _face_samples(b2.domain, "x", b2.domain.x_hi):
+        d = placement(b2.map, X) - placement(data.map2, X)
+        worst = max(worst, float(np.max(np.abs(d))))
+    if isinstance(b1.map, StretchBend):
+        for body, dmap in ((b1, data.map1), (b2, data.map2)):
+            for zv in (body.domain.z_lo, body.domain.z_hi):
+                for X in _face_samples(body.domain, "z", zv):
+                    worst = max(worst, abs(placement(body.map, X)[2] - placement(dmap, X)[2]))
+            for yv in (body.domain.y_lo, body.domain.y_hi):
+                th = dmap.A * yv / math.sqrt(dmap.a)
+                n = np.array([-math.sin(th), math.cos(th), 0.0])
+                for X in _face_samples(body.domain, "y", yv):
+                    worst = max(worst, abs(float(placement(body.map, X) @ n)))
+    con = 0.0
+    for body in (b1, b2):
+        for x in np.linspace(body.domain.x_lo, body.domain.x_hi, 5):
+            con = max(con, abs(det(body.map.gradient(x)) - 1.0))
+    gap = max(0.0, gap_value(system) - system.d_allow)
+    return {"dirichlet": worst, "gap": gap, "constraint": con}
+
+
+_STRETCH = stretch_pair(1.0, 2.0, -0.25)
+_BEND = bend_pair(1.0, 1.4, 1.1, 0.9, 1.0, 3.4, -0.8)
+_BEND_TRIAL = replace_map1(_BEND, StretchBend(1.1, 0.95, _BEND.body1.map.b - 0.05))
+
+
+def _moved(m, **kw):
+    return dataclasses.replace(m, **kw)
+
+
+@pytest.mark.parametrize(
+    "system, data",
+    [
+        (_STRETCH, DirichletData(_STRETCH.body1.map, _STRETCH.body2.map)),
+        (_STRETCH, DirichletData(_STRETCH.body1.map, _moved(_STRETCH.body2.map, b=0.03))),
+        (_BEND, DirichletData(_BEND.body1.map, _BEND.body2.map)),
+        (_BEND_TRIAL, DirichletData(_BEND.body1.map, _BEND.body2.map)),
+        # moved data: the flank normals and axial placements both change
+        (_BEND, DirichletData(_moved(_BEND.body1.map, A=1.3), _moved(_BEND.body2.map, a=1.05))),
+    ],
+    ids=["stretch", "stretch-moved", "bend", "bend-trial", "bend-moved"],
+)
+def test_kinematic_residuals_equal_pointwise(system, data):
+    # every residual is the float of the point-by-point loop, not merely close
+    rep = check_kinematic(system, dirichlet=data)
+    assert rep.residuals == _pointwise_kinematic(system, data)

@@ -49,6 +49,17 @@ def test_rule_validation():
         QuadratureRule(2.5)
 
 
+def test_rule_nodes_computed_once_per_order_and_read_only():
+    a, b = QuadratureRule(5), QuadratureRule(5)
+    assert a._nodes is b._nodes and a._weights is b._weights
+    nodes, weights = np.polynomial.legendre.leggauss(5)
+    assert np.array_equal(a._nodes, nodes) and np.array_equal(a._weights, weights)
+    with pytest.raises(ValueError):
+        a._nodes[0] = 0.0
+    with pytest.raises(ValueError):
+        a._weights[0] = 0.0
+
+
 def test_rule_exact_through_degree_15():
     rule = QuadratureRule(8)
     xs, ws = rule.mapped(0.0, 1.0)

@@ -232,3 +232,60 @@ def test_family_methods_match_module_functions(m):
         assert r == pytest.approx(math.hypot(x_chi[0], x_chi[1]), rel=1e-15)
         assert np.array_equal(m.frame_place(X), [r, 0.0, x_chi[2]])
         assert np.array_equal(m.frame(r), deformation_gradient(m, X))
+
+
+STACK_MAPS = [
+    TriaxialStretch(0.81, 0.1),
+    StretchBend(1.1, 0.9, 1.3),
+    # off-diagonal F0: each component of F0 X is a 3-term dot
+    Homogeneous(
+        np.array([[1.1, 0.2, -0.1], [0.05, 0.95, 0.15], [-0.1, 0.1, 1.02]]),
+        t=(0.02, -0.01, 0.03),
+    ),
+]
+
+
+@pytest.mark.parametrize("m", STACK_MAPS, ids=["triaxial", "bend", "homogeneous"])
+def test_stacked_methods_equal_single_calls(m):
+    # a stacked call holds, point by point, the floats of single calls
+    X = np.random.default_rng(5).uniform(0.0, 1.0, (4, 6, 3)) * [0.5, 1.0, 1.0]
+    points = list(np.ndindex(X.shape[:-1]))
+    for name in ("place", "frame_place"):
+        stacked = getattr(m, name)(X)
+        assert stacked.shape == X.shape
+        for idx in points:
+            assert np.array_equal(stacked[idx], getattr(m, name)(X[idx]))
+    normal = m.normal_position(X)
+    assert all(normal[idx] == m.normal_position(X[idx]) for idx in points)
+    assert type(m.normal_position(X[0, 0])) is float
+    xs = X[..., 0]
+    F = m.gradient(xs)
+    assert all(np.array_equal(F[idx], m.gradient(float(xs[idx]))) for idx in points)
+    r = m.radius(xs)
+    if r is None:
+        assert m.radius(0.3) is None
+    else:
+        assert all(r[idx] == m.radius(float(xs[idx])) for idx in points)
+        assert type(m.radius(0.3)) is float
+
+
+def test_stacked_flank_dot_equals_pointwise_dot():
+    # (n . chi) on the bending flanks with n = (-sin th, cos th, 0): the
+    # stacked matmul gives np.dot's float at every point
+    m = StretchBend(1.1, 0.9, 1.3)
+    rng = np.random.default_rng(8)
+    X = rng.uniform(0.0, 1.0, (200, 3)) * [0.5, 1.0, 1.0]
+    X[:, 1] = rng.choice([0.0, 1.0, 0.37], 200)
+    th = 1.2 * X[:, 1] / math.sqrt(0.8)
+    n = np.stack([-np.sin(th), np.cos(th), np.zeros_like(th)], axis=-1)
+    stacked = (n[:, None, :] @ m.place(X)[..., None])[:, 0, 0]
+    for k in range(len(X)):
+        t = 1.2 * float(X[k, 1]) / math.sqrt(0.8)
+        nk = np.array([-math.sin(t), math.cos(t), 0.0])
+        assert stacked[k] == float(placement(m, X[k]) @ nk)
+
+
+def test_stacked_rho_names_the_first_low_abscissa():
+    m = StretchBend(1.0, 1.0, -0.3)
+    with pytest.raises(InvalidParameters, match="-1.000e-01 below minimum at X = 0.1$"):
+        m.rho(np.array([0.5, 0.1, 0.0]))

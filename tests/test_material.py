@@ -62,6 +62,33 @@ def test_strain_energy_rejects_negative_jacobian():
         strain_energy(NeoHookeanIncompressible(1.0), np.diag([-1.0, 1.0, 1.0]))
 
 
+@pytest.mark.parametrize(
+    "model", [NeoHookeanIncompressible(1.3), NeoHookeanCompressible(1.3, 2.5)]
+)
+def test_stacks_equal_single_calls(model):
+    rng = np.random.default_rng(4)
+    Fs = np.array([random_isochoric(rng) for _ in range(30)])
+    if isinstance(model, NeoHookeanCompressible):
+        Fs *= rng.uniform(0.9, 1.1, (30, 1, 1))  # volume changes too
+    ps = rng.uniform(-0.5, 0.5, 30)
+    W = strain_energy(model, Fs)
+    P = piola_stress(model, Fs, ps)
+    Wc = complementary_density(model, Fs, ps)
+    for F, p, w, Pk, wc in zip(Fs, ps, W, P, Wc):
+        assert w == strain_energy(model, F)
+        assert np.array_equal(Pk, piola_stress(model, F, p))
+        assert wc == complementary_density(model, F, p)
+
+
+def test_stack_check_names_the_first_failing_matrix():
+    model = NeoHookeanIncompressible(1.0)
+    I, J11, flip = np.eye(3), np.diag([1.1, 1.0, 1.0]), np.diag([-1.0, 1.0, 1.0])
+    with pytest.raises(ConstraintViolated, match="= 1.000e-01"):
+        strain_energy(model, np.array([I, J11, flip]))
+    with pytest.raises(NonPositiveJacobian, match="det F = -1$"):
+        strain_energy(model, np.array([I, flip, J11]))
+
+
 def test_compressible_penalty_term():
     model = NeoHookeanCompressible(2.0, 5.0)
     F = np.diag([1.1, 1.0, 1.0])

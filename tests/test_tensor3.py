@@ -64,6 +64,17 @@ def test_ddot_matches_componentwise_sum(a, b):
     assert ddot(a, b) == pytest.approx(float(np.sum(a * b)), abs=1e-9)
 
 
+def test_stacks_equal_single_matrix_calls():
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((40, 3, 3))
+    B = rng.standard_normal((40, 3, 3))
+    assert np.array_equal(det(A), [det(a) for a in A])
+    assert np.array_equal(ddot(A, B), [ddot(a, b) for a, b in zip(A, B)])
+    # one 9-term order for a single matrix and a stack: np.sum's
+    assert all(ddot(a, b) == float(np.sum(a * b)) for a, b in zip(A, B))
+    assert type(ddot(A[0], B[0])) is float
+
+
 def test_inverse_reconstructs_identity():
     rng = np.random.default_rng(7)
     for _ in range(50):
