@@ -141,12 +141,10 @@ def criteria_check(body, probe_count=200, seed=42):
         F, p = body.state(xs)
         return C * gg - p[:, None] * 2.0 * _sum9(cof * F[:, None])
 
-    # min(m, *q) is a running minimum in station then probe order: a NaN
-    # form is skipped
+    # min(m, *q) is a running minimum in station, probe order: NaN is skipped
     comp_min = min(math.inf, *forms(_x_samples(body, interior=False)).ravel().tolist())
     xs = _x_samples(body, interior=True)
-    # the bubble weight per station, with numpy's scalar power (an array
-    # square can differ in the last bit)
+    # bubble weights by numpy's scalar power: an array square can differ
     w = np.array([((x - lo) * (hi - x)) ** 2 for x in xs])
     primal_min = min(math.inf, *(w[:, None] * forms(xs)).ravel().tolist())
     return CriteriaResult(
@@ -317,8 +315,7 @@ def numeric_load_bounds(example, fixed_params):
         # the scan can step over a narrow interval: seed both bisections
         # from the middle of the windows' own intersection
         lo_w = max(C * s - thr for C, s, thr in windows)
-        hi_w = min(cap, *(C * s + thr for C, s, thr in windows))
-        feas = [0.5 * (lo_w + hi_w)]
+        feas = [0.5 * (lo_w + min(cap, *(C * s + thr for C, s, thr in windows)))]
         if not _within_windows(feas[0], windows, cap):
             raise InfeasibleProblem("no feasible load in [%g, %g]" % (b_lo, b_hi))
     lo_out, lo_in = b_lo, feas[0]

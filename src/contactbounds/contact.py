@@ -100,10 +100,9 @@ class BodySpec:
     def state(self, x):
         """(F, p) at the abscissa x: the map's gradient and the pressure.
 
-        An array of abscissae gives the stacks of both. The pressure is
-        evaluated at one Python float radius at a time: a RadialProfile's
-        powers on an array would differ in the last bit.
-        """
+        An array of abscissae gives stacks; the pressure is still evaluated
+        per Python float radius (a RadialProfile's powers on an array
+        would differ in the last bit)."""
         F, r = self.map.gradient(x), self.map.radius(x)
         if np.ndim(x) == 0:
             return F, pressure_at(self.pressure, r)

@@ -56,53 +56,40 @@ def _check_finite(v):
     return v
 
 
+def _axes(domain, rule):
+    # (nodes, weights) along x, y and z
+    return [rule.mapped(getattr(domain, c + "_lo"), getattr(domain, c + "_hi")) for c in "xyz"]
+
+
 def integrate_volume(fn, domain, rule=None):
     """Integral of fn(X) over the box by tensor-product quadrature."""
-    rule = rule or QuadratureRule()
-    xs, wx = rule.mapped(domain.x_lo, domain.x_hi)
-    ys, wy = rule.mapped(domain.y_lo, domain.y_hi)
-    zs, wz = rule.mapped(domain.z_lo, domain.z_hi)
-    total = 0.0
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            wxy = wx[i] * wy[j]
-            for k, z in enumerate(zs):
-                total += wxy * wz[k] * _check_finite(float(fn(np.array([x, y, z]))))
-    return total
+    (xs, wx), (ys, wy), (zs, wz) = _axes(domain, rule or QuadratureRule())
+    f = [[[_check_finite(float(fn(np.array([x, y, z])))) for z in zs] for y in ys] for x in xs]
+    return _node_sum(np.array(f), wx, wy, wz)
 
 
 def _x_integral(fn, domain, rule):
     """integrate_volume of fn(xs), an integrand of the abscissa alone
     evaluated on the array of x nodes: the same float sum."""
-    xs, wx = rule.mapped(domain.x_lo, domain.x_hi)
-    _, wy = rule.mapped(domain.y_lo, domain.y_hi)
-    _, wz = rule.mapped(domain.z_lo, domain.z_hi)
+    (xs, wx), (_, wy), (_, wz) = _axes(domain, rule)
     return _node_sum(np.reshape(_check_finite(fn(xs)), (-1, 1, 1)), wx, wy, wz)
-
-
-def _face_nodes(domain, axis, value, rule):
-    # the (nu, nv, 3) node grid of the face {axis = value} and its weights
-    (u_lo, u_hi), (v_lo, v_hi) = _face_spans(domain, axis)
-    us, wu = rule.mapped(u_lo, u_hi)
-    vs, wv = rule.mapped(v_lo, v_hi)
-    return _face_grid(axis, value, us, vs), wu, wv
 
 
 def integrate_face(fn, domain, axis, value, rule=None):
     """Integral of fn(X) over the face {axis = value} of the box."""
-    X, wu, wv = _face_nodes(domain, axis, value, rule or QuadratureRule())
-    total = 0.0
-    for i in range(len(wu)):
-        for j in range(len(wv)):
-            total += wu[i] * wv[j] * _check_finite(float(fn(X[i, j])))
-    return total
+    def at_each_node(X):
+        return np.array([[_check_finite(float(fn(P))) for P in row] for row in X])
+
+    return _face_integral(at_each_node, domain, axis, value, rule or QuadratureRule())
 
 
 def _face_integral(fn, domain, axis, value, rule):
-    """integrate_face of fn evaluated on the whole node grid at once:
-    the same float sum."""
-    X, wu, wv = _face_nodes(domain, axis, value, rule)
-    return _node_sum(_check_finite(fn(X)), wu, wv)
+    """integrate_face of fn evaluated on the whole (nu, nv, 3) node grid
+    at once: the same float sum."""
+    (u_lo, u_hi), (v_lo, v_hi) = _face_spans(domain, axis)
+    us, wu = rule.mapped(u_lo, u_hi)
+    vs, wv = rule.mapped(v_lo, v_hi)
+    return _node_sum(_check_finite(fn(_face_grid(axis, value, us, vs))), wu, wv)
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,9 @@ Each family carries its formulas as methods: gradient(x), place(X),
 radius(x) (None for the affine families), normal_position(X) (the image
 coordinate along the load, r for bending), frame_place(X), image_volume
 and stretch_max. The module functions check the family and delegate.
-gradient and radius also take an array of abscissae, and place,
-normal_position and frame_place an (..., 3) stack of points: one array
-holds, point by point, the floats of single calls, which return Python
-floats where the result is a scalar.
+gradient and radius also take an array of abscissae and the X methods an
+(..., 3) stack of points, giving point by point the floats of single
+calls (which return a scalar result as a Python float).
 """
 
 import functools
@@ -394,9 +393,8 @@ def image_volume(map_, domain):
 def _node_sum(f, *ws):
     """Tensor-product quadrature sum of the node values f.
 
-    Each term is ((w0[i] * w1[j]) * ...) * f[i, j, ...], f broadcasting
-    against the grid of the axis weights ws, and the terms are added in
-    node order from 0.0 (cumsum is sequential): the float a node loop gives.
+    Each term is ((w0[i] * w1[j]) * ...) * f[i, j, ...], added in node order
+    from 0.0 (cumsum is sequential): the float a node loop gives.
     """
     terms = functools.reduce(np.multiply.outer, ws) * f
     return np.cumsum(np.concatenate(([0.0], terms.ravel())))[-1]

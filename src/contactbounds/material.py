@@ -13,10 +13,9 @@ with the usual C F - p F^{-T} while staying polynomial in F. A weakly
 compressible variant replaces the constraint by a quadratic volumetric
 penalty; there the pressure argument is ignored.
 
-strain_energy, piola_stress and complementary_density also take a
-(..., 3, 3) stack of gradients (with a matching stack of pressures) and
-give, matrix by matrix, the floats of single calls; a check that fails
-names the first failing matrix.
+strain_energy, piola_stress and complementary_density also take a stack
+of gradients and pressures: matrix by matrix the floats of single calls,
+and a failed check names the first failing matrix.
 """
 
 import math

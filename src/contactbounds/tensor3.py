@@ -76,11 +76,8 @@ def inverse(m):
 
 
 def _sum9(m):
-    """Sum of each trailing 3x3 block, shape m.shape[:-2].
-
-    Every block is summed as one contiguous run of 9, in numpy's pairwise
-    order; a strided axis would be summed sequentially instead.
-    """
+    # sum of each trailing 3x3 block as one contiguous run of 9, in numpy's
+    # pairwise order (a strided axis would be summed sequentially)
     m = np.ascontiguousarray(m)
     return np.sum(m.reshape(-1, 9), axis=-1).reshape(m.shape[:-2])
 
