@@ -52,6 +52,9 @@ BISECTION_TOL = 1e-8
 #: loads in the coarse scan that seeds the bisection
 COARSE_N = 129
 
+#: stations x probes per block of criteria_check: a few MB of products and forms
+CRITERIA_BLOCK = 65536
+
 
 @dataclass(frozen=True)
 class LoadInterval:
@@ -134,19 +137,23 @@ def criteria_check(body, probe_count=200, seed=42):
     probes = _probes(rng, probe_count)
     C = body.material.C
     gg = _sum9(probes * probes)
-    cof = cofactor(probes)
+    cof = np.ascontiguousarray(cofactor(probes))  # products with it need no copy in _sum9
 
-    def forms(xs):
-        # material.hessian_quadratic_form for every station (row) and probe
+    def min_form(xs, w):
+        # min of w * material.hessian_quadratic_form over stations (rows) and
+        # probes, by blocks of stations; min(m, *q) runs in order, skipping NaN
         F, p = body.state(xs)
-        return C * gg - p[:, None] * 2.0 * _sum9(cof * F[:, None])
+        m, n = math.inf, max(1, CRITERIA_BLOCK // len(gg))
+        for i in range(0, len(xs), n):
+            q = C * gg - p[i : i + n, None] * 2.0 * _sum9(cof * F[i : i + n, None])
+            m = min(m, *(w[i : i + n, None] * q).ravel().tolist())
+        return m
 
-    # min(m, *q) is a running minimum in station, probe order: NaN is skipped
-    comp_min = min(math.inf, *forms(_x_samples(body, interior=False)).ravel().tolist())
+    edge = _x_samples(body, interior=False)
+    comp_min = min_form(edge, np.ones(len(edge)))  # x * 1.0 is x, NaN included
     xs = _x_samples(body, interior=True)
     # bubble weights by numpy's scalar power: an array square can differ
-    w = np.array([((x - lo) * (hi - x)) ** 2 for x in xs])
-    primal_min = min(math.inf, *(w[:, None] * forms(xs)).ravel().tolist())
+    primal_min = min_form(xs, np.array([((x - lo) * (hi - x)) ** 2 for x in xs]))
     return CriteriaResult(
         primal_ok=bool(primal_min > 0.0),
         complementary_ok=bool(comp_min > 0.0),

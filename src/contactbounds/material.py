@@ -128,11 +128,6 @@ def _check_det(F, constrained=False):
     return J
 
 
-def _per_matrix(v):
-    # a scalar per matrix, shaped to scale its (3, 3) block
-    return np.reshape(v, np.shape(v) + (1, 1))
-
-
 def strain_energy(model, F):
     """Stored energy density W(F)."""
     F = np.asarray(F, dtype=float)
@@ -166,9 +161,9 @@ def piola_stress(model, F, pressure=0.0):
     F = np.asarray(F, dtype=float)
     J = _check_det(F)
     if isinstance(model, NeoHookeanIncompressible):
-        return model.C * F - _per_matrix(pressure) * cofactor(F)
+        return model.C * F - np.asarray(pressure, dtype=float)[..., None, None] * cofactor(F)
     if isinstance(model, NeoHookeanCompressible):
-        return model.C * F + _per_matrix(2.0 * model.D * (J - 1.0)) * cofactor(F)
+        return model.C * F + np.asarray(2.0 * model.D * (J - 1.0))[..., None, None] * cofactor(F)
     raise InvalidParameters("unknown material model %r" % (model,))
 
 

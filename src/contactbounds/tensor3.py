@@ -41,9 +41,8 @@ def as_mat3(m):
 def det(m):
     """Determinant by cofactor expansion along the first row."""
     (m00, m10, m20), (m01, m11, m21), (m02, m12, m22) = np.asarray(m, dtype=float).T
-    return m00 * (m11 * m22 - m12 * m21) - m01 * (m10 * m22 - m12 * m20) + m02 * (
-        m10 * m21 - m11 * m20
-    )
+    return (m00 * (m11 * m22 - m12 * m21) - m01 * (m10 * m22 - m12 * m20)
+            + m02 * (m10 * m21 - m11 * m20))
 
 
 def cofactor(m):

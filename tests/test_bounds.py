@@ -16,6 +16,7 @@ from contactbounds.material import (
 )
 from contactbounds.contact import BodySpec
 from contactbounds.states import BOX1, BOX2, bend_pair, linked_bend_pair
+from contactbounds import bounds
 from contactbounds.bounds import (
     brute_force_oracle,
     criteria_check,
@@ -166,6 +167,14 @@ def test_criteria_equal_pointwise_forms(body, probe_count, seed):
     assert res.min_quadratic_value == comp
     assert res.complementary_ok is bool(comp > 0.0)
     assert res.primal_ok is bool(primal > 0.0)
+
+
+def test_criteria_station_blocks_give_the_same_result(monkeypatch):
+    # 56 probes: 4 stations per block of 250, the last block holds one
+    body = bend_pair(1.0, 1.4, 1.1, 0.9, 1.0, 3.4, -0.8).body1
+    whole = criteria_check(body, 50, 3)
+    monkeypatch.setattr(bounds, "CRITERIA_BLOCK", 250)
+    assert criteria_check(body, 50, 3) == whole
 
 
 def test_criteria_argument_validation():
