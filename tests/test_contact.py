@@ -370,21 +370,19 @@ def _pointwise_kinematic(system, data):
 _STRETCH = stretch_pair(1.0, 2.0, -0.25)
 _BEND = bend_pair(1.0, 1.4, 1.1, 0.9, 1.0, 3.4, -0.8)
 _BEND_TRIAL = replace_map1(_BEND, StretchBend(1.1, 0.95, _BEND.body1.map.b - 0.05))
-
-
-def _moved(m, **kw):
-    return dataclasses.replace(m, **kw)
+_S1, _S2 = _STRETCH.body1.map, _STRETCH.body2.map
+_B1, _B2 = _BEND.body1.map, _BEND.body2.map
 
 
 @pytest.mark.parametrize(
     "system, data",
     [
-        (_STRETCH, DirichletData(_STRETCH.body1.map, _STRETCH.body2.map)),
-        (_STRETCH, DirichletData(_STRETCH.body1.map, _moved(_STRETCH.body2.map, b=0.03))),
-        (_BEND, DirichletData(_BEND.body1.map, _BEND.body2.map)),
-        (_BEND_TRIAL, DirichletData(_BEND.body1.map, _BEND.body2.map)),
+        (_STRETCH, DirichletData(_S1, _S2)),
+        (_STRETCH, DirichletData(_S1, TriaxialStretch(_S2.a, 0.03))),
+        (_BEND, DirichletData(_B1, _B2)),
+        (_BEND_TRIAL, DirichletData(_B1, _B2)),
         # moved data: the flank normals and axial placements both change
-        (_BEND, DirichletData(_moved(_BEND.body1.map, A=1.3), _moved(_BEND.body2.map, a=1.05))),
+        (_BEND, DirichletData(StretchBend(1.3, _B1.a, _B1.b), StretchBend(_B2.A, 1.05, _B2.b))),
     ],
     ids=["stretch", "stretch-moved", "bend", "bend-trial", "bend-moved"],
 )
