@@ -12,8 +12,10 @@ Closed-form intervals implement the per-family formulas: the triaxial
 window is C sqrt(a) (transverse pairs) for a <= 1 and C / a (axial pair,
 the largest stretch) above 1; bending takes its largest stretch.
 numeric_load_bounds reproduces them by bisection on the feasibility
-predicate; brute_force_oracle does so by brute scan, deriving the window
-from sampled principal stretches rather than from any formula here.
+predicate; brute_force_oracle does so by brute scan. Both take a body's
+window as C / lambda_max, with lambda_max the largest principal stretch
+sampled across the body (65 stations when bending), not from any formula
+here.
 
 The open-contact regime carries the load through the contact face alone,
 which pins tau to 0 (or the cohesive cap g); it is reported as a
@@ -219,70 +221,44 @@ def load_interval_bending(C1, C2, A, a1, a2, b1, b2, contact_closed=True):
 
 
 def _linkage(example, fp):
-    """Per-body (C, normal stretch factor, window threshold) data."""
+    """Per body (C, normal stretch factor s, largest sampled stretch lam)."""
     if example in ("compression", "cohesive"):
         out = []
         for C, a in ((fp["C1"], fp["a1"]), (fp["C2"], fp["a2"])):
             _check_positive(C=C, a=a)
-            stretches = [(a, 1.0 / math.sqrt(a), 1.0 / math.sqrt(a))]
-            out.append((C, a**2, stretches))
+            out.append((C, a**2, max(a, 1.0 / math.sqrt(a))))
         return out
     if example == "bending":
-        A = fp["A"]
-        b1 = fp["b1"]
+        A, b1 = fp["A"], fp["b1"]
         _check_positive(A=A)
         if b1 < R_MIN**2:
             raise InvalidParameters("b1 = %r below minimum" % (b1,))
         rho_c = fp["a1"] + b1
-        b2 = fp.get("b2")
-        if b2 is None:
-            b2 = rho_c - fp["a2"]
-        bs = (b1, b2)
+        b2 = rho_c - fp["a2"] if fp.get("b2") is None else fp["b2"]
         out = []
-        for C, a, b, x_lo in (
-            (fp["C1"], fp["a1"], bs[0], 0.0),
-            (fp["C2"], fp["a2"], bs[1], 0.5),
-        ):
+        for C, a, b, x_lo in ((fp["C1"], fp["a1"], b1, 0.0), (fp["C2"], fp["a2"], b2, 0.5)):
             _check_positive(C=C, a=a)
-            stretches = []
-            for x in np.linspace(x_lo, x_lo + 0.5, 65):
-                rho = 2.0 * a * x + b
-                if rho <= 0.0:
-                    raise InvalidParameters("nonpositive radius in body")
-                r = math.sqrt(rho)
-                sa = math.sqrt(a)
-                stretches.append((a / r, A * r / sa, 1.0 / (A * sa)))
-            out.append((C, a**2 / rho_c, stretches))
+            # principal stretches a / r, A r / sqrt(a) and 1 / (A sqrt(a))
+            # at 65 stations across the body
+            rho = 2.0 * a * np.linspace(x_lo, x_lo + 0.5, 65) + b
+            if not np.all(rho > 0.0):  # a NaN radius too
+                raise InvalidParameters("nonpositive radius in body")
+            r, sa = np.sqrt(rho), math.sqrt(a)
+            lam = max(float(np.max(a / r)), float(np.max(A * r / sa)), 1.0 / (A * sa))
+            out.append((C, a**2 / rho_c, lam))
         return out
     raise InvalidParameters("unknown example %r" % (example,))
 
 
-def _window_threshold(C, stretches):
-    # smallest pair threshold C / lambda_k over all stations and planes
-    worst = math.inf
-    for f in stretches:
-        for k in range(3):
-            worst = min(worst, C / f[k])
-    return worst
-
-
-def _windows(linkage):
-    # per body (C, s, window threshold): the thresholds do not depend on tau
-    return [(C, s, _window_threshold(C, stretches)) for C, s, stretches in linkage]
-
-
-def _within_windows(tau, windows, cap):
+def _feasible_closed(tau, linkage, cap):
+    # the window |C s - tau| < C / lam of every body; C / lam is the least
+    # of the thresholds C / lambda_k, as division rounds monotonically
     if not tau <= cap:  # unlike tau > cap, this rejects a NaN load
         return False
-    for C, s, threshold in windows:
-        p = C * s - tau
-        if abs(p) >= threshold:
+    for C, s, lam in linkage:
+        if abs(C * s - tau) >= C / lam:
             return False
     return True
-
-
-def _feasible_closed(tau, linkage, cap):
-    return _within_windows(tau, _windows(linkage), cap)
 
 
 def _cap(example, fp):
@@ -290,23 +266,40 @@ def _cap(example, fp):
     return fp.get("g", 0.0) if example == "cohesive" else 0.0
 
 
+def _bracket(linkage, cap):
+    # |tau| <= C s + C lam on any feasible load, so a cohesive cap above
+    # span cuts off nothing and must not stretch the bracket
+    span = max(C * s + C * lam for C, s, lam in linkage)
+    return -2.0 * span - 1.0, min(cap, span) + 2.0 * span + 1.0
+
+
 def search_bracket(example, fixed_params):
     """Load bracket guaranteed to contain every feasible load."""
-    fp = fixed_params
-    cap = _cap(example, fp)
-    linkage = _linkage(example, fp)
-    # |tau| <= C s + C lambda_max on any feasible load, so a cohesive cap
-    # above span cuts off nothing and must not stretch the bracket
-    span = max(C * s + C * max(max(f) for f in st) for C, s, st in linkage)
-    return -2.0 * span - 1.0, min(cap, span) + 2.0 * span + 1.0
+    return _bracket(_linkage(example, fixed_params), _cap(example, fixed_params))
+
+
+def _bisect(inside, outside, linkage, cap):
+    # halve between a feasible and an infeasible load until the two are
+    # BISECTION_TOL apart or no float lies between them; the feasible end
+    while abs(outside - inside) > BISECTION_TOL:
+        mid = 0.5 * (inside + outside)
+        if mid == inside or mid == outside:
+            break
+        if _feasible_closed(mid, linkage, cap):
+            inside = mid
+        else:
+            outside = mid
+    return inside
 
 
 def numeric_load_bounds(example, fixed_params):
     """Bisect the feasibility predicate for the load interval endpoints.
 
     Returns the feasible side of each final bracket, so both endpoints
-    are accepted loads within BISECTION_TOL of the closed forms. Raises
-    InfeasibleProblem when no load in the bracket is feasible.
+    are accepted loads within BISECTION_TOL of the closed forms, or as
+    close as the float spacing at their size allows. Raises
+    InfeasibleProblem when no load in the bracket is feasible and
+    OverflowError when the bracket is not finite.
     """
     fp = fixed_params
     cap = _cap(example, fp)
@@ -314,33 +307,22 @@ def numeric_load_bounds(example, fixed_params):
         _check_positive(g=cap)
     if not fp.get("contact_closed", True):
         return LoadInterval(cap, cap, "open", False)
-    windows = _windows(_linkage(example, fp))
-    b_lo, b_hi = search_bracket(example, fp)
+    linkage = _linkage(example, fp)
+    b_lo, b_hi = _bracket(linkage, cap)
     taus = np.linspace(b_lo, b_hi, COARSE_N)
-    feas = [t for t in taus if _within_windows(t, windows, cap)]
+    feas = [t for t in taus if _feasible_closed(t, linkage, cap)]
     if not feas:
         # the scan can step over a narrow interval: seed both bisections
         # from the middle of the windows' own intersection
-        lo_w = max(C * s - thr for C, s, thr in windows)
-        feas = [0.5 * (lo_w + min(cap, *(C * s + thr for C, s, thr in windows)))]
-        if not _within_windows(feas[0], windows, cap):
+        lo_w = max(C * s - C / lam for C, s, lam in linkage)
+        feas = [0.5 * (lo_w + min(cap, *(C * s + C / lam for C, s, lam in linkage)))]
+        if not _feasible_closed(feas[0], linkage, cap):
             raise InfeasibleProblem("no feasible load in [%g, %g]" % (b_lo, b_hi))
-    lo_out, lo_in = b_lo, feas[0]
-    while lo_in - lo_out > BISECTION_TOL:
-        mid = 0.5 * (lo_out + lo_in)
-        if _within_windows(mid, windows, cap):
-            lo_in = mid
-        else:
-            lo_out = mid
-    hi_in, hi_out = feas[-1], b_hi
-    while hi_out - hi_in > BISECTION_TOL:
-        mid = 0.5 * (hi_in + hi_out)
-        if _within_windows(mid, windows, cap):
-            hi_in = mid
-        else:
-            hi_out = mid
+    if not (math.isfinite(b_lo) and math.isfinite(b_hi)):
+        raise OverflowError("load bracket [%g, %g] overflows" % (b_lo, b_hi))
     # the feasible-side ends: every reported load passes the predicate
-    return LoadInterval(lo_in, hi_in, "closed", False)
+    lo = _bisect(feas[0], b_lo, linkage, cap)
+    return LoadInterval(lo, _bisect(feas[-1], b_hi, linkage, cap), "closed", False)
 
 
 def brute_force_oracle(example, fixed_params, grid_n=1000):
@@ -356,12 +338,11 @@ def brute_force_oracle(example, fixed_params, grid_n=1000):
     fp = fixed_params
     cap = _cap(example, fp)
     linkage = _linkage(example, fp)
-    b_lo, b_hi = search_bracket(example, fp)
+    b_lo, b_hi = _bracket(linkage, cap)
     taus = np.linspace(b_lo, b_hi, grid_n + 1)
     ok = taus <= cap
-    for C, s, stretches in linkage:
-        thr = _window_threshold(C, stretches)
-        ok &= np.abs(C * s - taus) < thr
+    for C, s, lam in linkage:
+        ok &= np.abs(C * s - taus) < C / lam
     if fp.get("contact_closed", True) and np.any(ok):
         acc = taus[ok]
         return LoadInterval(float(acc[0]), float(acc[-1]), "closed", False)

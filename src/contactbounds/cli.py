@@ -226,17 +226,7 @@ def parse_config(text):
     grid_n = _take_number(raw, "numerics", "grid_n", 1000, int)
     probe_count = _take_number(raw, "numerics", "probe_count", 200, int)
     seed = _take_number(raw, "numerics", "seed", 42, int)
-    if not 1 <= quad_order <= 64:
-        raise ValidationError("[numerics] quad_order must be in [1, 64]")
-    # the upper bounds keep the oracle's load grid and the criteria's
-    # probe arrays (9 floats per probe) to a few megabytes
-    if not 2 <= grid_n <= 1_000_000:
-        raise ValidationError("[numerics] grid_n must be in [2, 1000000]")
-    if not 1 <= probe_count <= 100_000:
-        raise ValidationError("[numerics] probe_count must be in [1, 100000]")
-    if seed < 0:
-        raise ValidationError("[numerics] seed must be >= 0")
-    return ProblemConfig(
+    return _check_numerics(ProblemConfig(
         example=example,
         body1=bodies[0],
         body2=bodies[1],
@@ -248,7 +238,22 @@ def parse_config(text):
         grid_n=grid_n,
         probe_count=probe_count,
         seed=seed,
-    )
+    ))
+
+
+def _check_numerics(config):
+    """Check the [numerics] fields of a config and return it."""
+    if not 1 <= config.quad_order <= 64:
+        raise ValidationError("[numerics] quad_order must be in [1, 64]")
+    # the upper bounds keep the oracle's load grid and the criteria's
+    # probe arrays (9 floats per probe) to a few megabytes
+    if not 2 <= config.grid_n <= 1_000_000:
+        raise ValidationError("[numerics] grid_n must be in [2, 1000000]")
+    if not 1 <= config.probe_count <= 100_000:
+        raise ValidationError("[numerics] probe_count must be in [1, 100000]")
+    if config.seed < 0:
+        raise ValidationError("[numerics] seed must be >= 0")
+    return config
 
 
 def serialize_config(config):
@@ -547,7 +552,7 @@ def sweep(config, param, lo, hi, steps):
         cfg = _with_param(config, param, float(v))
         try:
             rows.append(_csv_row(_f(v), _closed_form(cfg)) + ",")
-        except (ContactBoundsError, OverflowError) as e:
+        except (ContactBoundsError, ArithmeticError) as e:
             rows.append('%s,,,,,"%s"' % (_f(v), e))
     return "\n".join(rows) + "\n"
 
@@ -760,9 +765,8 @@ def main(argv=None):
             config = parse_config(text)
             flags = ("seed", "quad_order", "grid_n")
             given = {f: getattr(args, f) for f in flags if getattr(args, f) is not None}
-            if given:  # revalidate the overridden config
-                config = dataclasses.replace(config, **given)
-                config = parse_config(serialize_config(config))
+            if given:
+                config = _check_numerics(dataclasses.replace(config, **given))
             if args.command == "run":
                 report = run(config)
                 _emit(FORMATS[args.format](report), args.output)
@@ -783,7 +787,7 @@ def main(argv=None):
     except (ParseError, ValidationError, InvalidParameters, OutOfDomain, FamilyMismatch) as e:
         sys.stderr.write("error: %s\n" % e)
         return 2
-    except (ContactBoundsError, OverflowError) as e:
+    except (ContactBoundsError, ArithmeticError) as e:
         sys.stderr.write("numerical failure: %s\n" % e)
         return 3
 

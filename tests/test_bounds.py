@@ -1,5 +1,8 @@
 import dataclasses
+import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -335,6 +338,82 @@ def test_closed_form_and_bisection_agree(example, C1, C2, a1, a2, g, A, b1):
     if numeric is not None:
         assert abs(numeric.tau_lo - closed.tau_lo) <= 1e-6
         assert abs(numeric.tau_hi - closed.tau_hi) <= 1e-6
+
+
+def _per_station_threshold(example, fp, body):
+    # reference, one station at a time: the least C / lambda_k over the
+    # three principal stretches at each sampled station
+    C, a = fp["C%d" % body], fp["a%d" % body]
+    if example != "bending":
+        stations = [(a, 1.0 / math.sqrt(a), 1.0 / math.sqrt(a))]
+    else:
+        A, b = fp["A"], fp["b%d" % body]
+        x_lo = 0.0 if body == 1 else 0.5
+        stations = []
+        for x in np.linspace(x_lo, x_lo + 0.5, 65):
+            r, sa = math.sqrt(2.0 * a * x + b), math.sqrt(a)
+            stations.append((a / r, A * r / sa, 1.0 / (A * sa)))
+    worst = math.inf
+    for f in stations:
+        for k in range(3):
+            worst = min(worst, C / f[k])
+    return worst
+
+
+def test_window_is_the_least_per_station_threshold():
+    rng = np.random.default_rng(8)
+    for n in range(2000):
+        example = ("compression", "bending")[n % 2]
+        C1, C2, a1, a2, A, b1 = (float(v) for v in rng.uniform(
+            [0.5, 0.5, 0.3, 0.3, 0.3, 0.05], [3.0, 3.0, 2.0, 2.0, 2.0, 3.0]))
+        fp = {"C1": C1, "C2": C2, "a1": a1, "a2": a2, "A": A, "b1": b1, "b2": a1 + b1 - a2}
+        for body, (C, s, lam) in enumerate(_linkage(example, fp), start=1):
+            assert C / lam == _per_station_threshold(example, fp, body)
+
+
+def test_bisection_ends_where_the_floats_run_out():
+    # above |tau| ~ 7e7 the float spacing exceeds BISECTION_TOL, and at
+    # C = 1e308 the bracket overflows; a subprocess turns a hang into a
+    # failure
+    cases = []
+    for C in (1e9, 3e9, 1e12):
+        cases += [
+            ("compression", {"C1": C, "C2": C, "a1": 0.9, "a2": 0.9}),
+            ("cohesive", {"C1": C, "C2": C, "a1": 0.9, "a2": 0.9, "g": 0.6 * C}),
+            ("bending", {"C1": C, "C2": C, "a1": 1.0, "a2": 1.0, "A": 1.0,
+                         "b1": 1.0, "b2": 1.0}),
+        ]
+    cases.append(("compression", {"C1": 1e308, "C2": 1.0, "a1": 0.9, "a2": 0.9}))
+    script = (
+        "import json, sys\n"
+        "from contactbounds.bounds import numeric_load_bounds\n"
+        "out = []\n"
+        "for example, fp in json.load(sys.stdin):\n"
+        "    try:\n"
+        "        iv = numeric_load_bounds(example, fp)\n"
+        "        out.append([float(iv.tau_lo), float(iv.tau_hi)])\n"
+        "    except OverflowError as e:\n"
+        "        out.append(str(e))\n"
+        "print(json.dumps(out))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], input=json.dumps(cases),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    assert results.pop() == "load bracket [-inf, inf] overflows"
+    for (example, fp), (lo, hi) in zip(cases, results):
+        closed = CLOSED_FORMS[example](**fp)
+        # a few units in the last place of the closed form's own rounding
+        assert abs(lo - closed.tau_lo) <= max(1e-6, 1e-14 * abs(closed.tau_lo))
+        assert abs(hi - closed.tau_hi) <= max(1e-6, 1e-14 * abs(closed.tau_hi))
+        assert _feasible_closed(lo, _linkage(example, fp), fp.get("g", 0.0))
+
+
+def test_linkage_rejects_a_nan_radius():
+    fp = {"C1": 1.0, "C2": 1.0, "A": 1.0, "a1": 1.0, "a2": 1.0, "b1": 1.0, "b2": math.nan}
+    for solve in (search_bracket, numeric_load_bounds, brute_force_oracle):
+        with pytest.raises(InvalidParameters, match="nonpositive radius"):
+            solve("bending", fp)
 
 
 def test_numeric_bounds_open_regime_passthrough():

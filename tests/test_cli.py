@@ -1,11 +1,16 @@
+import contextlib
 import dataclasses
+import io
 import json
+import signal
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from contactbounds import cli
+from contactbounds import bounds, cli
 from contactbounds.errors import (
     ContactBoundsError,
     InfeasibleProblem,
@@ -770,3 +775,163 @@ def test_package_runs_without_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "0", "0"]
+
+
+@pytest.mark.parametrize(
+    "text", [COMP_CFG, COH_CFG, BEND_CFG], ids=["compression", "cohesive", "bending"]
+)
+def test_each_interval_builds_the_linkage_once(monkeypatch, text):
+    # run(): the bisection, the oracle and the agreement bracket;
+    # verify(): two runs and its own agreement bracket
+    calls = []
+    real_linkage = bounds._linkage
+
+    def counted_linkage(*args):
+        calls.append(args[0])
+        return real_linkage(*args)
+
+    monkeypatch.setattr(bounds, "_linkage", counted_linkage)
+    config = cli.parse_config(text)
+    cli.run(config)
+    assert len(calls) == 3
+    del calls[:]
+    assert cli.verify(config)[0] == 0
+    assert len(calls) == 7
+
+
+def test_main_overrides_parse_the_config_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    real_parse = cli.parse_config
+    monkeypatch.setattr(cli, "parse_config", lambda text: calls.append(text) or real_parse(text))
+    cfg_path = tmp_path / "case.cfg"
+    cfg_path.write_text(COMP_CFG)
+    assert cli.main(["run", "--config", str(cfg_path), "--seed", "3", "--grid-n", "50"]) == 0
+    assert calls == [COMP_CFG]
+
+
+HUGE_MODULUS_CFG = COMP_CFG.replace("C = 1.0\na = 0.81", "C = 1e9\na = 0.9").replace(
+    "[load]\ntau = -0.3\n", ""
+)
+
+
+@pytest.mark.parametrize(
+    "text, code, stdout_end",
+    [
+        # the bisection's ends are about 1e8, where floats lie 1.5e-8 apart
+        (HUGE_MODULUS_CFG, 0, "oracle,-134214663.88,0,false,closed\n"),
+        # the load bracket overflows to (-inf, inf)
+        (HUGE_MODULUS_CFG.replace("C = 1e9", "C = 1e308", 1).replace("C = 1e9", "C = 1"), 3, ""),
+    ],
+    ids=["C=1e9", "C1=1e308"],
+)
+def test_main_run_ends_on_huge_moduli(tmp_path, text, code, stdout_end):
+    # a subprocess with a timeout turns a hang into a failure
+    cfg_path = tmp_path / "case.cfg"
+    cfg_path.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "contactbounds.cli", "run",
+         "--config", str(cfg_path), "--format", "csv"],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.endswith(stdout_end)
+    if code == 0:
+        rows = {r.split(",")[0]: r.split(",")[1:3] for r in proc.stdout.splitlines()}
+        for closed, numeric in zip(rows["closed_form"], rows["numeric"]):
+            assert abs(float(numeric) - float(closed)) <= 1e-6
+    else:
+        assert proc.stderr == "numerical failure: load bracket [-inf, inf] overflows\n"
+
+
+# A * sqrt(a1) underflows to 0, so 1 / (A sqrt(a1)) divides by zero
+UNDERFLOW_CFG = BEND_CFG.replace("A = 1.0", "A = 1e-200").replace(
+    "a = 1.0\nb = 1.0", "a = 1e-250\nb = 1.0"
+)
+
+
+def test_main_reports_an_underflow_as_a_numerical_failure(tmp_path, capsys):
+    cfg_path = tmp_path / "case.cfg"
+    cfg_path.write_text(UNDERFLOW_CFG)
+    for command in ("run", "verify"):
+        assert cli.main([command, "--config", str(cfg_path)]) == 3
+        assert capsys.readouterr().err == "numerical failure: float division by zero\n"
+    argv = ["sweep", "--config", str(cfg_path), "--param", "A", "--range", "1e-200:2e-200:3"]
+    assert cli.main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1:] == [
+        '%s,,,,,"float division by zero"' % v for v in ("1e-200", "1.5e-200", "2e-200")
+    ]
+
+
+# a valid config of each example, as (section, key) -> value
+FUZZ_BASE = {
+    "compression": {("body1", "C"): "1.0", ("body1", "a"): "0.9",
+                    ("body2", "C"): "2.0", ("body2", "a"): "0.8"},
+}
+FUZZ_BASE["cohesive"] = {**FUZZ_BASE["compression"], ("contact", "g"): "0.5"}
+FUZZ_BASE["bending"] = {**FUZZ_BASE["compression"], ("system", "A"): "1.0", ("body1", "b"): "1.0"}
+FUZZ_KEYS = sorted(FUZZ_BASE["bending"]) + [("body2", "b"), ("contact", "g"), ("load", "tau")]
+# values at the edges of every parser check and of the float range, and
+# ordinary ones; an edit to None leaves the key out
+FUZZ_VALUES = ("1e9", "1e308", "1e-200", "5e-324", "nan", "inf", "-1", "abc", "0.5", "1.2")
+
+
+class _Hang(Exception):
+    pass
+
+
+def _main_within(argv, seconds):
+    def interrupt(signum, frame):
+        raise _Hang("no exit within %g s: %s" % (seconds, argv))
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    example=st.sampled_from(cli.EXAMPLES),
+    edits=st.dictionaries(
+        st.sampled_from(FUZZ_KEYS), st.none() | st.sampled_from(FUZZ_VALUES), max_size=4
+    ),
+    param=st.sampled_from(("a1", "C2", "A", "g")),
+    with_verify=st.integers(0, 4),
+)
+# the bisection once ran forever on the first two, and an underflow in
+# 1 / (A sqrt(a1)) escaped as a traceback on the third
+@example("compression", {("body1", "C"): "1e9", ("body2", "C"): "1e9"}, "a1", 0)
+@example("cohesive", {("body1", "C"): "1e308"}, "g", 0)
+@example("bending", {("system", "A"): "1e-200", ("body1", "a"): "5e-324"}, "A", 0)
+def test_main_fuzz_ends_with_a_message_not_a_traceback(
+    tmp_path_factory, example, edits, param, with_verify
+):
+    sections = {"system": ["example = %s" % example]}
+    for (section, key), value in sorted({**FUZZ_BASE[example], **edits}.items()):
+        if value is not None:
+            sections.setdefault(section, []).append("%s = %s" % (key, value))
+    text = "".join("[%s]\n%s\n" % (s, "\n".join(lines)) for s, lines in sections.items())
+    cfg_path = tmp_path_factory.mktemp("fuzz") / "case.cfg"
+    cfg_path.write_text(text)
+    commands = [
+        ["run", "--format", "csv"],
+        ["sweep", "--param", param, "--range", "0.5:1.5:3"],
+    ] + [["verify"]] * (with_verify == 0)
+    for command in commands:
+        argv = [command[0], "--config", str(cfg_path)] + command[1:]
+        code, out, err = _main_within(argv, 10.0)
+        if code == 1:  # a failed verify check, reported on stdout
+            assert command == ["verify"] and "\nFAIL " in out, (text, err)
+        else:
+            assert code in (0, 2, 3), (text, argv, code)
+        if code in (2, 3):
+            assert err.startswith(("error: ", "numerical failure: ")), (text, err)
+        else:
+            assert err == "", (text, err)
