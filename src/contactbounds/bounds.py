@@ -30,7 +30,7 @@ import numpy as np
 from .errors import InfeasibleProblem, InvalidParameters
 from .kinematics import R_MIN, TriaxialStretch
 from .material import NeoHookeanIncompressible
-from .tensor3 import _sum9, cofactor
+from .tensor3 import _cpow, _sum9, cofactor
 
 __all__ = [
     "LoadInterval",
@@ -154,8 +154,7 @@ def criteria_check(body, probe_count=200, seed=42):
     edge = _x_samples(body, interior=False)
     comp_min = min_form(edge, np.ones(len(edge)))  # x * 1.0 is x, NaN included
     xs = _x_samples(body, interior=True)
-    # bubble weights by numpy's scalar power: an array square can differ
-    primal_min = min_form(xs, np.array([((x - lo) * (hi - x)) ** 2 for x in xs]))
+    primal_min = min_form(xs, _cpow((xs - lo) * (hi - xs), 2))
     return CriteriaResult(
         primal_ok=bool(primal_min > 0.0),
         complementary_ok=bool(comp_min > 0.0),

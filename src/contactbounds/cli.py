@@ -173,7 +173,9 @@ def _take_number(raw, section, key, default=None, kind=float):
 
 
 def parse_config(text):
-    """Parse config text into a ProblemConfig, validating every field."""
+    """Parse config text into a ProblemConfig, validating every field.
+
+    A key the text leaves out keeps the dataclass default."""
     raw = _parse_sections(text)
     item = raw.get("system", {}).get("example")
     if item is None:
@@ -193,14 +195,11 @@ def parse_config(text):
             raise ValidationError("[%s] C must be positive" % sec)
         if not (math.isfinite(a) and a > 0.0):
             raise ValidationError("[%s] a must be positive" % sec)
-        bodies.append(
-            BodyConfig(
-                C=C,
-                a=a,
-                b=_take_number(raw, sec, "b"),
-                pressure=_take_number(raw, sec, "pressure"),
-            )
-        )
+        given = {k: _take_number(raw, sec, k) for k in ("b", "pressure")}
+        for k, v in given.items():
+            if v is not None and not math.isfinite(v):
+                raise ValidationError("[%s] %s must be finite" % (sec, k))
+        bodies.append(BodyConfig(C=C, a=a, **given))
     A = _take_number(raw, "system", "A")
     if example == "bending":
         if A is None:
@@ -211,33 +210,25 @@ def parse_config(text):
             raise ValidationError("bending requires [body1] b")
     elif A is not None:
         raise ValidationError("[system] A only applies to the bending example")
-    d_allow = _take_number(raw, "contact", "d_allow", 0.0)
-    g = _take_number(raw, "contact", "g", 0.0)
+    d_allow = _take_number(raw, "contact", "d_allow", ProblemConfig.d_allow)
+    g = _take_number(raw, "contact", "g", ProblemConfig.g)
     if not (math.isfinite(d_allow) and d_allow >= 0.0):
         raise ValidationError("[contact] d_allow must be >= 0")
     if not (math.isfinite(g) and g >= 0.0):
         raise ValidationError("[contact] g must be >= 0")
     if example == "cohesive" and g <= 0.0:
         raise ValidationError("cohesive example requires [contact] g > 0")
+    if example != "cohesive" and g > 0.0:
+        raise ValidationError("[contact] g only applies to the cohesive example")
     tau = _take_number(raw, "load", "tau")
     if tau is not None and not math.isfinite(tau):
         raise ValidationError("[load] tau must be finite")
-    quad_order = _take_number(raw, "numerics", "quad_order", 8, int)
-    grid_n = _take_number(raw, "numerics", "grid_n", 1000, int)
-    probe_count = _take_number(raw, "numerics", "probe_count", 200, int)
-    seed = _take_number(raw, "numerics", "seed", 42, int)
+    numerics = {
+        k: _take_number(raw, "numerics", k, getattr(ProblemConfig, k), int)
+        for k in SECTIONS["numerics"]
+    }
     return _check_numerics(ProblemConfig(
-        example=example,
-        body1=bodies[0],
-        body2=bodies[1],
-        A=A,
-        d_allow=d_allow,
-        g=g,
-        tau=tau,
-        quad_order=quad_order,
-        grid_n=grid_n,
-        probe_count=probe_count,
-        seed=seed,
+        example, bodies[0], bodies[1], A=A, d_allow=d_allow, g=g, tau=tau, **numerics
     ))
 
 
@@ -258,28 +249,13 @@ def _check_numerics(config):
 
 def serialize_config(config):
     """Canonical config text; parse(serialize(c)) == c."""
-    out = ["[system]", "example = %s" % config.example]
-    if config.A is not None:
-        out.append("A = %r" % config.A)
-    for name, body in (("body1", config.body1), ("body2", config.body2)):
-        out.append("[%s]" % name)
-        out.append("C = %r" % body.C)
-        out.append("a = %r" % body.a)
-        if body.b is not None:
-            out.append("b = %r" % body.b)
-        if body.pressure is not None:
-            out.append("pressure = %r" % body.pressure)
-    out.append("[contact]")
-    out.append("d_allow = %r" % config.d_allow)
-    out.append("g = %r" % config.g)
-    if config.tau is not None:
-        out.append("[load]")
-        out.append("tau = %r" % config.tau)
-    out.append("[numerics]")
-    out.append("quad_order = %d" % config.quad_order)
-    out.append("grid_n = %d" % config.grid_n)
-    out.append("probe_count = %d" % config.probe_count)
-    out.append("seed = %d" % config.seed)
+    out = []
+    for name, keys in SECTIONS.items():
+        src = getattr(config, name) if name in ("body1", "body2") else config
+        items = [(k, getattr(src, k)) for k in keys if getattr(src, k) is not None]
+        if items:
+            out.append("[%s]" % name)
+            out += ["%s = %s" % (k, v if isinstance(v, str) else repr(v)) for k, v in items]
     return "\n".join(out) + "\n"
 
 
@@ -334,9 +310,10 @@ def _closed_form(config):
 def _agreement(config, closed, numeric, oracle):
     """Compare the numeric and oracle intervals with a non-empty closed form.
 
-    Bisection must land within 1e-6 of both endpoints, the oracle within
-    two steps of its load grid. Returns (numeric_ok, oracle_ok, detail);
-    without a numeric interval numeric_ok is false and detail None.
+    Bisection must land within max(1e-6, 1e-14 max(|lo|, |hi|)) of both
+    endpoints, the oracle within two steps of its load grid. Returns
+    (numeric_ok, oracle_ok, detail); without a numeric interval
+    numeric_ok is false and detail None.
     """
     b_lo, b_hi = search_bracket(config.example, _fixed_params(config))
     res = (b_hi - b_lo) / config.grid_n
@@ -347,7 +324,7 @@ def _agreement(config, closed, numeric, oracle):
         return False, oracle_ok, None
     d_num = max(abs(numeric.tau_lo - lo), abs(numeric.tau_hi - hi))
     detail = "numeric gap %.3e, oracle gap %.3e (res %.3e)" % (d_num, d_orc, res)
-    return d_num <= 1e-6, oracle_ok, detail
+    return d_num <= max(1e-6, 1e-14 * max(abs(lo), abs(hi))), oracle_ok, detail
 
 
 def run(config):

@@ -41,7 +41,7 @@ from .material import (
     piola_stress,
     pressure_at,
 )
-from .tensor3 import det
+from .tensor3 import _cpow, det
 
 __all__ = [
     "BodySpec",
@@ -100,14 +100,9 @@ class BodySpec:
     def state(self, x):
         """(F, p) at the abscissa x: the map's gradient and the pressure.
 
-        An array of abscissae gives stacks; the pressure is still evaluated
-        per Python float radius (a RadialProfile's powers on an array
-        would differ in the last bit)."""
-        F, r = self.map.gradient(x), self.map.radius(x)
-        if np.ndim(x) == 0:
-            return F, pressure_at(self.pressure, r)
-        rs = [None] * len(x) if r is None else r.tolist()
-        return F, np.array([pressure_at(self.pressure, ri) for ri in rs])
+        An array of abscissae gives stacks; a Constant pressure is repeated."""
+        F, p = self.map.gradient(x), pressure_at(self.pressure, self.map.radius(x))
+        return F, p if np.ndim(p) == np.ndim(x) else np.full(np.shape(x), p)
 
 
 @dataclass(frozen=True)
@@ -140,22 +135,8 @@ class SystemSpec:
     def __post_init__(self):
         if abs(self.body1.domain.x_hi - self.body2.domain.x_lo) > 1e-12:
             raise InvalidParameters("bodies must share the contact plane X = x_c")
-        for lo1, lo2, hi1, hi2, ax in (
-            (
-                self.body1.domain.y_lo,
-                self.body2.domain.y_lo,
-                self.body1.domain.y_hi,
-                self.body2.domain.y_hi,
-                "y",
-            ),
-            (
-                self.body1.domain.z_lo,
-                self.body2.domain.z_lo,
-                self.body1.domain.z_hi,
-                self.body2.domain.z_hi,
-                "z",
-            ),
-        ):
+        spans = zip(_face_spans(self.body1.domain, "x"), _face_spans(self.body2.domain, "x"))
+        for ((lo1, hi1), (lo2, hi2)), ax in zip(spans, "yz"):
             if abs(lo1 - lo2) > 1e-12 or abs(hi1 - hi2) > 1e-12:
                 raise InvalidParameters("bodies must share the %s-range" % ax)
         if not (math.isfinite(self.d_allow) and self.d_allow >= 0.0):
@@ -326,18 +307,14 @@ def _equilibrium_residual(body):
         return 0.0
     C = body.material.C
     a, A = m.a, m.A
-    r_out = m.radius(body.domain.x_hi)
-    rs = np.linspace(r_in, r_out, 101)
-    worst = 0.0
-    for r in rs:
-        # radial momentum balance: d(sigma_rr)/dr = (sigma_tt - sigma_rr)/r
-        rhs = C * (A**2 * r / a - a**2 / r**3)
-        if isinstance(body.pressure, RadialProfile):
-            dsig = -2.0 * C * a**2 / r**3 - body.pressure.derivative(r)
-        else:
-            dsig = -2.0 * C * a**2 / r**3
-        worst = max(worst, abs(dsig - rhs))
-    return worst
+    rs = np.linspace(r_in, m.radius(body.domain.x_hi), 101)
+    # radial momentum balance: d(sigma_rr)/dr = (sigma_tt - sigma_rr)/r
+    r3 = _cpow(rs, 3)
+    rhs = C * (A**2 * rs / a - a**2 / r3)
+    dsig = -2.0 * C * a**2 / r3
+    if isinstance(body.pressure, RadialProfile):
+        dsig = dsig - body.pressure.derivative(rs)
+    return _running_max(0.0, np.abs(dsig - rhs))
 
 
 def _neumann_residual(system, tau):

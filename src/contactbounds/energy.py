@@ -189,6 +189,15 @@ def divergence_identity_residual(system, rule=None):
     return abs(lhs - rhs)
 
 
+def _admit(report, side):
+    # raise InadmissibleTrial naming the largest residual if the side failed
+    if not getattr(report, side + "_ok"):
+        worst = max(report.residuals, key=report.residuals.get)
+        raise InadmissibleTrial(
+            "%s trial: %s residual = %.3e" % (side, worst, report.residuals[worst])
+        )
+
+
 def enclosure(system_kinematic, system_static, tau, rule=None):
     """Two-sided energy bracket from an admissible trial pair.
 
@@ -199,18 +208,8 @@ def enclosure(system_kinematic, system_static, tau, rule=None):
     """
     rule = rule or QuadratureRule()
     data = _resolved_data(system_static)
-    kin = check_kinematic(system_kinematic, dirichlet=data)
-    if not kin.kinematic_ok:
-        worst = max(kin.residuals, key=lambda k: kin.residuals[k])
-        raise InadmissibleTrial(
-            "kinematic trial: %s residual = %.3e" % (worst, kin.residuals[worst])
-        )
-    stat = check_static(system_static, tau)
-    if not stat.static_ok:
-        worst = max(stat.residuals, key=lambda k: stat.residuals[k])
-        raise InadmissibleTrial(
-            "static trial: %s residual = %.3e" % (worst, stat.residuals[worst])
-        )
+    _admit(check_kinematic(system_kinematic, dirichlet=data), "kinematic")
+    _admit(check_static(system_static, tau), "static")
     e_p = potential_energy(system_kinematic, tau, rule)
     e_c = complementary_energy(system_static, rule)
     return EnergyEnclosure(e_complementary=e_c, e_potential=e_p, gap=e_p - e_c)

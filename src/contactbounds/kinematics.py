@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameters, NonPositiveJacobian, OutOfDomain
-from .tensor3 import as_mat3, det, sym_eigenvalues
+from .tensor3 import _scalar, as_mat3, det, sym_eigenvalues
 
 __all__ = [
     "Box3",
@@ -100,11 +100,6 @@ class Box3:
                 0.5 * (self.z_lo + self.z_hi),
             ]
         )
-
-
-def _scalar(v):
-    # a single call's scalar result as a Python float
-    return float(v) if np.ndim(v) == 0 else v
 
 
 def _diag(x, d0, d1, d2):

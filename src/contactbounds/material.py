@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintViolated, InvalidParameters, NonPositiveJacobian
-from .tensor3 import cofactor, ddot, det
+from .tensor3 import _cpow, _scalar, cofactor, ddot, det
 
 __all__ = [
     "NeoHookeanIncompressible",
@@ -84,7 +84,7 @@ class RadialProfile:
         p(r) = c_inv / r^2 + c_sq r^2 + c0.
 
     This family holds the exact equilibrium pressure of Rivlin's flexure
-    (see contact.solve_radial_pressure).
+    (see contact.solve_radial_pressure). An array of radii gives an array.
     """
 
     c_inv: float
@@ -96,10 +96,10 @@ class RadialProfile:
             raise InvalidParameters("profile coefficients must be finite")
 
     def __call__(self, r):
-        return float(self.c_inv / r**2 + self.c_sq * r**2 + self.c0)
+        return _scalar(self.c_inv / _cpow(r, 2) + self.c_sq * _cpow(r, 2) + self.c0)
 
     def derivative(self, r):
-        return float(-2.0 * self.c_inv / r**3 + 2.0 * self.c_sq * r)
+        return _scalar(-2.0 * self.c_inv / _cpow(r, 3) + 2.0 * self.c_sq * r)
 
 
 def pressure_at(pressure, r=None):
@@ -136,9 +136,8 @@ def strain_energy(model, F):
     if isinstance(model, NeoHookeanIncompressible):
         return 0.5 * model.C * (i1 - 3.0)
     if isinstance(model, NeoHookeanCompressible):
-        # C pow per value: numpy's array square can differ in the last bit
-        vol = np.reshape([(j - 1.0) ** 2 for j in np.ravel(J).tolist()], np.shape(J))
-        return 0.5 * model.C * (i1 - 3.0) + model.D * vol[()]
+        # a numpy float for one matrix, like an element of a stack
+        return 0.5 * model.C * (i1 - 3.0) + model.D * np.float64(_cpow(J - 1.0, 2))
     raise InvalidParameters("unknown material model %r" % (model,))
 
 

@@ -74,6 +74,17 @@ def inverse(m):
     return cofactor(m).T / d
 
 
+def _scalar(v):
+    # a single call's scalar result as a Python float
+    return float(v) if np.ndim(v) == 0 else v
+
+
+def _cpow(v, k):
+    # v ** k by C pow, value by value: numpy's array power can differ in
+    # the last bit, so a stack gives the floats of single calls
+    return _scalar(np.reshape([x**k for x in np.ravel(v).tolist()], np.shape(v)))
+
+
 def _sum9(m):
     # sum of each trailing 3x3 block as one contiguous run of 9, in numpy's
     # pairwise order (a strided axis would be summed sequentially)
@@ -83,8 +94,7 @@ def _sum9(m):
 
 def ddot(a, b):
     """Full contraction a : b = sum_ij a_ij b_ij, a float per matrix."""
-    s = _sum9(np.asarray(a, dtype=float) * np.asarray(b, dtype=float))
-    return float(s) if s.ndim == 0 else s
+    return _scalar(_sum9(np.asarray(a, dtype=float) * np.asarray(b, dtype=float)))
 
 
 def sym_eigenvalues(m):

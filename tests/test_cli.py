@@ -151,6 +151,101 @@ def test_serialize_round_trip(text):
     assert cli.serialize_config(cli.parse_config(canon)) == canon
 
 
+def _serialize_key_by_key(config):
+    # the serializer as first written, one line per key
+    out = ["[system]", "example = %s" % config.example]
+    if config.A is not None:
+        out.append("A = %r" % config.A)
+    for name, body in (("body1", config.body1), ("body2", config.body2)):
+        out.append("[%s]" % name)
+        out.append("C = %r" % body.C)
+        out.append("a = %r" % body.a)
+        if body.b is not None:
+            out.append("b = %r" % body.b)
+        if body.pressure is not None:
+            out.append("pressure = %r" % body.pressure)
+    out.append("[contact]")
+    out.append("d_allow = %r" % config.d_allow)
+    out.append("g = %r" % config.g)
+    if config.tau is not None:
+        out.append("[load]")
+        out.append("tau = %r" % config.tau)
+    out.append("[numerics]")
+    out.append("quad_order = %d" % config.quad_order)
+    out.append("grid_n = %d" % config.grid_n)
+    out.append("probe_count = %d" % config.probe_count)
+    out.append("seed = %d" % config.seed)
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        COMP_CFG,
+        COH_CFG,
+        BEND_CFG,
+        COMP_CFG.replace("a = 0.81\n", "a = 0.81\npressure = -0.25\n", 1)
+        + "[contact]\nd_allow = 0.001\n[numerics]\nseed = 7\ngrid_n = 50\n",
+        COH_CFG + "[load]\ntau = 0.125\n[numerics]\nquad_order = 3\nprobe_count = 9\n",
+        BEND_CFG.replace("A = 1.0", "A = 0.7").replace("b = 1.0", "b = 2.5")
+        + "pressure = 1e-3\nb = 1.75\n[load]\ntau = -1.5e-7\n[numerics]\nseed = 0\n",
+    ],
+)
+def test_serialize_walks_the_sections_key_by_key(text):
+    cfg = cli.parse_config(text)
+    assert cli.serialize_config(cfg) == _serialize_key_by_key(cfg)
+
+
+def test_parse_keeps_the_dataclass_defaults():
+    cfg = cli.parse_config(COMP_CFG)
+    defaults = cli.ProblemConfig("compression", cfg.body1, cfg.body2, tau=-0.3)
+    assert cfg == defaults
+    assert cli.parse_config(COMP_CFG + "[numerics]\ngrid_n = 50\n") == dataclasses.replace(
+        defaults, grid_n=50
+    )
+
+
+@pytest.mark.parametrize("key", ["b", "pressure"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("section", ["body1", "body2"])
+def test_body_offsets_and_pressures_must_be_finite(tmp_path, capsys, key, value, section):
+    body = "[%s]\nC = 1.0\na = 1.0\n" % section
+    text = BEND_CFG.replace("b = 1.0\n", "").replace(body, body + "%s = %s\n" % (key, value))
+    with pytest.raises(ValidationError, match=r"^\[%s\] %s must be finite$" % (section, key)):
+        cli.parse_config(text)
+    cfg_path = tmp_path / "case.cfg"
+    cfg_path.write_text(text)
+    sweep = ["--param", "a1", "--range", "0.9:1.1:3"]
+    for argv in (["run"], ["verify"], ["sweep"] + sweep):
+        assert cli.main(argv[:1] + ["--config", str(cfg_path)] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: [%s] %s must be finite\n" % (section, key)
+
+
+@pytest.mark.parametrize("text", [COMP_CFG, BEND_CFG], ids=["compression", "bending"])
+def test_cohesive_cap_only_applies_to_the_cohesive_example(text):
+    with pytest.raises(ValidationError, match=r"^\[contact\] g only applies to the cohesive"):
+        cli.parse_config(text + "[contact]\ng = 0.5\n")
+    with pytest.raises(ValidationError, match=r"^\[contact\] g must be >= 0$"):
+        cli.parse_config(text + "[contact]\ng = -1\n")
+    assert cli.parse_config(text + "[contact]\ng = 0\n") == cli.parse_config(text)
+
+
+def test_large_loads_agree_within_a_relative_bound(capsys, tmp_path):
+    # the ends are about 1.4e11, where floats lie 3.05e-05 apart
+    text = COMP_CFG.replace("C = 1.0\na = 0.81", "C = 1e12\na = 0.9").replace(
+        "[load]\ntau = -0.3\n", ""
+    )
+    report = cli.run(cli.parse_config(text))
+    assert report.closed_form.tau_lo != report.numeric.tau_lo
+    assert report.warnings == ()
+    cfg_path = tmp_path / "case.cfg"
+    cfg_path.write_text(text)
+    assert cli.main(["run", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().out.endswith("\nwarnings: none\n")
+
+
 def test_build_system_default_pressures():
     sys_ = cli.build_system(cli.parse_config(COMP_CFG))
     assert isinstance(sys_.body1.pressure, Constant)

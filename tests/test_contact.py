@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from contactbounds.contact import (
     BodySpec,
     DirichletData,
     SystemSpec,
+    _equilibrium_residual,
     check_kinematic,
     check_static,
     contact_traction,
@@ -24,6 +26,7 @@ from contactbounds.states import (
     BOX1,
     BOX2,
     bend_pair,
+    bending_system,
     linked_bend_pair,
     linked_stretch_pair,
     stretch_pair,
@@ -390,3 +393,66 @@ def test_kinematic_residuals_equal_pointwise(system, data):
     # every residual is the float of the point-by-point loop, not merely close
     rep = check_kinematic(system, dirichlet=data)
     assert rep.residuals == _pointwise_kinematic(system, data)
+
+
+def _bending_bodies(count, seed):
+    # bodies of bending_system (RadialProfile pressures) and of
+    # linked_bend_pair (Constant pressures) over stretches in [0.3, 2]
+    rng = random.Random(seed)
+    radial, constant = [], []
+    for _ in range(count):
+        C1, C2 = rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)
+        A, a1, a2 = rng.uniform(0.6, 1.4), rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0)
+        b1, tau = rng.uniform(0.5, 3.0), rng.uniform(-1.0, 0.3)
+        s = bending_system(C1, C2, A, a1, a2, b1, tau=tau)
+        radial += [s.body1, s.body2]
+        s = linked_bend_pair(C1, C2, A, a1, a2, b1, tau)
+        constant += [s.body1, s.body2]
+    return radial, constant
+
+
+def _equilibrium_residual_per_radius(body):
+    # the residual as one loop over numpy scalar radii, as it was first written
+    m = body.map
+    C, a, A = body.material.C, m.a, m.A
+    worst = 0.0
+    for r in np.linspace(m.radius(body.domain.x_lo), m.radius(body.domain.x_hi), 101):
+        rhs = C * (A**2 * r / a - a**2 / r**3)
+        if isinstance(body.pressure, RadialProfile):
+            dsig = -2.0 * C * a**2 / r**3 - body.pressure.derivative(r)
+        else:
+            dsig = -2.0 * C * a**2 / r**3
+        worst = max(worst, abs(dsig - rhs))
+    return worst
+
+
+def test_equilibrium_residual_matches_the_loop_over_radii():
+    radial, constant = _bending_bodies(30, 11)
+    for bodies, kind in ((radial, RadialProfile), (constant, Constant)):
+        assert len(bodies) >= 50
+        for body in bodies:
+            assert isinstance(body.pressure, kind)
+            assert _equilibrium_residual(body) == _equilibrium_residual_per_radius(body)
+
+
+def test_state_stack_matches_per_abscissa_calls():
+    radial, constant = _bending_bodies(10, 12)
+    triaxial = linked_stretch_pair(1.3, 0.7, 0.8, 1.6, tau=-0.2)
+    for body in radial + constant + [triaxial.body1, triaxial.body2]:
+        # enough radii that an array square would differ from C pow on some
+        xs = np.linspace(body.domain.x_lo, body.domain.x_hi, 401)
+        F, p = body.state(xs)
+        assert F.shape == (401, 3, 3) and p.shape == (401,)
+        for i, x in enumerate(xs.tolist()):
+            Fx, px = body.state(x)
+            assert type(px) is float
+            assert F[i].tolist() == Fx.tolist() and p[i] == px
+
+
+@pytest.mark.parametrize("axis", ["y", "z"])
+def test_system_rejects_bodies_off_the_shared_span(axis):
+    sys_ = stretch_pair(1.0, 1.0, -0.2)
+    domain = dataclasses.replace(BOX2, **{axis + "_hi": 1.5})
+    body2 = dataclasses.replace(sys_.body2, domain=domain)
+    with pytest.raises(InvalidParameters, match="share the %s-range" % axis):
+        dataclasses.replace(sys_, body2=body2)

@@ -7,6 +7,7 @@ import pytest
 from contactbounds.errors import InadmissibleTrial, InvalidParameters, NonFiniteIntegrand
 from contactbounds.contact import BodySpec, DirichletData, SystemSpec
 from contactbounds.kinematics import Box3, Homogeneous, StretchBend, TriaxialStretch
+from contactbounds import energy
 from contactbounds.energy import (
     QuadratureRule,
     complementary_energy,
@@ -167,6 +168,19 @@ def test_enclosure_rejects_penetrating_trial():
         enclosure(trial, exact, tau)
 
 
+def test_enclosure_checks_the_static_trial_only_after_the_kinematic_one(monkeypatch):
+    tau = -0.3
+    exact = stretch_pair(1.0, 1.0, tau)
+    body = dataclasses.replace(exact.body1, map=TriaxialStretch(exact.body1.map.a, 0.05))
+    trial = dataclasses.replace(exact, body1=body)
+    calls = []
+    monkeypatch.setattr(energy, "check_static", lambda *args: calls.append(args))
+    # both trials fail: the kinematic one is named and the static one never checked
+    with pytest.raises(InadmissibleTrial, match=r"^kinematic trial: gap residual = 5\.000e-02$"):
+        enclosure(trial, exact, tau + 0.1)
+    assert calls == []
+
+
 def test_complementary_energy_rejects_unknown_dirichlet_map():
     system = dataclasses.replace(
         stretch_pair(1.3, 0.9, -0.12), dirichlet=DirichletData(map2=object())
@@ -178,7 +192,7 @@ def test_complementary_energy_rejects_unknown_dirichlet_map():
 def test_enclosure_rejects_unbalanced_static_state():
     tau = -0.3
     exact = stretch_pair(1.0, 1.0, tau)
-    with pytest.raises(InadmissibleTrial, match="neumann"):
+    with pytest.raises(InadmissibleTrial, match="^static trial: neumann residual = "):
         enclosure(exact, exact, tau + 0.1)
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from contactbounds.errors import InvalidParameters, NotSymmetric, SingularMatrix
 from contactbounds.tensor3 import (
+    _cpow,
     as_mat3,
     cofactor,
     ddot,
@@ -135,3 +136,19 @@ def test_eigenvalues_reject_asymmetric():
     m = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(NotSymmetric):
         sym_eigenvalues(m)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_cpow_matches_scalar_power_value_by_value(k):
+    rng = np.random.default_rng(k)
+    # numpy's array power differs from C pow on some of these values
+    v = np.concatenate([rng.uniform(0.01, 10.0, 60_000), np.exp(rng.uniform(-60, 60, 60_000))])
+    v[::7] *= -1.0
+    got = _cpow(v.reshape(-1, 40), k)
+    assert got.shape == (3_000, 40) and got.dtype == np.float64
+    assert got.ravel().tolist() == [float(x) ** k for x in v.tolist()]
+
+
+def test_cpow_returns_a_python_float_for_a_scalar():
+    for x in (1.3, np.float64(1.3), np.array(1.3)):
+        assert type(_cpow(x, 3)) is float and _cpow(x, 3) == 1.3**3
