@@ -96,7 +96,8 @@ class RadialProfile:
             raise InvalidParameters("profile coefficients must be finite")
 
     def __call__(self, r):
-        return _scalar(self.c_inv / _cpow(r, 2) + self.c_sq * _cpow(r, 2) + self.c0)
+        r2 = _cpow(r, 2)
+        return _scalar(self.c_inv / r2 + self.c_sq * r2 + self.c0)
 
     def derivative(self, r):
         return _scalar(-2.0 * self.c_inv / _cpow(r, 3) + 2.0 * self.c_sq * r)
