@@ -250,14 +250,13 @@ def _linkage(example, fp):
 
 
 def _feasible_closed(tau, linkage, cap):
-    # the window |C s - tau| < C / lam of every body; C / lam is the least
-    # of the thresholds C / lambda_k, as division rounds monotonically
-    if not tau <= cap:  # unlike tau > cap, this rejects a NaN load
-        return False
+    # the window |C s - tau| < C / lam of every body, for one load or an
+    # array of them; C / lam is the least of the thresholds C / lambda_k,
+    # as division rounds monotonically, and tau <= cap rejects a NaN load
+    ok = tau <= cap
     for C, s, lam in linkage:
-        if abs(C * s - tau) >= C / lam:
-            return False
-    return True
+        ok = ok & (abs(C * s - tau) < C / lam)
+    return ok
 
 
 def _cap(example, fp):
@@ -270,6 +269,13 @@ def _bracket(linkage, cap):
     # span cuts off nothing and must not stretch the bracket
     span = max(C * s + C * lam for C, s, lam in linkage)
     return -2.0 * span - 1.0, min(cap, span) + 2.0 * span + 1.0
+
+
+def _scan(linkage, cap, n):
+    # the bracket and the feasible loads of an n-point grid over it
+    b_lo, b_hi = _bracket(linkage, cap)
+    taus = np.linspace(b_lo, b_hi, n)
+    return b_lo, b_hi, taus[_feasible_closed(taus, linkage, cap)]
 
 
 def search_bracket(example, fixed_params):
@@ -307,10 +313,8 @@ def numeric_load_bounds(example, fixed_params):
     if not fp.get("contact_closed", True):
         return LoadInterval(cap, cap, "open", False)
     linkage = _linkage(example, fp)
-    b_lo, b_hi = _bracket(linkage, cap)
-    taus = np.linspace(b_lo, b_hi, COARSE_N)
-    feas = [t for t in taus if _feasible_closed(t, linkage, cap)]
-    if not feas:
+    b_lo, b_hi, feas = _scan(linkage, cap, COARSE_N)
+    if not len(feas):
         # the scan can step over a narrow interval: seed both bisections
         # from the middle of the windows' own intersection
         lo_w = max(C * s - C / lam for C, s, lam in linkage)
@@ -336,14 +340,8 @@ def brute_force_oracle(example, fixed_params, grid_n=1000):
         raise InvalidParameters("grid_n must be >= 2")
     fp = fixed_params
     cap = _cap(example, fp)
-    linkage = _linkage(example, fp)
-    b_lo, b_hi = _bracket(linkage, cap)
-    taus = np.linspace(b_lo, b_hi, grid_n + 1)
-    ok = taus <= cap
-    for C, s, lam in linkage:
-        ok &= np.abs(C * s - taus) < C / lam
-    if fp.get("contact_closed", True) and np.any(ok):
-        acc = taus[ok]
+    acc = _scan(_linkage(example, fp), cap, grid_n + 1)[2]
+    if fp.get("contact_closed", True) and len(acc):
         return LoadInterval(float(acc[0]), float(acc[-1]), "closed", False)
     # closed regime rejected everything: the open regime carries the
     # load through the free contact face, pinning tau to the cap

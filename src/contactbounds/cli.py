@@ -35,7 +35,7 @@ from . import tensor3
 from .kinematics import StretchBend, TriaxialStretch, injectivity_check, jacobian
 from .material import Constant, NeoHookeanIncompressible, piola_stress
 from .contact import check_kinematic, check_static, evaluate_contact, nominal_traction, rivlin_f
-from .energy import QuadratureRule, enclosure, potential_energy
+from .energy import QuadratureRule, _enclose, enclosure, potential_energy
 from .bounds import (
     brute_force_oracle,
     criteria_check,
@@ -262,36 +262,31 @@ def serialize_config(config):
 def build_system(config):
     """Materialize the configured SystemSpec through its family's constructor.
 
+    The constructor takes the fixed parameters and the state's extras.
     Offsets and pressures the config leaves unset take the constructor's
     defaults: the gap-closing offset and the equilibrium pressure.
     """
     c1, c2 = config.body1, config.body2
-    given = dict(b1=c1.b, b2=c2.b, p1=c1.pressure, p2=c2.pressure)
+    kw = dict(b1=c1.b, b2=c2.b, p1=c1.pressure, p2=c2.pressure, g=config.g)
     if config.example == "bending":
-        given.update(A=config.A, tau=config.tau)
-        build = bending_system
-    else:
-        build = triaxial_system
-    given = {k: v for k, v in given.items() if v is not None}
-    return build(
-        C1=c1.C, C2=c2.C, a1=c1.a, a2=c2.a, g=config.g, d_allow=config.d_allow, **given
-    )
+        kw["tau"] = config.tau
+    kw.update(_fixed_params(config), d_allow=config.d_allow)
+    build = bending_system if config.example == "bending" else triaxial_system
+    return build(**{k: v for k, v in kw.items() if v is not None})
 
 
-def _fixed_params(config):
-    fp = {
-        "C1": config.body1.C,
-        "C2": config.body2.C,
-        "a1": config.body1.a,
-        "a2": config.body2.a,
-    }
+def _fixed_params(config, **override):
+    # the closed form's keyword arguments, each override replacing one; an
+    # unset bending b2 is derived after them, following a1, b1 and a2
+    c1, c2 = config.body1, config.body2
+    fp = {"C1": c1.C, "C2": c2.C, "a1": c1.a, "a2": c2.a}
     if config.example == "cohesive":
         fp["g"] = config.g
     if config.example == "bending":
-        b1, b2 = config.body1.b, config.body2.b
-        fp["A"] = config.A
-        fp["b1"] = b1
-        fp["b2"] = bending_b2(fp["a1"], b1, fp["a2"]) if b2 is None else b2
+        fp.update(A=config.A, b1=c1.b, b2=c2.b)
+    fp.update(override)
+    if config.example == "bending" and fp["b2"] is None:
+        fp["b2"] = bending_b2(fp["a1"], fp["b1"], fp["a2"])
     return fp
 
 
@@ -300,11 +295,6 @@ CLOSED_FORMS = {
     "cohesive": load_interval_cohesive,
     "bending": load_interval_bending,
 }
-
-
-def _closed_form(config):
-    # the fixed parameters are exactly the closed form's keyword arguments
-    return CLOSED_FORMS[config.example](**_fixed_params(config))
 
 
 def _agreement(config, closed, numeric, oracle):
@@ -349,16 +339,17 @@ def run(config):
         warnings.append(W_OPEN_CONTACT)
     enc = None
     if config.tau is not None:
+        # a built system holds its own data: kin and stat are enclosure's checks
         try:
-            enc = enclosure(system, system, config.tau, rule)
+            enc = _enclose(system, system, config.tau, rule, kin, stat)
         except InadmissibleTrial as e:
             warnings.append(W_ENCLOSURE_SKIPPED % e)
     crit = (
         criteria_check(system.body1, config.probe_count, config.seed),
         criteria_check(system.body2, config.probe_count, config.seed),
     )
-    closed = _closed_form(config)
     fp = _fixed_params(config)
+    closed = CLOSED_FORMS[config.example](**fp)
     numeric = None
     try:
         numeric = numeric_load_bounds(config.example, fp)
@@ -526,22 +517,12 @@ def sweep(config, param, lo, hi, steps):
         raise ValidationError("sweep range must be finite with lo < hi")
     rows = ["param,tau_lo,tau_hi,empty,regime,error"]
     for v in np.linspace(lo, hi, steps):
-        cfg = _with_param(config, param, float(v))
+        fp = _fixed_params(config, **{param: float(v)})
         try:
-            rows.append(_csv_row(_f(v), _closed_form(cfg)) + ",")
+            rows.append(_csv_row(_f(v), CLOSED_FORMS[config.example](**fp)) + ",")
         except (ContactBoundsError, ArithmeticError) as e:
             rows.append('%s,,,,,"%s"' % (_f(v), e))
     return "\n".join(rows) + "\n"
-
-
-def _with_param(config, param, value):
-    if param in ("C1", "a1", "b1"):
-        body = dataclasses.replace(config.body1, **{param[0]: value})
-        return dataclasses.replace(config, body1=body)
-    if param in ("C2", "a2", "b2"):
-        body = dataclasses.replace(config.body2, **{param[0]: value})
-        return dataclasses.replace(config, body2=body)
-    return dataclasses.replace(config, **{param: value})
 
 
 def verify(config):

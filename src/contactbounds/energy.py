@@ -206,10 +206,15 @@ def enclosure(system_kinematic, system_static, tau, rule=None):
     problems admit the bracket on closed-contact trials. Raises
     InadmissibleTrial naming the failing residual.
     """
-    rule = rule or QuadratureRule()
-    data = _resolved_data(system_static)
-    _admit(check_kinematic(system_kinematic, dirichlet=data), "kinematic")
-    _admit(check_static(system_static, tau), "static")
+    kin = check_kinematic(system_kinematic, dirichlet=_resolved_data(system_static))
+    stat = check_static(system_static, tau) if kin.kinematic_ok else None
+    return _enclose(system_kinematic, system_static, tau, rule, kin, stat)
+
+
+def _enclose(system_kinematic, system_static, tau, rule, kin, stat):
+    # the bracket from the trials' admissibility reports, kinematic first
+    _admit(kin, "kinematic")
+    _admit(stat, "static")
     e_p = potential_energy(system_kinematic, tau, rule)
     e_c = complementary_energy(system_static, rule)
     return EnergyEnclosure(e_complementary=e_c, e_potential=e_p, gap=e_p - e_c)

@@ -303,6 +303,43 @@ def test_numeric_bounds_survive_a_scan_miss():
     assert _feasible_closed(iv.tau_hi, linkage, SCAN_MISS["g"])
 
 
+def _feasible_reference(tau, linkage, cap):
+    # the scalar loop the array predicate replaced, rejecting load by load
+    if not tau <= cap:
+        return False
+    for C, s, lam in linkage:
+        if abs(C * s - tau) >= C / lam:
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "example, fp, cap_ok",
+    [
+        ("compression", {"C1": 1.0, "C2": 1.0, "a1": 0.81, "a2": 0.81}, True),
+        ("compression", {"C1": 1.0, "C2": 1.0, "a1": 1.0, "a2": 1.0}, False),
+        ("cohesive", {"C1": 1.0, "C2": 2.0, "a1": 0.9, "a2": 0.9, "g": 0.6}, True),
+        ("cohesive", SCAN_MISS, False),
+        ("bending", {"C1": 1.0, "C2": 1.0, "A": 1.0, "a1": 1.0, "a2": 1.0, "b1": 1.0}, True),
+    ],
+)
+def test_feasible_closed_takes_the_scan_array(example, fp, cap_ok):
+    # the array of loads gives the scalar result load by load, NaN, +/-inf
+    # and the cap itself included
+    linkage, cap = _linkage(example, fp), fp.get("g", 0.0)
+    b_lo, b_hi = search_bracket(example, fp)
+    extra = [math.nan, math.inf, -math.inf, cap, math.nextafter(cap, math.inf)]
+    taus = np.append(np.linspace(b_lo, b_hi, bounds.COARSE_N), extra)
+    ok = _feasible_closed(taus, linkage, cap)
+    assert ok.dtype == bool and ok.shape == taus.shape
+    scalar = [_feasible_closed(t, linkage, cap) for t in taus.tolist()]
+    assert all(type(v) is bool for v in scalar)
+    assert ok.tolist() == scalar
+    assert scalar == [bool(_feasible_closed(t, linkage, cap)) for t in taus]
+    assert scalar == [_feasible_reference(t, linkage, cap) for t in taus.tolist()]
+    assert scalar[-5:] == [False, False, False, cap_ok, False]
+
+
 CLOSED_FORMS = {
     "compression": load_interval_compression,
     "cohesive": load_interval_cohesive,

@@ -6,11 +6,12 @@ import signal
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contactbounds import bounds, cli
+from contactbounds import bounds, cli, energy
 from contactbounds.errors import (
     ContactBoundsError,
     InfeasibleProblem,
@@ -533,6 +534,153 @@ def test_report_bytes_are_pinned(name, text):
     assert cli.verify(config) == (0, GOLDEN[name, "verify"])
 
 
+# configs that admit the energy enclosure: the compression pair at its
+# equilibrium load and the bending pair under a dead load
+COMP_EQ_CFG = COMP_CFG.replace("tau = -0.3", "tau = %r" % (0.81 - 1 / 0.81**2))
+BEND_TAU_CFG = BEND_CFG + "\n[load]\ntau = -0.5\n"
+
+ENCLOSURE_GOLDEN = {
+    ("COMP_EQ_CFG", "report"): """\
+run: example=compression
+load: tau=-0.714157902759
+kinematic: ok=yes dirichlet=0 gap=0 constraint=2.22044604925e-16
+static: ok=yes equilibrium=0 neumann=4.4408920985e-16 contact_traction_sign=0 action_reaction=0 constraint=2.22044604925e-16
+contact: regime=closed gap=0 traction=-0.578467901235 complementarity=0 action_reaction=0
+enclosure: e_potential=0.0626179012346 e_complementary=0.0626179012346 gap=9.02056207508e-16
+criteria body1: primal=violated complementary=violated min_q=-0.371742112483 window=(-0.9, 0.9)
+criteria body2: primal=violated complementary=violated min_q=-0.371742112483 window=(-0.9, 0.9)
+closed_form: tau_lo=-0.2439 tau_hi=0 regime=closed empty=false
+numeric: tau_lo=-0.243899998639 tau_hi=0 regime=closed empty=false
+oracle: tau_lo=-0.235789955556 tau_hi=0 regime=closed empty=false
+warnings: none
+""",
+    ("COMP_EQ_CFG", "csv"): """\
+source,tau_lo,tau_hi,empty,regime
+closed_form,-0.2439,0,false,closed
+numeric,-0.243899998639,0,false,closed
+oracle,-0.235789955556,0,false,closed
+""",
+    ("COMP_EQ_CFG", "json-like"): (
+        '{"config": {"example": "compression", "body1": {"C": 1, "a": 0.81, '
+        '"b": null, "pressure": null}, "body2": {"C": 1, "a": 0.81, "b": null, '
+        '"pressure": null}, "A": null, "d_allow": 0, "g": 0, "tau": -0.714157902759, '
+        '"quad_order": 8, "grid_n": 1000, "probe_count": 200, "seed": 42}, '
+        '"kinematic": {"kinematic_ok": true, "static_ok": null, '
+        '"residuals": {"dirichlet": 0, "gap": 0, "constraint": 2.22044604925e-16}}, '
+        '"static": {"kinematic_ok": null, "static_ok": true, '
+        '"residuals": {"equilibrium": 0, "neumann": 4.4408920985e-16, '
+        '"contact_traction_sign": 0, "action_reaction": 0, '
+        '"constraint": 2.22044604925e-16}}, "contact": {"gap": 0, '
+        '"traction_normal": -0.578467901235, "complementarity_residual": 0, '
+        '"action_reaction_residual": 0, "regime": "closed"}, '
+        '"enclosure": {"e_complementary": 0.0626179012346, '
+        '"e_potential": 0.0626179012346, "gap": 9.02056207508e-16}, '
+        '"closed_form": {"tau_lo": -0.2439, "tau_hi": 0, "regime": "closed", '
+        '"empty": false}, "numeric": {"tau_lo": -0.243899998639, "tau_hi": 0, '
+        '"regime": "closed", "empty": false}, "oracle": {"tau_lo": -0.235789955556, '
+        '"tau_hi": 0, "regime": "closed", "empty": false}, '
+        '"criteria": [{"primal_ok": false, "complementary_ok": false, '
+        '"min_quadratic_value": -0.371742112483, "pressure_window": [-0.9, 0.9]}, '
+        '{"primal_ok": false, "complementary_ok": false, '
+        '"min_quadratic_value": -0.371742112483, "pressure_window": [-0.9, 0.9]}], '
+        '"warnings": []}\n'
+    ),
+    ("BEND_TAU_CFG", "report"): """\
+run: example=bending
+load: tau=-0.5
+kinematic: ok=yes dirichlet=7.40619412728e-17 gap=0 constraint=0
+static: ok=yes equilibrium=2.22044604925e-16 neumann=0 contact_traction_sign=0 action_reaction=2.22044604925e-16 constraint=0
+contact: regime=closed gap=0 traction=-0.25 complementarity=0 action_reaction=1.66533453694e-16
+enclosure: e_potential=-0.225346927833 e_complementary=-0.225346927833 gap=1.66533453694e-15
+criteria body1: primal=violated complementary=violated min_q=-0.5 window=(-0.707106781187, 0.707106781187)
+criteria body2: primal=violated complementary=violated min_q=-0.0606601717798 window=(-0.57735026919, 0.57735026919)
+closed_form: tau_lo=-0.0773502691896 tau_hi=0 regime=closed empty=false
+numeric: tau_lo=-0.077350268956 tau_hi=0 regime=closed empty=false
+oracle: tau_lo=-0.0764974226119 tau_hi=0 regime=closed empty=false
+warnings:
+- degenerate: identity stretch
+- bending intervals use the contact-plane pressure linkage; the equilibrium pressure profile varies across each body
+""",
+    ("BEND_TAU_CFG", "csv"): """\
+source,tau_lo,tau_hi,empty,regime
+closed_form,-0.0773502691896,0,false,closed
+numeric,-0.077350268956,0,false,closed
+oracle,-0.0764974226119,0,false,closed
+""",
+    ("BEND_TAU_CFG", "json-like"): (
+        '{"config": {"example": "bending", "body1": {"C": 1, "a": 1, "b": 1, '
+        '"pressure": null}, "body2": {"C": 1, "a": 1, "b": null, "pressure": null}, '
+        '"A": 1, "d_allow": 0, "g": 0, "tau": -0.5, "quad_order": 8, "grid_n": 1000, '
+        '"probe_count": 200, "seed": 42}, "kinematic": {"kinematic_ok": true, '
+        '"static_ok": null, "residuals": {"dirichlet": 7.40619412728e-17, "gap": 0, '
+        '"constraint": 0}}, "static": {"kinematic_ok": null, "static_ok": true, '
+        '"residuals": {"equilibrium": 2.22044604925e-16, "neumann": 0, '
+        '"contact_traction_sign": 0, "action_reaction": 2.22044604925e-16, '
+        '"constraint": 0}}, "contact": {"gap": 0, "traction_normal": -0.25, '
+        '"complementarity_residual": 0, '
+        '"action_reaction_residual": 1.66533453694e-16, "regime": "closed"}, '
+        '"enclosure": {"e_complementary": -0.225346927833, '
+        '"e_potential": -0.225346927833, "gap": 1.66533453694e-15}, '
+        '"closed_form": {"tau_lo": -0.0773502691896, "tau_hi": 0, '
+        '"regime": "closed", "empty": false}, "numeric": {"tau_lo": -0.077350268956, '
+        '"tau_hi": 0, "regime": "closed", "empty": false}, '
+        '"oracle": {"tau_lo": -0.0764974226119, "tau_hi": 0, "regime": "closed", '
+        '"empty": false}, "criteria": [{"primal_ok": false, '
+        '"complementary_ok": false, "min_quadratic_value": -0.5, '
+        '"pressure_window": [-0.707106781187, 0.707106781187]}, {"primal_ok": false, '
+        '"complementary_ok": false, "min_quadratic_value": -0.0606601717798, '
+        '"pressure_window": [-0.57735026919, 0.57735026919]}], '
+        '"warnings": ["degenerate: identity stretch", '
+        '"bending intervals use the contact-plane pressure linkage; the equilibrium pressure profile varies across each body"]}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [("COMP_EQ_CFG", COMP_EQ_CFG), ("BEND_TAU_CFG", BEND_TAU_CFG)],
+    ids=["compression", "bending"],
+)
+def test_enclosure_report_bytes_are_pinned(name, text):
+    report = cli.run(cli.parse_config(text))
+    assert report.enclosure is not None
+    assert cli.format_report(report) == ENCLOSURE_GOLDEN[name, "report"]
+    assert cli.format_csv(report) == ENCLOSURE_GOLDEN[name, "csv"]
+    assert cli.format_jsonish(report) == ENCLOSURE_GOLDEN[name, "json-like"]
+
+
+@pytest.mark.parametrize(
+    "text", [COMP_EQ_CFG, BEND_TAU_CFG], ids=["compression", "bending"]
+)
+def test_run_checks_admissibility_once(monkeypatch, text):
+    # the enclosure brackets the reports run() already holds
+    calls = []
+
+    def counted(name, real):
+        def check(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return check
+
+    for module in (cli, energy):
+        for name in ("check_kinematic", "check_static"):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    assert cli.run(cli.parse_config(text)).enclosure is not None
+    assert sorted(calls) == ["check_kinematic", "check_static"]
+
+
+def test_main_verify_reports_a_failed_check(tmp_path, capsys):
+    cfg_path = tmp_path / "case.cfg"
+    cfg_path.write_text(BEND_CFG)
+    assert cli.main(["verify", "--config", str(cfg_path), "--quad-order", "1"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "verify: 10 checks, 1 failed"
+    assert [line for line in out if line.startswith("FAIL")] == [
+        "FAIL quadrature convergence: order 1 vs 2: delta 7.762e-03"
+    ]
+
+
 @pytest.mark.parametrize("g", ["1e3", "1e6"])
 def test_large_cohesive_cap_keeps_the_numeric_interval(g):
     # a cap far above every feasible load must not coarsen the bracket scan
@@ -577,7 +725,7 @@ def test_sweep_across_unit_stretch_matches_bisection():
     assert len(rows) == 9
     for row in rows:
         param, lo, hi, empty = row.split(",")[:4]
-        fp = cli._fixed_params(cli._with_param(config, "a1", float(param)))
+        fp = cli._fixed_params(config, a1=float(param))
         try:
             numeric = cli.numeric_load_bounds("cohesive", fp)
         except InfeasibleProblem:
@@ -661,11 +809,35 @@ def test_sweep_argument_validation():
         cli.sweep(cfg, "a1", 1.0, 0.0, 3)
 
 
-def test_with_param_touches_the_right_field():
+def test_fixed_params_override_touches_the_right_field():
     cfg = cli.parse_config(COH_CFG)
-    assert cli._with_param(cfg, "C2", 3.5).body2.C == 3.5
-    assert cli._with_param(cfg, "g", 0.2).g == 0.2
-    assert cli._with_param(cfg, "a1", 0.77).body1.a == 0.77
+    base = cli._fixed_params(cfg)
+    assert cli._fixed_params(cfg, C2=3.5) == dict(base, C2=3.5)
+    assert cli._fixed_params(cfg, g=0.2) == dict(base, g=0.2)
+    assert cli._fixed_params(cfg, a1=0.77) == dict(base, a1=0.77)
+
+
+@pytest.mark.parametrize("param", ["a1", "b1", "a2"])
+def test_bending_sweep_derives_b2_per_row(param):
+    # with [body2] b unset, each row closes the gap for its own radii,
+    # as a config with the swept field replaced would
+    config = cli.parse_config(BEND_CFG)
+    body, field = ("body1" if param[1] == "1" else "body2"), param[0]
+    rows = cli.sweep(config, param, 0.8, 1.6, 5).splitlines()[1:]
+    stale = 0
+    for row, v in zip(rows, np.linspace(0.8, 1.6, 5)):
+        fp = cli._fixed_params(config, **{param: float(v)})
+        assert fp["b2"] == fp["a1"] + fp["b1"] - fp["a2"]
+        replaced = dataclasses.replace(getattr(config, body), **{field: float(v)})
+        cfg = dataclasses.replace(config, **{body: replaced})
+        expected = bounds.load_interval_bending(**cli._fixed_params(cfg))
+        assert row == cli._csv_row(cli._f(v), expected) + ","
+        once = bounds.load_interval_bending(**dict(fp, b2=cli._fixed_params(config)["b2"]))
+        stale += row != cli._csv_row(cli._f(v), once) + ","
+    assert stale > 0  # a b2 derived once would give other rows
+    given = cli.parse_config(BEND_CFG + "b = 0.7\n")  # BEND_CFG ends in [body2]
+    assert given.body2.b == 0.7
+    assert cli._fixed_params(given, **{param: 1.3})["b2"] == 0.7
 
 
 def test_verify_passes_on_compression_config():
