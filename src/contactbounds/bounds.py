@@ -119,6 +119,15 @@ def _probes(rng, count):
     return G
 
 
+def _running_min(m, values):
+    """min(m, v0, v1, ...) left to right, as Python's min gives it: a NaN
+    value is never taken, and of equal values (0.0 and -0.0) the first
+    wins. The result is a Python float."""
+    v = np.ravel(values)
+    least = np.fmin.reduce(v, initial=m)  # skips NaN; m when nothing is smaller
+    return float(min(m, v[np.argmax(v == least)]))
+
+
 def criteria_check(body, probe_count=200, seed=42):
     """Pointwise positivity of the constrained second variation.
 
@@ -143,12 +152,12 @@ def criteria_check(body, probe_count=200, seed=42):
 
     def min_form(xs, w):
         # min of w * material.hessian_quadratic_form over stations (rows) and
-        # probes, by blocks of stations; min(m, *q) runs in order, skipping NaN
+        # probes, by blocks of stations
         F, p = body.state(xs)
         m, n = math.inf, max(1, CRITERIA_BLOCK // len(gg))
         for i in range(0, len(xs), n):
             q = C * gg - p[i : i + n, None] * 2.0 * _sum9(cof * F[i : i + n, None])
-            m = min(m, *(w[i : i + n, None] * q).ravel().tolist())
+            m = _running_min(m, w[i : i + n, None] * q)
         return m
 
     edge = _x_samples(body, interior=False)

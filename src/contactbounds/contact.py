@@ -13,6 +13,7 @@ in the energy module close. They agree for equal transverse stretches
 and differ otherwise; neither is a bug.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -238,10 +239,14 @@ def evaluate_contact(system):
     )
 
 
-def _face_points(domain, axis, values, n=5):
-    # n x n sample grid on each face {axis = v}, v in values, one point per row
-    us, vs = (np.linspace(lo, hi, n) for lo, hi in _face_spans(domain, axis))
-    return np.concatenate([_face_grid(axis, v, us, vs).reshape(-1, 3) for v in values])
+@functools.lru_cache(maxsize=64)
+def _face_points(domain, axis, values):
+    # 5 x 5 sample grid on each face {axis = v}, v in the tuple values, one
+    # point per row; built once per box and shared, so read-only
+    us, vs = (np.linspace(lo, hi, 5) for lo, hi in _face_spans(domain, axis))
+    pts = np.concatenate([_face_grid(axis, v, us, vs).reshape(-1, 3) for v in values])
+    pts.setflags(write=False)
+    return pts
 
 
 def _running_max(worst, values):
@@ -271,7 +276,7 @@ def check_kinematic(system, dirichlet=None):
     data = dirichlet if dirichlet is not None else system.dirichlet
     worst_d = 0.0
     if data.map2 is not None:
-        X = _face_points(system.body2.domain, "x", [system.body2.domain.x_hi])
+        X = _face_points(system.body2.domain, "x", (system.body2.domain.x_hi,))
         d = system.body2.map.place(X) - _family(data.map2).place(X)
         worst_d = _running_max(worst_d, np.max(np.abs(d), axis=-1))
     if isinstance(system.body1.map, StretchBend):

@@ -211,10 +211,12 @@ def enclosure(system_kinematic, system_static, tau, rule=None):
     return _enclose(system_kinematic, system_static, tau, rule, kin, stat)
 
 
-def _enclose(system_kinematic, system_static, tau, rule, kin, stat):
-    # the bracket from the trials' admissibility reports, kinematic first
+def _enclose(system_kinematic, system_static, tau, rule, kin, stat, e_c=None):
+    # the bracket from the trials' admissibility reports, kinematic first;
+    # e_c, when given, is system_static's complementary energy
     _admit(kin, "kinematic")
     _admit(stat, "static")
     e_p = potential_energy(system_kinematic, tau, rule)
-    e_c = complementary_energy(system_static, rule)
+    if e_c is None:
+        e_c = complementary_energy(system_static, rule)
     return EnergyEnclosure(e_complementary=e_c, e_potential=e_p, gap=e_p - e_c)

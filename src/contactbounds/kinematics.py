@@ -407,8 +407,14 @@ def injectivity_check(map_, domain, quad_order=8):
     xs, wx = rule.mapped(domain.x_lo, domain.x_hi)
     ys, wy = rule.mapped(domain.y_lo, domain.y_hi)
     zs, wz = rule.mapped(domain.z_lo, domain.z_hi)
-    # det F depends on x alone; (x, ys[0], zs[0]) is the first node at x
-    Js = [jacobian(map_, (x, ys[0], zs[0])) for x in xs]
+    # det F depends on x alone; (x, ys[0], zs[0]) is the first node at x.
+    # A NaN determinant passes, as it does in jacobian
+    Js = det(_family(map_).gradient(xs))
+    bad = Js <= 0.0
+    if bad.any():
+        i = np.argmax(bad)
+        X = np.asarray((xs[i], ys[0], zs[0]))
+        raise NonPositiveJacobian("det F = %.6g at X = %s" % (Js[i], X))
     total = _node_sum(np.reshape(Js, (-1, 1, 1)), wx, wy, wz)
     vol = image_volume(map_, domain)
     return total <= vol + 1e-9 * max(1.0, abs(vol))
