@@ -342,15 +342,32 @@ def brute_force_oracle(example, fixed_params, grid_n=1000):
 
     For each grid load the linkage pressure pair is tested against the
     stability thresholds derived from sampled principal stretches. The
-    hull of accepted loads is returned; when the closed regime accepts
-    nothing the open-regime singleton is reported instead.
+    hull of accepted loads is returned. When the grid accepts nothing,
+    grid_n loads across the cells next to the grid load nearest to
+    feasibility are scanned too; when they accept nothing either, the
+    open-regime singleton is reported instead.
     """
     if grid_n < 2:
         raise InvalidParameters("grid_n must be >= 2")
     fp = fixed_params
     cap = _cap(example, fp)
-    acc = _scan(_linkage(example, fp), cap, grid_n + 1)[2]
-    if fp.get("contact_closed", True) and len(acc):
+    linkage = _linkage(example, fp)
+    b_lo, b_hi, acc = _scan(linkage, cap, grid_n + 1)
+    closed = fp.get("contact_closed", True)
+    if closed and not len(acc):
+        # an interval narrower than the grid step can lie between two grid
+        # loads: rescan the cells next to the grid load whose worst margin,
+        # past the cap or a body's window edge, is least. Each margin is
+        # |slope| 1 in tau, so their maximum is convex and least nearest
+        # the middle of the feasible set
+        taus = np.linspace(b_lo, b_hi, grid_n + 1)
+        worst = taus - cap
+        for C, s, lam in linkage:
+            worst = np.maximum(worst, abs(C * s - taus) - C / lam)
+        i = np.argmin(worst)
+        taus = np.linspace(taus[max(i - 1, 0)], taus[min(i + 1, grid_n)], grid_n + 1)
+        acc = taus[_feasible_closed(taus, linkage, cap)]
+    if closed and len(acc):
         return LoadInterval(float(acc[0]), float(acc[-1]), "closed", False)
     # closed regime rejected everything: the open regime carries the
     # load through the free contact face, pinning tau to the cap

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from contactbounds.errors import InfeasibleProblem, InvalidParameters
@@ -31,6 +31,7 @@ from contactbounds.bounds import (
     search_bracket,
     _feasible_closed,
     _linkage,
+    _running_min,
 )
 
 # frozen endpoint values for the worked parameter sets
@@ -178,6 +179,60 @@ def test_criteria_station_blocks_give_the_same_result(monkeypatch):
     whole = criteria_check(body, 50, 3)
     monkeypatch.setattr(bounds, "CRITERIA_BLOCK", 250)
     assert criteria_check(body, 50, 3) == whole
+
+
+_NAN, _Z, _NZ = math.nan, 0.0, -0.0
+
+
+@pytest.mark.parametrize(
+    "m, values",
+    [
+        (math.inf, [_NAN, _Z, _NZ]),
+        (math.inf, [_NAN, _NZ, _Z]),
+        (math.inf, [_Z, _NAN, _NZ, 1.0]),
+        (math.inf, [2.0, _NZ, _NAN, _Z, -0.0]),
+        (math.inf, [_NAN, _NAN]),
+        (math.inf, [math.inf, _NAN]),
+        (math.inf, [3.0, _NAN, -1.5, 7.0, -1.5]),
+        (_Z, [_NZ, _NAN]),
+        (_NZ, [_Z, 5.0]),
+        (-2.0, [_NAN, -1.0, _NZ]),
+        (1.0, [_NAN, 1.0, -math.inf, _NAN]),
+    ],
+)
+def test_running_min_is_pythons_min(m, values):
+    # NaN is never taken; of 0.0 and -0.0 the first in order wins, which
+    # shows in the %.12g text of the criteria minimum
+    values = np.array(values)
+    got, ref = _running_min(m, values), min(m, *values.tolist())
+    assert type(got) is float
+    assert "%.12g" % got == "%.12g" % ref
+    assert math.copysign(1.0, got) == math.copysign(1.0, ref)
+
+
+def test_running_min_takes_the_first_zero_at_every_position():
+    # numpy's own reductions pick either zero, depending on where they sit
+    for n in (9, 33):
+        for i in range(n):
+            for j in range(i + 1, n):
+                for z in (0.0, -0.0):
+                    values = np.ones(n)
+                    values[i], values[j] = z, -z
+                    got = _running_min(math.inf, values)
+                    assert "%.12g" % got == "%.12g" % min(math.inf, *values.tolist())
+
+
+def test_running_min_by_blocks_is_pythons_min():
+    # criteria_check carries the minimum from one block of stations to the next
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        values = rng.choice([_NAN, _Z, _NZ, 1.0, -1.0, -2.5, math.inf], rng.integers(1, 40))
+        m = math.inf
+        for block in np.array_split(values, rng.integers(1, 5)):
+            if len(block):
+                m = _running_min(m, block.reshape(-1, 1))
+        ref = min(math.inf, *values.tolist())
+        assert "%.12g" % m == "%.12g" % ref
 
 
 def test_criteria_argument_validation():
@@ -478,6 +533,55 @@ def test_oracle_falls_back_to_open_singleton():
           "contact_closed": False}
     iv = brute_force_oracle("cohesive", fp)
     assert (iv.tau_lo, iv.tau_hi, iv.regime) == (0.7, 0.7, "open")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    example=st.sampled_from(sorted(CLOSED_FORMS)),
+    C=st.floats(0.5, 3.0),
+    a1=st.floats(0.3, 2.0),
+    a2=st.floats(0.3, 0.99),
+    g=st.floats(0.05, 5.0),
+    A=st.floats(0.3, 2.0),
+    b1=st.floats(0.05, 3.0),
+    frac=st.floats(0.05, 0.98),
+    grid_n=st.integers(100, 2000),
+)
+def test_oracle_finds_an_interval_narrower_than_its_grid_step(
+    example, C, a1, a2, g, A, b1, frac, grid_n
+):
+    # one body's modulus c is set so that the closed-form interval, linear
+    # in c while c is small, is frac of the oracle's grid step wide; it
+    # then lies between two grid loads unless one falls inside it
+    small = "C2" if example == "bending" else "C1"
+    fp = {"C1": C, "C2": C, "a1": a1, "a2": a2}
+    if example == "cohesive":
+        fp["g"] = g
+    if example == "bending":
+        fp.update(A=A, b1=b1, b2=a1 + b1 - a2)
+
+    def width(c):
+        iv = CLOSED_FORMS[example](**{**fp, small: c})
+        return 0.0 if iv.empty else iv.tau_hi - iv.tau_lo
+
+    def res(c):
+        b_lo, b_hi = search_bracket(example, {**fp, small: c})
+        return (b_hi - b_lo) / grid_n
+
+    slope = width(1e-6) / 1e-6
+    assume(slope > 0.0)
+    fp[small] = frac * res(1e-6) / slope
+    closed = CLOSED_FORMS[example](**fp)
+    step = res(fp[small])
+    # wider than the rescan's spacing 2 step / grid_n (<= 0.02 step), and
+    # not a round-off sliver where the other body's window edge meets 0
+    w = 0.0 if closed.empty else closed.tau_hi - closed.tau_lo
+    assume(0.04 * step < w < step)
+    oracle = brute_force_oracle(example, fp, grid_n)
+    assert oracle.regime == "closed"
+    # one grid load inside the interval, or the rescan's hull
+    gap = max(abs(oracle.tau_lo - closed.tau_lo), abs(oracle.tau_hi - closed.tau_hi))
+    assert gap <= max(w, 2.0 * step / grid_n) * (1.0 + 1e-9)
 
 
 def test_oracle_argument_validation():

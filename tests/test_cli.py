@@ -670,6 +670,67 @@ def test_run_checks_admissibility_once(monkeypatch, text):
     assert sorted(calls) == ["check_kinematic", "check_static"]
 
 
+@pytest.mark.parametrize(
+    "text", [COMP_CFG, COH_CFG, BEND_CFG], ids=["compression", "cohesive", "bending"]
+)
+def test_verify_brackets_one_static_side(monkeypatch, text):
+    # the four enclosures of verify() pair with one exact system: its static
+    # check and complementary energy are computed once
+    exact, calls = [], []
+    for name in ("bend_pair", "stretch_pair"):
+        real_pair = getattr(cli, name)
+        monkeypatch.setattr(
+            cli, name, lambda *a, real_pair=real_pair: exact.append(real_pair(*a)) or exact[-1]
+        )
+
+    def counted(name, real):
+        def on_exact(system, *args, **kwargs):
+            if exact and system is exact[0]:
+                calls.append(name)
+            return real(system, *args, **kwargs)
+
+        return on_exact
+
+    for module, name in ((cli, "check_static"), (energy, "check_static"),
+                         (energy, "complementary_energy")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    assert cli.verify(cli.parse_config(text))[0] == 0
+    assert len(exact) == 1
+    assert sorted(calls) == ["check_static", "complementary_energy"]
+
+
+NARROW_CFG = """\
+[system]
+example = bending
+A = 0.98266
+[body1]
+C = 1.54143
+a = 1.46401
+b = 1.62131
+[body2]
+C = 1.15477
+a = 0.83693
+[load]
+tau = 0.20939
+[numerics]
+grid_n = 699
+"""
+
+
+def test_oracle_finds_an_interval_between_two_grid_loads():
+    # the closed form is (-0.0097358, 0), narrower than the 0.0216 grid
+    # step, and no grid load falls inside it
+    config = cli.parse_config(NARROW_CFG)
+    report = cli.run(config)
+    assert report.oracle.regime == "closed"
+    assert not any(w.startswith("closed-form/numeric/oracle mismatch") for w in report.warnings)
+    assert "oracle: tau_lo=-0.00970585594986 tau_hi=-1.54306135923e-05 regime=closed" in (
+        cli.format_report(report)
+    )
+    code, text = cli.verify(config)
+    assert code == 0, text
+
+
 def test_main_verify_reports_a_failed_check(tmp_path, capsys):
     cfg_path = tmp_path / "case.cfg"
     cfg_path.write_text(BEND_CFG)

@@ -13,6 +13,7 @@ from contactbounds.contact import (
     DirichletData,
     SystemSpec,
     _equilibrium_residual,
+    _face_points,
     check_kinematic,
     check_static,
     contact_traction,
@@ -456,3 +457,23 @@ def test_system_rejects_bodies_off_the_shared_span(axis):
     body2 = dataclasses.replace(sys_.body2, domain=domain)
     with pytest.raises(InvalidParameters, match="share the %s-range" % axis):
         dataclasses.replace(sys_, body2=body2)
+
+
+@pytest.mark.parametrize(
+    "domain, axis, values",
+    [
+        (BOX2, "x", (BOX2.x_hi,)),
+        (BOX1, "z", (BOX1.z_lo, BOX1.z_hi)),
+        (BOX2, "y", (BOX2.y_lo, BOX2.y_hi)),
+        (Box3(-0.3, 0.2, 0.1, 0.7, -1.0, 2.5), "y", (0.1, 0.7)),
+    ],
+)
+def test_face_points_are_shared_and_read_only(domain, axis, values):
+    fresh = np.array([X for v in values for X in _face_samples(domain, axis, v)])
+    pts = _face_points(domain, axis, values)
+    assert np.array_equal(pts, fresh)
+    assert not pts.flags.writeable
+    with pytest.raises(ValueError):
+        pts[0, 0] = 1.0
+    # an equal box gives the same grid object, built once
+    assert _face_points(dataclasses.replace(domain), axis, values) is pts

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contactbounds import kinematics
 from contactbounds.errors import InvalidParameters, NonPositiveJacobian, OutOfDomain
 from contactbounds.kinematics import (
     Box3,
@@ -289,3 +290,80 @@ def test_stacked_rho_names_the_first_low_abscissa():
     m = StretchBend(1.0, 1.0, -0.3)
     with pytest.raises(InvalidParameters, match="-1.000e-01 below minimum at X = 0.1$"):
         m.rho(np.array([0.5, 0.1, 0.0]))
+
+
+def _injectivity_per_node(map_, domain, quad_order=8):
+    # the loop the stacked determinant replaced: one jacobian() per x node
+    rule = kinematics.QuadratureRule(quad_order)
+    xs, wx = rule.mapped(domain.x_lo, domain.x_hi)
+    ys, wy = rule.mapped(domain.y_lo, domain.y_hi)
+    zs, wz = rule.mapped(domain.z_lo, domain.z_hi)
+    Js = [jacobian(map_, (x, ys[0], zs[0])) for x in xs]
+    total = kinematics._node_sum(np.reshape(Js, (-1, 1, 1)), wx, wy, wz)
+    vol = image_volume(map_, domain)
+    return Js, total, total <= vol + 1e-9 * max(1.0, abs(vol))
+
+
+def _random_maps(count, seed):
+    rng = np.random.default_rng(seed)
+    maps = []
+    for _ in range(count):
+        a = rng.uniform(0.3, 2.0)
+        maps.append(TriaxialStretch(a, rng.uniform(-1.0, 1.0)))
+        # b keeps the squared radius 2 a x + b above R_MIN^2 on the box
+        maps.append(StretchBend(rng.uniform(0.3, 7.0), a, rng.uniform(1e-3, 3.0)))
+        F0 = rng.standard_normal((3, 3))
+        maps.append(Homogeneous(F0 if np.linalg.det(F0) > 0.0 else -F0))
+    return maps
+
+
+@pytest.mark.parametrize("quad_order", [1, 3, 8])
+def test_stacked_injectivity_equals_the_per_node_loop(monkeypatch, quad_order):
+    # the stacked determinants and their sum are the floats of the loop
+    sums = []
+    real = kinematics._node_sum
+    monkeypatch.setattr(
+        kinematics, "_node_sum", lambda f, *ws: sums.append((f, real(f, *ws))) or sums[-1][1]
+    )
+    for m in _random_maps(40, quad_order):
+        del sums[:]
+        ok = injectivity_check(m, BOX, quad_order)
+        f, total = sums[0]
+        Js, ref_total, ref_ok = _injectivity_per_node(m, BOX, quad_order)
+        assert f.ravel().tolist() == Js
+        assert total == ref_total
+        assert ok == ref_ok
+
+
+def _raised(call):
+    try:
+        call()
+    except (NonPositiveJacobian, InvalidParameters) as e:
+        return type(e), str(e)
+    return None
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        Homogeneous(np.diag([-0.5, 2.0, 1.0])),
+        Homogeneous(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])),
+        # the squared radius 2 a x + b falls below R_MIN^2 inside the box
+        StretchBend(1.0, 1.0, -0.3),
+    ],
+    ids=["reflection", "swap", "low-radius"],
+)
+def test_stacked_injectivity_raises_the_per_node_error(m):
+    expected = _raised(lambda: _injectivity_per_node(m, BOX))
+    assert expected is not None
+    assert _raised(lambda: injectivity_check(m, BOX)) == expected
+
+
+def test_stacked_injectivity_passes_a_nan_determinant():
+    # det F0 = inf - inf: the rule is J <= 0.0, which a NaN does not meet
+    m = Homogeneous(np.array([[1e200, 1e200, 0.0], [1e200, 1e200, 0.0], [0.0, 0.0, 1.0]]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(jacobian(m, (0.1, 0.5, 0.5)))
+        ok = injectivity_check(m, BOX)
+        assert ok == _injectivity_per_node(m, BOX)[2]
+    assert not ok  # the image volume is NaN too
