@@ -120,9 +120,9 @@ def _probes(rng, count):
 
 
 def _running_min(m, values):
-    """min(m, v0, v1, ...) left to right, as Python's min gives it: a NaN
-    value is never taken, and of equal values (0.0 and -0.0) the first
-    wins. The result is a Python float."""
+    # min(m, v0, v1, ...) left to right as a Python float: a NaN value is
+    # never taken, and of equal values (0.0 and -0.0) the first wins, which
+    # numpy's reductions do not promise
     v = np.ravel(values)
     least = np.fmin.reduce(v, initial=m)  # skips NaN; m when nothing is smaller
     return float(min(m, v[np.argmax(v == least)]))
