@@ -22,6 +22,7 @@ which pins tau to 0 (or the cohesive cap g); it is reported as a
 degenerate singleton interval.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -119,6 +120,20 @@ def _probes(rng, count):
     return G
 
 
+@functools.lru_cache(maxsize=8, typed=True)
+def _probe_set(seed, count):
+    # (|G|^2, cof G) of the probes drawn from seed. An int seed gives one
+    # read-only copy per (seed, count), shared by every criteria_check;
+    # 8 entries, as one holds about 8 MB at 100,000 probes. Typed, so that a
+    # float count fails in _probes even when its int twin is cached
+    probes = _probes(np.random.default_rng(seed), count)
+    gg = _sum9(probes * probes)
+    cof = np.ascontiguousarray(cofactor(probes))  # products with it need no copy in _sum9
+    gg.setflags(write=False)
+    cof.setflags(write=False)
+    return gg, cof
+
+
 def _running_min(m, values):
     # min(m, v0, v1, ...) left to right as a Python float: a NaN value is
     # never taken, and of equal values (0.0 and -0.0) the first wins, which
@@ -143,12 +158,12 @@ def criteria_check(body, probe_count=200, seed=42):
         raise InvalidParameters("criteria apply to incompressible bodies")
     if probe_count < 1:
         raise InvalidParameters("probe_count must be >= 1")
-    rng = np.random.default_rng(seed)
+    # a Generator seed advances on every call and None draws fresh probes,
+    # so only an int seed may share a cached set
+    build = _probe_set if isinstance(seed, int) else _probe_set.__wrapped__
+    gg, cof = build(seed, probe_count)
     lo, hi = body.domain.x_lo, body.domain.x_hi
-    probes = _probes(rng, probe_count)
     C = body.material.C
-    gg = _sum9(probes * probes)
-    cof = np.ascontiguousarray(cofactor(probes))  # products with it need no copy in _sum9
 
     def min_form(xs, w):
         # min of w * material.hessian_quadratic_form over stations (rows) and

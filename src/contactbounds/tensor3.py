@@ -2,8 +2,9 @@
 
 Everything here is closed form. The matrices are tiny and appear in inner
 loops, so we avoid LAPACK round trips and keep results bit-reproducible
-across runs of the same interpreter. det, cofactor and ddot also take a
-(..., 3, 3) stack and give, matrix by matrix, the floats of a single call.
+across runs of the same interpreter. det, cofactor, inverse and ddot also
+take a (..., 3, 3) stack and give, matrix by matrix, the floats of a single
+call.
 """
 
 import math
@@ -40,7 +41,8 @@ def as_mat3(m):
 
 def det(m):
     """Determinant by cofactor expansion along the first row."""
-    (m00, m10, m20), (m01, m11, m21), (m02, m12, m22) = np.asarray(m, dtype=float).T
+    m = np.moveaxis(np.asarray(m, dtype=float), (-2, -1), (0, 1))
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
     return (m00 * (m11 * m22 - m12 * m21) - m01 * (m10 * m22 - m12 * m20)
             + m02 * (m10 * m21 - m11 * m20))
 
@@ -66,12 +68,15 @@ def cofactor(m):
 
 
 def inverse(m):
-    """Inverse via the adjugate. Raises SingularMatrix when |det| <= tol."""
+    """Inverse via the adjugate. Raises SingularMatrix when |det| <= tol,
+    for a stack at its first singular matrix."""
     m = np.asarray(m, dtype=float)
     d = det(m)
-    if abs(d) <= SINGULAR_TOL:
-        raise SingularMatrix("|det| = %.3e <= %.1e" % (abs(d), SINGULAR_TOL))
-    return cofactor(m).T / d
+    singular = np.ravel(np.abs(d) <= SINGULAR_TOL)
+    if np.any(singular):
+        first = abs(np.ravel(d)[np.argmax(singular)])
+        raise SingularMatrix("|det| = %.3e <= %.1e" % (first, SINGULAR_TOL))
+    return cofactor(m).swapaxes(-2, -1) / d[..., None, None]
 
 
 def _scalar(v):

@@ -91,6 +91,29 @@ def test_criteria_deterministic_for_fixed_seed():
     assert r1 == r2
 
 
+def test_probe_sets_are_cached_read_only_for_int_seeds_only():
+    body = triaxial_body(1.0, 0.81, 0.5)
+    bounds._probe_set.cache_clear()
+    cold = criteria_check(body, probe_count=100, seed=7)
+    assert criteria_check(body, probe_count=100, seed=7) == cold
+    assert bounds._probe_set.cache_info().hits == 1
+    gg, cof = bounds._probe_set(7, 100)
+    assert not gg.flags.writeable and not cof.flags.writeable
+    # a Generator seed advances on every call, None draws fresh probes,
+    # and neither takes a cache entry
+    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    assert criteria_check(body, probe_count=100, seed=rng) == cold
+    criteria_check(body, probe_count=100, seed=rng)
+    ref.standard_normal((100, 6))
+    ref.standard_normal((100, 6))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    criteria_check(body, probe_count=100, seed=None)
+    assert bounds._probe_set.cache_info().currsize == 1
+    # a float count fails as it does uncached, though 100 is cached
+    with pytest.raises(TypeError):
+        criteria_check(body, probe_count=100.0, seed=7)
+
+
 def test_criteria_bending_body_runs_across_stations():
     sys_ = linked_bend_pair(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, tau=0.0)
     body = dataclasses.replace(sys_.body1, pressure=Constant(0.5))

@@ -11,14 +11,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contactbounds import bounds, cli, energy
+from contactbounds import bounds, cli, energy, tensor3
 from contactbounds.errors import (
     ContactBoundsError,
     InfeasibleProblem,
     ParseError,
     ValidationError,
 )
-from contactbounds.material import Constant, RadialProfile
+from contactbounds.material import (
+    Constant,
+    NeoHookeanIncompressible,
+    RadialProfile,
+    piola_stress,
+)
 
 COMP_CFG = """\
 [system]
@@ -1125,6 +1130,89 @@ def test_each_interval_builds_the_linkage_once(monkeypatch, text):
     del calls[:]
     assert cli.verify(config)[0] == 0
     assert len(calls) == 7
+
+
+@pytest.mark.parametrize("text", [COMP_CFG, BEND_CFG], ids=["compression", "bending"])
+def test_probe_sets_are_built_once_per_seed_and_count(monkeypatch, text):
+    # run() and verify() make 12 criteria checks: both bodies of three runs
+    # at the config's probe_count, four window-flip probes at 50
+    counts = []
+    real_probes = bounds._probes
+    monkeypatch.setattr(
+        bounds, "_probes", lambda rng, count: counts.append(count) or real_probes(rng, count)
+    )
+    bounds._probe_set.cache_clear()
+    config = cli.parse_config(text)
+    cli.run(config)
+    assert cli.verify(config)[0] == 0
+    assert sorted(counts) == [50, 200]
+
+
+def _fixed_check_lines(C1):
+    # verify()'s tensor-identity and stress-derivative checks as per-matrix
+    # loops: the reference for its stacked arithmetic
+    rng = np.random.default_rng(0)
+    worst_inv = 0.0
+    worst_eig = 0.0
+    for _ in range(20):
+        m = rng.standard_normal((3, 3))
+        if abs(tensor3.det(m)) <= 1e-6:
+            continue
+        worst_inv = max(
+            worst_inv, float(np.max(np.abs(tensor3.inverse(m) @ m - np.eye(3))))
+        )
+        s = m + m.T
+        w = tensor3.sym_eigenvalues(s)
+        worst_eig = max(worst_eig, abs(sum(w) - np.trace(s)))
+    worst_fd = 0.0
+    for _ in range(5):
+        lam = np.exp(rng.uniform(-0.3, 0.3, 2))
+        F = np.diag([lam[0], lam[1], 1.0 / (lam[0] * lam[1])])
+        Q = rng.standard_normal((3, 3))
+        Q, _ = np.linalg.qr(Q)
+        if np.linalg.det(Q) < 0.0:
+            Q[:, 0] = -Q[:, 0]
+        F = Q @ F
+        p = rng.uniform(-0.5, 0.5)
+        model = NeoHookeanIncompressible(C1)
+        P = piola_stress(model, F, p)
+        h = 1e-6
+        G = rng.standard_normal((3, 3))
+        G /= np.linalg.norm(G)
+
+        def aug(M):
+            return 0.5 * model.C * (np.sum(M * M) - 3.0) - p * (np.linalg.det(M) - 1.0)
+
+        fd = (aug(F + h * G) - aug(F - h * G)) / (2.0 * h)
+        worst_fd = max(worst_fd, abs(fd - tensor3.ddot(P, G)) / max(1.0, abs(fd)))
+    ok_t = worst_inv < 1e-12 and worst_eig < 1e-9
+    return [
+        "%s tensor identities: inverse residual %.3e, eigenvalue trace residual %.3e"
+        % ("PASS" if ok_t else "FAIL", worst_inv, worst_eig),
+        "%s stress derivative: max relative gap %.3e"
+        % ("PASS" if worst_fd < 1e-6 else "FAIL", worst_fd),
+    ]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.floats(min_value=-9.0, max_value=12.0))
+@example(-9.0)
+@example(12.0)
+def test_verify_fixed_checks_equal_the_per_matrix_loops(log_c1):
+    C1 = 10.0**log_c1
+    config = cli.parse_config(
+        "[system]\nexample = compression\n[body1]\nC = %r\na = 0.81\n"
+        "[body2]\nC = 1.0\na = 0.81\n" % C1
+    )
+    real_pair = cli.stretch_pair
+    with pytest.MonkeyPatch.context() as mp:
+        # the exact pair at unit moduli: the enclosure checks' absolute
+        # tolerances refuse a round-off residual at C1 above about 1e8
+        mp.setattr(cli, "stretch_pair", lambda C1, C2, tau: real_pair(1.0, 1.0, tau))
+        code, text = cli.verify(config)
+    assert code == 0
+    lines = [l for l in text.splitlines() if "tensor identities" in l or "stress derivative" in l]
+    assert lines == _fixed_check_lines(C1)
 
 
 def test_main_overrides_parse_the_config_once(tmp_path, capsys, monkeypatch):

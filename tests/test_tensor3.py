@@ -70,7 +70,10 @@ def test_stacks_equal_single_matrix_calls():
     A = rng.standard_normal((40, 3, 3))
     B = rng.standard_normal((40, 3, 3))
     assert np.array_equal(det(A), [det(a) for a in A])
+    assert np.array_equal(det(A.reshape(4, 10, 3, 3)).ravel(), det(A))
     assert np.array_equal(ddot(A, B), [ddot(a, b) for a, b in zip(A, B)])
+    assert np.array_equal(inverse(A.reshape(4, 10, 3, 3)).reshape(40, 3, 3),
+                          [inverse(a) for a in A])
     # one 9-term order for a single matrix and a stack: np.sum's
     assert all(ddot(a, b) == float(np.sum(a * b)) for a, b in zip(A, B))
     assert type(ddot(A[0], B[0])) is float
@@ -90,6 +93,12 @@ def test_inverse_singular_raises():
     m = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]])
     with pytest.raises(SingularMatrix):
         inverse(m)
+    # a stack names its first singular matrix
+    with pytest.raises(SingularMatrix) as single:
+        inverse(1e-6 * np.eye(3))
+    with pytest.raises(SingularMatrix) as stacked:
+        inverse(np.stack([np.eye(3), 1e-6 * np.eye(3), m]))
+    assert str(stacked.value) == str(single.value)
 
 
 def test_as_mat3_rejects_bad_input():
