@@ -234,7 +234,7 @@ def load_interval_bending(C1, C2, A, a1, a2, b1, b2, contact_closed=True):
     r2 = math.sqrt(2.0 * a2 + b2)
     lmax1 = max(a1 / r0, A * r1 / math.sqrt(a1), 1.0 / (A * math.sqrt(a1)))
     lmax2 = max(a2 / r1, A * r2 / math.sqrt(a2), 1.0 / (A * math.sqrt(a2)))
-    rho_c = r1**2
+    rho_c = a1 + b1  # r1**2 can round above it
     lo = -min(
         C1 / lmax1 - C1 * a1**2 / rho_c,
         C2 / lmax2 - C2 * a2**2 / rho_c,

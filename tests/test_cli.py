@@ -736,6 +736,33 @@ def test_oracle_finds_an_interval_between_two_grid_loads():
     assert code == 0, text
 
 
+EDGE_CFG = """\
+[system]
+example = bending
+A = 0.5
+[body1]
+C = 1.0
+a = 1.0
+b = 1.0
+[body2]
+C = 1.0
+a = 0.5
+"""
+
+
+def test_bending_closed_form_is_empty_on_a_window_edge():
+    # body 1's window edge C / lambda is C a1^2 / rho_c exactly; with rho_c
+    # taken as sqrt(a1 + b1)**2 = 2.0000000000000004 the closed form
+    # reported a sliver (-1.1e-16, 0) that no load of the predicate fills
+    config = cli.parse_config(EDGE_CFG)
+    report = cli.run(config)
+    assert report.closed_form.empty and report.numeric is None
+    assert not any(w.startswith("closed-form/numeric/oracle mismatch") for w in report.warnings)
+    code, text = cli.verify(config)
+    assert code == 0, text
+    assert "PASS interval consistency: closed form empty, bisection agrees" in text
+
+
 def test_main_verify_reports_a_failed_check(tmp_path, capsys):
     cfg_path = tmp_path / "case.cfg"
     cfg_path.write_text(BEND_CFG)
