@@ -570,19 +570,18 @@ def verify(config):
 
     # five passes, each drawing its stretches, rotation, pressure and
     # direction in turn; the arithmetic is one stack of five
-    lam, Q, p, G = [], [], [], []
+    F, Q, p, G = [], [], [], []
     for _ in range(5):
-        lam.append(np.exp(rng.uniform(-0.3, 0.3, 2)))
+        lam = np.exp(rng.uniform(-0.3, 0.3, 2))
+        F.append(np.diag([lam[0], lam[1], 1.0 / (lam[0] * lam[1])]))
         Q.append(rng.standard_normal((3, 3)))
         p.append(rng.uniform(-0.5, 0.5))
         g = rng.standard_normal((3, 3))
         G.append(g / np.linalg.norm(g))
-    lam, p, G = np.array(lam), np.array(p), np.array(G)
-    F = np.zeros((5, 3, 3))
-    F[:, [0, 1, 2], [0, 1, 2]] = np.column_stack([lam, 1.0 / (lam[:, 0] * lam[:, 1])])
-    Q, _ = np.linalg.qr(np.array(Q))
+    p, G = np.array(p), np.array(G)
+    Q = np.linalg.qr(np.array(Q))[0]
     Q[np.linalg.det(Q) < 0.0, :, 0] *= -1.0
-    F = Q @ F
+    F = Q @ np.array(F)
     model = NeoHookeanIncompressible(config.body1.C)
     P = piola_stress(model, F, p)
     h = 1e-6
