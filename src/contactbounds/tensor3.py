@@ -41,10 +41,10 @@ def as_mat3(m):
 
 def det(m):
     """Determinant by cofactor expansion along the first row."""
-    m = np.moveaxis(np.asarray(m, dtype=float), (-2, -1), (0, 1))
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
+    (m00, m10, m20), (m01, m11, m21), (m02, m12, m22) = np.asarray(m, dtype=float).T
+    # the entries hold the stack axes reversed; .T puts them back in order
     return (m00 * (m11 * m22 - m12 * m21) - m01 * (m10 * m22 - m12 * m20)
-            + m02 * (m10 * m21 - m11 * m20))
+            + m02 * (m10 * m21 - m11 * m20)).T
 
 
 def cofactor(m):
