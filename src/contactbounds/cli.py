@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
 )
 from . import tensor3
-from .kinematics import StretchBend, TriaxialStretch, injectivity_check, jacobian
+from .kinematics import TriaxialStretch, injectivity_check, jacobian
 from .material import Constant, NeoHookeanIncompressible, piola_stress
 from .contact import check_kinematic, check_static, evaluate_contact, nominal_traction, rivlin_f
 from .energy import QuadratureRule, _enclose, _resolved_data, potential_energy
@@ -62,8 +62,6 @@ __all__ = [
     "main",
 ]
 
-EXAMPLES = ("compression", "cohesive", "bending")
-
 SECTIONS = {
     "system": ("example", "A"),
     "body1": ("C", "a", "b", "pressure"),
@@ -87,6 +85,56 @@ W_BEND_LINKAGE = (
     "bending intervals use the contact-plane pressure linkage; "
     "the equilibrium pressure profile varies across each body"
 )
+
+
+def _triaxial(tau=None, **kw):  # the load shapes only a bending state
+    return triaxial_system(**kw)
+
+
+def _bending(**kw):
+    return bending_system(**kw)
+
+
+def _stretch_ref(config):
+    tau_ref = -0.3 * min(config.body1.C, config.body2.C)
+    return tau_ref, stretch_pair(config.body1.C, config.body2.C, tau_ref)
+
+
+def _bend_ref(config):
+    C1, a1, b1, a2 = config.body1.C, config.body1.a, config.body1.b, config.body2.a
+    need = rivlin_f(C1, config.A, a1, b1 + a1) - rivlin_f(C1, config.A, a1, b1)
+    tau_ref = -need * math.sqrt(b1) / a1 - 0.5 * C1
+    return tau_ref, bend_pair(C1, config.body2.C, config.A, a1, a2, a1 + a2 + b1, tau_ref)
+
+
+def _stretch_trial(exact, delta):
+    # a steeper body 1 whose offset keeps the contact plane closed
+    a_t, m2, xc = exact.body1.map.a * (1.0 + delta), exact.body2.map, exact.x_c
+    return TriaxialStretch(a_t, m2.a * xc + m2.b - a_t * xc - delta * 0.05)
+
+
+def _bend_trial(exact, delta):
+    return dataclasses.replace(exact.body1.map, b=exact.body1.map.b - delta * 0.1)
+
+
+@dataclass(frozen=True)
+class Example:
+    """Everything the front end decides per example."""
+
+    params: tuple  # the closed form's keywords after C1, C2, a1, a2
+    closed_form: object
+    build: object  # calls the states constructor by its module name, which a tracer can patch
+    reference: object  # config -> (tau_ref, exact pair), for verify
+    trial: object  # (exact pair, delta) -> verify's trial map for body 1
+    notes: tuple = ()  # warnings that every run carries
+
+
+EXAMPLES = {
+    "compression": Example((), load_interval_compression, _triaxial, _stretch_ref, _stretch_trial),
+    "cohesive": Example(("g",), load_interval_cohesive, _triaxial, _stretch_ref, _stretch_trial),
+    "bending": Example(("A", "b1", "b2"), load_interval_bending, _bending, _bend_ref, _bend_trial,
+                       (W_BEND_LINKAGE,)),
+}
 
 
 @dataclass(frozen=True)
@@ -201,7 +249,7 @@ def parse_config(text):
                 raise ValidationError("[%s] %s must be finite" % (sec, k))
         bodies.append(BodyConfig(C=C, a=a, **given))
     A = _take_number(raw, "system", "A")
-    if example == "bending":
+    if "A" in EXAMPLES[example].params:
         if A is None:
             raise ValidationError("bending requires [system] A")
         if not (math.isfinite(A) and A > 0.0):
@@ -216,9 +264,9 @@ def parse_config(text):
         raise ValidationError("[contact] d_allow must be >= 0")
     if not (math.isfinite(g) and g >= 0.0):
         raise ValidationError("[contact] g must be >= 0")
-    if example == "cohesive" and g <= 0.0:
+    if "g" in EXAMPLES[example].params and g <= 0.0:
         raise ValidationError("cohesive example requires [contact] g > 0")
-    if example != "cohesive" and g > 0.0:
+    if "g" not in EXAMPLES[example].params and g > 0.0:
         raise ValidationError("[contact] g only applies to the cohesive example")
     tau = _take_number(raw, "load", "tau")
     if tau is not None and not math.isfinite(tau):
@@ -267,34 +315,23 @@ def build_system(config):
     defaults: the gap-closing offset and the equilibrium pressure.
     """
     c1, c2 = config.body1, config.body2
-    kw = dict(b1=c1.b, b2=c2.b, p1=c1.pressure, p2=c2.pressure, g=config.g)
-    if config.example == "bending":
-        kw["tau"] = config.tau
+    kw = dict(b1=c1.b, b2=c2.b, p1=c1.pressure, p2=c2.pressure, g=config.g, tau=config.tau)
     kw.update(_fixed_params(config), d_allow=config.d_allow)
-    build = bending_system if config.example == "bending" else triaxial_system
-    return build(**{k: v for k, v in kw.items() if v is not None})
+    return EXAMPLES[config.example].build(**{k: v for k, v in kw.items() if v is not None})
 
 
 def _fixed_params(config, **override):
     # the closed form's keyword arguments, each override replacing one; an
     # unset bending b2 is derived after them, following a1, b1 and a2
     c1, c2 = config.body1, config.body2
+    params = EXAMPLES[config.example].params
+    given = {"g": config.g, "A": config.A, "b1": c1.b, "b2": c2.b}
     fp = {"C1": c1.C, "C2": c2.C, "a1": c1.a, "a2": c2.a}
-    if config.example == "cohesive":
-        fp["g"] = config.g
-    if config.example == "bending":
-        fp.update(A=config.A, b1=c1.b, b2=c2.b)
+    fp.update((k, given[k]) for k in params)
     fp.update(override)
-    if config.example == "bending" and fp["b2"] is None:
+    if "b2" in params and fp["b2"] is None:
         fp["b2"] = bending_b2(fp["a1"], fp["b1"], fp["a2"])
     return fp
-
-
-CLOSED_FORMS = {
-    "compression": load_interval_compression,
-    "cohesive": load_interval_cohesive,
-    "bending": load_interval_bending,
-}
 
 
 def _agreement(config, closed, numeric, oracle):
@@ -349,7 +386,7 @@ def run(config):
         criteria_check(system.body2, config.probe_count, config.seed),
     )
     fp = _fixed_params(config)
-    closed = CLOSED_FORMS[config.example](**fp)
+    closed = EXAMPLES[config.example].closed_form(**fp)
     numeric = None
     try:
         numeric = numeric_load_bounds(config.example, fp)
@@ -369,8 +406,7 @@ def run(config):
             warnings.append(W_MISMATCH % "closed form empty but oracle accepts loads")
     if abs(config.body1.a - 1.0) < 1e-12 or abs(config.body2.a - 1.0) < 1e-12:
         warnings.append(W_DEGENERATE)
-    if config.example == "bending":
-        warnings.append(W_BEND_LINKAGE)
+    warnings.extend(EXAMPLES[config.example].notes)
     return RunReport(
         config=config,
         kinematic=kin,
@@ -519,7 +555,7 @@ def sweep(config, param, lo, hi, steps):
     for v in np.linspace(lo, hi, steps):
         fp = _fixed_params(config, **{param: float(v)})
         try:
-            rows.append(_csv_row(_f(v), CLOSED_FORMS[config.example](**fp)) + ",")
+            rows.append(_csv_row(_f(v), EXAMPLES[config.example].closed_form(**fp)) + ",")
         except (ContactBoundsError, ArithmeticError) as e:
             rows.append('%s,,,,,"%s"' % (_f(v), e))
     return "\n".join(rows) + "\n"
@@ -626,15 +662,8 @@ def verify(config):
     ) and flag(-window * 0.98)
     check("window flip", ok_flip, "edges +/-%s bracket the flip" % _f(window))
 
-    if config.example == "bending":
-        C1, a1, b1 = config.body1.C, config.body1.a, config.body1.b
-        need = rivlin_f(C1, config.A, a1, b1 + a1) - rivlin_f(C1, config.A, a1, b1)
-        tau_ref = -need * math.sqrt(b1) / a1 - 0.5 * C1
-        rho_out = a1 + config.body2.a + b1
-        exact = bend_pair(C1, config.body2.C, config.A, a1, config.body2.a, rho_out, tau_ref)
-    else:
-        tau_ref = -0.3 * min(config.body1.C, config.body2.C)
-        exact = stretch_pair(config.body1.C, config.body2.C, tau_ref)
+    ex = EXAMPLES[config.example]
+    tau_ref, exact = ex.reference(config)
     # enclosure(exact, exact, ...); the trials below pair with the same
     # static side, so they reuse its admitted report and energy
     data = _resolved_data(exact)
@@ -649,20 +678,8 @@ def verify(config):
 
     worst_gap = 0.0
     for delta in (0.01, 0.03, 0.08):
-        if config.example == "bending":
-            m1 = exact.body1.map
-            trial_map = StretchBend(m1.A, m1.a, m1.b - delta * 0.1)
-            trial_body = dataclasses.replace(exact.body1, map=trial_map)
-            trial = dataclasses.replace(exact, body1=trial_body)
-        else:
-            m1, m2 = exact.body1.map, exact.body2.map
-            a_t = m1.a * (1.0 + delta)
-            xc = exact.x_c
-            b_t = (m2.a * xc + m2.b) - a_t * xc - delta * 0.05
-            trial_body = dataclasses.replace(
-                exact.body1, map=TriaxialStretch(a_t, b_t)
-            )
-            trial = dataclasses.replace(exact, body1=trial_body)
+        trial_body = dataclasses.replace(exact.body1, map=ex.trial(exact, delta))
+        trial = dataclasses.replace(exact, body1=trial_body)
         kin = check_kinematic(trial, dirichlet=data)
         e = _enclose(trial, exact, tau_ref, rule, kin, stat, enc.e_complementary)
         worst_gap = min(worst_gap, e.gap)

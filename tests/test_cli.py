@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import inspect
 import io
 import json
 import signal
@@ -902,6 +903,36 @@ def test_sweep_argument_validation():
         cli.sweep(cfg, "a1", 1.0, 0.0, 3)
 
 
+def test_example_table_params_are_the_closed_form_keywords():
+    assert tuple(cli.EXAMPLES) == ("compression", "cohesive", "bending")
+    for name, ex in cli.EXAMPLES.items():
+        keys = [k for k in inspect.signature(ex.closed_form).parameters if k != "contact_closed"]
+        base = ("C1", "C2", "a1", "a2")
+        assert set(base) <= set(keys), name
+        assert ex.params == tuple(k for k in keys if k not in base), name
+        config = cli.parse_config({"compression": COMP_CFG, "cohesive": COH_CFG}.get(name, BEND_CFG))
+        assert tuple(cli._fixed_params(config)) == base + ex.params
+
+
+@pytest.mark.parametrize(
+    "text, build, pair",
+    [(COMP_CFG, "triaxial_system", "stretch_pair"), (COH_CFG, "triaxial_system", "stretch_pair"),
+     (BEND_CFG, "bending_system", "bend_pair")],
+    ids=["compression", "cohesive", "bending"],
+)
+def test_example_table_calls_states_through_module_names(monkeypatch, text, build, pair):
+    # a tracer patches module-level names: a states constructor held in the
+    # table itself would run unseen by it
+    calls = []
+    for name in (build, pair):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, _n=name, _f=real, **kw: calls.append(_n) or _f(*a, **kw))
+    config = cli.parse_config(text)
+    cli.build_system(config)
+    cli.EXAMPLES[config.example].reference(config)
+    assert calls == [build, pair]
+
+
 def test_fixed_params_override_touches_the_right_field():
     cfg = cli.parse_config(COH_CFG)
     base = cli._fixed_params(cfg)
@@ -1341,7 +1372,7 @@ def _main_within(argv, seconds):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
-    example=st.sampled_from(cli.EXAMPLES),
+    example=st.sampled_from(tuple(cli.EXAMPLES)),
     edits=st.dictionaries(
         st.sampled_from(FUZZ_KEYS), st.none() | st.sampled_from(FUZZ_VALUES), max_size=4
     ),
