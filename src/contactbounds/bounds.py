@@ -191,7 +191,7 @@ def _body_loads(C, a):
     """(lo, hi) of the loads with |C a^2 - tau| inside one triaxial body's
     window: C sqrt(a) for a <= 1, C / a above 1."""
     if a <= 1.0:
-        return -(C * (math.sqrt(a) - a**2)), C * (math.sqrt(a) + a**2)
+        return C * (a**2 - math.sqrt(a)), C * (math.sqrt(a) + a**2)
     return C * (a**2 - 1.0 / a), C * (a**2 + 1.0 / a)
 
 
@@ -235,7 +235,7 @@ def load_interval_bending(C1, C2, A, a1, a2, b1, b2, contact_closed=True):
     lmax1 = max(a1 / r0, A * r1 / math.sqrt(a1), 1.0 / (A * math.sqrt(a1)))
     lmax2 = max(a2 / r1, A * r2 / math.sqrt(a2), 1.0 / (A * math.sqrt(a2)))
     rho_c = a1 + b1  # r1**2 can round above it
-    lo = -min(
+    lo = 0.0 - min(  # not -min(...): a zero minimum gives +0.0, not -0.0
         C1 / lmax1 - C1 * a1**2 / rho_c,
         C2 / lmax2 - C2 * a2**2 / rho_c,
     )

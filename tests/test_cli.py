@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import io
 import json
+import math
 import signal
 import subprocess
 import sys
@@ -762,6 +763,37 @@ def test_bending_closed_form_is_empty_on_a_window_edge():
     code, text = cli.verify(config)
     assert code == 0, text
     assert "PASS interval consistency: closed form empty, bisection agrees" in text
+
+
+@pytest.mark.parametrize(
+    "text",
+    [COMP_CFG.replace("a = 0.81", "a = 1.0"), COH_CFG.replace("a = 0.9", "a = 1.0"), EDGE_CFG],
+    ids=["compression", "cohesive", "bending-window-edge"],
+)
+def test_closed_form_lower_end_is_never_negative_zero(text):
+    # C (sqrt(a) - a^2) is +0.0 at a = 1, and so is a bending window minimum
+    # on its edge: negated, both printed -0
+    report = cli.run(cli.parse_config(text))
+    assert report.closed_form.tau_lo == 0.0
+    assert math.copysign(1.0, report.closed_form.tau_lo) == 1.0
+    assert "closed_form: tau_lo=0 " in cli.format_report(report)
+    assert "\nclosed_form,0," in cli.format_csv(report)
+    assert '"closed_form": {"tau_lo": 0,' in cli.format_jsonish(report)
+
+
+@pytest.mark.parametrize(
+    "text, param, row",
+    [
+        (COMP_CFG, "a1", "1,0,0,true,closed,"),
+        (COH_CFG, "a2", "1,0,0.6,false,closed,"),
+        (BEND_CFG, "A", "0.5,0,0,true,closed,"),  # a1 = a2 = 1
+    ],
+    ids=["compression", "cohesive", "bending"],
+)
+def test_sweep_rows_at_unit_stretch_print_no_negative_zero(text, param, row):
+    rows = cli.sweep(cli.parse_config(text), param, 0.5, 1.5, 3).splitlines()
+    assert row in rows
+    assert not any(",-0," in r for r in rows)
 
 
 def test_main_verify_reports_a_failed_check(tmp_path, capsys):
