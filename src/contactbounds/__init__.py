@@ -18,7 +18,6 @@ from .errors import (
     NonFiniteIntegrand,
     NonPositiveJacobian,
     NotSymmetric,
-    OutOfDomain,
     ParseError,
     SingularMatrix,
     ValidationError,
@@ -30,7 +29,6 @@ from .kinematics import (
     StretchTriple,
     TriaxialStretch,
     deformation_gradient,
-    displacement,
     image_volume,
     injectivity_check,
     jacobian,
@@ -39,13 +37,10 @@ from .kinematics import (
 )
 from .material import (
     Constant,
-    NeoHookeanCompressible,
     NeoHookeanIncompressible,
     RadialProfile,
     cauchy_stress,
     complementary_density,
-    constraint_gradient,
-    constraint_value,
     hessian_quadratic_form,
     piola_stress,
     strain_energy,

@@ -30,7 +30,6 @@ import numpy as np
 
 from .errors import InfeasibleProblem, InvalidParameters
 from .kinematics import R_MIN, TriaxialStretch
-from .material import NeoHookeanIncompressible
 from .tensor3 import _cpow, _sum9, cofactor
 
 __all__ = [
@@ -89,8 +88,6 @@ def _check_positive(**kw):
 
 def pressure_window(body):
     """Pressure interval keeping the constrained Hessian positive."""
-    if not isinstance(body.material, NeoHookeanIncompressible):
-        raise InvalidParameters("pressure window applies to incompressible bodies")
     w = body.material.C / body.map.stretch_max(body.domain)
     return (-w, w)
 
@@ -154,8 +151,6 @@ def criteria_check(body, probe_count=200, seed=42):
     with each shear plane make the sign change at the window edge exact;
     the seeded random probes guard the rest of the tangent space.
     """
-    if not isinstance(body.material, NeoHookeanIncompressible):
-        raise InvalidParameters("criteria apply to incompressible bodies")
     if probe_count < 1:
         raise InvalidParameters("probe_count must be >= 1")
     # a Generator seed advances on every call and None draws fresh probes,

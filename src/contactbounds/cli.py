@@ -27,7 +27,6 @@ from .errors import (
     InadmissibleTrial,
     InfeasibleProblem,
     InvalidParameters,
-    OutOfDomain,
     ParseError,
     ValidationError,
 )
@@ -763,7 +762,7 @@ def main(argv=None):
             code, text = verify(config)
             _emit(text, args.output)
             return code
-    except (ParseError, ValidationError, InvalidParameters, OutOfDomain, FamilyMismatch) as e:
+    except (ParseError, ValidationError, InvalidParameters, FamilyMismatch) as e:
         sys.stderr.write("error: %s\n" % e)
         return 2
     except (ContactBoundsError, ArithmeticError) as e:

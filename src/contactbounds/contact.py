@@ -76,7 +76,10 @@ TOLERANCES = {
 
 @dataclass(frozen=True)
 class BodySpec:
-    """One body: reference box, material, deformation, pressure field."""
+    """One body: reference box, material, deformation, pressure field.
+
+    The material is a NeoHookeanIncompressible; BodySpec rejects any other.
+    """
 
     domain: Box3
     material: object
@@ -85,9 +88,9 @@ class BodySpec:
 
     def __post_init__(self):
         _family(self.map)
-        if isinstance(self.material, NeoHookeanIncompressible) and isinstance(
-            self.map, Homogeneous
-        ):
+        if not isinstance(self.material, NeoHookeanIncompressible):
+            raise InvalidParameters("unknown material model %r" % (self.material,))
+        if isinstance(self.map, Homogeneous):
             J = det(self.map.F0)
             if abs(J - 1.0) > CONSTRAINT_TOL:
                 raise ConstraintViolated(
@@ -255,8 +258,6 @@ def _running_max(worst, values):
 
 
 def _constraint_residual(body):
-    if not isinstance(body.material, NeoHookeanIncompressible):
-        return 0.0
     # det F depends on x alone: the 5 abscissae of a 5 x 5 x 5 sample grid
     xs = np.linspace(body.domain.x_lo, body.domain.x_hi, 5)
     return _running_max(0.0, np.abs(det(body.map.gradient(xs)) - 1.0))

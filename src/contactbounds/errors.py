@@ -13,10 +13,6 @@ class NotSymmetric(ContactBoundsError):
     """Symmetric eigenvalue routine fed a non-symmetric matrix."""
 
 
-class OutOfDomain(ContactBoundsError):
-    """Evaluation point lies outside the reference domain."""
-
-
 class InvalidParameters(ContactBoundsError):
     """Family or model parameters violate their admissibility conditions."""
 

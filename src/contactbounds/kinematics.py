@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameters, NonPositiveJacobian, OutOfDomain
+from .errors import InvalidParameters, NonPositiveJacobian
 from .tensor3 import _scalar, as_mat3, det, sym_eigenvalues
 
 __all__ = [
@@ -40,16 +40,12 @@ __all__ = [
     "principal_stretches",
     "jacobian",
     "placement",
-    "displacement",
     "image_volume",
     "injectivity_check",
 ]
 
 #: smallest admissible bending radius; r(X) below this is rejected
 R_MIN = 1e-6
-
-#: boxes are inflated by this amount for containment checks
-DOMAIN_TOL = 1e-12
 
 #: Gauss-Legendre points per axis of the default QuadratureRule
 DEFAULT_ORDER = 8
@@ -82,14 +78,6 @@ class Box3:
             (self.x_hi - self.x_lo)
             * (self.y_hi - self.y_lo)
             * (self.z_hi - self.z_lo)
-        )
-
-    def contains(self, X, tol=DOMAIN_TOL):
-        x, y, z = float(X[0]), float(X[1]), float(X[2])
-        return (
-            self.x_lo - tol <= x <= self.x_hi + tol
-            and self.y_lo - tol <= y <= self.y_hi + tol
-            and self.z_lo - tol <= z <= self.z_hi + tol
         )
 
     def center(self):
@@ -334,25 +322,19 @@ def _family(map_):
     return map_
 
 
-def _check_domain(X, domain):
-    if domain is not None and not domain.contains(X):
-        raise OutOfDomain("point %s outside reference box" % (np.asarray(X),))
-
-
-def deformation_gradient(map_, X, domain=None):
+def deformation_gradient(map_, X):
     """Deformation gradient at X.
 
     For TriaxialStretch and Homogeneous this is the Cartesian gradient;
     for StretchBend it is expressed in the local principal frame
     (e_r, e_theta, e_z), where it is diagonal.
     """
-    _check_domain(X, domain)
     return _family(map_).gradient(float(X[0]))
 
 
-def principal_stretches(map_, X, domain=None):
+def principal_stretches(map_, X):
     """Principal stretches at X, in family order."""
-    F = deformation_gradient(map_, X, domain)
+    F = deformation_gradient(map_, X)
     if not isinstance(map_, Homogeneous):
         return StretchTriple(F[0, 0], F[1, 1], F[2, 2])
     # general affine: singular values, descending
@@ -361,23 +343,17 @@ def principal_stretches(map_, X, domain=None):
     return StretchTriple(*w)
 
 
-def jacobian(map_, X, domain=None):
+def jacobian(map_, X):
     """det of the deformation gradient; raises if not positive."""
-    J = det(deformation_gradient(map_, X, domain))
+    J = det(deformation_gradient(map_, X))
     if J <= 0.0:
         raise NonPositiveJacobian("det F = %.6g at X = %s" % (J, np.asarray(X)))
     return J
 
 
-def placement(map_, X, domain=None):
+def placement(map_, X):
     """Image point chi(X) in Cartesian coordinates."""
-    _check_domain(X, domain)
     return _family(map_).place(X)
-
-
-def displacement(map_, X, domain=None):
-    """u(X) = chi(X) - X in Cartesian coordinates."""
-    return placement(map_, X, domain) - np.asarray(X, dtype=float)
 
 
 def image_volume(map_, domain):

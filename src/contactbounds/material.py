@@ -1,6 +1,6 @@
-"""Hyperelastic material models and pointwise stress measures.
+"""The hyperelastic material model and pointwise stress measures.
 
-The workhorse is the incompressible neo-Hookean solid
+The model is the incompressible neo-Hookean solid
 
     W(F) = (C / 2) (I1(F) - 3),     det F = 1,
 
@@ -9,9 +9,7 @@ whose first Piola-Kirchhoff stress carries a reaction pressure p:
     P = C F - p cof F.
 
 At det F = 1 the cofactor equals the inverse transpose, so this agrees
-with the usual C F - p F^{-T} while staying polynomial in F. A weakly
-compressible variant replaces the constraint by a quadratic volumetric
-penalty; there the pressure argument is ignored.
+with the usual C F - p F^{-T} while staying polynomial in F.
 
 strain_energy, piola_stress and complementary_density also take a stack
 of gradients and pressures: matrix by matrix the floats of single calls,
@@ -28,13 +26,10 @@ from .tensor3 import _cpow, _scalar, cofactor, ddot, det
 
 __all__ = [
     "NeoHookeanIncompressible",
-    "NeoHookeanCompressible",
     "Constant",
     "RadialProfile",
     "pressure_at",
     "strain_energy",
-    "constraint_value",
-    "constraint_gradient",
     "piola_stress",
     "cauchy_stress",
     "complementary_density",
@@ -52,18 +47,6 @@ class NeoHookeanIncompressible:
     def __post_init__(self):
         if not (math.isfinite(self.C) and self.C > 0.0):
             raise InvalidParameters("modulus C = %r must be positive" % (self.C,))
-
-
-@dataclass(frozen=True)
-class NeoHookeanCompressible:
-    C: float
-    D: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.C) and self.C > 0.0):
-            raise InvalidParameters("modulus C = %r must be positive" % (self.C,))
-        if not (math.isfinite(self.D) and self.D > 0.0):
-            raise InvalidParameters("penalty D = %r must be positive" % (self.D,))
 
 
 @dataclass(frozen=True)
@@ -129,42 +112,25 @@ def _check_det(F, constrained=False):
     return J
 
 
+def _check_model(model):
+    if not isinstance(model, NeoHookeanIncompressible):
+        raise InvalidParameters("unknown material model %r" % (model,))
+
+
 def strain_energy(model, F):
     """Stored energy density W(F)."""
+    _check_model(model)
     F = np.asarray(F, dtype=float)
-    J = _check_det(F, isinstance(model, NeoHookeanIncompressible))
-    i1 = ddot(F, F)
-    if isinstance(model, NeoHookeanIncompressible):
-        return 0.5 * model.C * (i1 - 3.0)
-    if isinstance(model, NeoHookeanCompressible):
-        # a numpy float for one matrix, like an element of a stack
-        return 0.5 * model.C * (i1 - 3.0) + model.D * np.float64(_cpow(J - 1.0, 2))
-    raise InvalidParameters("unknown material model %r" % (model,))
-
-
-def constraint_value(F):
-    """Incompressibility residual det F - 1."""
-    return det(np.asarray(F, dtype=float)) - 1.0
-
-
-def constraint_gradient(F):
-    """d(det F)/dF = cof F."""
-    return cofactor(np.asarray(F, dtype=float))
+    _check_det(F, constrained=True)
+    return 0.5 * model.C * (ddot(F, F) - 3.0)
 
 
 def piola_stress(model, F, pressure=0.0):
-    """First Piola-Kirchhoff stress.
-
-    For the incompressible model, pressure is the constraint reaction;
-    for the compressible model it is ignored (forced to zero).
-    """
+    """First Piola-Kirchhoff stress; pressure is the constraint reaction."""
+    _check_model(model)
     F = np.asarray(F, dtype=float)
-    J = _check_det(F)
-    if isinstance(model, NeoHookeanIncompressible):
-        return model.C * F - np.asarray(pressure, dtype=float)[..., None, None] * cofactor(F)
-    if isinstance(model, NeoHookeanCompressible):
-        return model.C * F + np.asarray(2.0 * model.D * (J - 1.0))[..., None, None] * cofactor(F)
-    raise InvalidParameters("unknown material model %r" % (model,))
+    _check_det(F)
+    return model.C * F - np.asarray(pressure, dtype=float)[..., None, None] * cofactor(F)
 
 
 def cauchy_stress(model, F, pressure=0.0):
@@ -187,10 +153,8 @@ def hessian_quadratic_form(model, F, pressure, G):
 
     Uses the exact expansion det(F + t G) = det F + t cof(F):G
     + t^2 cof(G):F + t^3 det G, so the form is polynomial and exact.
-    Defined for the incompressible model, the one the criteria test.
     """
-    if not isinstance(model, NeoHookeanIncompressible):
-        raise InvalidParameters("quadratic form applies to incompressible bodies")
+    _check_model(model)
     F = np.asarray(F, dtype=float)
     G = np.asarray(G, dtype=float)
     return model.C * ddot(G, G) - pressure * 2.0 * ddot(cofactor(G), F)

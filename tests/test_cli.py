@@ -4,6 +4,8 @@ import inspect
 import io
 import json
 import math
+import pathlib
+import re
 import signal
 import subprocess
 import sys
@@ -1060,6 +1062,20 @@ def test_sweep_steps_are_bounded(tmp_path, capsys):
     argv = ["sweep", "--config", str(cfg_path), "--param", "a1"]
     assert cli.main(argv + ["--range", "0:1:1000000000"]) == 2
     assert capsys.readouterr().err == "error: sweep takes at most 100000 steps\n"
+
+
+def test_readme_config_and_commands_run(tmp_path, capsys):
+    # the config block and the command lines of README.md, as printed there
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```\n(.*?)^```", readme.read_text(encoding="utf-8"), re.M | re.S)
+    cfg_path = tmp_path / "case.cfg"
+    cfg_path.write_text(next(b for b in blocks if b.startswith("[system]")))
+    commands = next(b for b in blocks if b.startswith("contactbounds ")).splitlines()
+    assert [line.split()[1] for line in commands] == ["run", "sweep", "verify"]
+    for line in commands:
+        argv = re.sub(r"\[.*?\]", "", line).split()[1:]
+        argv = [str(cfg_path) if arg == "case.cfg" else arg for arg in argv]
+        assert cli.main(argv) == 0, (line, capsys.readouterr())
 
 
 def test_main_run_and_output_file(tmp_path, capsys):

@@ -6,13 +6,10 @@ import pytest
 from contactbounds.errors import ConstraintViolated, InvalidParameters, NonPositiveJacobian
 from contactbounds.material import (
     Constant,
-    NeoHookeanCompressible,
     NeoHookeanIncompressible,
     RadialProfile,
     cauchy_stress,
     complementary_density,
-    constraint_gradient,
-    constraint_value,
     hessian_quadratic_form,
     piola_stress,
     pressure_at,
@@ -62,14 +59,10 @@ def test_strain_energy_rejects_negative_jacobian():
         strain_energy(NeoHookeanIncompressible(1.0), np.diag([-1.0, 1.0, 1.0]))
 
 
-@pytest.mark.parametrize(
-    "model", [NeoHookeanIncompressible(1.3), NeoHookeanCompressible(1.3, 2.5)]
-)
-def test_stacks_equal_single_calls(model):
+def test_stacks_equal_single_calls():
+    model = NeoHookeanIncompressible(1.3)
     rng = np.random.default_rng(4)
     Fs = np.array([random_isochoric(rng) for _ in range(30)])
-    if isinstance(model, NeoHookeanCompressible):
-        Fs *= rng.uniform(0.9, 1.1, (30, 1, 1))  # volume changes too
     ps = rng.uniform(-0.5, 0.5, 30)
     W = strain_energy(model, Fs)
     P = piola_stress(model, Fs, ps)
@@ -87,26 +80,6 @@ def test_stack_check_names_the_first_failing_matrix():
         strain_energy(model, np.array([I, J11, flip]))
     with pytest.raises(NonPositiveJacobian, match="det F = -1$"):
         strain_energy(model, np.array([I, flip, J11]))
-
-
-def test_compressible_penalty_term():
-    model = NeoHookeanCompressible(2.0, 5.0)
-    F = np.diag([1.1, 1.0, 1.0])
-    i1 = 1.1**2 + 2.0
-    expected = 0.5 * 2.0 * (i1 - 3.0) + 5.0 * 0.1**2
-    assert strain_energy(model, F) == pytest.approx(expected, rel=1e-12)
-    # the pressure argument is a constraint reaction; the penalty model has none
-    assert np.allclose(piola_stress(model, F, 5.0), piola_stress(model, F))
-
-
-def test_constraint_value_and_gradient():
-    F = np.array([[1.0, 0.3, 0.0], [0.0, 1.0, 0.2], [0.1, 0.0, 1.0]])
-    assert constraint_value(F) == pytest.approx(np.linalg.det(F) - 1.0, abs=1e-14)
-    # directional derivative of det along G matches cof(F) : G
-    G = np.array([[0.2, -0.1, 0.4], [0.3, 0.0, -0.2], [0.1, 0.5, 0.3]])
-    h = 1e-7
-    fd = (np.linalg.det(F + h * G) - np.linalg.det(F - h * G)) / (2.0 * h)
-    assert float(np.sum(constraint_gradient(F) * G)) == pytest.approx(fd, abs=1e-7)
 
 
 def test_piola_matches_finite_differences_of_augmented_energy():
@@ -192,8 +165,6 @@ def test_model_parameter_validation():
     with pytest.raises(InvalidParameters):
         NeoHookeanIncompressible(0.0)
     with pytest.raises(InvalidParameters):
-        NeoHookeanCompressible(1.0, -2.0)
-    with pytest.raises(InvalidParameters):
         Constant(math.inf)
 
 
@@ -202,9 +173,8 @@ def test_unknown_model_rejected():
         strain_energy(object(), np.eye(3))
     with pytest.raises(InvalidParameters):
         piola_stress(object(), np.eye(3))
-    # the quadratic form is defined for the incompressible model only
     with pytest.raises(InvalidParameters):
-        hessian_quadratic_form(NeoHookeanCompressible(1.0, 2.0), np.eye(3), 0.0, np.eye(3))
+        hessian_quadratic_form(object(), np.eye(3), 0.0, np.eye(3))
 
 
 def test_radial_profile_matches_formula():

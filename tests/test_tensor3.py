@@ -54,6 +54,16 @@ def test_cofactor_adjugate_identity(m):
     assert np.max(np.abs(lhs - det(m) * np.eye(3))) <= 1e-12 * scale
 
 
+def test_cofactor_is_the_derivative_of_det():
+    # cof(F) : G = d det(F + h G) / dh at h = 0, which piola_stress and
+    # hessian_quadratic_form rely on
+    F = np.array([[1.0, 0.3, 0.0], [0.0, 1.0, 0.2], [0.1, 0.0, 1.0]])
+    G = np.array([[0.2, -0.1, 0.4], [0.3, 0.0, -0.2], [0.1, 0.5, 0.3]])
+    h = 1e-7
+    fd = (np.linalg.det(F + h * G) - np.linalg.det(F - h * G)) / (2.0 * h)
+    assert float(np.sum(cofactor(F) * G)) == pytest.approx(fd, abs=1e-7)
+
+
 def test_cofactor_of_diag():
     c = cofactor(np.diag([2.0, 3.0, 5.0]))
     assert np.allclose(c, np.diag([15.0, 10.0, 6.0]), atol=1e-14)
