@@ -140,6 +140,33 @@ def _running_min(m, values):
     return float(min(m, v[np.argmax(v == least)]))
 
 
+def _probe_forms(probe_count, seed):
+    # (|G|^2, cof G) of criteria_check's probes; a Generator seed advances
+    # on every call and None draws fresh probes, so only an int seed may
+    # share a cached set
+    if probe_count < 1:
+        raise InvalidParameters("probe_count must be >= 1")
+    build = _probe_set if isinstance(seed, int) else _probe_set.__wrapped__
+    return build(seed, probe_count)
+
+
+def _side_min(body, probes, interior):
+    # min of w * material.hessian_quadratic_form over the stations (rows) of
+    # one side and the probes, by blocks of stations: w = 1 at the edge
+    # stations of the complementary side, the squared bubble at the
+    # interior stations of the primal side
+    gg, cof = probes
+    xs = _x_samples(body, interior)
+    lo, hi = body.domain.x_lo, body.domain.x_hi
+    w = _cpow((xs - lo) * (hi - xs), 2) if interior else np.ones(len(xs))
+    F, p = body.state(xs)
+    m, n = math.inf, max(1, CRITERIA_BLOCK // len(gg))
+    for i in range(0, len(xs), n):
+        q = body.material.C * gg - p[i : i + n, None] * 2.0 * _sum9(cof * F[i : i + n, None])
+        m = _running_min(m, w[i : i + n, None] * q)  # x * 1.0 is x, NaN included
+    return m
+
+
 def criteria_check(body, probe_count=200, seed=42):
     """Pointwise positivity of the constrained second variation.
 
@@ -151,29 +178,9 @@ def criteria_check(body, probe_count=200, seed=42):
     with each shear plane make the sign change at the window edge exact;
     the seeded random probes guard the rest of the tangent space.
     """
-    if probe_count < 1:
-        raise InvalidParameters("probe_count must be >= 1")
-    # a Generator seed advances on every call and None draws fresh probes,
-    # so only an int seed may share a cached set
-    build = _probe_set if isinstance(seed, int) else _probe_set.__wrapped__
-    gg, cof = build(seed, probe_count)
-    lo, hi = body.domain.x_lo, body.domain.x_hi
-    C = body.material.C
-
-    def min_form(xs, w):
-        # min of w * material.hessian_quadratic_form over stations (rows) and
-        # probes, by blocks of stations
-        F, p = body.state(xs)
-        m, n = math.inf, max(1, CRITERIA_BLOCK // len(gg))
-        for i in range(0, len(xs), n):
-            q = C * gg - p[i : i + n, None] * 2.0 * _sum9(cof * F[i : i + n, None])
-            m = _running_min(m, w[i : i + n, None] * q)
-        return m
-
-    edge = _x_samples(body, interior=False)
-    comp_min = min_form(edge, np.ones(len(edge)))  # x * 1.0 is x, NaN included
-    xs = _x_samples(body, interior=True)
-    primal_min = min_form(xs, _cpow((xs - lo) * (hi - xs), 2))
+    probes = _probe_forms(probe_count, seed)
+    comp_min = _side_min(body, probes, interior=False)
+    primal_min = _side_min(body, probes, interior=True)
     return CriteriaResult(
         primal_ok=bool(primal_min > 0.0),
         complementary_ok=bool(comp_min > 0.0),

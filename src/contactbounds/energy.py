@@ -32,7 +32,7 @@ from .kinematics import (
     _family,
     _node_sum,
 )
-from .material import complementary_density, piola_stress, strain_energy
+from .material import piola_stress, strain_energy
 from .contact import DirichletData, check_kinematic, check_static
 from .tensor3 import ddot
 
@@ -68,11 +68,11 @@ def integrate_volume(fn, domain, rule=None):
     return _node_sum(np.array(f), wx, wy, wz)
 
 
-def _x_integral(fn, domain, rule):
-    """integrate_volume of fn(xs), an integrand of the abscissa alone
-    evaluated on the array of x nodes: the same float sum."""
-    (xs, wx), (_, wy), (_, wz) = _axes(domain, rule)
-    return _node_sum(np.reshape(_check_finite(fn(xs)), (-1, 1, 1)), wx, wy, wz)
+def _x_integral(f, domain, rule):
+    """integrate_volume of an integrand of the abscissa alone, given by
+    its values f at the x nodes of rule: the same float sum."""
+    (_, wx), (_, wy), (_, wz) = _axes(domain, rule)
+    return _node_sum(np.reshape(_check_finite(f), (-1, 1, 1)), wx, wy, wz)
 
 
 def integrate_face(fn, domain, axis, value, rule=None):
@@ -112,12 +112,14 @@ def _body_piola(body, xs):
     return piola_stress(body.material, F, p), F
 
 
-def _face_pairing(body, dmap, axis, side, rule):
+def _face_pairing(body, dmap, axis, side, rule, P):
     """Integral of (P N) . chi over the face {axis = side} of body.
 
     N is the outward normal and chi is dmap's image point in the frame
     of body's gradient, so one expression pairs Cartesian and bending
-    faces; on a bending meridian flank it is an exact zero.
+    faces; on a bending meridian flank it is an exact zero. P is body's
+    stress at the x nodes of rule, the rows of a y or z face grid; an x
+    face lies at one x and evaluates its own.
     """
     col = "xyz".index(axis)
     sign = 1.0 if side == "hi" else -1.0
@@ -125,7 +127,7 @@ def _face_pairing(body, dmap, axis, side, rule):
     def pairing(X):
         # the stress depends on x alone, which is constant along each row
         # of the grid; the stacked matmul is np.dot's float, row by row
-        c = _body_piola(body, X[:, 0, 0])[0][:, :, col]
+        c = (_body_piola(body, X[:, 0, 0])[0] if axis == "x" else P)[:, :, col]
         return sign * (c[:, None, None, :] @ dmap.frame_place(X)[..., None])[..., 0, 0]
 
     face = getattr(body.domain, "%s_%s" % (axis, side))
@@ -137,11 +139,8 @@ def potential_energy(system, tau, rule=None):
     rule = rule or QuadratureRule()
     total = 0.0
     for body in (system.body1, system.body2):
-        total += _x_integral(
-            lambda xs, b=body: strain_energy(b.material, b.map.gradient(xs)),
-            body.domain,
-            rule,
-        )
+        F = body.map.gradient(rule.mapped(body.domain.x_lo, body.domain.x_hi)[0])
+        total += _x_integral(strain_energy(body.material, F), body.domain, rule)
     # the dead load pairs with the image coordinate along the load:
     # x for the affine families, the face radius for bending
     b1 = system.body1
@@ -154,20 +153,21 @@ def complementary_energy(system, rule=None):
     rule = rule or QuadratureRule()
     data = _resolved_data(system)
     total = 0.0
+    stress = []
     for body in (system.body1, system.body2):
-        total -= _x_integral(
-            lambda xs, b=body: complementary_density(b.material, *b.state(xs)),
-            body.domain,
-            rule,
-        )
+        # one stress stack per body for its density and its z faces; the
+        # density is P : F - W, the floats of complementary_density
+        P, F = _body_piola(body, rule.mapped(body.domain.x_lo, body.domain.x_hi)[0])
+        total -= _x_integral(ddot(P, F) - strain_energy(body.material, F), body.domain, rule)
+        stress.append(P)
     b2 = system.body2
-    total += _face_pairing(b2, data.map2, "x", "hi", rule)
+    total += _face_pairing(b2, data.map2, "x", "hi", rule, stress[1])
     if isinstance(b2.map, StretchBend):
         # the axial faces hold the axial placement too; the meridian
         # flanks pair to zero (azimuthal traction _|_ flank plane)
-        for body, dmap in ((system.body1, data.map1), (b2, data.map2)):
+        for body, dmap, P in zip((system.body1, b2), (data.map1, data.map2), stress):
             for side in ("lo", "hi"):
-                total += _face_pairing(body, dmap, "z", side, rule)
+                total += _face_pairing(body, dmap, "z", side, rule, P)
     return total
 
 
@@ -182,10 +182,11 @@ def divergence_identity_residual(system, rule=None):
     lhs = 0.0
     rhs = 0.0
     for body in (system.body1, system.body2):
-        rhs += _x_integral(lambda xs, b=body: ddot(*_body_piola(b, xs)), body.domain, rule)
+        P, F = _body_piola(body, rule.mapped(body.domain.x_lo, body.domain.x_hi)[0])
+        rhs += _x_integral(ddot(P, F), body.domain, rule)
         for axis in "xyz":
             for side in ("lo", "hi"):
-                lhs += _face_pairing(body, body.map, axis, side, rule)
+                lhs += _face_pairing(body, body.map, axis, side, rule, P)
     return abs(lhs - rhs)
 
 

@@ -50,6 +50,8 @@ R_MIN = 1e-6
 #: Gauss-Legendre points per axis of the default QuadratureRule
 DEFAULT_ORDER = 8
 
+_LOW_RADIUS = "bending radius^2 = %.3e below minimum at X = %.6g"
+
 
 @dataclass(frozen=True)
 class Box3:
@@ -198,18 +200,22 @@ class StretchBend:
 
     def rho(self, x):
         """Squared bend radius 2 a x + b; raises at the first x below R_MIN^2."""
+        if type(x) is float:
+            # Python's arithmetic, correctly rounded as numpy's, without its overhead
+            rho = float(2.0 * self.a * x + self.b)
+            if rho < R_MIN**2:
+                raise InvalidParameters(_LOW_RADIUS % (rho, x))
+            return rho
         rho = 2.0 * self.a * np.asarray(x, dtype=float) + self.b
         low = rho < R_MIN**2
         if low.any():
             i = np.argmax(low)
-            raise InvalidParameters(
-                "bending radius^2 = %.3e below minimum at X = %.6g"
-                % (np.ravel(rho)[i], np.ravel(x)[i])
-            )
+            raise InvalidParameters(_LOW_RADIUS % (np.ravel(rho)[i], np.ravel(x)[i]))
         return _scalar(rho)
 
     def radius(self, x):
-        return _scalar(np.sqrt(self.rho(x)))
+        rho = self.rho(x)
+        return math.sqrt(rho) if type(x) is float else _scalar(np.sqrt(rho))
 
     def frame(self, r):
         """Gradient on the cylinder of radius r, in (e_r, e_theta, e_z)."""

@@ -196,6 +196,21 @@ def test_criteria_equal_pointwise_forms(body, probe_count, seed):
     assert res.primal_ok is bool(primal > 0.0)
 
 
+@pytest.mark.parametrize("scale", [0.98, 1.02, -0.98, -1.02])
+@pytest.mark.parametrize(
+    "body",
+    [bend_pair(1.0, 1.4, 1.1, 0.9, 1.0, 3.4, -0.8).body1, triaxial_body(1.3, 0.81, 0.0)],
+    ids=["bend", "triaxial"],
+)
+def test_side_min_is_the_complementary_minimum(body, scale):
+    # verify's window flip reads the edge stations' minimum alone
+    body = dataclasses.replace(body, pressure=Constant(scale * pressure_window(body)[1]))
+    m = bounds._side_min(body, bounds._probe_forms(50, 5), interior=False)
+    res = criteria_check(body, 50, 5)
+    assert m.hex() == res.min_quadratic_value.hex()
+    assert res.complementary_ok is bool(m > 0.0) is (abs(scale) < 1.0)
+
+
 def test_criteria_station_blocks_give_the_same_result(monkeypatch):
     # 56 probes: 4 stations per block of 250, the last block holds one
     body = bend_pair(1.0, 1.4, 1.1, 0.9, 1.0, 3.4, -0.8).body1

@@ -1102,6 +1102,18 @@ def test_main_sweep(tmp_path, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 4
 
 
+@pytest.mark.parametrize("text", [COMP_CFG, BEND_CFG], ids=["compression", "bending"])
+def test_main_reads_a_config_behind_a_byte_order_mark(tmp_path, capsys, text):
+    # editors on some systems save UTF-8 with a leading BOM; it is no key
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert cli.main(["run", "--config", str(plain)]) == 0
+    expected = capsys.readouterr()
+    assert cli.main(["run", "--config", str(marked)]) == 0
+    assert capsys.readouterr() == expected
+
+
 def test_main_verify_and_output_file(tmp_path, capsys):
     code, text = cli.verify(cli.parse_config(COMP_CFG))
     cfg_path = tmp_path / "case.cfg"

@@ -284,3 +284,22 @@ def test_energies_equal_pointwise_quadrature(system, tau, order):
     assert potential_energy(system, tau, rule) == e_p
     assert complementary_energy(system, rule) == e_c
     assert divergence_identity_residual(system, rule) == div
+
+
+@pytest.mark.parametrize(
+    "system",
+    [bend_pair(1.0, 1.4, 1.1, 0.9, 1.0, 3.4, -0.8), stretch_pair(1.3, 0.9, -0.12)],
+    ids=["bend", "stretch"],
+)
+def test_complementary_energy_evaluates_each_body_state_once(system, monkeypatch):
+    # one gradient stack per body serves its density and its axial faces;
+    # body 2's held x face takes the third
+    calls = []
+    for family in (StretchBend, TriaxialStretch):
+        def counted(self, x, gradient=family.gradient):
+            calls.append(self)
+            return gradient(self, x)
+
+        monkeypatch.setattr(family, "gradient", counted)
+    complementary_energy(system)
+    assert len(calls) == 3
