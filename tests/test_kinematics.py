@@ -272,9 +272,11 @@ def test_stacked_flank_dot_equals_pointwise_dot():
 
 
 def test_stacked_rho_names_the_first_low_abscissa():
+    # a Python float takes its own path, with the same message
     m = StretchBend(1.0, 1.0, -0.3)
-    with pytest.raises(InvalidParameters, match="-1.000e-01 below minimum at X = 0.1$"):
-        m.rho(np.array([0.5, 0.1, 0.0]))
+    for x in (np.array([0.5, 0.1, 0.0]), 0.1, np.float64(0.1)):
+        with pytest.raises(InvalidParameters, match="-1.000e-01 below minimum at X = 0.1$"):
+            m.rho(x)
 
 
 def _injectivity_per_node(map_, domain, quad_order=8):
