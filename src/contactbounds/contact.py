@@ -40,7 +40,6 @@ from .material import (
     RadialProfile,
     cauchy_stress,
     piola_stress,
-    pressure_at,
 )
 from .tensor3 import _cpow, det
 
@@ -96,16 +95,23 @@ class BodySpec:
                 raise ConstraintViolated(
                     "incompressible body with |det F0 - 1| = %.3e" % abs(J - 1.0)
                 )
-        if isinstance(self.map, TriaxialStretch) and isinstance(
-            self.pressure, RadialProfile
-        ):
-            raise InvalidParameters("triaxial bodies take a Constant pressure field")
+        # the one place that asks which pressure field a body has
+        if not isinstance(self.pressure, (Constant, RadialProfile)):
+            raise InvalidParameters("unknown pressure field %r" % (self.pressure,))
+        if isinstance(self.pressure, RadialProfile) and not isinstance(self.map, StretchBend):
+            raise InvalidParameters(
+                "%s bodies take a Constant pressure field"
+                % ("triaxial" if isinstance(self.map, TriaxialStretch) else "homogeneous")
+            )
 
     def state(self, x):
-        """(F, p) at the abscissa x: the map's gradient and the pressure.
+        """(F, p) at the abscissa x, from one radius lookup: the bending
+        frame or the affine gradient, and the pressure field at that radius.
 
         An array of abscissae gives stacks; a Constant pressure is repeated."""
-        F, p = self.map.gradient(x), pressure_at(self.pressure, self.map.radius(x))
+        r = self.map.radius(x)
+        F = self.map.gradient(x) if r is None else self.map.frame(r)
+        p = self.pressure(r)
         return F, p if np.ndim(p) == np.ndim(x) else np.full(np.shape(x), p)
 
 
@@ -193,20 +199,9 @@ def gap_value(system):
     return float(m1.normal_position(Xc) - m2.normal_position(Xc))
 
 
-def contact_traction(body, at_r=None):
-    """Cauchy normal traction sigma_nn on the contact-plane face.
-
-    For the bending family at_r selects the face radius (required);
-    triaxial and homogeneous states are uniform so it is ignored.
-    """
-    m = body.map
-    if isinstance(m, StretchBend):
-        if at_r is None:
-            raise InvalidParameters("bending traction needs the face radius at_r")
-        F, p = m.frame(at_r), pressure_at(body.pressure, at_r)
-    else:
-        F, p = body.state(0.0)
-    return float(cauchy_stress(body.material, F, p)[0, 0])
+def contact_traction(body, x_face):
+    """Cauchy normal traction sigma_nn on the face X = x_face."""
+    return float(cauchy_stress(body.material, *body.state(x_face))[0, 0])
 
 
 def nominal_traction(body, x_face):
@@ -218,10 +213,8 @@ def nominal_traction(body, x_face):
     m = body.map
     if isinstance(m, Homogeneous):
         return float(piola_stress(body.material, *body.state(x_face))[0, 0])
-    r = m.radius(x_face)
-    if r is None:
-        return contact_traction(body) / m.a
-    return contact_traction(body, at_r=r) * r / m.a
+    t, r = contact_traction(body, x_face), m.radius(x_face)
+    return t / m.a if r is None else t * r / m.a
 
 
 def evaluate_contact(system):
@@ -229,8 +222,7 @@ def evaluate_contact(system):
     gap = gap_value(system) - system.d_allow
     xc = system.x_c
     b1, b2 = system.body1, system.body2
-    t1 = contact_traction(b1, at_r=b1.map.radius(xc))
-    t2 = contact_traction(b2, at_r=b2.map.radius(xc))
+    t1, t2 = contact_traction(b1, xc), contact_traction(b2, xc)
     regime = "closed" if abs(gap) <= GAP_TOL else "open"
     comp = abs(gap) * abs(t1 - system.g)
     return ContactEvaluation(
@@ -317,9 +309,7 @@ def _equilibrium_residual(body):
     # radial momentum balance: d(sigma_rr)/dr = (sigma_tt - sigma_rr)/r
     r3 = _cpow(rs, 3)
     rhs = C * (A**2 * rs / a - a**2 / r3)
-    dsig = -2.0 * C * a**2 / r3
-    if isinstance(body.pressure, RadialProfile):
-        dsig = dsig - body.pressure.derivative(rs)
+    dsig = -2.0 * C * a**2 / r3 - body.pressure.derivative(rs)
     return _running_max(0.0, np.abs(dsig - rhs))
 
 
@@ -377,28 +367,25 @@ def rivlin_f(C, A, a, s):
     return C * (A**2 * s / (2.0 * a) + a**2 / (2.0 * s))
 
 
-def solve_radial_pressure(body, boundary_traction, anchor="inner"):
+def solve_radial_pressure(body, boundary_traction):
     """Exact radial equilibrium pressure across a bending body.
 
-    boundary_traction is the Cauchy radial stress sigma_rr on the anchor
-    face ("inner" or "outer"). The radial balance
+    boundary_traction is the Cauchy radial stress sigma_rr on the inner
+    face X = x_lo. The radial balance
     d(sigma_rr)/dr = C (A^2 r / a - a^2 / r^3) has a pressure-free
     right-hand side, so it integrates in closed form (Rivlin's flexure):
 
-        sigma_rr(r) = sigma_anchor + f(r^2) - f(rho),
+        sigma_rr(r) = sigma_inner + f(r^2) - f(rho),
 
-    with f = rivlin_f and rho the squared radius of the anchor face.
+    with f = rivlin_f and rho the squared radius of the inner face.
     Since sigma_rr = C a^2 / r^2 - p, the pressure is a RadialProfile.
     """
     m = body.map
     if not isinstance(m, StretchBend):
         raise InvalidParameters("radial equilibrium applies to the bending family")
-    if anchor not in ("inner", "outer"):
-        raise InvalidParameters("anchor must be 'inner' or 'outer'")
     C = body.material.C
     a, A = m.a, m.A
-    rho_in, rho_out = m.rho(body.domain.x_lo), m.rho(body.domain.x_hi)
-    rho = rho_in if anchor == "inner" else rho_out
+    rho = m.rho(body.domain.x_lo)
     try:
         A2 = A**2
     except OverflowError:

@@ -28,7 +28,6 @@ __all__ = [
     "NeoHookeanIncompressible",
     "Constant",
     "RadialProfile",
-    "pressure_at",
     "strain_energy",
     "piola_stress",
     "cauchy_stress",
@@ -51,13 +50,19 @@ class NeoHookeanIncompressible:
 
 @dataclass(frozen=True)
 class Constant:
-    """Spatially constant pressure field."""
+    """Spatially constant pressure field; called with a radius, or None."""
 
     p: float
 
     def __post_init__(self):
         if not math.isfinite(self.p):
             raise InvalidParameters("pressure must be finite")
+
+    def __call__(self, r):
+        return self.p
+
+    def derivative(self, r):
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -84,17 +89,6 @@ class RadialProfile:
 
     def derivative(self, r):
         return _scalar(-2.0 * self.c_inv / _cpow(r, 3) + 2.0 * self.c_sq * r)
-
-
-def pressure_at(pressure, r=None):
-    """Evaluate a pressure field; RadialProfile needs the radius."""
-    if isinstance(pressure, Constant):
-        return pressure.p
-    if isinstance(pressure, RadialProfile):
-        if r is None:
-            raise InvalidParameters("RadialProfile requires an evaluation radius")
-        return pressure(r)
-    raise InvalidParameters("unknown pressure field %r" % (pressure,))
 
 
 def _check_det(F, constrained=False):

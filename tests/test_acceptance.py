@@ -135,7 +135,7 @@ def test_criterion_03_bending_interval_and_radial_equilibrium():
         assert abs(orc.tau_hi - iv.tau_hi) <= 2.0 * res
         # the pressure profile behind the interval solves radial momentum
         body = BodySpec(BOX1, NeoHookeanIncompressible(1.0), StretchBend(A, a, b))
-        prof = solve_radial_pressure(body, 0.5 * iv.tau_lo, anchor="inner")
+        prof = solve_radial_pressure(body, 0.5 * iv.tau_lo)
         r_in = math.sqrt(b)
         r_out = math.sqrt(a + b)
         worst = 0.0

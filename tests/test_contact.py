@@ -20,6 +20,7 @@ from contactbounds.contact import (
     evaluate_contact,
     gap_value,
     nominal_traction,
+    rivlin_f,
     solve_radial_pressure,
 )
 from contactbounds.tensor3 import det
@@ -92,8 +93,22 @@ def test_incompressible_homogeneous_must_be_isochoric():
 
 def test_triaxial_body_rejects_radial_pressure():
     prof = RadialProfile(0.0, 0.0, 0.0)
-    with pytest.raises(InvalidParameters):
+    with pytest.raises(InvalidParameters, match="^triaxial bodies take a Constant"):
         BodySpec(BOX1, NeoHookeanIncompressible(1.0), TriaxialStretch(1.0), prof)
+
+
+def test_body_validates_its_pressure_field_when_built():
+    model = NeoHookeanIncompressible(1.0)
+    with pytest.raises(InvalidParameters, match="^unknown pressure field 3.0$"):
+        BodySpec(BOX1, model, TriaxialStretch(1.0), pressure=3.0)
+    with pytest.raises(InvalidParameters, match="^unknown pressure field"):
+        BodySpec(BOX1, model, StretchBend(1.0, 1.0, 1.0), pressure=None)
+    with pytest.raises(InvalidParameters, match="^homogeneous bodies take a Constant"):
+        BodySpec(BOX1, model, Homogeneous(np.eye(3)), RadialProfile(1, 0, 0))
+    # the profile is for bent bodies, and a Constant suits every family
+    BodySpec(BOX1, model, StretchBend(1.0, 1.0, 1.0), RadialProfile(1, 0, 0))
+    for m in (TriaxialStretch(1.0), StretchBend(1.0, 1.0, 1.0), Homogeneous(np.eye(3))):
+        BodySpec(BOX1, model, m, Constant(0.2))
 
 
 def test_contact_traction_frozen():
@@ -101,22 +116,18 @@ def test_contact_traction_frozen():
         BOX1, NeoHookeanIncompressible(1.0), TriaxialStretch(0.81), Constant(0.9)
     )
     # sigma_11 = C a^2 - p
-    assert contact_traction(body) == pytest.approx(0.81**2 - 0.9, abs=1e-14)
+    assert contact_traction(body, 0.5) == pytest.approx(0.81**2 - 0.9, abs=1e-14)
     assert nominal_traction(body, 0.5) == pytest.approx(
         (0.81**2 - 0.9) / 0.81, abs=1e-14
     )
-
-
-def test_bending_traction_needs_radius():
+    # a bent body: sigma_rr = C a^2 / r^2 - p on the face X = 0.5 of
+    # squared radius 2 a X + b = 2, and nominal = cauchy * r / a there
     body = BodySpec(
         BOX1, NeoHookeanIncompressible(1.0), StretchBend(1.0, 1.0, 1.0), Constant(0.2)
     )
-    with pytest.raises(InvalidParameters):
-        contact_traction(body)
     r = math.sqrt(2.0)
-    sig = contact_traction(body, at_r=r)
+    sig = contact_traction(body, 0.5)
     assert sig == pytest.approx(1.0 / r**2 - 0.2, abs=1e-14)
-    # nominal = cauchy * r / a on the face with that radius
     assert nominal_traction(body, 0.5) == pytest.approx(sig * r / 1.0, abs=1e-14)
 
 
@@ -280,7 +291,7 @@ def test_radial_pressure_satisfies_momentum_balance():
     body = BodySpec(
         BOX1, NeoHookeanIncompressible(1.3), StretchBend(1.1, 0.9, 1.2)
     )
-    prof = solve_radial_pressure(body, -0.5, anchor="inner")
+    prof = solve_radial_pressure(body, -0.5)
     C, a, A = 1.3, 0.9, 1.1
     r_in = math.sqrt(1.2)
     r_out = math.sqrt(2.0 * 0.9 * 0.5 + 1.2)
@@ -307,32 +318,32 @@ def test_radial_pressure_frozen_rivlin():
     def sigma_rr(prof, rho):
         return C * a**2 / rho - prof(math.sqrt(rho))
 
-    prof = solve_radial_pressure(body, -0.5, anchor="inner")
+    prof = solve_radial_pressure(body, -0.5)
     assert sigma_rr(prof, 1.5) == pytest.approx(-3907 / 12000, abs=1e-13)
     assert sigma_rr(prof, 2.1) == pytest.approx(2757 / 28000, abs=1e-13)
-    prof = solve_radial_pressure(body, 0.0, anchor="outer")
-    assert sigma_rr(prof, 1.2) == pytest.approx(-16757 / 28000, abs=1e-13)
+    # the inner stress that leaves the outer face traction free
+    prof = solve_radial_pressure(body, -16757 / 28000)
+    assert sigma_rr(prof, 2.1) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_radial_pressure_anchor_roundtrip():
+    # C = A = a = b = 1: squared radii 1 (inner) and 2 (outer)
     body = BodySpec(
         BOX1, NeoHookeanIncompressible(1.0), StretchBend(1.0, 1.0, 1.0)
     )
-    prof_in = solve_radial_pressure(body, -0.4, anchor="inner")
-    r_out = math.sqrt(2.0)
-    sig_out = 1.0 / r_out**2 - prof_in(r_out)
-    prof_out = solve_radial_pressure(body, sig_out, anchor="outer")
-    for r in np.linspace(1.0, r_out, 33):
-        assert prof_in(r) == pytest.approx(prof_out(r), abs=1e-9)
+    sig_in = -0.4
+    prof = solve_radial_pressure(body, sig_in)
+    rho_in, rho_out = 1.0, 2.0
+    r_out = math.sqrt(rho_out)
+    sig_out = 1.0 / r_out**2 - prof(r_out)
+    expected = sig_in + rivlin_f(1.0, 1.0, 1.0, rho_out) - rivlin_f(1.0, 1.0, 1.0, rho_in)
+    assert sig_out == pytest.approx(expected, abs=1e-12)
 
 
 def test_radial_pressure_argument_validation():
     body = BodySpec(BOX1, NeoHookeanIncompressible(1.0), TriaxialStretch(1.0))
     with pytest.raises(InvalidParameters):
         solve_radial_pressure(body, 0.0)
-    bend = BodySpec(BOX1, NeoHookeanIncompressible(1.0), StretchBend(1.0, 1.0, 1.0))
-    with pytest.raises(InvalidParameters):
-        solve_radial_pressure(bend, 0.0, anchor="middle")
 
 
 def _face_samples(domain, axis, value):
@@ -448,6 +459,20 @@ def test_state_stack_matches_per_abscissa_calls():
             Fx, px = body.state(x)
             assert type(px) is float
             assert F[i].tolist() == Fx.tolist() and p[i] == px
+
+
+def test_bending_state_looks_up_each_radius_once(monkeypatch):
+    body = bend_pair(1.0, 1.4, 1.1, 0.9, 1.0, 3.4, -0.8).body1
+    calls = []
+
+    def counted(self, x, rho=StretchBend.rho):
+        calls.append(np.shape(x))
+        return rho(self, x)
+
+    monkeypatch.setattr(StretchBend, "rho", counted)
+    F, p = body.state(np.linspace(body.domain.x_lo, body.domain.x_hi, 8))
+    assert calls == [(8,)]
+    assert F.shape == (8, 3, 3) and p.shape == (8,)
 
 
 @pytest.mark.parametrize("axis", ["y", "z"])

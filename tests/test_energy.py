@@ -292,14 +292,14 @@ def test_energies_equal_pointwise_quadrature(system, tau, order):
     ids=["bend", "stretch"],
 )
 def test_complementary_energy_evaluates_each_body_state_once(system, monkeypatch):
-    # one gradient stack per body serves its density and its axial faces;
+    # one state stack per body serves its density and its axial faces;
     # body 2's held x face takes the third
     calls = []
-    for family in (StretchBend, TriaxialStretch):
-        def counted(self, x, gradient=family.gradient):
-            calls.append(self)
-            return gradient(self, x)
 
-        monkeypatch.setattr(family, "gradient", counted)
+    def counted(self, x, state=BodySpec.state):
+        calls.append(self)
+        return state(self, x)
+
+    monkeypatch.setattr(BodySpec, "state", counted)
     complementary_energy(system)
     assert len(calls) == 3

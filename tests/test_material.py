@@ -12,7 +12,6 @@ from contactbounds.material import (
     complementary_density,
     hessian_quadratic_form,
     piola_stress,
-    pressure_at,
     strain_energy,
 )
 
@@ -191,12 +190,9 @@ def test_radial_profile_validation():
                 RadialProfile(*coeffs)
 
 
-def test_pressure_at_dispatch():
-    assert pressure_at(Constant(0.3)) == 0.3
-    assert pressure_at(Constant(0.3), r=2.0) == 0.3
+def test_pressure_fields_are_called_with_the_radius():
+    assert Constant(0.3)(2.0) == 0.3
+    assert Constant(0.3)(None) == 0.3
+    assert Constant(0.3).derivative(2.0) == 0.0
     prof = RadialProfile(1.0, 1.0, -0.5)
-    assert pressure_at(prof, r=2.0) == pytest.approx(3.75, abs=1e-12)
-    with pytest.raises(InvalidParameters):
-        pressure_at(prof)
-    with pytest.raises(InvalidParameters):
-        pressure_at(3.0)
+    assert prof(2.0) == pytest.approx(3.75, abs=1e-12)

@@ -33,20 +33,20 @@ def test_det_identity_and_diag():
 
 
 @given(mat3)
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 def test_det_matches_numpy(m):
     assert det(m) == pytest.approx(np.linalg.det(m), abs=1e-9)
 
 
 @given(mat3, mat3)
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 def test_det_is_multiplicative(a, b):
     scale = max(1.0, abs(det(a)) * abs(det(b)))
     assert abs(det(a @ b) - det(a) * det(b)) <= 1e-9 * scale
 
 
 @given(mat3)
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 def test_cofactor_adjugate_identity(m):
     # m @ cof(m).T = det(m) I, entrywise polynomial identity
     lhs = m @ cofactor(m).T
@@ -70,7 +70,7 @@ def test_cofactor_of_diag():
 
 
 @given(mat3, mat3)
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 def test_ddot_matches_componentwise_sum(a, b):
     assert ddot(a, b) == pytest.approx(float(np.sum(a * b)), abs=1e-9)
 
