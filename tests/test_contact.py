@@ -120,11 +120,17 @@ def test_contact_traction_frozen():
     assert nominal_traction(body, 0.5) == pytest.approx(
         (0.81**2 - 0.9) / 0.81, abs=1e-14
     )
-    # a bent body: sigma_rr = C a^2 / r^2 - p on the face X = 0.5 of
-    # squared radius 2 a X + b = 2, and nominal = cauchy * r / a there
+
+
+def test_bending_traction_needs_radius():
     body = BodySpec(
         BOX1, NeoHookeanIncompressible(1.0), StretchBend(1.0, 1.0, 1.0), Constant(0.2)
     )
+    # the face X = -0.5 has squared radius 2 a X + b = 0: no cylinder there
+    with pytest.raises(InvalidParameters, match="^bending radius"):
+        contact_traction(body, -0.5)
+    # sigma_rr = C a^2 / r^2 - p on the face X = 0.5 of squared radius 2,
+    # and nominal = cauchy * r / a there
     r = math.sqrt(2.0)
     sig = contact_traction(body, 0.5)
     assert sig == pytest.approx(1.0 / r**2 - 0.2, abs=1e-14)
