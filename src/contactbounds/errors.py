@@ -30,7 +30,7 @@ class FamilyMismatch(ContactBoundsError):
 
 
 class NonFiniteIntegrand(ContactBoundsError):
-    """Integrand returned NaN or infinity at a quadrature point."""
+    """An integrand at a quadrature point, or an exact energy, is NaN or infinite."""
 
 
 class InadmissibleTrial(ContactBoundsError):

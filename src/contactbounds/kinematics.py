@@ -14,8 +14,11 @@ reported in the principal frame (radial, azimuthal, axial for bending).
 
 Each family carries its formulas as methods: gradient(x), place(X),
 radius(x) (None for the affine families), normal_position(X) (the image
-coordinate along the load, r for bending), frame_place(X), image_volume
-and stretch_max. The module functions check the family and delegate.
+coordinate along the load, r for bending), frame_place(X), image_volume,
+stretch_max, i1_terms() (I1 = |F|^2) and volume_integral (the exact
+integral of c_inv / rho + c_sq rho + c0, rho the squared bend radius, a
+constant density for the affine families). The module functions check
+the family and delegate.
 gradient and radius also take an array of abscissae and the X methods an
 (..., 3) stack of points, giving point by point the floats of single
 calls (which return a scalar result as a Python float).
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameters, NonPositiveJacobian
-from .tensor3 import _scalar, as_mat3, det, sym_eigenvalues
+from .tensor3 import _scalar, as_mat3, ddot, det, sym_eigenvalues
 
 __all__ = [
     "Box3",
@@ -181,6 +184,12 @@ class TriaxialStretch:
     def stretch_max(self, domain):
         return max(self.a, 1.0 / math.sqrt(self.a))
 
+    def i1_terms(self):
+        return 0.0, 0.0, self.a * self.a + 2.0 / self.a
+
+    def volume_integral(self, domain, c_inv, c_sq, c0):
+        return c0 * domain.volume()  # a constant density: c_inv = c_sq = 0
+
 
 @dataclass(frozen=True)
 class StretchBend:
@@ -258,6 +267,27 @@ class StretchBend:
             1.0 / (self.A * sa),
         )
 
+    def i1_terms(self):
+        """I1 = (a / r)^2 + (A r / sqrt(a))^2 + (1 / (A sqrt(a)))^2 in rho = r^2."""
+        t, z = self.A / math.sqrt(self.a), 1.0 / (self.A * math.sqrt(self.a))
+        return self.a * self.a, t * t, z * z
+
+    def axial_piola(self, C, pressure):
+        """P_zz = C F_zz - p F_rr F_tt in rho, for a pressure field's terms."""
+        k = self.A * math.sqrt(self.a)
+        return -k * pressure.c_inv, -k * pressure.c_sq, C / k - k * pressure.c0
+
+    def volume_integral(self, domain, c_inv, c_sq, c0):
+        """Integral over the box of c_inv / rho + c_sq rho + c0."""
+        lo, hi = self.rho(domain.x_lo), self.rho(domain.x_hi)
+        dx = domain.x_hi - domain.x_lo
+        # ln(rho_hi / rho_lo) as log1p((rho_hi - rho_lo) / rho_lo), the
+        # difference taken as 2 a dx and not from the rounded radii, so no
+        # digits are lost as rho_hi / rho_lo -> 1
+        log = math.log1p(2.0 * self.a * dx / lo) / (2.0 * self.a)
+        fx = c_inv * log + c_sq * 0.5 * (lo + hi) * dx + c0 * dx
+        return fx * (domain.y_hi - domain.y_lo) * (domain.z_hi - domain.z_lo)
+
 
 @dataclass(frozen=True)
 class Homogeneous:
@@ -301,6 +331,11 @@ class Homogeneous:
 
     def stretch_max(self, domain):
         return principal_stretches(self, (0.0, 0.0, 0.0)).max()
+
+    def i1_terms(self):
+        return 0.0, 0.0, float(ddot(self.F0, self.F0))
+
+    volume_integral = TriaxialStretch.volume_integral
 
 
 @dataclass(frozen=True)

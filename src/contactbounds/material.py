@@ -53,10 +53,12 @@ class Constant:
     """Spatially constant pressure field; called with a radius, or None."""
 
     p: float
+    c_inv = c_sq = 0.0  # with c0 = p, the RadialProfile it equals
 
     def __post_init__(self):
         if not math.isfinite(self.p):
             raise InvalidParameters("pressure must be finite")
+        object.__setattr__(self, "c0", self.p)
 
     def __call__(self, r):
         return self.p

@@ -388,11 +388,11 @@ verify: 10 checks, 0 failed
 PASS tensor identities: inverse residual 1.632e-15, eigenvalue trace residual 4.441e-16
 PASS isochoric maps: |J - 1| max 2.220e-16
 PASS injectivity: volume test on both bodies
-PASS quadrature convergence: order 8 vs 16: delta 5.274e-16
+PASS quadrature convergence: exact vs order 16: delta 9.853e-16
 PASS stress derivative: max relative gap 3.011e-10
 PASS interval consistency: numeric gap 1.361e-09, oracle gap 8.110e-03 (res 9.069e-03)
 PASS window flip: edges +/-0.9 bracket the flip
-PASS energy equality: duality gap 5.360e-16 at tau=-0.3
+PASS energy equality: duality gap 4.441e-16 at tau=-0.3
 PASS enclosure: smallest duality gap over trials 0.000e+00
 PASS determinism: report bytes on repeated runs
 """,
@@ -401,11 +401,11 @@ verify: 10 checks, 0 failed
 PASS tensor identities: inverse residual 1.632e-15, eigenvalue trace residual 4.441e-16
 PASS isochoric maps: |J - 1| max 0.000e+00
 PASS injectivity: volume test on both bodies
-PASS quadrature convergence: order 8 vs 16: delta 1.388e-17
+PASS quadrature convergence: exact vs order 16: delta 6.939e-18
 PASS stress derivative: max relative gap 3.011e-10
 PASS interval consistency: numeric gap 7.831e-09, oracle gap 2.283e-03 (res 1.751e-02)
 PASS window flip: edges +/-0.948683298051 bracket the flip
-PASS energy equality: duality gap 7.112e-17 at tau=-0.3
+PASS energy equality: duality gap 7.720e-17 at tau=-0.3
 PASS enclosure: smallest duality gap over trials 0.000e+00
 PASS determinism: report bytes on repeated runs
 """,
@@ -414,11 +414,11 @@ verify: 10 checks, 0 failed
 PASS tensor identities: inverse residual 1.632e-15, eigenvalue trace residual 4.441e-16
 PASS isochoric maps: |J - 1| max 1.110e-16
 PASS injectivity: volume test on both bodies
-PASS quadrature convergence: order 8 vs 16: delta 1.486e-13
+PASS quadrature convergence: exact vs order 16: delta 1.749e-15
 PASS stress derivative: max relative gap 3.011e-10
 PASS interval consistency: numeric gap 2.336e-10, oracle gap 8.528e-04 (res 1.093e-02)
 PASS window flip: edges +/-0.707106781187 bracket the flip
-PASS energy equality: duality gap 3.553e-15 at tau=-0.75
+PASS energy equality: duality gap 6.661e-16 at tau=-0.75
 PASS enclosure: smallest duality gap over trials 0.000e+00
 PASS determinism: report bytes on repeated runs
 """,
@@ -555,7 +555,7 @@ load: tau=-0.714157902759
 kinematic: ok=yes dirichlet=0 gap=0 constraint=2.22044604925e-16
 static: ok=yes equilibrium=0 neumann=4.4408920985e-16 contact_traction_sign=0 action_reaction=0 constraint=2.22044604925e-16
 contact: regime=closed gap=0 traction=-0.578467901235 complementarity=0 action_reaction=0
-enclosure: e_potential=0.0626179012346 e_complementary=0.0626179012346 gap=9.02056207508e-16
+enclosure: e_potential=0.0626179012346 e_complementary=0.0626179012346 gap=3.33066907388e-16
 criteria body1: primal=violated complementary=violated min_q=-0.371742112483 window=(-0.9, 0.9)
 criteria body2: primal=violated complementary=violated min_q=-0.371742112483 window=(-0.9, 0.9)
 closed_form: tau_lo=-0.2439 tau_hi=0 regime=closed empty=false
@@ -583,7 +583,7 @@ oracle,-0.235789955556,0,false,closed
         '"traction_normal": -0.578467901235, "complementarity_residual": 0, '
         '"action_reaction_residual": 0, "regime": "closed"}, '
         '"enclosure": {"e_complementary": 0.0626179012346, '
-        '"e_potential": 0.0626179012346, "gap": 9.02056207508e-16}, '
+        '"e_potential": 0.0626179012346, "gap": 3.33066907388e-16}, '
         '"closed_form": {"tau_lo": -0.2439, "tau_hi": 0, "regime": "closed", '
         '"empty": false}, "numeric": {"tau_lo": -0.243899998639, "tau_hi": 0, '
         '"regime": "closed", "empty": false}, "oracle": {"tau_lo": -0.235789955556, '
@@ -600,7 +600,7 @@ load: tau=-0.5
 kinematic: ok=yes dirichlet=7.40619412728e-17 gap=0 constraint=0
 static: ok=yes equilibrium=2.22044604925e-16 neumann=0 contact_traction_sign=0 action_reaction=2.22044604925e-16 constraint=0
 contact: regime=closed gap=0 traction=-0.25 complementarity=0 action_reaction=1.66533453694e-16
-enclosure: e_potential=-0.225346927833 e_complementary=-0.225346927833 gap=1.66533453694e-15
+enclosure: e_potential=-0.225346927833 e_complementary=-0.225346927833 gap=3.33066907388e-16
 criteria body1: primal=violated complementary=violated min_q=-0.5 window=(-0.707106781187, 0.707106781187)
 criteria body2: primal=violated complementary=violated min_q=-0.0606601717798 window=(-0.57735026919, 0.57735026919)
 closed_form: tau_lo=-0.0773502691896 tau_hi=0 regime=closed empty=false
@@ -629,7 +629,7 @@ oracle,-0.0764974226119,0,false,closed
         '"complementarity_residual": 0, '
         '"action_reaction_residual": 1.66533453694e-16, "regime": "closed"}, '
         '"enclosure": {"e_complementary": -0.225346927833, '
-        '"e_potential": -0.225346927833, "gap": 1.66533453694e-15}, '
+        '"e_potential": -0.225346927833, "gap": 3.33066907388e-16}, '
         '"closed_form": {"tau_lo": -0.0773502691896, "tau_hi": 0, '
         '"regime": "closed", "empty": false}, "numeric": {"tau_lo": -0.077350268956, '
         '"tau_hi": 0, "regime": "closed", "empty": false}, '
@@ -805,7 +805,7 @@ def test_main_verify_reports_a_failed_check(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "verify: 10 checks, 1 failed"
     assert [line for line in out if line.startswith("FAIL")] == [
-        "FAIL quadrature convergence: order 1 vs 2: delta 7.762e-03"
+        "FAIL quadrature convergence: exact vs order 2: delta 2.248e-04"
     ]
 
 
@@ -1004,6 +1004,35 @@ def test_verify_passes_on_compression_config():
     assert text.startswith("verify:")
     assert ", 0 failed" in text.splitlines()[0]
     assert "FAIL" not in text
+
+
+# body 1's pole rho = 0 lies 0.12 below its box, where an 8-point Gauss
+# sum of the potential energy is off by 2.3e-7
+STRONG_BEND_CFG = """\
+[system]
+example = bending
+A = 1.33601
+[body1]
+C = 1.22079
+a = 1.36419
+b = 0.334009
+[body2]
+C = 0.853752
+a = 1.8085
+[load]
+tau = -0.131641
+"""
+
+
+def test_verify_compares_the_exact_energy_with_the_reference_quadrature():
+    config = cli.parse_config(STRONG_BEND_CFG)
+    code, text = cli.verify(config)
+    assert code == 0, text
+    line = next(l for l in text.splitlines() if "quadrature convergence" in l)
+    m = re.fullmatch(r"PASS quadrature convergence: exact vs order 16: delta (\S+)", line)
+    assert m, line
+    e = energy.potential_energy(cli.build_system(config), config.tau)
+    assert float(m.group(1)) < 1e-9 * max(1.0, abs(e))
 
 
 @pytest.mark.parametrize(

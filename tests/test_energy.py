@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactbounds.errors import InadmissibleTrial, InvalidParameters, NonFiniteIntegrand
 from contactbounds.contact import BodySpec, DirichletData, SystemSpec
 from contactbounds.kinematics import Box3, Homogeneous, StretchBend, TriaxialStretch
-from contactbounds import energy
+from contactbounds import cli, energy, kinematics
 from contactbounds.energy import (
     QuadratureRule,
     complementary_energy,
@@ -18,6 +20,7 @@ from contactbounds.energy import (
     potential_energy,
 )
 from contactbounds.material import (
+    Constant,
     NeoHookeanIncompressible,
     complementary_density,
     piola_stress,
@@ -292,8 +295,8 @@ def test_energies_equal_pointwise_quadrature(system, tau, order):
     ids=["bend", "stretch"],
 )
 def test_complementary_energy_evaluates_each_body_state_once(system, monkeypatch):
-    # one state stack per body serves its density and its axial faces;
-    # body 2's held x face takes the third
+    # on the quadrature path one state stack per body serves its density
+    # and its axial faces; body 2's held x face takes the third
     calls = []
 
     def counted(self, x, state=BodySpec.state):
@@ -301,5 +304,93 @@ def test_complementary_energy_evaluates_each_body_state_once(system, monkeypatch
         return state(self, x)
 
     monkeypatch.setattr(BodySpec, "state", counted)
-    complementary_energy(system)
+    complementary_energy(system, QuadratureRule(8))
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize(
+    "system, tau",
+    [
+        (stretch_pair(1.3, 0.9, -0.12), -0.12),
+        (bend_pair(1.0, 1.4, 1.1, 0.9, 1.0, 3.4, -0.8), -0.8),
+        (_homogeneous_pair(), 0.1),
+    ],
+    ids=["stretch", "bend", "homogeneous"],
+)
+def test_exact_energies_run_no_quadrature(system, tau, monkeypatch):
+    def banned(*args, **kwargs):
+        raise RuntimeError("quadrature on the exact path")
+
+    for module in (kinematics, energy):
+        monkeypatch.setattr(module, "_node_sum", banned)
+    monkeypatch.setattr(QuadratureRule, "mapped", banned)
+    assert math.isfinite(potential_energy(system, tau))
+    assert math.isfinite(complementary_energy(system))
+    # the patch bites: the reference path sums nodes
+    with pytest.raises(RuntimeError, match="exact path"):
+        complementary_energy(system, QuadratureRule(8))
+
+
+def _agree_with_order_64(system, tau):
+    fine = QuadratureRule(64)
+    for e, ref in (
+        (potential_energy(system, tau), potential_energy(system, tau, fine)),
+        (complementary_energy(system), complementary_energy(system, fine)),
+    ):
+        assert abs(e - ref) <= 1e-11 * max(1.0, abs(e))
+
+
+unit = st.floats(0.5, 2.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    family=st.sampled_from(("compression", "bending", "homogeneous")),
+    C1=unit, C2=unit, A=unit, a1=unit, a2=unit,
+    # b1 >= 0.1 keeps body 1's pole rho = 0 far enough for order 64
+    b1=st.floats(0.1, 3.0),
+    delta=st.sampled_from((0.01, 0.03, 0.08)),
+    shear=st.lists(st.floats(-0.2, 0.2), min_size=12, max_size=12),
+)
+def test_exact_energies_agree_with_order_64(family, C1, C2, A, a1, a2, b1, delta, shear):
+    if family == "homogeneous":
+        F0 = np.eye(3) + np.reshape(shear[:9], (3, 3))
+        m = Homogeneous(F0 / np.cbrt(np.linalg.det(F0)), shear[9:])
+        system = SystemSpec(
+            BodySpec(BOX1, NeoHookeanIncompressible(C1), m, Constant(a1)),
+            BodySpec(BOX2, NeoHookeanIncompressible(C2), m, Constant(a2)),
+        )
+        _agree_with_order_64(system, -0.3 * C1)
+        return
+    # verify's exact pair and one of its trials, whose body 1 leaves the
+    # Dirichlet data that the static side holds
+    ex = cli.EXAMPLES[family]
+    config = cli.ProblemConfig(family, cli.BodyConfig(C1, a1, b1), cli.BodyConfig(C2, a2), A=A)
+    tau, exact = ex.reference(config)
+    trial = dataclasses.replace(
+        exact, body1=dataclasses.replace(exact.body1, map=ex.trial(exact, delta))
+    )
+    _agree_with_order_64(exact, tau)
+    _agree_with_order_64(trial, tau)
+    enc = enclosure(trial, exact, tau)
+    assert enc.e_complementary <= enc.e_potential + 1e-9
+
+
+def test_bending_volume_integral_keeps_its_digits_as_the_radii_meet():
+    # rho_hi / rho_lo = 1 + 1e-12, a ratio that rounds at 1e-4 of its log
+    m = StretchBend(1.0, 1.0, 1e12)
+    lo, hi = m.rho(BOX1.x_lo), m.rho(BOX1.x_hi)
+    ref = (BOX1.x_hi - BOX1.x_lo) / (0.5 * (lo + hi))
+    assert m.volume_integral(BOX1, 1.0, 0.0, 0.0) == pytest.approx(ref, rel=1e-14, abs=0.0)
+    assert math.log(hi / lo) / 2.0 != pytest.approx(ref, rel=1e-6, abs=0.0)
+
+
+def test_exact_energies_raise_on_a_nonfinite_coefficient():
+    # (A / sqrt(a))^2 overflows: the rho coefficient of I1 is inf
+    m = StretchBend(1e200, 1.0, 1.0)
+    model = NeoHookeanIncompressible(1.0)
+    system = SystemSpec(BodySpec(BOX1, model, m), BodySpec(BOX2, model, m))
+    with pytest.raises(NonFiniteIntegrand):
+        potential_energy(system, -0.1)
+    with pytest.raises(NonFiniteIntegrand):
+        complementary_energy(system)
