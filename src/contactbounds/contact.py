@@ -264,11 +264,13 @@ def check_kinematic(system, dirichlet=None):
     inside the data's meridian planes; the in-plane components on those
     faces are free, matching the traction components that vanish there.
     dirichlet overrides the data stored on the system; None maps are
-    satisfied trivially.
+    satisfied trivially, and so is a data map that is the body's own map:
+    each difference would be 0.0 or NaN, and the running maximum takes
+    neither.
     """
     data = dirichlet if dirichlet is not None else system.dirichlet
     worst_d = 0.0
-    if data.map2 is not None:
+    if data.map2 is not None and data.map2 is not system.body2.map:
         X = _face_points(system.body2.domain, "x", (system.body2.domain.x_hi,))
         d = system.body2.map.place(X) - _family(data.map2).place(X)
         worst_d = _running_max(worst_d, np.max(np.abs(d), axis=-1))
@@ -276,9 +278,11 @@ def check_kinematic(system, dirichlet=None):
         for body, dmap in ((system.body1, data.map1), (system.body2, data.map2)):
             if dmap is None:
                 continue
-            X = _face_points(body.domain, "z", (body.domain.z_lo, body.domain.z_hi))
-            dz = body.map.place(X)[:, 2] - _family(dmap).place(X)[:, 2]
-            worst_d = _running_max(worst_d, np.abs(dz))
+            if dmap is not body.map:
+                # the axial coordinate, the column that place stacks
+                X = _face_points(body.domain, "z", (body.domain.z_lo, body.domain.z_hi))
+                dz = body.map.frame_place(X)[:, 2] - _family(dmap).frame_place(X)[:, 2]
+                worst_d = _running_max(worst_d, np.abs(dz))
             X = _face_points(body.domain, "y", (body.domain.y_lo, body.domain.y_hi))
             # the data's flank normal at each point, and (n . chi) by a
             # stacked matmul: np.dot's float, point by point

@@ -240,13 +240,17 @@ class StretchBend:
         r, th = chi[..., 0], self.A * X[..., 1] / math.sqrt(self.a)
         return np.stack([r * np.cos(th), r * np.sin(th), chi[..., 2]], axis=-1)
 
+    def _radius_at(self, X):
+        # r at each point of X; one (3,) point takes radius's float path
+        return self.radius(float(X[0]) if X.ndim == 1 else X[..., 0])
+
     def normal_position(self, X):
-        return self.radius(np.asarray(X, dtype=float)[..., 0])
+        return self._radius_at(np.asarray(X, dtype=float))
 
     def frame_place(self, X):
         """(r, 0, z): the image point in the frame of gradient()."""
         X = np.asarray(X, dtype=float)
-        r = self.radius(X[..., 0])
+        r = self._radius_at(X)
         sa = math.sqrt(self.a)
         return np.stack([r, np.zeros_like(r), X[..., 2] / (self.A * sa)], axis=-1)
 

@@ -13,7 +13,9 @@ with the usual C F - p F^{-T} while staying polynomial in F.
 
 strain_energy, piola_stress and complementary_density also take a stack
 of gradients and pressures: matrix by matrix the floats of single calls,
-and a failed check names the first failing matrix.
+and a failed check names the first failing matrix. One gradient takes
+tensor3's Python-float path for its determinant and cofactors, with the
+floats of the stack.
 """
 
 import math
@@ -99,8 +101,8 @@ def _check_det(F, constrained=False):
     J = det(F)
     bad = J <= 0.0
     if constrained:
-        bad = bad | (np.abs(J - 1.0) > CONSTRAINT_TOL)
-    if np.any(bad):
+        bad = bad | (abs(J - 1.0) > CONSTRAINT_TOL)
+    if bad if type(bad) is bool else bad.any():  # a bool for one matrix
         j = np.ravel(J)[np.argmax(np.ravel(bad))]
         if j <= 0.0:
             raise NonPositiveJacobian("det F = %.6g" % j)
@@ -121,20 +123,25 @@ def strain_energy(model, F):
     return 0.5 * model.C * (ddot(F, F) - 3.0)
 
 
+def _piola(model, F, pressure):
+    # P = C F - p cof F for a checked model and gradient
+    return model.C * F - np.asarray(pressure, dtype=float)[..., None, None] * cofactor(F)
+
+
 def piola_stress(model, F, pressure=0.0):
     """First Piola-Kirchhoff stress; pressure is the constraint reaction."""
     _check_model(model)
     F = np.asarray(F, dtype=float)
     _check_det(F)
-    return model.C * F - np.asarray(pressure, dtype=float)[..., None, None] * cofactor(F)
+    return _piola(model, F, pressure)
 
 
 def cauchy_stress(model, F, pressure=0.0):
-    """sigma = J^{-1} P F^T."""
+    """sigma = J^{-1} P F^T, with one determinant check."""
     F = np.asarray(F, dtype=float)
     J = _check_det(F)
-    P = piola_stress(model, F, pressure)
-    return (P @ F.T) / J
+    _check_model(model)
+    return (_piola(model, F, pressure) @ F.T) / J
 
 
 def complementary_density(model, F, pressure=0.0):

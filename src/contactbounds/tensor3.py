@@ -4,7 +4,9 @@ Everything here is closed form. The matrices are tiny and appear in inner
 loops, so we avoid LAPACK round trips and keep results bit-reproducible
 across runs of the same interpreter. det, cofactor, inverse and ddot also
 take a (..., 3, 3) stack and give, matrix by matrix, the floats of a single
-call.
+call. A single matrix is evaluated in Python floats, whose operations are
+the IEEE operations numpy applies to a stack, so no array round trip costs
+more than the arithmetic.
 """
 
 import math
@@ -40,11 +42,15 @@ def as_mat3(m):
 
 
 def det(m):
-    """Determinant by cofactor expansion along the first row."""
-    (m00, m10, m20), (m01, m11, m21), (m02, m12, m22) = np.asarray(m, dtype=float).T
-    # the entries hold the stack axes reversed; .T puts them back in order
-    return (m00 * (m11 * m22 - m12 * m21) - m01 * (m10 * m22 - m12 * m20)
-            + m02 * (m10 * m21 - m11 * m20)).T
+    """Determinant by cofactor expansion along the first row; a Python
+    float for one matrix."""
+    m = np.asarray(m, dtype=float)
+    # the entries column by column: Python floats for one matrix, else
+    # arrays holding the stack axes reversed
+    (m00, m10, m20), (m01, m11, m21), (m02, m12, m22) = m.T.tolist() if m.ndim == 2 else m.T
+    d = (m00 * (m11 * m22 - m12 * m21) - m01 * (m10 * m22 - m12 * m20)
+         + m02 * (m10 * m21 - m11 * m20))
+    return d if m.ndim == 2 else d.T  # .T puts the stack axes back in order
 
 
 def cofactor(m):
@@ -55,7 +61,7 @@ def cofactor(m):
     cofactors, each entry the same float as for its matrix alone.
     """
     m = np.asarray(m, dtype=float)
-    (m00, m10, m20), (m01, m11, m21), (m02, m12, m22) = m.T
+    (m00, m10, m20), (m01, m11, m21), (m02, m12, m22) = m.T.tolist() if m.ndim == 2 else m.T
     c = np.array(
         [
             [m11 * m22 - m12 * m21, m12 * m20 - m10 * m22, m10 * m21 - m11 * m20],
@@ -64,14 +70,14 @@ def cofactor(m):
         ]
     )
     # c is indexed (i, j, ...); move the stack axes back to the front
-    return c.T.swapaxes(-2, -1)
+    return c if m.ndim == 2 else c.T.swapaxes(-2, -1)
 
 
 def inverse(m):
     """Inverse via the adjugate. Raises SingularMatrix when |det| <= tol,
     for a stack at its first singular matrix."""
     m = np.asarray(m, dtype=float)
-    d = det(m)
+    d = np.asarray(det(m))
     singular = np.ravel(np.abs(d) <= SINGULAR_TOL)
     if np.any(singular):
         first = abs(np.ravel(d)[np.argmax(singular)])
@@ -87,6 +93,8 @@ def _scalar(v):
 def _cpow(v, k):
     # v ** k by C pow, value by value: numpy's array power can differ in
     # the last bit, so a stack gives the floats of single calls
+    if type(v) is float:
+        return v**k
     return _scalar(np.reshape([x**k for x in np.ravel(v).tolist()], np.shape(v)))
 
 
@@ -113,17 +121,22 @@ def sym_eigenvalues(m):
     if asym > SYMMETRY_TOL:
         raise NotSymmetric("max|m - m.T| = %.3e" % asym)
     a = 0.5 * (m + m.T)
-    p1 = a[0, 1] ** 2 + a[0, 2] ** 2 + a[1, 2] ** 2
-    q = (a[0, 0] + a[1, 1] + a[2, 2]) / 3.0
+    try:
+        return _eig_trig(a, a.tolist())
+    except OverflowError:  # a Python float power overflows where numpy's gives inf
+        return _eig_trig(a, a)
+
+
+def _eig_trig(a, e):
+    # the trigonometric solution from the entries e of a: Python floats, or
+    # numpy scalars (the same IEEE operations)
+    (a00, a01, a02), (_, a11, a12), (_, _, a22) = e
+    p1 = a01**2 + a02**2 + a12**2
+    q = (a00 + a11 + a22) / 3.0
     if p1 == 0.0:
         # already diagonal
-        return tuple(sorted((a[0, 0], a[1, 1], a[2, 2]), reverse=True))
-    p2 = (
-        (a[0, 0] - q) ** 2
-        + (a[1, 1] - q) ** 2
-        + (a[2, 2] - q) ** 2
-        + 2.0 * p1
-    )
+        return tuple(sorted((a00, a11, a22), reverse=True))
+    p2 = (a00 - q) ** 2 + (a11 - q) ** 2 + (a22 - q) ** 2 + 2.0 * p1
     p = math.sqrt(p2 / 6.0)
     b = (a - q * np.eye(3)) / p
     r = det(b) / 2.0

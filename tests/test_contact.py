@@ -508,3 +508,59 @@ def test_face_points_are_shared_and_read_only(domain, axis, values):
         pts[0, 0] = 1.0
     # an equal box gives the same grid object, built once
     assert _face_points(dataclasses.replace(domain), axis, values) is pts
+
+
+_SHEAR = np.array([[1.0, 0.2, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+_HOMOGENEOUS = SystemSpec(
+    BodySpec(BOX1, NeoHookeanIncompressible(1.0), Homogeneous(_SHEAR, t=(0.01, 0.0, 0.0))),
+    BodySpec(BOX2, NeoHookeanIncompressible(2.0), Homogeneous(_SHEAR.T)),
+)
+
+
+@pytest.mark.parametrize(
+    "system", [_STRETCH, _BEND, _BEND_TRIAL, _HOMOGENEOUS],
+    ids=["stretch", "bend", "bend-trial", "homogeneous"],
+)
+def test_own_data_maps_give_the_residuals_of_equal_copies(system):
+    # a data map that is the body's own map skips its differences; equal
+    # but distinct copies take the compared path, with the same floats
+    own = DirichletData(system.body1.map, system.body2.map)
+    copies = DirichletData(*(dataclasses.replace(m) for m in (own.map1, own.map2)))
+    assert copies.map1 is not own.map1 and copies.map2 is not own.map2
+    got = check_kinematic(system, dirichlet=own).residuals
+    want = check_kinematic(system, dirichlet=copies).residuals
+    assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
+
+
+def test_verify_bending_trial_keeps_its_dirichlet_residual():
+    # verify's trials differ from their data map 1, so the comparison runs
+    from contactbounds import cli
+    from contactbounds.energy import _resolved_data
+
+    config = cli.parse_config(
+        "[system]\nexample = bending\nA = 1.0\n[body1]\nC = 1.0\na = 1.0\nb = 1.0\n"
+        "[body2]\nC = 1.0\na = 1.0\n"
+    )
+    ex = cli.EXAMPLES["bending"]
+    exact = ex.reference(config)[1]
+    data = _resolved_data(exact)
+    for delta in (0.01, 0.03, 0.08):
+        trial = replace_map1(exact, ex.trial(exact, delta))
+        got = check_kinematic(trial, dirichlet=data).residuals["dirichlet"]
+        copies = DirichletData(dataclasses.replace(data.map1), dataclasses.replace(data.map2))
+        assert got > 0.0
+        assert got == check_kinematic(trial, dirichlet=copies).residuals["dirichlet"]
+
+
+def test_kinematic_check_rejects_a_held_face_below_the_minimum_radius():
+    # body 2's map gives rho = -1 at its held face X = x_hi: whether the
+    # held face is compared or skipped, the check raises
+    low = StretchBend(_B2.A, _B2.a, -2.0 * _B2.a * BOX2.x_hi - 1.0)
+    system = dataclasses.replace(
+        _BEND, body2=dataclasses.replace(_BEND.body2, map=low),
+        dirichlet=DirichletData(_B1, low),
+    )
+    with pytest.raises(InvalidParameters, match="below minimum at X = "):
+        check_kinematic(system)
+    with pytest.raises(InvalidParameters, match="below minimum at X = "):
+        check_kinematic(system, dirichlet=DirichletData(_B1, dataclasses.replace(low)))

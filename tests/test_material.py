@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from test_tensor3 import assert_same_outcome, edge_entries, edge_mat3, outcome
 
 from contactbounds.errors import ConstraintViolated, InvalidParameters, NonPositiveJacobian
 from contactbounds.material import (
@@ -14,6 +16,7 @@ from contactbounds.material import (
     piola_stress,
     strain_energy,
 )
+from contactbounds.tensor3 import det
 
 # frozen: 0.5 * (0.81^2 + 2 / 0.81 - 3)
 W_AT_081 = 0.06261790123456779
@@ -79,6 +82,34 @@ def test_stack_check_names_the_first_failing_matrix():
         strain_energy(model, np.array([I, J11, flip]))
     with pytest.raises(NonPositiveJacobian, match="det F = -1$"):
         strain_energy(model, np.array([I, flip, J11]))
+
+
+@given(edge_mat3, edge_entries)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@example(np.diag([2.0, 0.5, 1.0]), -0.0)
+@example(np.diag([-1.0, 1.0, 1.0]), 0.5)  # det F <= 0: the same error
+@example(np.array([[1e300, 0.0, 0.0], [0.0, 1e-300, 5e-324], [0.0, -0.0, 1.0]]), 1e300)
+def test_single_gradient_stress_equals_the_stack(F, p):
+    # one gradient takes tensor3's Python-float path, a stack numpy's
+    model = NeoHookeanIncompressible(1.7)
+
+    def P_stack():
+        return piola_stress(model, F[None], [p])[0]
+
+    assert_same_outcome(outcome(piola_stress, model, F, p), outcome(P_stack))
+    # cauchy_stress is single-matrix code: J^-1 P F^T from the stack's P and J
+    want = outcome(lambda: (P_stack() @ F.T) / det(F[None])[0])
+    assert_same_outcome(outcome(cauchy_stress, model, F, p), want)
+
+
+def test_cauchy_stress_checks_the_determinant_once(monkeypatch):
+    import contactbounds.material as material
+
+    calls = []
+    check = material._check_det
+    monkeypatch.setattr(material, "_check_det", lambda *a: calls.append(1) or check(*a))
+    cauchy_stress(NeoHookeanIncompressible(1.0), triaxial_f(0.81), 0.9)
+    assert len(calls) == 1
 
 
 def test_piola_matches_finite_differences_of_augmented_energy():

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contactbounds.errors import InvalidParameters, NotSymmetric, SingularMatrix
 from contactbounds.tensor3 import (
     _cpow,
+    _eig_trig,
     as_mat3,
     cofactor,
     ddot,
@@ -171,3 +172,81 @@ def test_cpow_matches_scalar_power_value_by_value(k):
 def test_cpow_returns_a_python_float_for_a_scalar():
     for x in (1.3, np.float64(1.3), np.array(1.3)):
         assert type(_cpow(x, 3)) is float and _cpow(x, 3) == 1.3**3
+
+
+# ±0.0, subnormals, 1e±300, ±inf and NaN next to ordinary values
+special = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e-300, -1e-300, 1e300, -1e300,
+     math.inf, -math.inf, math.nan]
+)
+edge_entries = st.one_of(special, entries, st.floats(allow_nan=True, allow_infinity=True))
+edge_mat3 = st.lists(edge_entries, min_size=9, max_size=9).map(
+    lambda v: np.array(v).reshape(3, 3)
+)
+
+
+def assert_same_floats(got, want):
+    """Equal bit for bit up to a NaN's payload: the NaN positions, then
+    every other value with its sign bit (so -0.0 is not 0.0)."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan], want[~nan])
+    assert np.array_equal(np.signbit(got[~nan]), np.signbit(want[~nan]))
+
+
+def outcome(f, *args):
+    # ("raise", type, message), or ("value", result)
+    try:
+        with np.errstate(all="ignore"):
+            return ("value", f(*args))
+    except Exception as e:
+        return ("raise", type(e), str(e))
+
+
+def assert_same_outcome(got, want):
+    assert got[0] == want[0], (got, want)
+    if got[0] == "raise":
+        assert got == want
+    else:
+        assert_same_floats(got[1], want[1])
+
+
+@given(edge_mat3)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@example(np.array([[1e300, -0.0, 5e-324], [math.nan, 1e-300, -1e300], [math.inf, 0.0, 2.0]]))
+def test_single_matrix_equals_its_one_matrix_stack(m):
+    # one matrix takes the Python-float path, a stack numpy's: the same
+    # IEEE operations, so the same floats
+    stack = m[None]
+    got = outcome(det, m)
+    assert type(got[1]) is float
+    assert_same_outcome(got, outcome(lambda s: det(s)[0], stack))
+    assert_same_outcome(outcome(cofactor, m), outcome(lambda s: cofactor(s)[0], stack))
+    assert_same_outcome(outcome(inverse, m), outcome(lambda s: inverse(s)[0], stack))
+
+
+@given(st.lists(edge_entries, min_size=6, max_size=6))
+@settings(max_examples=150, deadline=None, derandomize=True)
+@example([1e300, 1.0, 2.0, -1e300, 3.0, 4.0])  # a Python float power overflows
+@example([5e-324, -0.0, 0.0, 2.5e-310, 1.0, -5e-324])
+def test_sym_eigenvalues_equal_the_numpy_scalar_evaluation(v):
+    s = np.array([[v[0], v[1], v[2]], [v[1], v[3], v[4]], [v[2], v[4], v[5]]])
+    got = outcome(sym_eigenvalues, s)
+    # the entries as numpy float64 scalars: the arithmetic before the
+    # Python-float path
+    want = outcome(lambda m: _eig_trig(0.5 * (m + m.T), 0.5 * (m + m.T)), s)
+    assert_same_outcome(got, want)
+
+
+@given(edge_entries, st.sampled_from([2, 3]))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@example(1e300, 2)
+@example(-0.0, 3)
+def test_cpow_of_a_float_equals_the_list_path(x, k):
+    got = outcome(_cpow, x, k)
+    want = outcome(lambda v: _cpow([v], k)[0], x)
+    if got[0] == "value":
+        assert type(got[1]) is float
+    assert_same_outcome(got, want)
