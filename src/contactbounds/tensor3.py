@@ -4,9 +4,9 @@ Everything here is closed form. The matrices are tiny and appear in inner
 loops, so we avoid LAPACK round trips and keep results bit-reproducible
 across runs of the same interpreter. det, cofactor, inverse and ddot also
 take a (..., 3, 3) stack and give, matrix by matrix, the floats of a single
-call. A single matrix is evaluated in Python floats, whose operations are
-the IEEE operations numpy applies to a stack, so no array round trip costs
-more than the arithmetic.
+call. A single matrix is evaluated in Python floats: their operations are
+the IEEE operations numpy applies to a stack, so one call gives the
+stack's floats without numpy's overhead on every entry.
 """
 
 import math

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from test_tensor3 import assert_same_outcome, edge_entries, edge_mat3, outcome
 
+from contactbounds import material
 from contactbounds.errors import ConstraintViolated, InvalidParameters, NonPositiveJacobian
 from contactbounds.material import (
     Constant,
@@ -103,8 +104,6 @@ def test_single_gradient_stress_equals_the_stack(F, p):
 
 
 def test_cauchy_stress_checks_the_determinant_once(monkeypatch):
-    import contactbounds.material as material
-
     calls = []
     check = material._check_det
     monkeypatch.setattr(material, "_check_det", lambda *a: calls.append(1) or check(*a))

@@ -234,8 +234,7 @@ def test_single_matrix_equals_its_one_matrix_stack(m):
 def test_sym_eigenvalues_equal_the_numpy_scalar_evaluation(v):
     s = np.array([[v[0], v[1], v[2]], [v[1], v[3], v[4]], [v[2], v[4], v[5]]])
     got = outcome(sym_eigenvalues, s)
-    # the entries as numpy float64 scalars: the arithmetic before the
-    # Python-float path
+    # the same closed form on the entries as numpy float64 scalars
     want = outcome(lambda m: _eig_trig(0.5 * (m + m.T), 0.5 * (m + m.T)), s)
     assert_same_outcome(got, want)
 
