@@ -23,20 +23,13 @@ each face integrand is affine in the face coordinates. Given a
 QuadratureRule, they take its Gauss sum, the reference verify compares.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InadmissibleTrial, NonFiniteIntegrand
-from .kinematics import (
-    DEFAULT_ORDER,  # noqa: F401 (the default rule's order, read as energy.DEFAULT_ORDER)
-    QuadratureRule,
-    StretchBend,
-    _face_grid,
-    _face_spans,
-    _family,
-    _node_sum,
-)
+from .errors import InadmissibleTrial, InvalidParameters, NonFiniteIntegrand
+from .kinematics import StretchBend, _face_grid, _face_spans, _family
 from .material import piola_stress, strain_energy
 from .contact import DirichletData, check_kinematic, check_static
 from .tensor3 import ddot
@@ -51,6 +44,47 @@ __all__ = [
     "divergence_identity_residual",
     "enclosure",
 ]
+
+
+#: Gauss-Legendre points per axis of the default QuadratureRule
+DEFAULT_ORDER = 8
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(order):
+    # one read-only copy per order, shared by every rule of that order
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+@dataclass(frozen=True, eq=False)
+class QuadratureRule:
+    """Tensor-product Gauss-Legendre rule, exact through degree 2n-1 per axis."""
+
+    order: int = DEFAULT_ORDER
+
+    def __post_init__(self):
+        if not (isinstance(self.order, int) and 1 <= self.order <= 64):
+            raise InvalidParameters("quadrature order must be an int in [1, 64]")
+        nodes, weights = _gauss_legendre(self.order)
+        object.__setattr__(self, "_nodes", nodes)
+        object.__setattr__(self, "_weights", weights)
+
+    def mapped(self, lo, hi):
+        """Nodes and weights on (lo, hi)."""
+        h = 0.5 * (hi - lo)
+        return h * self._nodes + 0.5 * (hi + lo), h * self._weights
+
+
+def _node_sum(f, *ws):
+    """Tensor-product quadrature sum of the node values f.
+
+    Each term is ((w0[i] * w1[j]) * ...) * f[i, j, ...], added in node order
+    from 0.0 (cumsum is sequential): the float a node loop gives.
+    """
+    terms = functools.reduce(np.multiply.outer, ws) * f
+    return np.cumsum(np.concatenate(([0.0], terms.ravel())))[-1]
 
 
 def _check_finite(v):

@@ -11,11 +11,11 @@ whose first Piola-Kirchhoff stress carries a reaction pressure p:
 At det F = 1 the cofactor equals the inverse transpose, so this agrees
 with the usual C F - p F^{-T} while staying polynomial in F.
 
-strain_energy, piola_stress and complementary_density also take a stack
-of gradients and pressures: matrix by matrix the floats of single calls,
-and a failed check names the first failing matrix. One gradient takes
-tensor3's Python-float path for its determinant and cofactors, with the
-floats of the stack.
+strain_energy, piola_stress, cauchy_stress and complementary_density
+also take a stack of gradients and pressures: matrix by matrix the
+floats of single calls, and a failed check names the first failing
+matrix. One gradient takes tensor3's Python-float path for its
+determinant and cofactors, with the floats of the stack.
 """
 
 import math
@@ -141,7 +141,8 @@ def cauchy_stress(model, F, pressure=0.0):
     F = np.asarray(F, dtype=float)
     J = _check_det(F)
     _check_model(model)
-    return (_piola(model, F, pressure) @ F.T) / J
+    sigma = _piola(model, F, pressure) @ np.swapaxes(F, -1, -2)
+    return sigma / (J if F.ndim == 2 else J[..., None, None])  # one matrix: a float J
 
 
 def complementary_density(model, F, pressure=0.0):

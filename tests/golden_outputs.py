@@ -16,9 +16,16 @@ edge configs named in CHANGES.md. Run from anywhere:
 
     PYTHONPATH=src python tests/golden_outputs.py
 
+With --root DIR the package is imported from DIR/src, while the configs
+stay this file's, so one generator hashes two trees, e.g. a checkout of
+an earlier commit:
+
+    python tests/golden_outputs.py --root ../parent
+
 The file name has no test_ prefix, so pytest does not collect it.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -27,11 +34,21 @@ import sys
 import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
+
+_parser = argparse.ArgumentParser(description="Hash the CLI outputs of the golden configs.")
+_parser.add_argument(
+    "--root", type=pathlib.Path, default=ROOT,
+    help="tree whose src/ holds the package to run (default: this file's tree)",
+)
+PACKAGE_SRC = (_parser.parse_args(None if __name__ == "__main__" else []).root / "src").resolve()
+sys.path[:0] = [str(PACKAGE_SRC), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402  (perfbench's seeded generators)
 import test_cli  # noqa: E402
 from contactbounds import cli  # noqa: E402
+
+if PACKAGE_SRC not in pathlib.Path(cli.__file__).resolve().parents:
+    sys.exit("contactbounds was imported from %s, not from %s" % (cli.__file__, PACKAGE_SRC))
 
 SEEDS = (1, 2, 3, 7)
 PER_WORKLOAD = 25
@@ -81,6 +98,9 @@ EDGE = {
     .replace("g = 0.6", "g = 0.988808")
     + "[numerics]\ngrid_n = 50\n",
     "bend_b1e12": BEND.replace("b = 1.0", "b = 1e12"),
+    # the injectivity test on either side of a full turn
+    "bend_A6.28": BEND.replace("A = 1.0", "A = 6.28"),
+    "bend_A6.29": BEND.replace("A = 1.0", "A = 6.29"),
 }
 
 

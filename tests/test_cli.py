@@ -809,6 +809,21 @@ def test_main_verify_reports_a_failed_check(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("A, code", [("6.28", 0), ("6.29", 2), ("7.0", 2)])
+def test_main_decides_injectivity_at_a_full_turn(tmp_path, capsys, A, code):
+    # the sweep A dy / sqrt(a) of BEND_CFG's bodies passes 2 pi between
+    # A = 6.28 and 6.29, and the image then overlaps itself
+    cfg_path = tmp_path / "case.cfg"
+    cfg_path.write_text(BEND_CFG.replace("A = 1.0", "A = " + A))
+    for command in ("run", "verify"):
+        assert cli.main([command, "--config", str(cfg_path)]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert (out, err) == ("", "error: deformation map fails the injectivity test\n")
+        else:
+            assert out and not err
+
+
 @pytest.mark.parametrize("g", ["1e3", "1e6"])
 def test_large_cohesive_cap_keeps_the_numeric_interval(g):
     # a cap far above every feasible load must not coarsen the bracket scan

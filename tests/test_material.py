@@ -74,6 +74,12 @@ def test_stacks_equal_single_calls():
         assert w == strain_energy(model, F)
         assert np.array_equal(Pk, piola_stress(model, F, p))
         assert wc == complementary_density(model, F, p)
+    # cauchy_stress transposes each matrix, not the stack axes
+    for n in (1, 2, 3, 30):
+        S = cauchy_stress(model, Fs[:n], ps[:n])
+        assert S.shape == (n, 3, 3)
+        for F, p, Sk in zip(Fs, ps, S):
+            assert Sk.tobytes() == cauchy_stress(model, F, p).tobytes()
 
 
 def test_stack_check_names_the_first_failing_matrix():
@@ -98,7 +104,8 @@ def test_single_gradient_stress_equals_the_stack(F, p):
         return piola_stress(model, F[None], [p])[0]
 
     assert_same_outcome(outcome(piola_stress, model, F, p), outcome(P_stack))
-    # cauchy_stress is single-matrix code: J^-1 P F^T from the stack's P and J
+    # one gradient's cauchy_stress keeps its Python-float J: J^-1 P F^T
+    # from the stack's P and J
     want = outcome(lambda: (P_stack() @ F.T) / det(F[None])[0])
     assert_same_outcome(outcome(cauchy_stress, model, F, p), want)
 
