@@ -92,14 +92,22 @@ def pressure_window(body):
     return (-w, w)
 
 
-def _x_samples(body, interior):
-    lo, hi = body.domain.x_lo, body.domain.x_hi
-    if isinstance(body.map, TriaxialStretch):
-        xs = [0.5 * (lo + hi)] if interior else [lo, 0.5 * (lo + hi), hi]
-        return np.asarray(xs)
-    if interior:
-        return np.linspace(lo, hi, X_SAMPLES + 2)[1:-1]
-    return np.linspace(lo, hi, X_SAMPLES)
+@functools.lru_cache(maxsize=64)
+def _stations(lo, hi, interior, triaxial):
+    # (x, w) of one criteria side: w = 1 at the edge stations of the
+    # complementary side, the squared bubble at the interior stations of the
+    # primal side; built once per (x-range, side, family) and shared, so
+    # read-only
+    if triaxial:
+        xs = np.asarray([0.5 * (lo + hi)] if interior else [lo, 0.5 * (lo + hi), hi])
+    elif interior:
+        xs = np.linspace(lo, hi, X_SAMPLES + 2)[1:-1]
+    else:
+        xs = np.linspace(lo, hi, X_SAMPLES)
+    w = _cpow((xs - lo) * (hi - xs), 2) if interior else np.ones(len(xs))
+    for v in (xs, w):
+        v.setflags(write=False)
+    return xs, w
 
 
 def _probes(rng, count):
@@ -119,16 +127,18 @@ def _probes(rng, count):
 
 @functools.lru_cache(maxsize=8, typed=True)
 def _probe_set(seed, count):
-    # (|G|^2, cof G) of the probes drawn from seed. An int seed gives one
-    # read-only copy per (seed, count), shared by every criteria_check;
-    # 8 entries, as one holds about 8 MB at 100,000 probes. Typed, so that a
-    # float count fails in _probes even when its int twin is cached
+    # (|G|^2, cof G, the rows cof_00, cof_11, cof_22) of the probes drawn
+    # from seed. An int seed gives one read-only copy per (seed, count),
+    # shared by every criteria_check; 8 entries, as one holds about 8 MB at
+    # 100,000 probes. Typed, so that a float count fails in _probes even
+    # when its int twin is cached
     probes = _probes(np.random.default_rng(seed), count)
     gg = _sum9(probes * probes)
     cof = np.ascontiguousarray(cofactor(probes))  # products with it need no copy in _sum9
-    gg.setflags(write=False)
-    cof.setflags(write=False)
-    return gg, cof
+    cd = np.ascontiguousarray(cof.diagonal(axis1=1, axis2=2).T)
+    for v in (gg, cof, cd):
+        v.setflags(write=False)
+    return gg, cof, cd
 
 
 def _running_min(m, values):
@@ -141,7 +151,7 @@ def _running_min(m, values):
 
 
 def _probe_forms(probe_count, seed):
-    # (|G|^2, cof G) of criteria_check's probes; a Generator seed advances
+    # _probe_set's arrays for criteria_check; a Generator seed advances
     # on every call and None draws fresh probes, so only an int seed may
     # share a cached set
     if probe_count < 1:
@@ -150,19 +160,31 @@ def _probe_forms(probe_count, seed):
     return build(seed, probe_count)
 
 
+def _forms(C, probes, F, p):
+    # material.hessian_quadratic_form, stations (rows of F, p) by probes,
+    # with cof(G) : F by one of two kernels. A stack of diagonal F takes
+    # (c00 F00 + c11 F11) + c22 F22: _sum9's pairwise order over the nine
+    # products adds the same three, as its other six are exact zeros, so the
+    # sum differs at most in the sign of a zero, which C |G|^2 > 0 absorbs.
+    # Any other stack takes the nine-term _sum9(cof * F)
+    gg, cof, cd = probes
+    d = F.diagonal(axis1=-2, axis2=-1)
+    if np.count_nonzero(F) == np.count_nonzero(d):  # a NaN counts as nonzero
+        s = (cd[0] * d[:, 0, None] + cd[1] * d[:, 1, None]) + cd[2] * d[:, 2, None]
+    else:
+        s = _sum9(cof * F[:, None])
+    return C * gg - p[:, None] * 2.0 * s
+
+
 def _side_min(body, probes, interior):
-    # min of w * material.hessian_quadratic_form over the stations (rows) of
-    # one side and the probes, by blocks of stations: w = 1 at the edge
-    # stations of the complementary side, the squared bubble at the
-    # interior stations of the primal side
-    gg, cof = probes
-    xs = _x_samples(body, interior)
-    lo, hi = body.domain.x_lo, body.domain.x_hi
-    w = _cpow((xs - lo) * (hi - xs), 2) if interior else np.ones(len(xs))
+    # min of w * _forms over the stations of one side and the probes, by
+    # blocks of stations
+    dom = body.domain
+    xs, w = _stations(dom.x_lo, dom.x_hi, interior, isinstance(body.map, TriaxialStretch))
     F, p = body.state(xs)
-    m, n = math.inf, max(1, CRITERIA_BLOCK // len(gg))
+    m, n = math.inf, max(1, CRITERIA_BLOCK // len(probes[0]))
     for i in range(0, len(xs), n):
-        q = body.material.C * gg - p[i : i + n, None] * 2.0 * _sum9(cof * F[i : i + n, None])
+        q = _forms(body.material.C, probes, F[i : i + n], p[i : i + n])
         m = _running_min(m, w[i : i + n, None] * q)  # x * 1.0 is x, NaN included
     return m
 

@@ -114,6 +114,14 @@ class BodySpec:
         p = self.pressure(r)
         return F, p if np.ndim(p) == np.ndim(x) else np.full(np.shape(x), p)
 
+    @functools.cached_property
+    def _constraint_residual(self):
+        # max |det F - 1|: det F depends on x alone, so over the 5 abscissae
+        # of a 5 x 5 x 5 sample grid. A function of map and box, computed once
+        # per body object; dataclasses.replace gives a new one
+        xs = np.linspace(self.domain.x_lo, self.domain.x_hi, 5)
+        return _running_max(0.0, np.abs(det(self.map.gradient(xs)) - 1.0))
+
 
 @dataclass(frozen=True)
 class DirichletData:
@@ -249,12 +257,6 @@ def _running_max(worst, values):
     return max(worst, *np.ravel(values).tolist())
 
 
-def _constraint_residual(body):
-    # det F depends on x alone: the 5 abscissae of a 5 x 5 x 5 sample grid
-    xs = np.linspace(body.domain.x_lo, body.domain.x_hi, 5)
-    return _running_max(0.0, np.abs(det(body.map.gradient(xs)) - 1.0))
-
-
 def check_kinematic(system, dirichlet=None):
     """Kinematic admissibility: prescribed placements, gap, constraint.
 
@@ -291,7 +293,7 @@ def check_kinematic(system, dirichlet=None):
             nchi = n[:, None, :] @ body.map.place(X)[..., None]
             worst_d = _running_max(worst_d, np.abs(nchi))
     gap_res = max(0.0, gap_value(system) - system.d_allow)
-    con_res = max(_constraint_residual(system.body1), _constraint_residual(system.body2))
+    con_res = max(system.body1._constraint_residual, system.body2._constraint_residual)
     residuals = {
         "dirichlet": worst_d,
         "gap": gap_res,
@@ -313,7 +315,7 @@ def _equilibrium_residual(body):
     # radial momentum balance: d(sigma_rr)/dr = (sigma_tt - sigma_rr)/r
     r3 = _cpow(rs, 3)
     rhs = C * (A**2 * rs / a - a**2 / r3)
-    dsig = -2.0 * C * a**2 / r3 - body.pressure.derivative(rs)
+    dsig = -2.0 * C * a**2 / r3 - body.pressure._derivative(rs, r3)
     return _running_max(0.0, np.abs(dsig - rhs))
 
 
@@ -350,7 +352,7 @@ def check_static(system, tau):
     T1 = nominal_traction(b1, xc)
     T2 = nominal_traction(b2, xc)
     sign = max(0.0, T1 - system.g, T2 - system.g)
-    con = max(_constraint_residual(b1), _constraint_residual(b2))
+    con = max(b1._constraint_residual, b2._constraint_residual)
     residuals = {
         "equilibrium": eq,
         "neumann": neu,

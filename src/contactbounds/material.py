@@ -68,6 +68,9 @@ class Constant:
     def derivative(self, r):
         return 0.0
 
+    def _derivative(self, r, r3):
+        return 0.0
+
 
 @dataclass(frozen=True)
 class RadialProfile:
@@ -92,7 +95,11 @@ class RadialProfile:
         return _scalar(self.c_inv / r2 + self.c_sq * r2 + self.c0)
 
     def derivative(self, r):
-        return _scalar(-2.0 * self.c_inv / _cpow(r, 3) + 2.0 * self.c_sq * r)
+        return self._derivative(r, _cpow(r, 3))
+
+    def _derivative(self, r, r3):
+        # dp/dr from r and its cube, for a caller that has cubed r already
+        return _scalar(-2.0 * self.c_inv / r3 + 2.0 * self.c_sq * r)
 
 
 def _check_det(F, constrained=False):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import subprocess
@@ -97,8 +98,8 @@ def test_probe_sets_are_cached_read_only_for_int_seeds_only():
     cold = criteria_check(body, probe_count=100, seed=7)
     assert criteria_check(body, probe_count=100, seed=7) == cold
     assert bounds._probe_set.cache_info().hits == 1
-    gg, cof = bounds._probe_set(7, 100)
-    assert not gg.flags.writeable and not cof.flags.writeable
+    gg, cof, cd = bounds._probe_set(7, 100)
+    assert not gg.flags.writeable and not cof.flags.writeable and not cd.flags.writeable
     # a Generator seed advances on every call, None draws fresh probes,
     # and neither takes a cache entry
     rng, ref = np.random.default_rng(7), np.random.default_rng(7)
@@ -217,6 +218,100 @@ def test_criteria_station_blocks_give_the_same_result(monkeypatch):
     whole = criteria_check(body, 50, 3)
     monkeypatch.setattr(bounds, "CRITERIA_BLOCK", 250)
     assert criteria_check(body, 50, 3) == whole
+
+
+def _nine_term_forms(C, probes, F, p):
+    # the form with cof(G) : F summed over all nine products
+    gg, cof, _ = probes
+    return C * gg - p[:, None] * 2.0 * bounds._sum9(cof * F[:, None])
+
+
+def _counting_sum9(monkeypatch):
+    calls = []
+    real = bounds._sum9
+    monkeypatch.setattr(bounds, "_sum9", lambda m: calls.append(m.shape) or real(m))
+    return calls
+
+
+_DIAG_ENTRIES = [0.0, -0.0, 5e-324, -2.5e-310, 1e-300, 0.7, -1.3, 1e300, math.inf, -math.inf,
+                 math.nan]
+_PRESSURES = [0.0, -0.0, 0.45, -2.0, 1e-310, 1e300, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("C", [1.0, 5e-324, 1e308])
+def test_diagonal_kernel_gives_the_nine_term_forms_bit_for_bit(monkeypatch, C):
+    # every triple of diagonal entries, each station with its own pressure
+    probes = bounds._probe_set(42, 50)
+    d = np.array(list(itertools.product(_DIAG_ENTRIES, repeat=3)))
+    F = np.zeros((len(d), 3, 3))
+    F[:, [0, 1, 2], [0, 1, 2]] = d
+    p = np.resize(_PRESSURES, len(d))
+    with np.errstate(all="ignore"):
+        ref = _nine_term_forms(C, probes, F, p)
+        calls = _counting_sum9(monkeypatch)
+        q = bounds._forms(C, probes, F, p)
+    assert calls == []  # the diagonal kernel
+    assert q.shape == ref.shape == (len(d), 56)
+    assert np.array_equal(q.view(np.uint64), ref.view(np.uint64))
+    assert np.isnan(q).any() and np.isinf(q).any()
+
+
+@pytest.mark.parametrize("off", [1e-3, -1e-300, math.nan, math.inf])
+def test_one_off_diagonal_station_takes_the_nine_term_kernel(monkeypatch, off):
+    probes = bounds._probe_set(42, 50)
+    F = np.zeros((7, 3, 3))
+    F[:, [0, 1, 2], [0, 1, 2]] = [0.9, 1.2, 1.0 / 1.08]
+    F[4, 2, 0] = off
+    p = np.linspace(-1.0, 1.0, 7)
+    with np.errstate(all="ignore"):
+        ref = _nine_term_forms(1.3, probes, F, p)
+        calls = _counting_sum9(monkeypatch)
+        q = bounds._forms(1.3, probes, F, p)
+    assert calls == [(7, 56, 3, 3)]
+    assert np.array_equal(q.view(np.uint64), ref.view(np.uint64))
+
+
+def test_negative_zero_off_the_diagonal_keeps_the_diagonal_kernel(monkeypatch):
+    probes = bounds._probe_set(42, 50)
+    F = np.zeros((3, 3, 3))
+    F[:, [0, 1, 2], [0, 1, 2]] = [0.9, 1.2, 1.0 / 1.08]
+    F[1, 0, 2] = F[2, 1, 0] = -0.0
+    p = np.array([0.3, -0.0, 0.0])
+    ref = _nine_term_forms(1.3, probes, F, p)
+    calls = _counting_sum9(monkeypatch)
+    assert np.array_equal(bounds._forms(1.3, probes, F, p).view(np.uint64), ref.view(np.uint64))
+    assert calls == []
+
+
+def test_criteria_stations_are_cached_read_only():
+    bend = bend_pair(1.0, 1.4, 1.1, 0.9, 1.0, 3.4, -0.8).body1
+    tri = triaxial_body(1.0, 0.81, 0.5)
+    bounds._stations.cache_clear()
+    cold = criteria_check(bend, 50, 3)
+    assert criteria_check(dataclasses.replace(bend, pressure=Constant(0.2)), 50, 3) != cold
+    assert criteria_check(bend, 50, 3) == cold
+    criteria_check(tri, 50, 3)
+    # both sides of each family, built once per x-range
+    info = bounds._stations.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (4, 4, 4)
+    lo, hi = bend.domain.x_lo, bend.domain.x_hi
+    mid = 0.5 * (lo + hi)
+    for interior, triaxial, fresh in [
+        (False, False, np.linspace(lo, hi, 33)),
+        (True, False, np.linspace(lo, hi, 35)[1:-1]),
+        (False, True, np.array([lo, mid, hi])),
+        (True, True, np.array([mid])),
+    ]:
+        xs, w = bounds._stations(lo, hi, interior, triaxial)
+        assert xs.tolist() == fresh.tolist()
+        weights = [((x - lo) * (hi - x)) ** 2 if interior else 1.0 for x in fresh.tolist()]
+        assert w.tolist() == weights
+        assert not xs.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            xs[0] = 1.0
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+        assert bounds._stations(lo, hi, interior, triaxial)[0] is xs
 
 
 _NAN, _Z, _NZ = math.nan, 0.0, -0.0

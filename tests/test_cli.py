@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contactbounds import bounds, cli, energy, tensor3
+from contactbounds import bounds, cli, contact, energy, tensor3
 from contactbounds.errors import (
     ContactBoundsError,
     InfeasibleProblem,
@@ -1292,6 +1292,46 @@ def test_each_interval_builds_the_linkage_once(monkeypatch, text):
     del calls[:]
     assert cli.verify(config)[0] == 0
     assert len(calls) == 7
+
+
+@pytest.mark.parametrize(
+    "text", [COMP_CFG, COH_CFG, BEND_CFG], ids=["compression", "cohesive", "bending"]
+)
+def test_each_body_evaluates_its_constraint_residual_once(monkeypatch, text):
+    # one 5-abscissa determinant stack per body: run() checks its two bodies
+    # three times; verify() adds its exact pair and three trial bodies 1, and
+    # its two runs build new bodies, so each evaluates them anew
+    calls, per_run = [], []
+    real_det, real_run = contact.det, cli.run
+
+    def counted_det(m):
+        if np.shape(m) == (5, 3, 3):
+            calls.append(1)
+        return real_det(m)
+
+    def counted_run(config):
+        n = len(calls)
+        report = real_run(config)
+        per_run.append(len(calls) - n)
+        return report
+
+    monkeypatch.setattr(contact, "det", counted_det)
+    monkeypatch.setattr(cli, "run", counted_run)
+    config = cli.parse_config(text)
+    cli.run(config)
+    assert (len(calls), per_run) == (2, [2])
+    del calls[:], per_run[:]
+    assert cli.verify(config)[0] == 0
+    assert (len(calls), per_run) == (9, [2, 2])
+
+
+def test_verify_leaves_the_injectivity_test_to_its_runs(monkeypatch):
+    calls = []
+    real = cli.injectivity_check
+    monkeypatch.setattr(cli, "injectivity_check", lambda m, d: calls.append(m) or real(m, d))
+    code, text = cli.verify(cli.parse_config(BEND_CFG))
+    assert code == 0 and "PASS injectivity: volume test on both bodies\n" in text
+    assert len(calls) == 4  # both bodies of run() and of the determinism run
 
 
 @pytest.mark.parametrize("text", [COMP_CFG, BEND_CFG], ids=["compression", "bending"])

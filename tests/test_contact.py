@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from contactbounds import contact, material
 from contactbounds.errors import ConstraintViolated, FamilyMismatch, InvalidParameters
 from contactbounds.kinematics import Box3, Homogeneous, StretchBend, TriaxialStretch, placement
 from contactbounds.material import Constant, NeoHookeanIncompressible, RadialProfile
@@ -451,6 +452,63 @@ def test_equilibrium_residual_matches_the_loop_over_radii():
         for body in bodies:
             assert isinstance(body.pressure, kind)
             assert _equilibrium_residual(body) == _equilibrium_residual_per_radius(body)
+
+
+def test_equilibrium_residual_cubes_the_radii_once(monkeypatch):
+    cubes = []
+
+    def counted(v, k, _cpow=contact._cpow):
+        if k == 3:
+            cubes.append(np.shape(v))
+        return _cpow(v, k)
+
+    for module in (contact, material):
+        monkeypatch.setattr(module, "_cpow", counted)
+    radial, constant = _bending_bodies(2, 13)
+    for body in radial + constant:
+        del cubes[:]
+        _equilibrium_residual(body)
+        assert cubes == [(101,)]
+
+
+def counting_constraint_dets(monkeypatch):
+    # the determinant stacks of the constraint residual, one per evaluation
+    calls = []
+
+    def counted(m, _det=contact.det):
+        if np.shape(m) == (5, 3, 3):
+            calls.append(1)
+        return _det(m)
+
+    monkeypatch.setattr(contact, "det", counted)
+    return calls
+
+
+def test_constraint_residual_is_evaluated_once_per_body(monkeypatch):
+    systems = [
+        bend_pair(1.0, 1.4, 1.1, 0.9, 1.0, 3.4, -0.8),
+        linked_stretch_pair(1.3, 0.7, 0.8, 1.6, tau=-0.2),
+        SystemSpec(
+            BodySpec(BOX1, NeoHookeanIncompressible(1.0), Homogeneous(_SHEAR)),
+            BodySpec(BOX2, NeoHookeanIncompressible(2.0), Homogeneous(_SHEAR.T)),
+        ),
+    ]
+    calls = counting_constraint_dets(monkeypatch)
+    for system in systems:
+        del calls[:]
+        worst = 0.0
+        for b in (system.body1, system.body2):
+            for x in np.linspace(b.domain.x_lo, b.domain.x_hi, 5).tolist():
+                worst = max(worst, abs(det(b.map.gradient(x)) - 1.0))
+        for _ in range(2):
+            assert check_kinematic(system).residuals["constraint"] == worst
+            assert check_static(system, -0.2).residuals["constraint"] == worst
+        assert len(calls) == 2
+        # a copy is a new body and evaluates its own
+        copy = dataclasses.replace(system, body1=dataclasses.replace(system.body1))
+        assert check_kinematic(copy).residuals["constraint"] == worst
+        check_static(copy, -0.2)
+        assert len(calls) == 3
 
 
 def test_state_stack_matches_per_abscissa_calls():
