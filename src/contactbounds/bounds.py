@@ -94,10 +94,9 @@ def pressure_window(body):
 
 @functools.lru_cache(maxsize=64)
 def _stations(lo, hi, interior, triaxial):
-    # (x, w) of one criteria side: w = 1 at the edge stations of the
-    # complementary side, the squared bubble at the interior stations of the
-    # primal side; built once per (x-range, side, family) and shared, so
-    # read-only
+    # (x, w) of one criteria side: w = 1 at the complementary side's edge
+    # stations, the squared bubble at the primal side's interior stations;
+    # built once per (x-range, side, family) and shared, so read-only
     if triaxial:
         xs = np.asarray([0.5 * (lo + hi)] if interior else [lo, 0.5 * (lo + hi), hi])
     elif interior:
@@ -161,12 +160,11 @@ def _probe_forms(probe_count, seed):
 
 
 def _forms(C, probes, F, p):
-    # material.hessian_quadratic_form, stations (rows of F, p) by probes,
-    # with cof(G) : F by one of two kernels. A stack of diagonal F takes
-    # (c00 F00 + c11 F11) + c22 F22: _sum9's pairwise order over the nine
-    # products adds the same three, as its other six are exact zeros, so the
-    # sum differs at most in the sign of a zero, which C |G|^2 > 0 absorbs.
-    # Any other stack takes the nine-term _sum9(cof * F)
+    # material.hessian_quadratic_form, stations (rows of F, p) by probes.
+    # cof(G) : F of diagonal F is (c00 F00 + c11 F11) + c22 F22: _sum9's
+    # pairwise sum of the nine products adds these three and six exact
+    # zeros, so it differs at most in the sign of a zero, which C |G|^2 > 0
+    # absorbs. Any other stack takes the nine-term _sum9(cof * F)
     gg, cof, cd = probes
     d = F.diagonal(axis1=-2, axis2=-1)
     if np.count_nonzero(F) == np.count_nonzero(d):  # a NaN counts as nonzero
@@ -178,7 +176,8 @@ def _forms(C, probes, F, p):
 
 def _side_min(body, probes, interior):
     # min of w * _forms over the stations of one side and the probes, by
-    # blocks of stations
+    # blocks of stations; each block takes the three-product kernel when its
+    # gradients are diagonal, else the nine-term one
     dom = body.domain
     xs, w = _stations(dom.x_lo, dom.x_hi, interior, isinstance(body.map, TriaxialStretch))
     F, p = body.state(xs)
