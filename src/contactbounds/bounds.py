@@ -284,13 +284,14 @@ def _linkage(example, fp):
         out = []
         for C, a, b, x_lo in ((fp["C1"], fp["a1"], b1, 0.0), (fp["C2"], fp["a2"], b2, 0.5)):
             _check_positive(C=C, a=a)
-            # principal stretches a / r, A r / sqrt(a) and 1 / (A sqrt(a))
-            # at 65 stations across the body
-            rho = 2.0 * a * np.linspace(x_lo, x_lo + 0.5, 65) + b
-            if not np.all(rho > 0.0):  # a NaN radius too
+            # principal stretches a / r, A r / sqrt(a) and 1 / (A sqrt(a)); the
+            # first two and their correctly rounded floats are monotone in rho,
+            # so their maxima over 65 stations are the end stations' values
+            rho_lo, rho_hi = 2.0 * a * x_lo + b, 2.0 * a * (x_lo + 0.5) + b
+            if not (rho_lo > 0.0 and rho_hi > 0.0):  # a NaN radius too
                 raise InvalidParameters("nonpositive radius in body")
-            r, sa = np.sqrt(rho), math.sqrt(a)
-            lam = max(float(np.max(a / r)), float(np.max(A * r / sa)), 1.0 / (A * sa))
+            sa = math.sqrt(a)
+            lam = max(a / math.sqrt(rho_lo), A * math.sqrt(rho_hi) / sa, 1.0 / (A * sa))
             out.append((C, a**2 / rho_c, lam))
         return out
     raise InvalidParameters("unknown example %r" % (example,))

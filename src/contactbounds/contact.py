@@ -108,11 +108,32 @@ class BodySpec:
         """(F, p) at the abscissa x, from one radius lookup: the bending
         frame or the affine gradient, and the pressure field at that radius.
 
-        An array of abscissae gives stacks; a Constant pressure is repeated."""
+        An array of abscissae gives stacks; a Constant pressure is repeated.
+        F is read-only, and a float x is evaluated once per body object."""
+        return self._face(x)[:2]
+
+    def _face(self, x, keep=True):
+        # (F, p, r) at x, r None on the affine maps; kept for a float x
+        if keep and type(x) is float:
+            return self._kept(("face", x), lambda: self._face(x, False))
         r = self.map.radius(x)
         F = self.map.gradient(x) if r is None else self.map.frame(r)
         p = self.pressure(r)
-        return F, p if np.ndim(p) == np.ndim(x) else np.full(np.shape(x), p)
+        F.setflags(write=False)
+        return F, p if np.ndim(p) == np.ndim(x) else np.full(np.shape(x), p), r
+
+    @functools.cached_property
+    def _memo(self):
+        # values by key, filled through _kept: the face state and Cauchy sigma_nn
+        # per float abscissa, the flank residual per data map. Per body object,
+        # as _constraint_residual; dataclasses.replace starts an empty one
+        return {}
+
+    def _kept(self, key, compute):
+        # compute(), once per key; a call that raises stores nothing
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     @functools.cached_property
     def _constraint_residual(self):
@@ -209,7 +230,10 @@ def gap_value(system):
 
 def contact_traction(body, x_face):
     """Cauchy normal traction sigma_nn on the face X = x_face."""
-    return float(cauchy_stress(body.material, *body.state(x_face))[0, 0])
+    def sigma():
+        return float(cauchy_stress(body.material, *body.state(x_face))[0, 0])
+
+    return body._kept(("sigma", x_face), sigma) if type(x_face) is float else sigma()
 
 
 def nominal_traction(body, x_face):
@@ -221,7 +245,7 @@ def nominal_traction(body, x_face):
     m = body.map
     if isinstance(m, Homogeneous):
         return float(piola_stress(body.material, *body.state(x_face))[0, 0])
-    t, r = contact_traction(body, x_face), m.radius(x_face)
+    t, r = contact_traction(body, x_face), body._face(x_face)[2]
     return t / m.a if r is None else t * r / m.a
 
 
@@ -257,6 +281,15 @@ def _running_max(worst, values):
     return max(worst, *np.ravel(values).tolist())
 
 
+def _flank(body, dmap):
+    # max |n . chi| over the y faces by a stacked matmul (np.dot's float point
+    # by point), n the flank normal of the data map, of which it reads A and a
+    X = _face_points(body.domain, "y", (body.domain.y_lo, body.domain.y_hi))
+    th = dmap.A * X[:, 1] / math.sqrt(dmap.a)
+    n = np.stack([-np.sin(th), np.cos(th), np.zeros_like(th)], axis=-1)
+    return _running_max(0.0, np.abs(n[:, None, :] @ body.map.place(X)[..., None]))
+
+
 def check_kinematic(system, dirichlet=None):
     """Kinematic admissibility: prescribed placements, gap, constraint.
 
@@ -285,13 +318,8 @@ def check_kinematic(system, dirichlet=None):
                 X = _face_points(body.domain, "z", (body.domain.z_lo, body.domain.z_hi))
                 dz = body.map.frame_place(X)[:, 2] - _family(dmap).frame_place(X)[:, 2]
                 worst_d = _running_max(worst_d, np.abs(dz))
-            X = _face_points(body.domain, "y", (body.domain.y_lo, body.domain.y_hi))
-            # the data's flank normal at each point, and (n . chi) by a
-            # stacked matmul: np.dot's float, point by point
-            th = dmap.A * X[:, 1] / math.sqrt(dmap.a)
-            n = np.stack([-np.sin(th), np.cos(th), np.zeros_like(th)], axis=-1)
-            nchi = n[:, None, :] @ body.map.place(X)[..., None]
-            worst_d = _running_max(worst_d, np.abs(nchi))
+            flank = body._kept(("flank", dmap.A, dmap.a), lambda: _flank(body, dmap))
+            worst_d = max(worst_d, flank)
     gap_res = max(0.0, gap_value(system) - system.d_allow)
     con_res = max(system.body1._constraint_residual, system.body2._constraint_residual)
     residuals = {

@@ -426,6 +426,21 @@ def test_bending_interval_validation():
         load_interval_bending(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -3.0)
 
 
+def test_least_inner_square_radius_is_accepted():
+    # b1 = R_MIN^2 exactly is the smallest admissible inner square radius
+    b1 = bounds.R_MIN**2
+    fp = {"C1": 1.0, "C2": 1.0, "A": 1.0, "a1": 1.0, "a2": 1.0, "b1": b1, "b2": 1.0 + b1 - 1.0}
+    iv = load_interval_bending(**fp)
+    assert iv.regime == "closed"
+    (C1, s1, lam1), _ = _linkage("bending", fp)
+    assert (C1, s1, lam1) == (1.0, 1.0 / (1.0 + b1), 1.0 / math.sqrt(b1))
+    for below in (math.nextafter(b1, 0.0), 0.0):
+        with pytest.raises(InvalidParameters, match="below minimum"):
+            load_interval_bending(**{**fp, "b1": below})
+        with pytest.raises(InvalidParameters, match="below minimum"):
+            _linkage("bending", {**fp, "b1": below})
+
+
 def test_interval_parameter_validation():
     with pytest.raises(InvalidParameters):
         load_interval_compression(0.0, 1.0, 0.8, 0.8)
@@ -638,6 +653,90 @@ def test_linkage_rejects_a_nan_radius():
             solve("bending", fp)
 
 
+def _linkage_65(example, fp):
+    # the linkage as built before its end-station form: every principal
+    # stretch at 65 stations across each bending body, maxima by numpy
+    if example != "bending":
+        return _linkage(example, fp)
+    A, b1 = fp["A"], fp["b1"]
+    bounds._check_positive(A=A)
+    if b1 < bounds.R_MIN**2:
+        raise InvalidParameters("b1 = %r below minimum" % (b1,))
+    rho_c = fp["a1"] + b1
+    b2 = rho_c - fp["a2"] if fp.get("b2") is None else fp["b2"]
+    out = []
+    for C, a, b, x_lo in ((fp["C1"], fp["a1"], b1, 0.0), (fp["C2"], fp["a2"], b2, 0.5)):
+        bounds._check_positive(C=C, a=a)
+        rho = 2.0 * a * np.linspace(x_lo, x_lo + 0.5, 65) + b
+        if not np.all(rho > 0.0):
+            raise InvalidParameters("nonpositive radius in body")
+        r, sa = np.sqrt(rho), math.sqrt(a)
+        lam = max(float(np.max(a / r)), float(np.max(A * r / sa)), 1.0 / (A * sa))
+        out.append((C, a**2 / rho_c, lam))
+    return out
+
+
+def _outcome(build, example, fp):
+    # the floats bit for bit, or the error's type and message
+    try:
+        with np.errstate(all="ignore"):
+            return [tuple(float(v).hex() for v in body) for body in build(example, fp)]
+    except (InvalidParameters, ArithmeticError) as e:
+        return type(e).__name__, str(e)
+
+
+def test_linkage_end_stations_give_the_65_station_maxima_bit_for_bit():
+    rng = np.random.default_rng(21)
+    big = sys.float_info.max
+    # moduli, stretches and rates log-uniform over 1e-8..1e8 or special:
+    # subnormal, tiny, huge, and (for a) so large that 2 a overflows
+    special = [5e-324, 1e-310, 1e-300, 1e300, 0.5 * big]
+    square = [bounds.R_MIN**2, 1e300, 0.0, -1.0, math.nan]
+
+    def draw(pool, lo=-8.0, hi=8.0):
+        if rng.random() < 0.25:
+            return pool[rng.integers(len(pool))]
+        return float(10.0 ** rng.uniform(lo, hi))
+
+    cases = [
+        # the top station's squared radius overflows to inf, the bottom one's not
+        ("bending", {"C1": 1.0, "C2": 1.0, "A": 1.0, "a1": 1.0, "a2": 0.5 * big,
+                     "b1": 1.0, "b2": 1e300}),
+        ("bending", {"C1": 1.0, "C2": 1.0, "A": 1.0, "a1": 1.0, "a2": 1.0,
+                     "b1": bounds.R_MIN**2, "b2": None}),
+    ]
+    for n in range(3000):
+        example = ("compression", "cohesive", "bending")[n % 3]
+        fp = {"C1": draw(special), "C2": draw(special), "a1": draw(special),
+              "a2": draw(special), "g": 1.0}
+        if example == "bending":
+            fp.update(A=draw(special), b1=draw(square, -12.0, 300.0),
+                      b2=None if n % 2 else draw(square, -12.0, 300.0))
+        cases.append((example, fp))
+    seen = set()
+    for example, fp in cases:
+        want = _outcome(_linkage_65, example, fp)
+        assert _outcome(_linkage, example, fp) == want, (example, fp)
+        seen.add(want[0] if isinstance(want[0], str) else "ok")
+    # every path is taken: accepted, each rejection, and float overflow
+    assert {"ok", "InvalidParameters", "OverflowError"} <= seen
+    nan_radius = {"C1": 1.0, "C2": 1.0, "A": 1.0, "a1": 1.0, "a2": 1.0, "b1": 1.0}
+    for b2 in (math.nan, -3.0):
+        got = _outcome(_linkage, "bending", {**nan_radius, "b2": b2})
+        assert got == ("InvalidParameters", "nonpositive radius in body")
+
+
+def test_linkage_makes_no_numpy_call(monkeypatch):
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError("numpy.%s called" % name)
+
+    fp = {"C1": 1.3, "C2": 0.7, "A": 1.1, "a1": 0.9, "a2": 1.2, "b1": 2.0, "b2": None}
+    want = _linkage("bending", fp)
+    monkeypatch.setattr(bounds, "np", NoNumpy())
+    assert _linkage("bending", fp) == want
+
+
 def test_numeric_bounds_open_regime_passthrough():
     fp = {"C1": 1.0, "C2": 1.0, "a1": 0.81, "a2": 0.81, "g": 1.5,
           "contact_closed": False}
@@ -717,6 +816,11 @@ def test_oracle_finds_an_interval_narrower_than_its_grid_step(
 def test_oracle_argument_validation():
     with pytest.raises(InvalidParameters):
         brute_force_oracle("compression", {"C1": 1.0, "C2": 1.0, "a1": 0.8, "a2": 0.8}, grid_n=1)
+    # the least grid: of its three loads, the bracket's ends and middle,
+    # only the middle one, 0, is feasible
+    fp = {"C1": 1.0, "C2": 1.0, "a1": 0.8, "a2": 0.8}
+    iv = brute_force_oracle("compression", fp, grid_n=2)
+    assert iv == bounds.LoadInterval(0.0, 0.0, "closed", False)
     with pytest.raises(InvalidParameters):
         brute_force_oracle("squeeze", {"C1": 1.0, "C2": 1.0, "a1": 0.8, "a2": 0.8})
 

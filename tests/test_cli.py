@@ -1325,6 +1325,48 @@ def test_each_body_evaluates_its_constraint_residual_once(monkeypatch, text):
     assert (len(calls), per_run) == (9, [2, 2])
 
 
+@pytest.mark.parametrize(
+    "text, per_run, per_verify",
+    [(COMP_CFG, 2, 6), (COH_CFG, 3, 8), (BEND_CFG, 3, 10)],
+    ids=["compression", "cohesive", "bending"],
+)
+def test_each_body_takes_one_cauchy_stress_per_face(monkeypatch, text, per_run, per_verify):
+    # a kept face state hands one F object to every evaluation of its face,
+    # so the gradients of all Cauchy stress calls are distinct objects. run()
+    # takes both contact faces and, without a load, body 1's outer face (a
+    # bending build takes body 1's contact face first); verify() takes its
+    # own build, two run()s and its exact pair, and its trials need none
+    calls, real = [], contact.cauchy_stress
+
+    def counted(model, F, p=0.0):
+        calls.append(F)
+        return real(model, F, p)
+
+    monkeypatch.setattr(contact, "cauchy_stress", counted)
+    config = cli.parse_config(text)
+    cli.run(config)
+    assert len(calls) == per_run
+    assert cli.verify(config)[0] == 0
+    assert len(calls) == per_run + per_verify
+    assert len({id(F) for F in calls}) == len(calls)
+
+
+def test_verify_takes_the_shared_flank_residual_once(monkeypatch):
+    # verify()'s two run()s check their own two bodies each, its exact check
+    # the exact pair, and its three trials three new bodies 1 against the
+    # exact body 2, whose flank residual is kept
+    calls, real = [], contact._flank
+
+    def counted(body, dmap):
+        calls.append((body, dmap.A, dmap.a))
+        return real(body, dmap)
+
+    monkeypatch.setattr(contact, "_flank", counted)
+    assert cli.verify(cli.parse_config(BEND_CFG))[0] == 0
+    assert len(calls) == 2 + 2 + 3 + 2
+    assert len({(id(b), A, a) for b, A, a in calls}) == len(calls)
+
+
 def test_verify_leaves_the_injectivity_test_to_its_runs(monkeypatch):
     calls = []
     real = cli.injectivity_check

@@ -622,3 +622,116 @@ def test_kinematic_check_rejects_a_held_face_below_the_minimum_radius():
         check_kinematic(system)
     with pytest.raises(InvalidParameters, match="below minimum at X = "):
         check_kinematic(system, dirichlet=DirichletData(_B1, dataclasses.replace(low)))
+
+
+def counting_cauchy(monkeypatch):
+    # the gradient of each Cauchy stress evaluation behind contact_traction;
+    # a kept face state hands the same F to every caller
+    calls, real = [], contact.cauchy_stress
+
+    def counted(model, F, p=0.0):
+        calls.append(F)
+        return real(model, F, p)
+
+    monkeypatch.setattr(contact, "cauchy_stress", counted)
+    return calls
+
+
+def test_face_state_is_kept_read_only_per_body_and_abscissa(monkeypatch):
+    body = dataclasses.replace(bend_pair(1.0, 1.4, 1.1, 0.9, 1.0, 3.4, -0.8).body1)
+    calls = []
+
+    def counted(self, x, rho=StretchBend.rho):
+        calls.append(x if type(x) is float else np.shape(x))
+        return rho(self, x)
+
+    monkeypatch.setattr(StretchBend, "rho", counted)
+    F, p = body.state(0.5)
+    assert body.state(0.5) == (F, p) and body.state(0.5)[0] is F
+    r, t = body.map.radius(0.5), contact_traction(body, 0.5)
+    assert nominal_traction(body, 0.5) == t * r / body.map.a
+    assert calls == [0.5, 0.5]  # the state once, the radius of the check above once
+    assert not F.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        F[0, 0] = 2.0
+    # arrays and other abscissae are evaluated anew
+    body.state(np.array([0.5]))
+    body.state(0.25)
+    assert calls == [0.5, 0.5, (1,), 0.25]
+
+
+def test_a_raising_face_raises_again(monkeypatch):
+    # rho = -0.5 at x = 0: the state raises on every call, and keeps nothing
+    low = BodySpec(BOX1, NeoHookeanIncompressible(1.0), StretchBend(1.0, 1.0, -0.5))
+    for _ in range(2):
+        with pytest.raises(InvalidParameters, match="below minimum at X = 0$"):
+            low.state(0.0)
+        with pytest.raises(InvalidParameters, match="below minimum at X = 0$"):
+            contact_traction(low, 0.0)
+    assert low.state(0.5)[1] == 0.0 and list(low._memo) == [("face", 0.5)]
+    # a stress that raises once is evaluated again on the next call
+    body = dataclasses.replace(_BEND.body1)
+    calls, real = [], contact.cauchy_stress
+
+    def fails_once(model, F, p=0.0):
+        calls.append(F)
+        if len(calls) == 1:
+            raise ArithmeticError("first call")
+        return real(model, F, p)
+
+    monkeypatch.setattr(contact, "cauchy_stress", fails_once)
+    with pytest.raises(ArithmeticError, match="first call"):
+        contact_traction(body, 0.5)
+    assert contact_traction(body, 0.5) == contact_traction(_BEND.body1, 0.5)
+    assert contact_traction(body, 0.5) == contact_traction(_BEND.body1, 0.5)
+    assert len(calls) == 2  # _BEND.body1 kept its traction when it was built
+
+
+def test_a_replaced_body_evaluates_its_faces_anew(monkeypatch):
+    # building the pair took body 1's traction at the contact plane already
+    system = bend_pair(1.0, 1.4, 1.1, 0.9, 1.0, 3.4, -0.8)
+    calls = counting_cauchy(monkeypatch)
+    want = evaluate_contact(system)
+    assert evaluate_contact(system) == want
+    assert len(calls) == 1 and calls[0] is system.body2.state(0.5)[0]
+    copy = dataclasses.replace(system, body1=dataclasses.replace(system.body1))
+    assert evaluate_contact(copy) == want
+    assert len(calls) == 2 and calls[1] is copy.body1.state(0.5)[0]
+
+
+def test_a_filled_memo_leaves_equality_hash_repr_and_output_alone():
+    from contactbounds.cli import format_jsonish
+
+    system = bend_pair(1.0, 1.4, 1.1, 0.9, 1.0, 3.4, -0.8)
+    fresh = [dataclasses.replace(b) for b in (system.body1, system.body2)]
+    seen = [(b == f, hash(b) == hash(f), repr(b), format_jsonish(b)) for b, f in
+            zip((system.body1, system.body2), fresh)]
+    check_kinematic(system)
+    check_static(system, -0.8)
+    evaluate_contact(system)
+    assert system.body1._memo and system.body2._memo
+    for (b, f), before in zip(zip((system.body1, system.body2), fresh), seen):
+        assert before == (True, True, repr(f), format_jsonish(f))
+        assert (b == f, hash(b) == hash(f), repr(b), format_jsonish(b)) == before
+
+
+def test_flank_residual_is_kept_per_data_map(monkeypatch):
+    calls = []
+
+    def counted(body, dmap, _real=contact._flank):
+        calls.append((body, dmap))
+        return _real(body, dmap)
+
+    monkeypatch.setattr(contact, "_flank", counted)
+    system = bend_pair(1.0, 1.4, 1.1, 0.9, 1.0, 3.4, -0.8)
+    want = check_kinematic(system).residuals
+    assert check_kinematic(system).residuals == want and len(calls) == 2
+    # another data map for body 2 tilts its flank planes: a new residual
+    m2 = system.body2.map
+    tilted = DirichletData(system.body1.map, dataclasses.replace(m2, A=1.2 * m2.A))
+    assert check_kinematic(system, tilted).residuals["dirichlet"] > want["dirichlet"]
+    assert [dmap for _, dmap in calls[2:]] == [tilted.map2]
+    # an equal data map (or a map with the same A and a) reads the kept one
+    same = DirichletData(system.body1.map, dataclasses.replace(m2, b=m2.b + 1.0))
+    check_kinematic(system, DirichletData(None, same.map2))
+    assert len(calls) == 3

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from contactbounds import energy
 from contactbounds.errors import InvalidParameters, NonPositiveJacobian
 from contactbounds.kinematics import (
+    R_MIN,
     Box3,
     Homogeneous,
     StretchBend,
@@ -59,6 +60,34 @@ def test_map_parameter_validation():
         StretchBend(1.0, -1.0, 1.0)
     with pytest.raises(InvalidParameters):
         Homogeneous(np.eye(3), t=(1.0, np.nan, 0.0))
+
+
+def test_zero_stretch_is_rejected():
+    with pytest.raises(InvalidParameters, match="stretch a = 0.0 must be positive"):
+        TriaxialStretch(0.0)
+    with pytest.raises(InvalidParameters, match="stretch a = 0.0 must be positive"):
+        StretchBend(1.0, 0.0, 1.0)
+
+
+def test_singular_map_is_rejected_at_det_zero():
+    # det F = 0 exactly: neither an orientation-preserving nor a reversing map
+    m = Homogeneous(np.diag([1.0, 1.0, 0.0]))
+    with pytest.raises(NonPositiveJacobian, match="det F = 0 "):
+        jacobian(m, (0.1, 0.1, 0.1))
+    with pytest.raises(NonPositiveJacobian, match="det F0 = 0$"):
+        image_volume(m, BOX)
+
+
+def test_least_square_radius_is_accepted():
+    # rho = R_MIN^2 exactly on the float and the array path; one ulp less raises
+    b = R_MIN**2
+    m = StretchBend(1.0, 1.0, b)
+    assert m.rho(0.0) == b
+    assert m.rho(np.array([0.0, 0.25])).tolist() == [b, 0.5 + b]
+    low = StretchBend(1.0, 1.0, math.nextafter(b, 0.0))
+    for x in (0.0, np.array([0.25, 0.0])):
+        with pytest.raises(InvalidParameters, match="below minimum at X = 0$"):
+            low.rho(x)
 
 
 def test_gradient_matches_finite_differences():

@@ -62,6 +62,15 @@ def test_strain_energy_rejects_negative_jacobian():
         strain_energy(NeoHookeanIncompressible(1.0), np.diag([-1.0, 1.0, 1.0]))
 
 
+def test_piola_stress_rejects_det_zero():
+    # det F = 0 exactly, one gradient and in a stack: a nonpositive Jacobian
+    model, singular = NeoHookeanIncompressible(1.0), np.diag([1.0, 1.0, 0.0])
+    with pytest.raises(NonPositiveJacobian, match="det F = 0$"):
+        piola_stress(model, singular)
+    with pytest.raises(NonPositiveJacobian, match="det F = 0$"):
+        piola_stress(model, np.array([np.eye(3), singular]))
+
+
 def test_stacks_equal_single_calls():
     model = NeoHookeanIncompressible(1.3)
     rng = np.random.default_rng(4)
