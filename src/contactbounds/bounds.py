@@ -288,7 +288,7 @@ def _linkage(example, fp):
             # first two and their correctly rounded floats are monotone in rho,
             # so their maxima over 65 stations are the end stations' values
             rho_lo, rho_hi = 2.0 * a * x_lo + b, 2.0 * a * (x_lo + 0.5) + b
-            if not (rho_lo > 0.0 and rho_hi > 0.0):  # a NaN radius too
+            if not rho_lo > 0.0:  # rho grows with x: the first station decides; a NaN too
                 raise InvalidParameters("nonpositive radius in body")
             sa = math.sqrt(a)
             lam = max(a / math.sqrt(rho_lo), A * math.sqrt(rho_hi) / sa, 1.0 / (A * sa))

@@ -42,7 +42,12 @@ BOUNDARY_SWAP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast
 TIER1 = ("-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors")
 
 #: (module, "line:column", mutant operator) -> why the mutant is equivalent
-EQUIVALENT = {}
+EQUIVALENT = {
+    ("bounds", "216:13", "<"): "at a = 1 both branches give C (1 - 1) and C (1 + 1), "
+    "as sqrt(1) and 1 / 1 are both 1",
+    ("bounds", "251:43", "<"): "reached only when a2 + b2 > 0 (or NaN) with a2 > 0, "
+    "so 2 a2 + b2 > 0 (or NaN), rounding being monotone",
+}
 
 
 def sites(tree):

@@ -434,6 +434,8 @@ def test_least_inner_square_radius_is_accepted():
     assert iv.regime == "closed"
     (C1, s1, lam1), _ = _linkage("bending", fp)
     assert (C1, s1, lam1) == (1.0, 1.0 / (1.0 + b1), 1.0 / math.sqrt(b1))
+    with pytest.raises(InvalidParameters, match="body 2 radii must stay positive"):
+        load_interval_bending(**{**fp, "b2": -1.0})  # a2 + b2 = 0 exactly
     for below in (math.nextafter(b1, 0.0), 0.0):
         with pytest.raises(InvalidParameters, match="below minimum"):
             load_interval_bending(**{**fp, "b1": below})
@@ -721,7 +723,8 @@ def test_linkage_end_stations_give_the_65_station_maxima_bit_for_bit():
     # every path is taken: accepted, each rejection, and float overflow
     assert {"ok", "InvalidParameters", "OverflowError"} <= seen
     nan_radius = {"C1": 1.0, "C2": 1.0, "A": 1.0, "a1": 1.0, "a2": 1.0, "b1": 1.0}
-    for b2 in (math.nan, -3.0):
+    # body 2's squared radius NaN, negative, or 0 exactly at its first station
+    for b2 in (math.nan, -3.0, -1.0):
         got = _outcome(_linkage, "bending", {**nan_radius, "b2": b2})
         assert got == ("InvalidParameters", "nonpositive radius in body")
 
