@@ -108,25 +108,17 @@ class BodySpec:
         """(F, p) at the abscissa x, from one radius lookup: the bending
         frame or the affine gradient, and the pressure field at that radius.
 
-        An array of abscissae gives stacks; a Constant pressure is repeated.
-        F is read-only, and a float x is evaluated once per body object."""
-        return self._face(x)[:2]
-
-    def _face(self, x, keep=True):
-        # (F, p, r) at x, r None on the affine maps; kept for a float x
-        if keep and type(x) is float:
-            return self._kept(("face", x), lambda: self._face(x, False))
+        An array of abscissae gives stacks; a Constant pressure is repeated."""
         r = self.map.radius(x)
         F = self.map.gradient(x) if r is None else self.map.frame(r)
         p = self.pressure(r)
-        F.setflags(write=False)
-        return F, p if np.ndim(p) == np.ndim(x) else np.full(np.shape(x), p), r
+        return F, p if np.ndim(p) == np.ndim(x) else np.full(np.shape(x), p)
 
     @functools.cached_property
     def _memo(self):
-        # values by key, filled through _kept: the face state and Cauchy sigma_nn
-        # per float abscissa, the flank residual per data map. Per body object,
-        # as _constraint_residual; dataclasses.replace starts an empty one
+        # values by key, filled through _kept: the Cauchy sigma_nn per float
+        # abscissa, the flank residual per data map. Per body object, as
+        # _constraint_residual; dataclasses.replace starts an empty one
         return {}
 
     def _kept(self, key, compute):
@@ -245,7 +237,7 @@ def nominal_traction(body, x_face):
     m = body.map
     if isinstance(m, Homogeneous):
         return float(piola_stress(body.material, *body.state(x_face))[0, 0])
-    t, r = contact_traction(body, x_face), body._face(x_face)[2]
+    t, r = contact_traction(body, x_face), m.radius(x_face)
     return t / m.a if r is None else t * r / m.a
 
 

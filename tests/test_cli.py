@@ -1331,24 +1331,30 @@ def test_each_body_evaluates_its_constraint_residual_once(monkeypatch, text):
     ids=["compression", "cohesive", "bending"],
 )
 def test_each_body_takes_one_cauchy_stress_per_face(monkeypatch, text, per_run, per_verify):
-    # a kept face state hands one F object to every evaluation of its face,
-    # so the gradients of all Cauchy stress calls are distinct objects. run()
-    # takes both contact faces and, without a load, body 1's outer face (a
-    # bending build takes body 1's contact face first); verify() takes its
-    # own build, two run()s and its exact pair, and its trials need none
-    calls, real = [], contact.cauchy_stress
+    # each Cauchy stress evaluation is named by the face state taken just
+    # before it, and no (body object, face) pair comes twice. run() takes
+    # both contact faces and, without a load, body 1's outer face (a bending
+    # build takes body 1's contact face first); verify() takes its own
+    # build, two run()s and its exact pair, and its trials need none
+    calls, last = [], []
+    state, real = contact.BodySpec.state, contact.cauchy_stress
+
+    def stated(self, x):
+        last[:] = [(self, x)]
+        return state(self, x)
 
     def counted(model, F, p=0.0):
-        calls.append(F)
+        calls.append(last[0])
         return real(model, F, p)
 
+    monkeypatch.setattr(contact.BodySpec, "state", stated)
     monkeypatch.setattr(contact, "cauchy_stress", counted)
     config = cli.parse_config(text)
     cli.run(config)
     assert len(calls) == per_run
     assert cli.verify(config)[0] == 0
     assert len(calls) == per_run + per_verify
-    assert len({id(F) for F in calls}) == len(calls)
+    assert len({(id(b), x) for b, x in calls}) == len(calls)
 
 
 def test_verify_takes_the_shared_flank_residual_once(monkeypatch):

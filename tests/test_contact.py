@@ -625,50 +625,46 @@ def test_kinematic_check_rejects_a_held_face_below_the_minimum_radius():
 
 
 def counting_cauchy(monkeypatch):
-    # the gradient of each Cauchy stress evaluation behind contact_traction;
-    # a kept face state hands the same F to every caller
-    calls, real = [], contact.cauchy_stress
+    # the (body, abscissa) of each Cauchy stress evaluation, named by the
+    # face state taken just before it
+    calls, last, state, real = [], [], BodySpec.state, contact.cauchy_stress
+
+    def stated(self, x):
+        last[:] = [(self, x)]
+        return state(self, x)
 
     def counted(model, F, p=0.0):
-        calls.append(F)
+        calls.append(last[0])
         return real(model, F, p)
 
+    monkeypatch.setattr(BodySpec, "state", stated)
     monkeypatch.setattr(contact, "cauchy_stress", counted)
     return calls
 
 
-def test_face_state_is_kept_read_only_per_body_and_abscissa(monkeypatch):
+def test_cauchy_traction_is_kept_per_body_and_abscissa(monkeypatch):
     body = dataclasses.replace(bend_pair(1.0, 1.4, 1.1, 0.9, 1.0, 3.4, -0.8).body1)
-    calls = []
-
-    def counted(self, x, rho=StretchBend.rho):
-        calls.append(x if type(x) is float else np.shape(x))
-        return rho(self, x)
-
-    monkeypatch.setattr(StretchBend, "rho", counted)
-    F, p = body.state(0.5)
-    assert body.state(0.5) == (F, p) and body.state(0.5)[0] is F
-    r, t = body.map.radius(0.5), contact_traction(body, 0.5)
-    assert nominal_traction(body, 0.5) == t * r / body.map.a
-    assert calls == [0.5, 0.5]  # the state once, the radius of the check above once
-    assert not F.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        F[0, 0] = 2.0
-    # arrays and other abscissae are evaluated anew
-    body.state(np.array([0.5]))
-    body.state(0.25)
-    assert calls == [0.5, 0.5, (1,), 0.25]
+    calls = counting_cauchy(monkeypatch)
+    t = contact_traction(body, 0.5)
+    assert contact_traction(body, 0.5) == t
+    assert nominal_traction(body, 0.5) == t * body.map.radius(0.5) / body.map.a
+    assert [(b is body, x) for b, x in calls] == [(True, 0.5)]
+    # another abscissa, and a numpy scalar, are evaluated anew
+    contact_traction(body, 0.25)
+    assert contact_traction(body, np.float64(0.5)) == t
+    assert [x for _, x in calls] == [0.5, 0.25, 0.5]
+    assert type(calls[-1][1]) is np.float64
 
 
 def test_a_raising_face_raises_again(monkeypatch):
-    # rho = -0.5 at x = 0: the state raises on every call, and keeps nothing
+    # rho = -0.5 at x = 0: the traction raises on every call, and keeps nothing
     low = BodySpec(BOX1, NeoHookeanIncompressible(1.0), StretchBend(1.0, 1.0, -0.5))
     for _ in range(2):
         with pytest.raises(InvalidParameters, match="below minimum at X = 0$"):
-            low.state(0.0)
-        with pytest.raises(InvalidParameters, match="below minimum at X = 0$"):
             contact_traction(low, 0.0)
-    assert low.state(0.5)[1] == 0.0 and list(low._memo) == [("face", 0.5)]
+    assert low._memo == {}
+    contact_traction(low, 0.5)
+    assert list(low._memo) == [("sigma", 0.5)]
     # a stress that raises once is evaluated again on the next call
     body = dataclasses.replace(_BEND.body1)
     calls, real = [], contact.cauchy_stress
@@ -693,10 +689,10 @@ def test_a_replaced_body_evaluates_its_faces_anew(monkeypatch):
     calls = counting_cauchy(monkeypatch)
     want = evaluate_contact(system)
     assert evaluate_contact(system) == want
-    assert len(calls) == 1 and calls[0] is system.body2.state(0.5)[0]
+    assert [(b is system.body2, x) for b, x in calls] == [(True, 0.5)]
     copy = dataclasses.replace(system, body1=dataclasses.replace(system.body1))
     assert evaluate_contact(copy) == want
-    assert len(calls) == 2 and calls[1] is copy.body1.state(0.5)[0]
+    assert len(calls) == 2 and calls[1][0] is copy.body1
 
 
 def test_a_filled_memo_leaves_equality_hash_repr_and_output_alone():
