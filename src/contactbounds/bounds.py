@@ -126,18 +126,17 @@ def _probes(rng, count):
 
 @functools.lru_cache(maxsize=8, typed=True)
 def _probe_set(seed, count):
-    # (|G|^2, cof G, the rows cof_00, cof_11, cof_22) of the probes drawn
-    # from seed. An int seed gives one read-only copy per (seed, count),
-    # shared by every criteria_check; 8 entries, as one holds about 8 MB at
-    # 100,000 probes. Typed, so that a float count fails in _probes even
-    # when its int twin is cached
+    # (|G|^2, the diagonal rows cof_00, cof_11, cof_22 of cof G; no full
+    # cofactor) of the probes drawn from seed. An int seed gives one
+    # read-only copy per (seed, count), shared by every criteria_check; 8
+    # entries, as one holds about 3 MB at 100,000 probes. Typed, so that a
+    # float count fails in _probes even when its int twin is cached
     probes = _probes(np.random.default_rng(seed), count)
     gg = _sum9(probes * probes)
-    cof = np.ascontiguousarray(cofactor(probes))  # products with it need no copy in _sum9
-    cd = np.ascontiguousarray(cof.diagonal(axis1=1, axis2=2).T)
-    for v in (gg, cof, cd):
+    cd = np.ascontiguousarray(cofactor(probes).diagonal(axis1=1, axis2=2).T)
+    for v in (gg, cd):
         v.setflags(write=False)
-    return gg, cof, cd
+    return gg, cd
 
 
 def _running_min(m, values):
@@ -161,23 +160,20 @@ def _probe_forms(probe_count, seed):
 
 def _forms(C, probes, F, p):
     # material.hessian_quadratic_form, stations (rows of F, p) by probes.
-    # cof(G) : F of diagonal F is (c00 F00 + c11 F11) + c22 F22: _sum9's
-    # pairwise sum of the nine products adds these three and six exact
-    # zeros, so it differs at most in the sign of a zero, which C |G|^2 > 0
-    # absorbs. Any other stack takes the nine-term _sum9(cof * F)
-    gg, cof, cd = probes
+    # Every body's gradient is diagonal (triaxial, and bending in its
+    # frame), and cof(G) : F of diagonal F is (c00 F00 + c11 F11) + c22 F22:
+    # _sum9's pairwise sum of the nine products adds these three and six
+    # exact zeros, so it differs at most in the sign of a zero, which
+    # C |G|^2 > 0 absorbs
+    gg, cd = probes
     d = F.diagonal(axis1=-2, axis2=-1)
-    if np.count_nonzero(F) == np.count_nonzero(d):  # a NaN counts as nonzero
-        s = (cd[0] * d[:, 0, None] + cd[1] * d[:, 1, None]) + cd[2] * d[:, 2, None]
-    else:
-        s = _sum9(cof * F[:, None])
+    s = (cd[0] * d[:, 0, None] + cd[1] * d[:, 1, None]) + cd[2] * d[:, 2, None]
     return C * gg - p[:, None] * 2.0 * s
 
 
 def _side_min(body, probes, interior):
     # min of w * _forms over the stations of one side and the probes, by
-    # blocks of stations; each block takes the three-product kernel when its
-    # gradients are diagonal, else the nine-term one
+    # blocks of stations
     dom = body.domain
     xs, w = _stations(dom.x_lo, dom.x_hi, interior, isinstance(body.map, TriaxialStretch))
     F, p = body.state(xs)
@@ -248,7 +244,7 @@ def load_interval_bending(C1, C2, A, a1, a2, b1, b2, contact_closed=True):
     _check_positive(C1=C1, C2=C2, A=A, a1=a1, a2=a2)
     if b1 < R_MIN**2:
         raise InvalidParameters("inner square radius b1 = %r below minimum" % (b1,))
-    if a2 + b2 <= 0.0 or 2.0 * a2 + b2 <= 0.0:
+    if a2 + b2 <= 0.0:
         raise InvalidParameters("body 2 radii must stay positive")
     if not contact_closed:
         return LoadInterval(0.0, 0.0, "open", False)

@@ -19,14 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ConstraintViolated,
-    FamilyMismatch,
-    InvalidParameters,
-)
+from .errors import FamilyMismatch, InvalidParameters
 from .kinematics import (
     Box3,
-    Homogeneous,
     StretchBend,
     TriaxialStretch,
     _face_grid,
@@ -34,7 +29,6 @@ from .kinematics import (
     _family,
 )
 from .material import (
-    CONSTRAINT_TOL,
     Constant,
     NeoHookeanIncompressible,
     RadialProfile,
@@ -77,7 +71,8 @@ TOLERANCES = {
 class BodySpec:
     """One body: reference box, material, deformation, pressure field.
 
-    The material is a NeoHookeanIncompressible; BodySpec rejects any other.
+    The material is a NeoHookeanIncompressible and the map a
+    TriaxialStretch or a StretchBend; BodySpec rejects any other.
     """
 
     domain: Box3
@@ -86,27 +81,19 @@ class BodySpec:
     pressure: object = Constant(0.0)
 
     def __post_init__(self):
-        _family(self.map)
+        if not isinstance(self.map, (TriaxialStretch, StretchBend)):
+            raise InvalidParameters("unknown deformation map %r" % (self.map,))
         if not isinstance(self.material, NeoHookeanIncompressible):
             raise InvalidParameters("unknown material model %r" % (self.material,))
-        if isinstance(self.map, Homogeneous):
-            J = det(self.map.F0)
-            if abs(J - 1.0) > CONSTRAINT_TOL:
-                raise ConstraintViolated(
-                    "incompressible body with |det F0 - 1| = %.3e" % abs(J - 1.0)
-                )
         # the one place that asks which pressure field a body has
         if not isinstance(self.pressure, (Constant, RadialProfile)):
             raise InvalidParameters("unknown pressure field %r" % (self.pressure,))
-        if isinstance(self.pressure, RadialProfile) and not isinstance(self.map, StretchBend):
-            raise InvalidParameters(
-                "%s bodies take a Constant pressure field"
-                % ("triaxial" if isinstance(self.map, TriaxialStretch) else "homogeneous")
-            )
+        if isinstance(self.pressure, RadialProfile) and isinstance(self.map, TriaxialStretch):
+            raise InvalidParameters("triaxial bodies take a Constant pressure field")
 
     def state(self, x):
         """(F, p) at the abscissa x, from one radius lookup: the bending
-        frame or the affine gradient, and the pressure field at that radius.
+        frame or the triaxial gradient, and the pressure field at that radius.
 
         An array of abscissae gives stacks; a Constant pressure is repeated."""
         r = self.map.radius(x)
@@ -235,8 +222,6 @@ def nominal_traction(body, x_face):
     across the interface by the energy identities.
     """
     m = body.map
-    if isinstance(m, Homogeneous):
-        return float(piola_stress(body.material, *body.state(x_face))[0, 0])
     t, r = contact_traction(body, x_face), m.radius(x_face)
     return t / m.a if r is None else t * r / m.a
 
@@ -290,6 +275,7 @@ def check_kinematic(system, dirichlet=None):
     coordinate (plane sections stay plane) and the side flanks must stay
     inside the data's meridian planes; the in-plane components on those
     faces are free, matching the traction components that vanish there.
+    A bending body's data map must bend too (FamilyMismatch otherwise).
     dirichlet overrides the data stored on the system; None maps are
     satisfied trivially, and so is a data map that is the body's own map:
     each difference would be 0.0 or NaN, and the running maximum takes
@@ -305,10 +291,13 @@ def check_kinematic(system, dirichlet=None):
         for body, dmap in ((system.body1, data.map1), (system.body2, data.map2)):
             if dmap is None:
                 continue
+            if not isinstance(_family(dmap), StretchBend):
+                msg = "body and data map deform in different families: StretchBend vs %s"
+                raise FamilyMismatch(msg % type(dmap).__name__)
             if dmap is not body.map:
                 # the axial coordinate, the column that place stacks
                 X = _face_points(body.domain, "z", (body.domain.z_lo, body.domain.z_hi))
-                dz = body.map.frame_place(X)[:, 2] - _family(dmap).frame_place(X)[:, 2]
+                dz = body.map.frame_place(X)[:, 2] - dmap.frame_place(X)[:, 2]
                 worst_d = _running_max(worst_d, np.abs(dz))
             flank = body._kept(("flank", dmap.A, dmap.a), lambda: _flank(body, dmap))
             worst_d = max(worst_d, flank)

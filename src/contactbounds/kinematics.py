@@ -1,7 +1,7 @@
 """Reference geometry and the deformation families.
 
 Two coordinated bodies occupy axis-aligned boxes that share the plane
-X = x_c. Deformations are drawn from three families:
+X = x_c. Deformation maps are drawn from three families:
 
 * TriaxialStretch: x = a X + b, transverse contraction 1/sqrt(a),
 * StretchBend: plane sections X = const are bent onto cylinders of
@@ -9,16 +9,17 @@ X = x_c. Deformations are drawn from three families:
   and axial stretch 1 / (A sqrt(a)),
 * Homogeneous: x = F0 X + t (general affine, not necessarily isochoric).
 
-The first two families are isochoric by construction; their gradients are
-reported in the principal frame (radial, azimuthal, axial for bending).
+Bodies deform in the first two, isochoric by construction, with
+gradients in the principal frame (radial, azimuthal, axial for bending);
+a Homogeneous map serves as Dirichlet data and in the module functions.
 
-Each family carries its formulas as methods: gradient(x), place(X),
-radius(x) (None for the affine families), normal_position(X) (the image
-coordinate along the load, r for bending), frame_place(X), image_volume,
+Each family carries gradient(x), place(X), frame_place(X) and
+image_volume; the body families also radius(x) (None for triaxial),
+normal_position(X) (the image coordinate along the load, r for bending),
 stretch_max, i1_terms() (I1 = |F|^2) and volume_integral (the exact
 integral of c_inv / rho + c_sq rho + c0, rho the squared bend radius, a
-constant density for the affine families). The module functions check
-the family and delegate.
+constant density for triaxial). The module functions check the family
+and delegate.
 gradient and radius also take an array of abscissae and the X methods an
 (..., 3) stack of points, giving point by point the floats of single
 calls (which return a scalar result as a Python float).
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameters, NonPositiveJacobian
-from .tensor3 import _scalar, as_mat3, ddot, det, sym_eigenvalues
+from .tensor3 import _scalar, as_mat3, det, sym_eigenvalues
 
 __all__ = [
     "Box3",
@@ -285,12 +286,6 @@ class Homogeneous:
     def place(self, X):
         return (self.F0 @ np.asarray(X, dtype=float)[..., None])[..., 0] + self.t
 
-    def radius(self, x):
-        return None
-
-    def normal_position(self, X):
-        return _scalar(self.place(X)[..., 0])
-
     def frame_place(self, X):
         return self.place(X)
 
@@ -304,14 +299,6 @@ class Homogeneous:
             * (domain.y_hi - domain.y_lo)
             * (domain.z_hi - domain.z_lo)
         )
-
-    def stretch_max(self, domain):
-        return principal_stretches(self, (0.0, 0.0, 0.0)).max()
-
-    def i1_terms(self):
-        return 0.0, 0.0, float(ddot(self.F0, self.F0))
-
-    volume_integral = TriaxialStretch.volume_integral
 
 
 @dataclass(frozen=True)

@@ -48,8 +48,6 @@ TIER1 = ("-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-co
 EQUIVALENT = {
     ("bounds", "a <= 1.0", "<"): "at a = 1 both branches give C (1 - 1) and C (1 + 1), "
     "as sqrt(1) and 1 / 1 are both 1",
-    ("bounds", "2.0 * a2 + b2 <= 0.0", "<"): "reached only when a2 + b2 > 0 (or NaN) with a2 > 0, "
-    "so 2 a2 + b2 > 0 (or NaN), rounding being monotone",
 }
 
 

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from contactbounds.errors import InfeasibleProblem, InvalidParameters
-from contactbounds.kinematics import Homogeneous, StretchBend, TriaxialStretch
+from contactbounds.kinematics import StretchBend, TriaxialStretch
 from contactbounds.material import (
     Constant,
     NeoHookeanIncompressible,
@@ -20,6 +20,7 @@ from contactbounds.material import (
 from contactbounds.contact import BodySpec
 from contactbounds.states import BOX1, BOX2, bend_pair, linked_bend_pair
 from contactbounds import bounds
+from contactbounds.tensor3 import cofactor
 from contactbounds.bounds import (
     brute_force_oracle,
     criteria_check,
@@ -98,8 +99,13 @@ def test_probe_sets_are_cached_read_only_for_int_seeds_only():
     cold = criteria_check(body, probe_count=100, seed=7)
     assert criteria_check(body, probe_count=100, seed=7) == cold
     assert bounds._probe_set.cache_info().hits == 1
-    gg, cof, cd = bounds._probe_set(7, 100)
-    assert not gg.flags.writeable and not cof.flags.writeable and not cd.flags.writeable
+    probe_set = bounds._probe_set(7, 100)
+    # |G|^2 and the three diagonal cofactor rows; no full cofactor is kept
+    assert [v.shape for v in probe_set] == [(106,), (3, 106)]
+    for v in probe_set:
+        assert not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[0] = 1.0
     # a Generator seed advances on every call, None draws fresh probes,
     # and neither takes a cache entry
     rng, ref = np.random.default_rng(7), np.random.default_rng(7)
@@ -157,16 +163,6 @@ def _pointwise_criteria(body, probe_count, seed):
     return comp, primal
 
 
-def _sheared_body(p):
-    # dense gradient with det 1 up to rounding: a rotation of an isochoric
-    # upper-triangular stretch
-    c, s = math.cos(1.3), math.sin(1.3)
-    Q = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    Q = Q @ np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-    U = np.array([[1.2, 0.3, -0.1], [0.0, 0.8, 0.25], [0.0, 0.0, 1.0 / (1.2 * 0.8)]])
-    return BodySpec(BOX1, NeoHookeanIncompressible(1.3), Homogeneous(Q @ U), Constant(p))
-
-
 @pytest.mark.parametrize(
     "body, probe_count, seed",
     [
@@ -174,19 +170,8 @@ def _sheared_body(p):
         (triaxial_body(1.7, 1.2, -0.4), 1, 0),
         (bend_pair(1.0, 1.4, 1.1, 0.9, 1.0, 3.4, -0.8).body1, 50, 3),
         (bend_pair(1.0, 1.4, 1.1, 0.9, 1.0, 3.4, -0.8).body2, 1, 0),
-        (_sheared_body(2.0), 200, 42),
-        (_sheared_body(0.9), 50, 3),
-        (_sheared_body(-1.1), 1, 0),
     ],
-    ids=[
-        "triaxial-200",
-        "triaxial-1",
-        "bend1-50",
-        "bend2-1",
-        "sheared-200",
-        "sheared-50",
-        "sheared-1",
-    ],
+    ids=["triaxial-200", "triaxial-1", "bend1-50", "bend2-1"],
 )
 def test_criteria_equal_pointwise_forms(body, probe_count, seed):
     # bit-identical to one hessian_quadratic_form call per probe and station
@@ -220,10 +205,12 @@ def test_criteria_station_blocks_give_the_same_result(monkeypatch):
     assert criteria_check(body, 50, 3) == whole
 
 
-def _nine_term_forms(C, probes, F, p):
-    # the form with cof(G) : F summed over all nine products
-    gg, cof, _ = probes
-    return C * gg - p[:, None] * 2.0 * bounds._sum9(cof * F[:, None])
+def _nine_term_forms(C, seed, count, F, p):
+    # the form with cof(G) : F summed over all nine products of the full
+    # cofactors, which the probe sets do not keep
+    probes = bounds._probes(np.random.default_rng(seed), count)
+    cof = cofactor(probes)
+    return C * bounds._sum9(probes * probes) - p[:, None] * 2.0 * bounds._sum9(cof * F[:, None])
 
 
 def _counting_sum9(monkeypatch):
@@ -247,7 +234,7 @@ def test_diagonal_kernel_gives_the_nine_term_forms_bit_for_bit(monkeypatch, C):
     F[:, [0, 1, 2], [0, 1, 2]] = d
     p = np.resize(_PRESSURES, len(d))
     with np.errstate(all="ignore"):
-        ref = _nine_term_forms(C, probes, F, p)
+        ref = _nine_term_forms(C, 42, 50, F, p)
         calls = _counting_sum9(monkeypatch)
         q = bounds._forms(C, probes, F, p)
     assert calls == []  # the diagonal kernel
@@ -256,31 +243,36 @@ def test_diagonal_kernel_gives_the_nine_term_forms_bit_for_bit(monkeypatch, C):
     assert np.isnan(q).any() and np.isinf(q).any()
 
 
-@pytest.mark.parametrize("off", [1e-3, -1e-300, math.nan, math.inf])
-def test_one_off_diagonal_station_takes_the_nine_term_kernel(monkeypatch, off):
-    probes = bounds._probe_set(42, 50)
-    F = np.zeros((7, 3, 3))
-    F[:, [0, 1, 2], [0, 1, 2]] = [0.9, 1.2, 1.0 / 1.08]
-    F[4, 2, 0] = off
-    p = np.linspace(-1.0, 1.0, 7)
-    with np.errstate(all="ignore"):
-        ref = _nine_term_forms(1.3, probes, F, p)
-        calls = _counting_sum9(monkeypatch)
-        q = bounds._forms(1.3, probes, F, p)
-    assert calls == [(7, 56, 3, 3)]
-    assert np.array_equal(q.view(np.uint64), ref.view(np.uint64))
-
-
 def test_negative_zero_off_the_diagonal_keeps_the_diagonal_kernel(monkeypatch):
     probes = bounds._probe_set(42, 50)
     F = np.zeros((3, 3, 3))
     F[:, [0, 1, 2], [0, 1, 2]] = [0.9, 1.2, 1.0 / 1.08]
     F[1, 0, 2] = F[2, 1, 0] = -0.0
     p = np.array([0.3, -0.0, 0.0])
-    ref = _nine_term_forms(1.3, probes, F, p)
+    ref = _nine_term_forms(1.3, 42, 50, F, p)
     calls = _counting_sum9(monkeypatch)
     assert np.array_equal(bounds._forms(1.3, probes, F, p).view(np.uint64), ref.view(np.uint64))
     assert calls == []
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    bend=st.booleans(),
+    A=st.floats(0.05, 5.0),
+    a=st.floats(0.05, 5.0),
+    b=st.floats(1e-3, 3.0),
+    p=st.floats(-5.0, 5.0),
+)
+def test_body_gradients_hold_positive_zeros_off_the_diagonal(bend, A, a, b, p):
+    # the premise of _forms' one kernel: a body of either family has +0.0
+    # in every off-diagonal entry, on a float abscissa and on a stack
+    m = StretchBend(A, a, b) if bend else TriaxialStretch(a, b)
+    body = BodySpec(BOX1, NeoHookeanIncompressible(1.3), m, Constant(p))
+    xs = np.linspace(BOX1.x_lo, BOX1.x_hi, 33)
+    rows, cols = [0, 0, 1, 1, 2, 2], [1, 2, 0, 2, 0, 1]
+    for F in [body.state(xs)[0]] + [body.state(x)[0] for x in xs.tolist()]:
+        off = F[..., rows, cols]
+        assert not off.any() and not np.signbit(off).any()
 
 
 def test_criteria_stations_are_cached_read_only():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from contactbounds import contact, material
-from contactbounds.errors import ConstraintViolated, FamilyMismatch, InvalidParameters
+from contactbounds.errors import FamilyMismatch, InvalidParameters
 from contactbounds.kinematics import Box3, Homogeneous, StretchBend, TriaxialStretch, placement
 from contactbounds.material import Constant, NeoHookeanIncompressible, RadialProfile
 from contactbounds.contact import (
@@ -62,12 +62,6 @@ def test_gap_bending_radii():
     assert gap_value(trial) == pytest.approx(r1 - math.sqrt(2.0), abs=1e-14)
 
 
-def test_gap_homogeneous_pair():
-    b1 = BodySpec(BOX1, NeoHookeanIncompressible(1.0), Homogeneous(np.eye(3), t=(0.1, 0.0, 0.0)))
-    b2 = BodySpec(BOX2, NeoHookeanIncompressible(1.0), Homogeneous(np.eye(3)))
-    assert gap_value(SystemSpec(b1, b2)) == pytest.approx(0.1, abs=1e-14)
-
-
 def test_gap_family_mismatch():
     b1 = BodySpec(BOX1, NeoHookeanIncompressible(1.0), TriaxialStretch(1.0))
     b2 = BodySpec(BOX2, NeoHookeanIncompressible(1.0), StretchBend(1.0, 1.0, 0.5))
@@ -87,9 +81,12 @@ def test_system_requires_shared_geometry():
         SystemSpec(b1, b2)
 
 
-def test_incompressible_homogeneous_must_be_isochoric():
-    with pytest.raises(ConstraintViolated):
-        BodySpec(BOX1, NeoHookeanIncompressible(1.0), Homogeneous(np.diag([1.2, 1.0, 1.0])))
+def test_body_rejects_a_homogeneous_map():
+    # a body deforms in one of the two families that the examples build;
+    # an isochoric affine map is no exception
+    for F0 in (np.eye(3), np.diag([1.2, 1.0, 1.0]), np.diag([0.8, 1.25, 1.0])):
+        with pytest.raises(InvalidParameters, match=r"^unknown deformation map Homogeneous\("):
+            BodySpec(BOX1, NeoHookeanIncompressible(1.0), Homogeneous(F0))
 
 
 def test_triaxial_body_rejects_radial_pressure():
@@ -104,11 +101,9 @@ def test_body_validates_its_pressure_field_when_built():
         BodySpec(BOX1, model, TriaxialStretch(1.0), pressure=3.0)
     with pytest.raises(InvalidParameters, match="^unknown pressure field"):
         BodySpec(BOX1, model, StretchBend(1.0, 1.0, 1.0), pressure=None)
-    with pytest.raises(InvalidParameters, match="^homogeneous bodies take a Constant"):
-        BodySpec(BOX1, model, Homogeneous(np.eye(3)), RadialProfile(1, 0, 0))
     # the profile is for bent bodies, and a Constant suits every family
     BodySpec(BOX1, model, StretchBend(1.0, 1.0, 1.0), RadialProfile(1, 0, 0))
-    for m in (TriaxialStretch(1.0), StretchBend(1.0, 1.0, 1.0), Homogeneous(np.eye(3))):
+    for m in (TriaxialStretch(1.0), StretchBend(1.0, 1.0, 1.0)):
         BodySpec(BOX1, model, m, Constant(0.2))
 
 
@@ -285,13 +280,6 @@ def test_static_constant_pressure_cannot_bend():
     rep = check_static(sys_, -0.2)
     assert not rep.static_ok
     assert rep.residuals["equilibrium"] > 1e-3
-
-
-def test_homogeneous_pair_static_at_rest():
-    b1 = BodySpec(BOX1, NeoHookeanIncompressible(1.0), Homogeneous(np.eye(3)), Constant(1.0))
-    b2 = BodySpec(BOX2, NeoHookeanIncompressible(1.0), Homogeneous(np.eye(3)), Constant(1.0))
-    rep = check_static(SystemSpec(b1, b2), 0.0)
-    assert rep.static_ok
 
 
 def test_radial_pressure_satisfies_momentum_balance():
@@ -488,10 +476,6 @@ def test_constraint_residual_is_evaluated_once_per_body(monkeypatch):
     systems = [
         bend_pair(1.0, 1.4, 1.1, 0.9, 1.0, 3.4, -0.8),
         linked_stretch_pair(1.3, 0.7, 0.8, 1.6, tau=-0.2),
-        SystemSpec(
-            BodySpec(BOX1, NeoHookeanIncompressible(1.0), Homogeneous(_SHEAR)),
-            BodySpec(BOX2, NeoHookeanIncompressible(2.0), Homogeneous(_SHEAR.T)),
-        ),
     ]
     calls = counting_constraint_dets(monkeypatch)
     for system in systems:
@@ -568,16 +552,8 @@ def test_face_points_are_shared_and_read_only(domain, axis, values):
     assert _face_points(dataclasses.replace(domain), axis, values) is pts
 
 
-_SHEAR = np.array([[1.0, 0.2, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-_HOMOGENEOUS = SystemSpec(
-    BodySpec(BOX1, NeoHookeanIncompressible(1.0), Homogeneous(_SHEAR, t=(0.01, 0.0, 0.0))),
-    BodySpec(BOX2, NeoHookeanIncompressible(2.0), Homogeneous(_SHEAR.T)),
-)
-
-
 @pytest.mark.parametrize(
-    "system", [_STRETCH, _BEND, _BEND_TRIAL, _HOMOGENEOUS],
-    ids=["stretch", "bend", "bend-trial", "homogeneous"],
+    "system", [_STRETCH, _BEND, _BEND_TRIAL], ids=["stretch", "bend", "bend-trial"]
 )
 def test_own_data_maps_give_the_residuals_of_equal_copies(system):
     # a data map that is the body's own map skips its differences; equal
@@ -731,3 +707,73 @@ def test_flank_residual_is_kept_per_data_map(monkeypatch):
     same = DirichletData(system.body1.map, dataclasses.replace(m2, b=m2.b + 1.0))
     check_kinematic(system, DirichletData(None, same.map2))
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("slot", ["map1", "map2"])
+@pytest.mark.parametrize(
+    "dmap", [Homogeneous(np.eye(3)), TriaxialStretch(1.1)], ids=["homogeneous", "triaxial"]
+)
+def test_bending_data_map_of_another_family_is_a_family_mismatch(dmap, slot):
+    # the flank planes are a bending map's: another family has none
+    system = bend_pair(1.0, 1.4, 1.1, 0.9, 1.0, 3.4, -0.8)
+    data = dataclasses.replace(DirichletData(_B1, _B2), **{slot: dmap})
+    msg = "^body and data map deform in different families: StretchBend vs %s$"
+    with pytest.raises(FamilyMismatch, match=msg % type(dmap).__name__):
+        check_kinematic(system, dirichlet=data)
+
+
+def test_homogeneous_data_map_pins_a_triaxial_held_face():
+    # body 2's own placement as an affine map holds it exactly; moved, it does not
+    system = linked_stretch_pair(1.3, 0.7, 0.8, 1.6, tau=-0.2)
+    m2 = system.body2.map
+    s = 1.0 / math.sqrt(m2.a)
+    for shift, residual in ((0.0, 0.0), (0.01, 0.01)):
+        held = Homogeneous(np.diag([m2.a, s, s]), t=(m2.b + shift, 0.0, 0.0))
+        rep = check_kinematic(system, DirichletData(None, held))
+        assert rep.residuals["dirichlet"] == pytest.approx(residual, rel=1e-12, abs=0.0)
+        assert rep.kinematic_ok is (shift == 0.0)
+
+
+def _unit_pair(box1, box2, b1=0.0):
+    model = NeoHookeanIncompressible(1.0)
+    return SystemSpec(
+        BodySpec(box1, model, TriaxialStretch(1.0, b1)), BodySpec(box2, model, TriaxialStretch(1.0))
+    )
+
+
+_LEFT, _RIGHT = Box3(-0.5, 0.0, 0.0, 1.0, 0.0, 1.0), Box3(0.0, 0.5, 0.0, 1.0, 0.0, 1.0)
+_PAST = math.nextafter(1e-12, 1.0)
+
+
+def test_contact_closes_at_exactly_the_gap_tolerance():
+    # equal stretches meet with a gap of exactly 0, so |gap - d_allow| = d_allow
+    assert contact.GAP_TOL == 1e-10
+    system = _unit_pair(BOX1, BOX2)
+    assert gap_value(system) == 0.0
+    assert evaluate_contact(dataclasses.replace(system, d_allow=1e-10)).regime == "closed"
+    past = math.nextafter(1e-10, 1.0)
+    assert evaluate_contact(dataclasses.replace(system, d_allow=past)).regime == "open"
+
+
+def test_system_admits_interface_offsets_of_exactly_1e_12():
+    # the contact plane: body 1 ends at 0.0, body 2 starts at 1e-12
+    _unit_pair(_LEFT, dataclasses.replace(_RIGHT, x_lo=1e-12))
+    with pytest.raises(InvalidParameters, match="share the contact plane"):
+        _unit_pair(_LEFT, dataclasses.replace(_RIGHT, x_lo=_PAST))
+    # a transverse span offset by 1e-12 at either end
+    for axis in "yz":
+        for end, span1, span2 in (("_lo", (0.0, 1.0), 1e-12), ("_hi", (-1.0, 0.0), 1e-12)):
+            box1 = dataclasses.replace(_LEFT, **{axis + "_lo": span1[0], axis + "_hi": span1[1]})
+            box2 = dataclasses.replace(_RIGHT, **{axis + "_lo": span1[0], axis + "_hi": span1[1]})
+            _unit_pair(box1, dataclasses.replace(box2, **{axis + end: span2}))
+            with pytest.raises(InvalidParameters, match="share the %s-range" % axis):
+                _unit_pair(box1, dataclasses.replace(box2, **{axis + end: _PAST}))
+
+
+def test_kinematic_check_admits_a_gap_residual_of_exactly_its_tolerance():
+    # with the contact plane at x = 0 the gap is body 1's offset b1 alone
+    assert contact.TOLERANCES["gap"] == 1e-12
+    rep = check_kinematic(_unit_pair(_LEFT, _RIGHT, b1=1e-12))
+    assert rep.residuals == {"dirichlet": 0.0, "gap": 1e-12, "constraint": 0.0}
+    assert rep.kinematic_ok
+    assert not check_kinematic(_unit_pair(_LEFT, _RIGHT, b1=_PAST)).kinematic_ok

@@ -259,15 +259,16 @@ def _pointwise_energies(system, tau, rule):
     return e_p, e_c, abs(lhs - rhs)
 
 
+def _held_by(system, F0, t):
+    # system with body 2's held face on the sheared affine data map x = F0 X + t,
+    # the one way a Homogeneous map enters the energies
+    return dataclasses.replace(system, dirichlet=DirichletData(map2=Homogeneous(F0, t)))
+
+
 def _homogeneous_pair():
     F0 = np.array([[1.1, 0.2, -0.1], [0.05, 0.95, 0.15], [-0.1, 0.1, 1.02]])
     F0 = F0 / np.cbrt(np.linalg.det(F0))  # isochoric
-    t = np.array([0.02, -0.01, 0.03])
-    model = NeoHookeanIncompressible(1.3)
-    return SystemSpec(
-        BodySpec(BOX1, model, Homogeneous(F0, t)),
-        BodySpec(BOX2, model, Homogeneous(F0, t)),
-    )
+    return _held_by(stretch_pair(1.3, 1.3, -0.12), F0, np.array([0.02, -0.01, 0.03]))
 
 
 @pytest.mark.parametrize("order", [1, 3, 8, 13])
@@ -353,12 +354,9 @@ unit = st.floats(0.5, 2.0)
 )
 def test_exact_energies_agree_with_order_64(family, C1, C2, A, a1, a2, b1, delta, shear):
     if family == "homogeneous":
+        # a compression pair held by a sheared affine data map
         F0 = np.eye(3) + np.reshape(shear[:9], (3, 3))
-        m = Homogeneous(F0 / np.cbrt(np.linalg.det(F0)), shear[9:])
-        system = SystemSpec(
-            BodySpec(BOX1, NeoHookeanIncompressible(C1), m, Constant(a1)),
-            BodySpec(BOX2, NeoHookeanIncompressible(C2), m, Constant(a2)),
-        )
+        system = _held_by(stretch_pair(C1, C2, -0.3 * C1), F0 / np.cbrt(np.linalg.det(F0)), shear[9:])
         _agree_with_order_64(system, -0.3 * C1)
         return
     # verify's exact pair and one of its trials, whose body 1 leaves the

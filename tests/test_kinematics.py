@@ -235,11 +235,15 @@ def test_family_methods_match_module_functions(m):
     assert np.array_equal(m.gradient(0.3), deformation_gradient(m, X))
     assert np.array_equal(m.place(X), x_chi)
     assert m.image_volume(BOX) == image_volume(m, BOX)
+    if isinstance(m, Homogeneous):
+        # a data map only: its frame is Cartesian, and it has no body methods
+        assert np.array_equal(m.frame_place(X), x_chi)
+        return
     stations = [principal_stretches(m, (x, 0.5, 0.5)).max() for x in (BOX.x_lo, BOX.x_hi)]
     assert m.stretch_max(BOX) == max(stations)
     r = m.radius(0.3)
     if r is None:
-        # affine: the gradient's frame is Cartesian, the load axis is x
+        # triaxial: the gradient's frame is Cartesian, the load axis is x
         assert m.normal_position(X) == x_chi[0]
         assert np.array_equal(m.frame_place(X), x_chi)
     else:
@@ -270,12 +274,14 @@ def test_stacked_methods_equal_single_calls(m):
         assert stacked.shape == X.shape
         for idx in points:
             assert np.array_equal(stacked[idx], getattr(m, name)(X[idx]))
-    normal = m.normal_position(X)
-    assert all(normal[idx] == m.normal_position(X[idx]) for idx in points)
-    assert type(m.normal_position(X[0, 0])) is float
     xs = X[..., 0]
     F = m.gradient(xs)
     assert all(np.array_equal(F[idx], m.gradient(float(xs[idx]))) for idx in points)
+    if isinstance(m, Homogeneous):
+        return  # a data map: no image coordinate along the load, no radius
+    normal = m.normal_position(X)
+    assert all(normal[idx] == m.normal_position(X[idx]) for idx in points)
+    assert type(m.normal_position(X[0, 0])) is float
     r = m.radius(xs)
     if r is None:
         assert m.radius(0.3) is None
