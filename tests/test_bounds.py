@@ -387,6 +387,32 @@ def test_compression_degenerate_is_empty():
     assert iv.tau_lo == iv.tau_hi == 0.0
 
 
+def test_cohesive_interval_is_empty_when_the_cap_meets_the_lower_end():
+    # lo = C (a^2 - 1 / a) = 3.5 at a = 2, so the cap g = 3.5 leaves no
+    # load inside the open interval
+    iv = load_interval_cohesive(1.0, 1.0, 2.0, 2.0, 3.5)
+    assert iv == bounds.LoadInterval(3.5, 3.5, "closed", True)
+    assert not load_interval_cohesive(1.0, 1.0, 2.0, 2.0, math.nextafter(3.5, 4.0)).empty
+
+
+def test_criteria_fail_both_sides_on_the_window_edge():
+    # at a = 1 and p = -C the aligned symmetric shear probes give forms of
+    # exactly 0 at every station: strict positivity fails on both sides
+    res = criteria_check(triaxial_body(1.3, 1.0, -1.3), 200, 42)
+    assert res.min_quadratic_value == 0.0
+    assert res.primal_ok is res.complementary_ok is False
+    res = criteria_check(triaxial_body(1.3, 1.0, math.nextafter(-1.3, 0.0)), 200, 42)
+    assert res.primal_ok is res.complementary_ok is True
+
+
+def test_bisection_halves_no_bracket_of_exactly_its_tolerance():
+    linkage = _linkage("compression", {"C1": 1.0, "C2": 1.0, "a1": 0.9, "a2": 0.9})
+    assert bounds.BISECTION_TOL == 1e-8 and _feasible_closed(-5e-9, linkage, 0.0)
+    assert bounds._bisect(-1e-8, 0.0, linkage, 0.0) == -1e-8
+    wider = math.nextafter(-1e-8, -1.0)
+    assert bounds._bisect(wider, 0.0, linkage, 0.0) == 0.5 * wider
+
+
 def test_open_regime_singletons():
     iv = load_interval_compression(1.0, 1.0, 0.81, 0.81, contact_closed=False)
     assert (iv.tau_lo, iv.tau_hi, iv.regime, iv.empty) == (0.0, 0.0, "open", False)

@@ -777,3 +777,19 @@ def test_kinematic_check_admits_a_gap_residual_of_exactly_its_tolerance():
     assert rep.residuals == {"dirichlet": 0.0, "gap": 1e-12, "constraint": 0.0}
     assert rep.kinematic_ok
     assert not check_kinematic(_unit_pair(_LEFT, _RIGHT, b1=_PAST)).kinematic_ok
+
+
+def test_static_check_admits_residuals_of_exactly_their_tolerances():
+    # C = 1e-8 at F = I: body 1 carries sigma = C - p1 = 0, body 2 -1e-8 on
+    # every face, so its free faces and the interface mismatch read 1e-8
+    assert contact.TOLERANCES["neumann"] == contact.TOLERANCES["action_reaction"] == 1e-8
+    model = NeoHookeanIncompressible(1e-8)
+
+    def system(p2):
+        body = BodySpec(BOX1, model, TriaxialStretch(1.0), Constant(1e-8))
+        return SystemSpec(body, BodySpec(BOX2, model, TriaxialStretch(1.0), Constant(p2)))
+
+    rep = check_static(system(2e-8), 0.0)
+    assert (rep.residuals["neumann"], rep.residuals["action_reaction"]) == (1e-8, 1e-8)
+    assert rep.static_ok
+    assert not check_static(system(math.nextafter(2e-8, 1.0)), 0.0).static_ok
