@@ -126,11 +126,11 @@ def _probes(rng, count):
 
 @functools.lru_cache(maxsize=8, typed=True)
 def _probe_set(seed, count):
-    # (|G|^2, the diagonal rows cof_00, cof_11, cof_22 of cof G; no full
-    # cofactor) of the probes drawn from seed. An int seed gives one
-    # read-only copy per (seed, count), shared by every criteria_check; 8
-    # entries, as one holds about 3 MB at 100,000 probes. Typed, so that a
-    # float count fails in _probes even when its int twin is cached
+    # (|G|^2, the diagonal rows cof_00, cof_11, cof_22 of cof G) of the
+    # probes drawn from seed. An int seed gives one read-only copy per
+    # (seed, count), shared by every criteria_check; 8 entries, as one holds
+    # about 3 MB at 100,000 probes. Typed, so that a float count fails in
+    # _probes even when its int twin is cached
     probes = _probes(np.random.default_rng(seed), count)
     gg = _sum9(probes * probes)
     cd = np.ascontiguousarray(cofactor(probes).diagonal(axis1=1, axis2=2).T)

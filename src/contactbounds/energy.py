@@ -198,7 +198,7 @@ def potential_energy(system, tau, rule=None):
         F = body.map.gradient(rule.mapped(body.domain.x_lo, body.domain.x_hi)[0])
         total += _x_integral(strain_energy(body.material, F), body.domain, rule)
     # the dead load pairs with the image coordinate along the load:
-    # x for the affine families, the face radius for bending
+    # x for the triaxial family, the face radius for bending
     b1 = system.body1
     load = _face_integral(b1.map.normal_position, b1.domain, "x", b1.domain.x_lo, rule)
     return total + tau * load
