@@ -26,14 +26,12 @@ from .kinematics import (
     Box3,
     Homogeneous,
     StretchBend,
-    StretchTriple,
     TriaxialStretch,
     deformation_gradient,
     image_volume,
     injectivity_check,
     jacobian,
     placement,
-    principal_stretches,
 )
 from .material import (
     Constant,

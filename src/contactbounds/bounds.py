@@ -14,8 +14,8 @@ the largest stretch) above 1; bending takes its largest stretch.
 numeric_load_bounds reproduces them by bisection on the feasibility
 predicate; brute_force_oracle does so by brute scan. Both take a body's
 window as C / lambda_max, with lambda_max the largest principal stretch
-sampled across the body (65 stations when bending), not from any formula
-here.
+sampled across the body (its two end stations when bending), not from any
+formula here.
 
 The open-contact regime carries the load through the contact face alone,
 which pins tau to 0 (or the cohesive cap g); it is reported as a
@@ -214,25 +214,26 @@ def _body_loads(C, a):
     return C * (a**2 - 1.0 / a), C * (a**2 + 1.0 / a)
 
 
+def _triaxial_interval(C1, C2, a1, a2, cap, contact_closed):
+    # the triaxial pair's loads up to the traction cap, 0.0 or g; a body's
+    # upper end is positive or +0.0, so a cap of 0.0 is the minimum itself
+    if not contact_closed:
+        return LoadInterval(cap, cap, "open", False)
+    (lo1, hi1), (lo2, hi2) = _body_loads(C1, a1), _body_loads(C2, a2)
+    lo, hi = max(lo1, lo2), min(cap, hi1, hi2)
+    return LoadInterval(lo, hi, "closed", not lo < hi)
+
+
 def load_interval_compression(C1, C2, a1, a2, contact_closed=True):
     """Sustainable compressive loads for the triaxial pair."""
     _check_positive(C1=C1, C2=C2, a1=a1, a2=a2)
-    if not contact_closed:
-        return LoadInterval(0.0, 0.0, "open", False)
-    lo = max(_body_loads(C1, a1)[0], _body_loads(C2, a2)[0])
-    hi = 0.0
-    return LoadInterval(lo, hi, "closed", not lo < hi)
+    return _triaxial_interval(C1, C2, a1, a2, 0.0, contact_closed)
 
 
 def load_interval_cohesive(C1, C2, a1, a2, g, contact_closed=True):
     """Sustainable loads with cohesive traction cap g > 0."""
     _check_positive(C1=C1, C2=C2, a1=a1, a2=a2, g=g)
-    if not contact_closed:
-        return LoadInterval(g, g, "open", False)
-    (lo1, hi1), (lo2, hi2) = _body_loads(C1, a1), _body_loads(C2, a2)
-    lo = max(lo1, lo2)
-    hi = min(g, hi1, hi2)
-    return LoadInterval(lo, hi, "closed", not lo < hi)
+    return _triaxial_interval(C1, C2, a1, a2, g, contact_closed)
 
 
 def load_interval_bending(C1, C2, A, a1, a2, b1, b2, contact_closed=True):
@@ -263,13 +264,19 @@ def load_interval_bending(C1, C2, A, a1, a2, b1, b2, contact_closed=True):
 
 
 def _linkage(example, fp):
-    """Per body (C, normal stretch factor s, largest sampled stretch lam)."""
+    """(per body (C, normal stretch factor s, largest sampled stretch lam),
+    load cap: the cohesive g, which must be positive, else 0.0); the one
+    place in this module that tells the examples apart."""
     if example in ("compression", "cohesive"):
+        cap = 0.0
+        if example == "cohesive":
+            cap = fp.get("g")
+            _check_positive(g=cap)
         out = []
         for C, a in ((fp["C1"], fp["a1"]), (fp["C2"], fp["a2"])):
             _check_positive(C=C, a=a)
             out.append((C, a**2, max(a, 1.0 / math.sqrt(a))))
-        return out
+        return out, cap
     if example == "bending":
         A, b1 = fp["A"], fp["b1"]
         _check_positive(A=A)
@@ -289,7 +296,7 @@ def _linkage(example, fp):
             sa = math.sqrt(a)
             lam = max(a / math.sqrt(rho_lo), A * math.sqrt(rho_hi) / sa, 1.0 / (A * sa))
             out.append((C, a**2 / rho_c, lam))
-        return out
+        return out, 0.0
     raise InvalidParameters("unknown example %r" % (example,))
 
 
@@ -301,11 +308,6 @@ def _feasible_closed(tau, linkage, cap):
     for C, s, lam in linkage:
         ok = ok & (abs(C * s - tau) < C / lam)
     return ok
-
-
-def _cap(example, fp):
-    # the cohesive traction cap; the other examples admit no tension
-    return fp.get("g", 0.0) if example == "cohesive" else 0.0
 
 
 def _bracket(linkage, cap):
@@ -324,7 +326,7 @@ def _scan(linkage, cap, n):
 
 def search_bracket(example, fixed_params):
     """Load bracket guaranteed to contain every feasible load."""
-    return _bracket(_linkage(example, fixed_params), _cap(example, fixed_params))
+    return _bracket(*_linkage(example, fixed_params))
 
 
 def _bisect(inside, outside, linkage, cap):
@@ -350,13 +352,9 @@ def numeric_load_bounds(example, fixed_params):
     InfeasibleProblem when no load in the bracket is feasible and
     OverflowError when the bracket is not finite.
     """
-    fp = fixed_params
-    cap = _cap(example, fp)
-    if example == "cohesive":
-        _check_positive(g=cap)
-    if not fp.get("contact_closed", True):
+    linkage, cap = _linkage(example, fixed_params)
+    if not fixed_params.get("contact_closed", True):
         return LoadInterval(cap, cap, "open", False)
-    linkage = _linkage(example, fp)
     b_lo, b_hi, feas = _scan(linkage, cap, COARSE_N)
     if not len(feas):
         # the scan can step over a narrow interval: seed both bisections
@@ -384,11 +382,9 @@ def brute_force_oracle(example, fixed_params, grid_n=1000):
     """
     if grid_n < 2:
         raise InvalidParameters("grid_n must be >= 2")
-    fp = fixed_params
-    cap = _cap(example, fp)
-    linkage = _linkage(example, fp)
+    linkage, cap = _linkage(example, fixed_params)
     b_lo, b_hi, acc = _scan(linkage, cap, grid_n + 1)
-    closed = fp.get("contact_closed", True)
+    closed = fixed_params.get("contact_closed", True)
     if closed and not len(acc):
         # an interval narrower than the grid step can lie between two grid
         # loads: rescan the cells next to the grid load whose worst margin,

@@ -276,24 +276,19 @@ def parse_config(text):
         k: _take_number(raw, "numerics", k, getattr(ProblemConfig, k), int)
         for k in SECTIONS["numerics"]
     }
-    return _check_numerics(ProblemConfig(
-        example, bodies[0], bodies[1], A=A, d_allow=d_allow, g=g, tau=tau, **numerics
-    ))
-
-
-def _check_numerics(config):
-    """Check the [numerics] fields of a config and return it."""
-    if not 1 <= config.quad_order <= 64:
+    if not 1 <= numerics["quad_order"] <= 64:
         raise ValidationError("[numerics] quad_order must be in [1, 64]")
     # the upper bounds keep the oracle's load grid and the criteria's
     # probe arrays (9 floats per probe) to a few megabytes
-    if not 2 <= config.grid_n <= 1_000_000:
+    if not 2 <= numerics["grid_n"] <= 1_000_000:
         raise ValidationError("[numerics] grid_n must be in [2, 1000000]")
-    if not 1 <= config.probe_count <= 100_000:
+    if not 1 <= numerics["probe_count"] <= 100_000:
         raise ValidationError("[numerics] probe_count must be in [1, 100000]")
-    if config.seed < 0:
+    if numerics["seed"] < 0:
         raise ValidationError("[numerics] seed must be >= 0")
-    return config
+    return ProblemConfig(
+        example, bodies[0], bodies[1], A=A, d_allow=d_allow, g=g, tau=tau, **numerics
+    )
 
 
 def serialize_config(config):
@@ -715,9 +710,6 @@ def main(argv=None):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--output")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--quad-order", type=int)
-        p.add_argument("--grid-n", type=int)
         if name == "run":
             p.add_argument(
                 "--format", choices=sorted(FORMATS), default="report"
@@ -742,10 +734,6 @@ def main(argv=None):
         # numpy's warnings about it would only add lines to stderr
         with np.errstate(all="ignore"):
             config = parse_config(text)
-            flags = ("seed", "quad_order", "grid_n")
-            given = {f: getattr(args, f) for f in flags if getattr(args, f) is not None}
-            if given:
-                config = _check_numerics(dataclasses.replace(config, **given))
             if args.command == "run":
                 report = run(config)
                 _emit(FORMATS[args.format](report), args.output)

@@ -141,7 +141,8 @@ class SystemSpec:
     """The coordinated pair plus contact parameters.
 
     d_allow is the allowed interpenetration depth (>= 0), g the cohesive
-    traction cap (g = 0 is the pure compression case).
+    traction cap (g = 0 is the pure compression case). Both bodies deform
+    in one family (FamilyMismatch otherwise).
     """
 
     body1: BodySpec
@@ -161,6 +162,10 @@ class SystemSpec:
             raise InvalidParameters("d_allow must be >= 0")
         if not (math.isfinite(self.g) and self.g >= 0.0):
             raise InvalidParameters("cohesive cap g must be >= 0")
+        m1, m2 = type(self.body1.map), type(self.body2.map)
+        if m1 is not m2:
+            msg = "bodies deform in different families: %s vs %s"
+            raise FamilyMismatch(msg % (m1.__name__, m2.__name__))
 
     @property
     def x_c(self):
@@ -196,15 +201,9 @@ def gap_value(system):
     Negative means separated (body 1 face short of the plane reached by
     body 2), positive means interpenetration.
     """
-    m1, m2 = system.body1.map, system.body2.map
-    if type(m1) is not type(m2):
-        raise FamilyMismatch(
-            "bodies deform in different families: %s vs %s"
-            % (type(m1).__name__, type(m2).__name__)
-        )
     Xc = system.body1.domain.center()
     Xc[0] = system.x_c
-    return float(m1.normal_position(Xc) - m2.normal_position(Xc))
+    return float(system.body1.map.normal_position(Xc) - system.body2.map.normal_position(Xc))
 
 
 def contact_traction(body, x_face):

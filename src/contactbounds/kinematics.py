@@ -10,8 +10,9 @@ X = x_c. Deformation maps are drawn from three families:
 * Homogeneous: x = F0 X + t (general affine, not necessarily isochoric).
 
 Bodies deform in the first two, isochoric by construction, with
-gradients in the principal frame (radial, azimuthal, axial for bending);
-a Homogeneous map serves as Dirichlet data and in the module functions.
+gradients in the principal frame (radial, azimuthal, axial for bending),
+so their principal stretches are the gradient's diagonal; a Homogeneous
+map serves as Dirichlet data and in the module functions.
 
 Each family carries gradient(x), place(X), frame_place(X) and
 image_volume; the body families also radius(x) (None for triaxial),
@@ -34,16 +35,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameters, NonPositiveJacobian
-from .tensor3 import _scalar, as_mat3, det, sym_eigenvalues
+from .tensor3 import _scalar, as_mat3, det
 
 __all__ = [
     "Box3",
     "TriaxialStretch",
     "StretchBend",
     "Homogeneous",
-    "StretchTriple",
     "deformation_gradient",
-    "principal_stretches",
     "jacobian",
     "placement",
     "image_volume",
@@ -301,21 +300,6 @@ class Homogeneous:
         )
 
 
-@dataclass(frozen=True)
-class StretchTriple:
-    """Principal stretches in family order (not sorted)."""
-
-    l1: float
-    l2: float
-    l3: float
-
-    def as_tuple(self):
-        return (self.l1, self.l2, self.l3)
-
-    def max(self):
-        return max(self.l1, self.l2, self.l3)
-
-
 _FAMILIES = (TriaxialStretch, StretchBend, Homogeneous)
 
 
@@ -334,17 +318,6 @@ def deformation_gradient(map_, X):
     (e_r, e_theta, e_z), where it is diagonal.
     """
     return _family(map_).gradient(float(X[0]))
-
-
-def principal_stretches(map_, X):
-    """Principal stretches at X, in family order."""
-    F = deformation_gradient(map_, X)
-    if not isinstance(map_, Homogeneous):
-        return StretchTriple(F[0, 0], F[1, 1], F[2, 2])
-    # general affine: singular values, descending
-    w = sym_eigenvalues(F.T @ F)
-    w = [math.sqrt(max(v, 0.0)) for v in w]
-    return StretchTriple(*w)
 
 
 def jacobian(map_, X):

@@ -22,6 +22,14 @@ an earlier commit:
 
     python tests/golden_outputs.py --root ../parent
 
+With --check FILE the per-output lines are compared with FILE, which
+holds such lines (tests/golden.sha256 is the committed set). The script
+then prints one line per output that differs from FILE, is missing from
+this run or is not in FILE, and a last line `stored hashes: same` or
+`stored hashes: N outputs differ`; it exits 1 when any output differs:
+
+    PYTHONPATH=src python tests/golden_outputs.py --check tests/golden.sha256
+
 The file name has no test_ prefix, so pytest does not collect it.
 """
 
@@ -40,7 +48,12 @@ _parser.add_argument(
     "--root", type=pathlib.Path, default=ROOT,
     help="tree whose src/ holds the package to run (default: this file's tree)",
 )
-PACKAGE_SRC = (_parser.parse_args(None if __name__ == "__main__" else []).root / "src").resolve()
+_parser.add_argument(
+    "--check", type=pathlib.Path, metavar="FILE",
+    help="compare the per-output lines with FILE and name each output that differs",
+)
+ARGS = _parser.parse_args(None if __name__ == "__main__" else [])
+PACKAGE_SRC = (ARGS.root / "src").resolve()
 sys.path[:0] = [str(PACKAGE_SRC), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402  (perfbench's seeded generators)
@@ -128,21 +141,42 @@ def output_hash(path, args):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def main():
-    total = hashlib.sha256()
-    count = 0
+def output_lines():
+    """The line `<config> <invocation> <hash>` of each output, in order."""
     with tempfile.TemporaryDirectory() as tmp:
         path = str(pathlib.Path(tmp) / "case.cfg")
         for name, text in configs():
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
             for label, args in INVOCATIONS:
-                line = "%s %s %s" % (name, label, output_hash(path, args))
-                print(line)
-                total.update(line.encode() + b"\n")
-                count += 1
+                yield "%s %s %s" % (name, label, output_hash(path, args))
+
+
+def check(lines, stored_path):
+    """Report the outputs whose lines differ from the stored ones; 1 if any."""
+    stored = dict(line.rsplit(" ", 1) for line in stored_path.read_text().splitlines())
+    got = dict(line.rsplit(" ", 1) for line in lines)
+    report = ["differs: " + k for k in got if k in stored and got[k] != stored[k]]
+    report += ["missing: " + k for k in stored if k not in got]
+    report += ["extra: " + k for k in got if k not in stored]
+    for line in report:
+        print(line)
+    print("stored hashes: " + ("%d outputs differ" % len(report) if report else "same"))
+    return 1 if report else 0
+
+
+def main():
+    if ARGS.check:
+        return check(output_lines(), ARGS.check)
+    total = hashlib.sha256()
+    count = 0
+    for line in output_lines():
+        print(line)
+        total.update(line.encode() + b"\n")
+        count += 1
     print("outputs %d total %s" % (count, total.hexdigest()))
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

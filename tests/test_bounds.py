@@ -406,7 +406,7 @@ def test_criteria_fail_both_sides_on_the_window_edge():
 
 
 def test_bisection_halves_no_bracket_of_exactly_its_tolerance():
-    linkage = _linkage("compression", {"C1": 1.0, "C2": 1.0, "a1": 0.9, "a2": 0.9})
+    linkage = _linkage("compression", {"C1": 1.0, "C2": 1.0, "a1": 0.9, "a2": 0.9})[0]
     assert bounds.BISECTION_TOL == 1e-8 and _feasible_closed(-5e-9, linkage, 0.0)
     assert bounds._bisect(-1e-8, 0.0, linkage, 0.0) == -1e-8
     wider = math.nextafter(-1e-8, -1.0)
@@ -450,7 +450,7 @@ def test_least_inner_square_radius_is_accepted():
     fp = {"C1": 1.0, "C2": 1.0, "A": 1.0, "a1": 1.0, "a2": 1.0, "b1": b1, "b2": 1.0 + b1 - 1.0}
     iv = load_interval_bending(**fp)
     assert iv.regime == "closed"
-    (C1, s1, lam1), _ = _linkage("bending", fp)
+    (C1, s1, lam1), _ = _linkage("bending", fp)[0]
     assert (C1, s1, lam1) == (1.0, 1.0 / (1.0 + b1), 1.0 / math.sqrt(b1))
     with pytest.raises(InvalidParameters, match="body 2 radii must stay positive"):
         load_interval_bending(**{**fp, "b2": -1.0})  # a2 + b2 = 0 exactly
@@ -466,6 +466,60 @@ def test_interval_parameter_validation():
         load_interval_compression(0.0, 1.0, 0.8, 0.8)
     with pytest.raises(InvalidParameters):
         load_interval_cohesive(1.0, 1.0, 0.8, 0.8, 0.0)
+
+
+def test_cohesive_closed_form_names_the_first_invalid_parameter():
+    with pytest.raises(InvalidParameters, match=r"^C1 = 0\.0 must be positive$"):
+        load_interval_cohesive(0.0, 1.0, 0.8, 0.8, -1.0)
+    with pytest.raises(InvalidParameters, match=r"^g = -1\.0 must be positive$"):
+        load_interval_cohesive(1.0, 1.0, 0.8, 0.8, -1.0)
+
+
+@pytest.mark.parametrize("g", [0.0, -1.0, math.nan, math.inf, None],
+                         ids=["zero", "negative", "nan", "inf", "missing"])
+@pytest.mark.parametrize("solve", [search_bracket, numeric_load_bounds, brute_force_oracle],
+                         ids=["bracket", "bisection", "oracle"])
+def test_interval_solvers_reject_a_cohesive_cap_that_is_not_positive(solve, g):
+    # the closed form's rule, read in _linkage alone, in both contact regimes
+    fp = {"C1": 1.0, "C2": 2.0, "a1": 0.9, "a2": 0.9}
+    if g is not None:
+        fp["g"] = g
+    for closed in (True, False):
+        with pytest.raises(InvalidParameters, match=r"^g = .* must be positive$"):
+            solve("cohesive", {**fp, "contact_closed": closed})
+
+
+def test_bisection_validates_an_open_contact():
+    fp = {"C1": 0.0, "C2": 1.0, "a1": 0.9, "a2": 0.9, "contact_closed": False}
+    for solve in (numeric_load_bounds, brute_force_oracle):
+        with pytest.raises(InvalidParameters, match=r"^C = 0\.0 must be positive$"):
+            solve("compression", fp)
+
+
+def _bits(iv):
+    return float(iv.tau_lo).hex(), float(iv.tau_hi).hex(), iv.regime, iv.empty
+
+
+def test_compression_is_the_triaxial_kernel_at_cap_zero_bit_for_bit():
+    # the draws of acceptance criteria 01 and 02, and upper ends that
+    # underflow to +0.0; the reference is the compression form as it was
+    # before it shared the kernel, with the literal upper end 0.0
+    draws = [(5e-324, 5e-324, 1e-300, 1e-300), (1.0, 5e-324, 0.81, 1e-300),
+             (1e300, 1.0, 0.5, 0.9), (1.0, 1.0, 1.0, 1.0), (1.0, 2.0, 2.0, 3.0)]
+    for seed in (101, 102):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            C1, C2 = rng.uniform(0.5, 3.0, 2)
+            a1, a2 = rng.uniform(0.5, 0.99, 2)
+            if seed == 102:
+                rng.uniform(0.1, 2.0)  # criterion 02's g
+            draws.append((C1, C2, a1, a2))
+    for C1, C2, a1, a2 in draws:
+        lo = max(bounds._body_loads(C1, a1)[0], bounds._body_loads(C2, a2)[0])
+        want = bounds.LoadInterval(lo, 0.0, "closed", not lo < 0.0)
+        assert _bits(load_interval_compression(C1, C2, a1, a2)) == _bits(want)
+        kernel = bounds._triaxial_interval(C1, C2, a1, a2, 0.0, True)
+        assert _bits(kernel) == _bits(want)
 
 
 def test_numeric_bounds_match_closed_form():
@@ -493,7 +547,7 @@ def test_numeric_bounds_match_closed_form():
 def test_numeric_bounds_are_certified(example, fp):
     # both reported ends are loads the feasibility predicate accepts
     iv = numeric_load_bounds(example, fp)
-    linkage = _linkage(example, fp)
+    linkage = _linkage(example, fp)[0]
     cap = fp.get("g", 0.0)
     assert _feasible_closed(iv.tau_lo, linkage, cap)
     assert _feasible_closed(iv.tau_hi, linkage, cap)
@@ -512,7 +566,7 @@ SCAN_MISS = {"C1": 2.5536, "a1": 1.4818, "C2": 2.5165, "a2": 0.8515, "g": 4.9415
 
 def test_numeric_bounds_survive_a_scan_miss():
     b_lo, b_hi = search_bracket("cohesive", SCAN_MISS)
-    linkage = _linkage("cohesive", SCAN_MISS)
+    linkage = _linkage("cohesive", SCAN_MISS)[0]
     scan = np.linspace(b_lo, b_hi, 129)
     assert not any(_feasible_closed(t, linkage, SCAN_MISS["g"]) for t in scan)
     closed = load_interval_cohesive(**SCAN_MISS)
@@ -546,7 +600,7 @@ def _feasible_reference(tau, linkage, cap):
 def test_feasible_closed_takes_the_scan_array(example, fp, cap_ok):
     # the array of loads gives the scalar result load by load, NaN, +/-inf
     # and the cap itself included
-    linkage, cap = _linkage(example, fp), fp.get("g", 0.0)
+    linkage, cap = _linkage(example, fp)
     b_lo, b_hi = search_bracket(example, fp)
     extra = [math.nan, math.inf, -math.inf, cap, math.nextafter(cap, math.inf)]
     taus = np.append(np.linspace(b_lo, b_hi, bounds.COARSE_N), extra)
@@ -624,7 +678,7 @@ def test_window_is_the_least_per_station_threshold():
         C1, C2, a1, a2, A, b1 = (float(v) for v in rng.uniform(
             [0.5, 0.5, 0.3, 0.3, 0.3, 0.05], [3.0, 3.0, 2.0, 2.0, 2.0, 3.0]))
         fp = {"C1": C1, "C2": C2, "a1": a1, "a2": a2, "A": A, "b1": b1, "b2": a1 + b1 - a2}
-        for body, (C, s, lam) in enumerate(_linkage(example, fp), start=1):
+        for body, (C, s, lam) in enumerate(_linkage(example, fp)[0], start=1):
             assert C / lam == _per_station_threshold(example, fp, body)
 
 
@@ -663,7 +717,7 @@ def test_bisection_ends_where_the_floats_run_out():
         # a few units in the last place of the closed form's own rounding
         assert abs(lo - closed.tau_lo) <= max(1e-6, 1e-14 * abs(closed.tau_lo))
         assert abs(hi - closed.tau_hi) <= max(1e-6, 1e-14 * abs(closed.tau_hi))
-        assert _feasible_closed(lo, _linkage(example, fp), fp.get("g", 0.0))
+        assert _feasible_closed(lo, _linkage(example, fp)[0], fp.get("g", 0.0))
 
 
 def test_linkage_rejects_a_nan_radius():
@@ -677,7 +731,7 @@ def _linkage_65(example, fp):
     # the linkage as built before its end-station form: every principal
     # stretch at 65 stations across each bending body, maxima by numpy
     if example != "bending":
-        return _linkage(example, fp)
+        return _linkage(example, fp)[0]
     A, b1 = fp["A"], fp["b1"]
     bounds._check_positive(A=A)
     if b1 < bounds.R_MIN**2:
@@ -694,6 +748,10 @@ def _linkage_65(example, fp):
         lam = max(float(np.max(a / r)), float(np.max(A * r / sa)), 1.0 / (A * sa))
         out.append((C, a**2 / rho_c, lam))
     return out
+
+
+def _linkage_bodies(example, fp):
+    return _linkage(example, fp)[0]
 
 
 def _outcome(build, example, fp):
@@ -736,14 +794,14 @@ def test_linkage_end_stations_give_the_65_station_maxima_bit_for_bit():
     seen = set()
     for example, fp in cases:
         want = _outcome(_linkage_65, example, fp)
-        assert _outcome(_linkage, example, fp) == want, (example, fp)
+        assert _outcome(_linkage_bodies, example, fp) == want, (example, fp)
         seen.add(want[0] if isinstance(want[0], str) else "ok")
     # every path is taken: accepted, each rejection, and float overflow
     assert {"ok", "InvalidParameters", "OverflowError"} <= seen
     nan_radius = {"C1": 1.0, "C2": 1.0, "A": 1.0, "a1": 1.0, "a2": 1.0, "b1": 1.0}
     # body 2's squared radius NaN, negative, or 0 exactly at its first station
     for b2 in (math.nan, -3.0, -1.0):
-        got = _outcome(_linkage, "bending", {**nan_radius, "b2": b2})
+        got = _outcome(_linkage_bodies, "bending", {**nan_radius, "b2": b2})
         assert got == ("InvalidParameters", "nonpositive radius in body")
 
 

@@ -798,10 +798,20 @@ def test_sweep_rows_at_unit_stretch_print_no_negative_zero(text, param, row):
     assert not any(",-0," in r for r in rows)
 
 
+@pytest.mark.parametrize("flag", ["--seed", "--quad-order", "--grid-n"])
+def test_main_reads_numerics_from_the_config_only(tmp_path, capsys, flag):
+    cfg_path = tmp_path / "case.cfg"
+    cfg_path.write_text(COMP_CFG)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--config", str(cfg_path), flag, "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: %s 3" % flag in capsys.readouterr().err
+
+
 def test_main_verify_reports_a_failed_check(tmp_path, capsys):
     cfg_path = tmp_path / "case.cfg"
-    cfg_path.write_text(BEND_CFG)
-    assert cli.main(["verify", "--config", str(cfg_path), "--quad-order", "1"]) == 1
+    cfg_path.write_text(BEND_CFG + "\n[numerics]\nquad_order = 1\n")
+    assert cli.main(["verify", "--config", str(cfg_path)]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "verify: 10 checks, 1 failed"
     assert [line for line in out if line.startswith("FAIL")] == [
@@ -1217,29 +1227,6 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_main_numerics_overrides_revalidate(tmp_path, capsys):
-    cfg_path = tmp_path / "case.cfg"
-    cfg_path.write_text(COMP_CFG)
-    for grid_n in ("1", "1000001"):
-        assert cli.main([
-            "run", "--config", str(cfg_path), "--grid-n", grid_n,
-        ]) == 2
-        assert "grid_n" in capsys.readouterr().err
-
-
-def test_main_overrides_apply_together(tmp_path, capsys):
-    cfg_path = tmp_path / "case.cfg"
-    cfg_path.write_text(COMP_CFG)
-    argv = ["run", "--config", str(cfg_path), "--format", "json-like"]
-    assert cli.main(argv + ["--seed", "3", "--quad-order", "5", "--grid-n", "50"]) == 0
-    config = json.loads(capsys.readouterr().out)["config"]
-    assert (config["seed"], config["quad_order"], config["grid_n"]) == (3, 5, 50)
-    # two invalid flags: the message names the field parse_config checks first
-    assert cli.main(argv + ["--seed", "-1", "--grid-n", "1"]) == 2
-    err = capsys.readouterr().err
-    assert err == "error: [numerics] grid_n must be in [2, 1000000]\n"
-
-
 def test_console_script_entry(tmp_path):
     cfg_path = tmp_path / "case.cfg"
     cfg_path.write_text(COMP_CFG)
@@ -1463,16 +1450,6 @@ def test_verify_fixed_checks_equal_the_per_matrix_loops(log_c1):
     assert code == 0
     lines = [l for l in text.splitlines() if "tensor identities" in l or "stress derivative" in l]
     assert lines == _fixed_check_lines(C1)
-
-
-def test_main_overrides_parse_the_config_once(tmp_path, capsys, monkeypatch):
-    calls = []
-    real_parse = cli.parse_config
-    monkeypatch.setattr(cli, "parse_config", lambda text: calls.append(text) or real_parse(text))
-    cfg_path = tmp_path / "case.cfg"
-    cfg_path.write_text(COMP_CFG)
-    assert cli.main(["run", "--config", str(cfg_path), "--seed", "3", "--grid-n", "50"]) == 0
-    assert calls == [COMP_CFG]
 
 
 HUGE_MODULUS_CFG = COMP_CFG.replace("C = 1.0\na = 0.81", "C = 1e9\na = 0.9").replace(

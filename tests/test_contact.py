@@ -69,6 +69,19 @@ def test_gap_family_mismatch():
         gap_value(SystemSpec(b1, b2))
 
 
+def test_system_rejects_bodies_of_two_families():
+    # built, and through dataclasses.replace, so no check downstream (gap,
+    # kinematic data) ever sees a mixed pair
+    bend = BodySpec(BOX1, NeoHookeanIncompressible(1.0), StretchBend(1.0, 1.0, 1.0))
+    stretch = BodySpec(BOX2, NeoHookeanIncompressible(1.0), TriaxialStretch(1.0))
+    msg = "bodies deform in different families: StretchBend vs TriaxialStretch"
+    with pytest.raises(FamilyMismatch, match=msg):
+        SystemSpec(bend, stretch)
+    system = SystemSpec(bend, dataclasses.replace(stretch, map=StretchBend(1.0, 1.0, 2.0)))
+    with pytest.raises(FamilyMismatch, match=msg):
+        dataclasses.replace(system, body2=stretch)
+
+
 def test_system_requires_shared_geometry():
     shifted = Box3(0.6, 1.1, 0.0, 1.0, 0.0, 1.0)
     b1 = BodySpec(BOX1, NeoHookeanIncompressible(1.0), TriaxialStretch(1.0))

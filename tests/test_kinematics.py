@@ -5,21 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contactbounds import energy
+from contactbounds import energy, kinematics
 from contactbounds.errors import InvalidParameters, NonPositiveJacobian
 from contactbounds.kinematics import (
     R_MIN,
     Box3,
     Homogeneous,
     StretchBend,
-    StretchTriple,
     TriaxialStretch,
     deformation_gradient,
     image_volume,
     injectivity_check,
     jacobian,
     placement,
-    principal_stretches,
 )
 
 BOX = Box3(0.0, 0.5, 0.0, 1.0, 0.0, 1.0)
@@ -129,21 +127,6 @@ def test_jacobian_rejects_orientation_reversal():
         jacobian(m, (0.1, 0.1, 0.1))
 
 
-def test_principal_stretches_family_order():
-    t = principal_stretches(TriaxialStretch(0.64), (0.0, 0.0, 0.0))
-    assert t.as_tuple() == pytest.approx((0.64, 1.25, 1.25), abs=1e-14)
-    assert t.max() == pytest.approx(1.25, abs=1e-14)
-    b = principal_stretches(StretchBend(1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
-    # at r = 1 the triple is (a / r, A r / sqrt(a), 1 / (A sqrt(a)))
-    assert b.as_tuple() == pytest.approx((1.0, 1.0, 1.0), abs=1e-14)
-
-
-def test_principal_stretches_homogeneous_sorted():
-    F0 = np.diag([0.5, 2.0, 1.0])
-    t = principal_stretches(Homogeneous(F0), (0.0, 0.0, 0.0))
-    assert t.as_tuple() == pytest.approx((2.0, 1.0, 0.5), abs=1e-12)
-
-
 def test_placement_triaxial_affine():
     m = TriaxialStretch(0.81, 0.25)
     x = placement(m, (0.5, 1.0, 0.0))
@@ -186,6 +169,28 @@ def test_injectivity_accepted_for_family_members():
     assert injectivity_check(Homogeneous(np.diag([0.5, 2.0, 1.0])), BOX)
 
 
+def test_injectivity_tolerance_edge(monkeypatch):
+    # the integral of det F (0.5 here) equal to vol + 1e-9 max(1, |vol|)
+    # exactly is accepted, and one float less image volume is rejected
+    m = TriaxialStretch(1.0)
+    total = jacobian(m, BOX.center()) * BOX.volume()
+
+    def bound(v):
+        return v + 1e-9 * max(1.0, abs(v))
+
+    vol = total - 1e-9
+    for _ in range(64):
+        if bound(vol) == total:
+            break
+        vol = math.nextafter(vol, math.inf if bound(vol) < total else -math.inf)
+    below = math.nextafter(vol, -math.inf)
+    assert bound(vol) == total > bound(below)
+    monkeypatch.setattr(kinematics, "image_volume", lambda map_, domain: vol)
+    assert injectivity_check(m, BOX)
+    monkeypatch.setattr(kinematics, "image_volume", lambda map_, domain: below)
+    assert not injectivity_check(m, BOX)
+
+
 def test_injectivity_rejects_overwound_sector():
     # sweep angle A dy / sqrt(a) = 7 rad > 2 pi: the image overlaps itself
     assert not injectivity_check(StretchBend(7.0, 1.0, 1.0), BOX)
@@ -195,12 +200,6 @@ def test_bending_radius_floor():
     m = StretchBend(1.0, 1.0, -0.5)
     with pytest.raises(InvalidParameters):
         placement(m, (0.1, 0.0, 0.0))
-
-
-def test_stretch_triple_plain_container():
-    t = StretchTriple(0.8, 1.1, 1.2)
-    assert t.as_tuple() == (0.8, 1.1, 1.2)
-    assert t.max() == 1.2
 
 
 def test_unknown_map_rejected():
@@ -239,7 +238,7 @@ def test_family_methods_match_module_functions(m):
         # a data map only: its frame is Cartesian, and it has no body methods
         assert np.array_equal(m.frame_place(X), x_chi)
         return
-    stations = [principal_stretches(m, (x, 0.5, 0.5)).max() for x in (BOX.x_lo, BOX.x_hi)]
+    stations = [max(np.diag(m.gradient(x))) for x in (BOX.x_lo, BOX.x_hi)]
     assert m.stretch_max(BOX) == max(stations)
     r = m.radius(0.3)
     if r is None:
