@@ -489,7 +489,7 @@ def test_interval_solvers_reject_a_cohesive_cap_that_is_not_positive(solve, g):
             solve("cohesive", {**fp, "contact_closed": closed})
 
 
-def test_bisection_validates_an_open_contact():
+def test_bisection_and_oracle_validate_an_open_contact():
     fp = {"C1": 0.0, "C2": 1.0, "a1": 0.9, "a2": 0.9, "contact_closed": False}
     for solve in (numeric_load_bounds, brute_force_oracle):
         with pytest.raises(InvalidParameters, match=r"^C = 0\.0 must be positive$"):
