@@ -17,9 +17,7 @@ from .errors import (
     InvalidParameters,
     NonFiniteIntegrand,
     NonPositiveJacobian,
-    NotSymmetric,
     ParseError,
-    SingularMatrix,
     ValidationError,
 )
 from .kinematics import (
@@ -89,7 +87,7 @@ from .states import (
     stretch_pair,
     stretch_ratio_from_load,
 )
-from .tensor3 import cofactor, ddot, det, inverse, sym_eigenvalues
+from .tensor3 import cofactor, ddot, det
 
 __version__ = "0.1.0"
 

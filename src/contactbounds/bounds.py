@@ -127,10 +127,10 @@ def _probes(rng, count):
 @functools.lru_cache(maxsize=8, typed=True)
 def _probe_set(seed, count):
     # (|G|^2, the diagonal rows cof_00, cof_11, cof_22 of cof G) of the
-    # probes drawn from seed. An int seed gives one read-only copy per
-    # (seed, count), shared by every criteria_check; 8 entries, as one holds
-    # about 3 MB at 100,000 probes. Typed, so that a float count fails in
-    # _probes even when its int twin is cached
+    # probes drawn from the int seed: one read-only copy per (seed, count),
+    # shared by every criteria_check; 8 entries, as one holds about 3 MB at
+    # 100,000 probes. Typed, so that a float count fails in _probes even
+    # when its int twin is cached
     probes = _probes(np.random.default_rng(seed), count)
     gg = _sum9(probes * probes)
     cd = np.ascontiguousarray(cofactor(probes).diagonal(axis1=1, axis2=2).T)
@@ -149,13 +149,12 @@ def _running_min(m, values):
 
 
 def _probe_forms(probe_count, seed):
-    # _probe_set's arrays for criteria_check; a Generator seed advances
-    # on every call and None draws fresh probes, so only an int seed may
-    # share a cached set
+    # _probe_set's cached arrays for criteria_check
     if probe_count < 1:
         raise InvalidParameters("probe_count must be >= 1")
-    build = _probe_set if isinstance(seed, int) else _probe_set.__wrapped__
-    return build(seed, probe_count)
+    if not (isinstance(seed, int) and seed >= 0):
+        raise InvalidParameters("seed = %r must be an int >= 0" % (seed,))
+    return _probe_set(seed, probe_count)
 
 
 def _forms(C, probes, F, p):
@@ -193,7 +192,8 @@ def criteria_check(body, probe_count=200, seed=42):
     both x-faces, so a probe field scaled by the bubble is an admissible
     variation whatever the body's role. Deterministic probes aligned
     with each shear plane make the sign change at the window edge exact;
-    the seeded random probes guard the rest of the tangent space.
+    the seeded random probes guard the rest of the tangent space; the
+    seed is an int >= 0.
     """
     probes = _probe_forms(probe_count, seed)
     comp_min = _side_min(body, probes, interior=False)
@@ -209,9 +209,13 @@ def criteria_check(body, probe_count=200, seed=42):
 def _body_loads(C, a):
     """(lo, hi) of the loads with |C a^2 - tau| inside one triaxial body's
     window: C sqrt(a) for a <= 1, C / a above 1."""
+    try:
+        a2 = a**2
+    except OverflowError:
+        raise OverflowError("closed-form window: stretch a = %r overflows in a^2" % (a,)) from None
     if a <= 1.0:
-        return C * (a**2 - math.sqrt(a)), C * (math.sqrt(a) + a**2)
-    return C * (a**2 - 1.0 / a), C * (a**2 + 1.0 / a)
+        return C * (a2 - math.sqrt(a)), C * (math.sqrt(a) + a2)
+    return C * (a2 - 1.0 / a), C * (a2 + 1.0 / a)
 
 
 def _triaxial_interval(C1, C2, a1, a2, cap, contact_closed):
@@ -275,7 +279,11 @@ def _linkage(example, fp):
         out = []
         for C, a in ((fp["C1"], fp["a1"]), (fp["C2"], fp["a2"])):
             _check_positive(C=C, a=a)
-            out.append((C, a**2, max(a, 1.0 / math.sqrt(a))))
+            try:
+                s = a**2
+            except OverflowError:
+                raise OverflowError("linkage: stretch a = %r overflows in a^2" % (a,)) from None
+            out.append((C, s, max(a, 1.0 / math.sqrt(a))))
         return out, cap
     if example == "bending":
         A, b1 = fp["A"], fp["b1"]

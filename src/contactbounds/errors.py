@@ -5,14 +5,6 @@ class ContactBoundsError(Exception):
     """Base class for all package errors."""
 
 
-class SingularMatrix(ContactBoundsError):
-    """Matrix inversion requested for a (numerically) singular matrix."""
-
-
-class NotSymmetric(ContactBoundsError):
-    """Symmetric eigenvalue routine fed a non-symmetric matrix."""
-
-
 class InvalidParameters(ContactBoundsError):
     """Family or model parameters violate their admissibility conditions."""
 

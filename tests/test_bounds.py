@@ -1,9 +1,12 @@
+import ast
 import dataclasses
+import inspect
 import itertools
 import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -106,15 +109,11 @@ def test_probe_sets_are_cached_read_only_for_int_seeds_only():
         assert not v.flags.writeable
         with pytest.raises(ValueError):
             v[0] = 1.0
-    # a Generator seed advances on every call, None draws fresh probes,
-    # and neither takes a cache entry
-    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
-    assert criteria_check(body, probe_count=100, seed=rng) == cold
-    criteria_check(body, probe_count=100, seed=rng)
-    ref.standard_normal((100, 6))
-    ref.standard_normal((100, 6))
-    assert rng.bit_generator.state == ref.bit_generator.state
-    criteria_check(body, probe_count=100, seed=None)
+    # any other seed is refused, a Generator and None included, and takes
+    # no cache entry
+    for seed in (np.random.default_rng(7), None, -1, 7.0, "7"):
+        with pytest.raises(InvalidParameters, match="seed = .* must be an int >= 0"):
+            criteria_check(body, probe_count=100, seed=seed)
     assert bounds._probe_set.cache_info().currsize == 1
     # a float count fails as it does uncached, though 100 is cached
     with pytest.raises(TypeError):
@@ -577,6 +576,117 @@ def test_numeric_bounds_survive_a_scan_miss():
     assert _feasible_closed(iv.tau_hi, linkage, SCAN_MISS["g"])
 
 
+def _exact_bodies(example, fp):
+    """Per body (C, s, the squares of its principal stretches at their
+    extremes) as Fractions of the float parameters: a triaxial body's a^2
+    and 1/a; a bending body's a^2/rho_lo, A^2 rho_hi/a and 1/(A^2 a). The
+    referee reads the parameters alone and shares no code with bounds."""
+    if example != "bending":
+        return [(Fraction(C), Fraction(a) ** 2, (Fraction(a) ** 2, 1 / Fraction(a)))
+                for C, a in ((fp["C1"], fp["a1"]), (fp["C2"], fp["a2"]))]
+    A, a1, b1 = Fraction(fp["A"]), Fraction(fp["a1"]), Fraction(fp["b1"])
+    out = []
+    for C, a, b, x_lo in ((fp["C1"], a1, b1, 0), (fp["C2"], Fraction(fp["a2"]),
+                                                   Fraction(fp["b2"]), Fraction(1, 2))):
+        # rho = 2 a x + b over the body's half unit of x; a / r falls and
+        # A r / sqrt(a) grows with rho
+        rho_lo, rho_hi = 2 * a * x_lo + b, 2 * a * (x_lo + Fraction(1, 2)) + b
+        out.append((Fraction(C), a * a / (a1 + b1), (a * a / rho_lo, A * A * rho_hi / a,
+                                                     1 / (A * A * a))))
+    return out
+
+
+def _exactly_feasible(tau, bodies, cap):
+    # tau <= cap and |C s - tau| < C / lambda_k for every body and stretch,
+    # squared as (C s - tau)^2 lambda_k^2 < C^2: decided with no rounding
+    t = Fraction(tau)
+    return t <= Fraction(cap) and all(
+        (C * s - t) ** 2 * lam2 < C * C for C, s, lams2 in bodies for lam2 in lams2
+    )
+
+
+def _exact_draw(rng, example):
+    # the ranges of the moduli, stretches and radii that the referee was
+    # first tried on
+    C1, C2 = np.exp(rng.uniform(-3.0, 3.0, 2)).tolist()
+    if example == "bending":
+        A, a1, a2, b1 = rng.uniform([0.5, 0.3, 0.3, 0.2], [1.5, 3.0, 3.0, 3.0]).tolist()
+        return {"C1": C1, "C2": C2, "A": A, "a1": a1, "a2": a2, "b1": b1, "b2": a1 + b1 - a2}
+    a1, a2 = np.exp(rng.uniform(-1.0, 1.0, 2)).tolist()
+    fp = {"C1": C1, "C2": C2, "a1": a1, "a2": a2}
+    if example == "cohesive":
+        fp["g"] = math.exp(rng.uniform(-3.0, 3.0))
+    return fp
+
+
+def test_exact_referee_splits_the_floats_at_the_exact_end():
+    # compression: the exact lower end is -1.19327848928777972...; the two
+    # floats below it are rejected, the one above accepted
+    fp = {"C1": 4.2181280873482665, "a1": 0.3898514369093445,
+          "C2": 12.603190295862117, "a2": 0.9335556613696399}
+    bodies = _exact_bodies("compression", fp)
+    assert not _exactly_feasible(-1.1932784892877801, bodies, 0.0)
+    assert not _exactly_feasible(-1.19327848928778, bodies, 0.0)
+    assert _exactly_feasible(-1.1932784892877797, bodies, 0.0)
+    assert not _exactly_feasible(math.nextafter(0.0, 1.0), bodies, 0.0)  # past the cap
+
+
+@pytest.mark.parametrize("example", ["compression", "cohesive", "bending"])
+def test_bisection_and_oracle_ends_pass_the_exact_predicate(example):
+    # 1,000 fixed draws: every end that the bisection or the oracle reports
+    # is a load that exact rational arithmetic accepts
+    rng = np.random.default_rng(2026)
+    ends = 0
+    for _ in range(1000):
+        fp = _exact_draw(rng, example)
+        bodies, cap = _exact_bodies(example, fp), fp.get("g", 0.0)
+        reported = []
+        try:
+            reported.append(numeric_load_bounds(example, fp))
+        except InfeasibleProblem:
+            pass
+        oracle = brute_force_oracle(example, fp)
+        if oracle.regime == "closed":
+            reported.append(oracle)
+        for iv in reported:
+            assert _exactly_feasible(iv.tau_lo, bodies, cap), (fp, iv)
+            assert _exactly_feasible(iv.tau_hi, bodies, cap), (fp, iv)
+            ends += 2
+    assert ends >= 400  # not a vacuous law: many draws give an interval
+
+
+CLOSED_FORM_CODE = {"load_interval_compression", "load_interval_cohesive",
+                    "load_interval_bending", "_body_loads", "_triaxial_interval"}
+SEARCH_CODE = {"_linkage", "_feasible_closed", "_bracket", "_scan", "_bisect",
+               "search_bracket", "numeric_load_bounds", "brute_force_oracle"}
+
+
+def _reached(start):
+    # the module functions of bounds that start names, directly or through
+    # one another: called or passed on alike
+    tree = ast.parse(inspect.getsource(bounds))
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    seen, todo = set(), [start]
+    while todo:
+        for node in ast.walk(defs[todo.pop()]):
+            if isinstance(node, ast.Name) and node.id in defs and node.id not in seen:
+                seen.add(node.id)
+                todo.append(node.id)
+    return seen
+
+
+def test_closed_forms_and_the_search_share_no_helper():
+    # the closed forms, the bisection and the oracle stay independent
+    # computations: neither side reaches the other's code
+    for name in CLOSED_FORM_CODE:
+        assert not _reached(name) & SEARCH_CODE, name
+    for name in SEARCH_CODE:
+        assert not _reached(name) & CLOSED_FORM_CODE, name
+    assert {"_body_loads", "_triaxial_interval"} <= _reached("load_interval_cohesive")
+    assert {"_linkage", "_scan", "_bisect"} <= _reached("numeric_load_bounds")
+    assert {"_linkage", "_scan", "_feasible_closed"} <= _reached("brute_force_oracle")
+
+
 def _feasible_reference(tau, linkage, cap):
     # the scalar loop the array predicate replaced, rejecting load by load
     if not tau <= cap:
@@ -718,6 +828,22 @@ def test_bisection_ends_where_the_floats_run_out():
         assert abs(lo - closed.tau_lo) <= max(1e-6, 1e-14 * abs(closed.tau_lo))
         assert abs(hi - closed.tau_hi) <= max(1e-6, 1e-14 * abs(closed.tau_hi))
         assert _feasible_closed(lo, _linkage(example, fp)[0], fp.get("g", 0.0))
+
+
+@pytest.mark.parametrize("example", ["compression", "cohesive"])
+def test_an_overflowing_stretch_square_is_named_by_each_solver(example):
+    # a^2 of a = 1e200 overflows as a Python float: the closed form and
+    # the linkage of the bisection and the oracle each say so on their own
+    fp = {"C1": 1.0, "C2": 1.0, "a1": 0.81, "a2": 1e200}
+    if example == "cohesive":
+        fp["g"] = 0.6
+    with pytest.raises(OverflowError) as closed:
+        CLOSED_FORMS[example](**fp)
+    assert str(closed.value) == "closed-form window: stretch a = 1e+200 overflows in a^2"
+    for solve in (search_bracket, numeric_load_bounds, brute_force_oracle):
+        with pytest.raises(OverflowError) as linkage:
+            solve(example, fp)
+        assert str(linkage.value) == "linkage: stretch a = 1e+200 overflows in a^2"
 
 
 def test_linkage_rejects_a_nan_radius():
