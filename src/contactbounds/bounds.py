@@ -259,12 +259,26 @@ def load_interval_bending(C1, C2, A, a1, a2, b1, b2, contact_closed=True):
     lmax1 = max(a1 / r0, A * r1 / math.sqrt(a1), 1.0 / (A * math.sqrt(a1)))
     lmax2 = max(a2 / r1, A * r2 / math.sqrt(a2), 1.0 / (A * math.sqrt(a2)))
     rho_c = a1 + b1  # r1**2 can round above it
-    lo = 0.0 - min(  # not -min(...): a zero minimum gives +0.0, not -0.0
-        C1 / lmax1 - C1 * a1**2 / rho_c,
-        C2 / lmax2 - C2 * a2**2 / rho_c,
-    )
+    ends = []
+    for name, C, a, lmax in (("a1", C1, a1, lmax1), ("a2", C2, a2, lmax2)):
+        try:
+            ends.append(C / lmax - C * a**2 / rho_c)
+        except OverflowError:
+            raise OverflowError(
+                "closed-form window: stretch %s = %r overflows in %s^2" % (name, a, name)
+            ) from None
+    lo = 0.0 - min(ends)  # not -min(...): a zero minimum gives +0.0, not -0.0
     hi = 0.0
     return LoadInterval(lo, hi, "closed", not lo < hi)
+
+
+def _linkage_square(a):
+    # a^2 of one body's stretch for _linkage, naming the stretch when the
+    # Python float power overflows
+    try:
+        return a**2
+    except OverflowError:
+        raise OverflowError("linkage: stretch a = %r overflows in a^2" % (a,)) from None
 
 
 def _linkage(example, fp):
@@ -279,11 +293,7 @@ def _linkage(example, fp):
         out = []
         for C, a in ((fp["C1"], fp["a1"]), (fp["C2"], fp["a2"])):
             _check_positive(C=C, a=a)
-            try:
-                s = a**2
-            except OverflowError:
-                raise OverflowError("linkage: stretch a = %r overflows in a^2" % (a,)) from None
-            out.append((C, s, max(a, 1.0 / math.sqrt(a))))
+            out.append((C, _linkage_square(a), max(a, 1.0 / math.sqrt(a))))
         return out, cap
     if example == "bending":
         A, b1 = fp["A"], fp["b1"]
@@ -303,7 +313,7 @@ def _linkage(example, fp):
                 raise InvalidParameters("nonpositive radius in body")
             sa = math.sqrt(a)
             lam = max(a / math.sqrt(rho_lo), A * math.sqrt(rho_hi) / sa, 1.0 / (A * sa))
-            out.append((C, a**2 / rho_c, lam))
+            out.append((C, _linkage_square(a) / rho_c, lam))
         return out, 0.0
     raise InvalidParameters("unknown example %r" % (example,))
 

@@ -15,6 +15,7 @@ line number so typos cannot silently change a run.
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -555,6 +556,52 @@ def sweep(config, param, lo, hi, steps):
     return "\n".join(rows) + "\n"
 
 
+#: the central difference step of verify's stress derivative check
+FD_STEP = 1e-6
+
+
+@functools.lru_cache(maxsize=None)
+def _fixed_draws():
+    # verify's draws from default_rng(0), which no config changes: the 20
+    # matrices of the adjugate identity, then the stress derivative's five
+    # passes, each drawing its stretches, rotation, pressure and direction
+    # in turn, with |M|^2 and det M of M = F + hG and F - hG. Built on the
+    # first verify(), never at import, and shared read-only
+    rng = np.random.default_rng(0)
+    ms = rng.standard_normal((20, 3, 3))
+    F, Q, p, G = [], [], [], []
+    for _ in range(5):
+        lam = np.exp(rng.uniform(-0.3, 0.3, 2))
+        F.append(np.diag([lam[0], lam[1], 1.0 / (lam[0] * lam[1])]))
+        Q.append(rng.standard_normal((3, 3)))
+        p.append(rng.uniform(-0.5, 0.5))
+        g = rng.standard_normal((3, 3))
+        G.append(g / np.linalg.norm(g))
+    p, G = np.array(p), np.array(G)
+    Q = np.linalg.qr(np.array(Q))[0]
+    Q[np.linalg.det(Q) < 0.0, :, 0] *= -1.0
+    F = Q @ np.array(F)
+    steps = (F + FD_STEP * G, F - FD_STEP * G)
+    plus, minus = [(tensor3.ddot(M, M), np.linalg.det(M)) for M in steps]
+    for v in (ms, F, p, G) + plus + minus:
+        v.setflags(write=False)
+    return ms, F, p, G, plus, minus
+
+
+def _isochory(bodies):
+    # max |J - 1| at 7 abscissae across each body, one stack per body, left
+    # to right so that a NaN is never taken; jacobian raises at the first
+    # abscissa whose J is not positive
+    worst = 0.0
+    for body in bodies:
+        xs = np.linspace(body.domain.x_lo, body.domain.x_hi, 7)
+        J = tensor3.det(body.map.gradient(xs))
+        if (J <= 0.0).any():
+            jacobian(body.map, (xs[np.argmax(J <= 0.0)], 0.5, 0.5))
+        worst = max(worst, *np.abs(J - 1.0).tolist())
+    return worst
+
+
 def verify(config):
     """Built-in consistency battery; returns (exit_code, report_text)."""
     lines = []
@@ -566,19 +613,15 @@ def verify(config):
             failures += 1
         lines.append("%s %s: %s" % ("PASS" if ok else "FAIL", name, detail))
 
-    rng = np.random.default_rng(0)
+    ms, F, p, G, plus, minus = _fixed_draws()
     # the adjugate identity cof(m)^T m = det(m) I of the algebra behind the
     # stresses and criteria, singular draws included
-    ms = rng.standard_normal((20, 3, 3))
     adj = tensor3.cofactor(ms).swapaxes(-2, -1) @ ms - tensor3.det(ms)[:, None, None] * np.eye(3)
     worst_adj = float(np.max(np.abs(adj)))
     check("tensor identities", worst_adj < 1e-12, "adjugate residual %.3e" % worst_adj)
 
     system = build_system(config)
-    worst_j = 0.0
-    for body in (system.body1, system.body2):
-        for x in np.linspace(body.domain.x_lo, body.domain.x_hi, 7):
-            worst_j = max(worst_j, abs(jacobian(body.map, (x, 0.5, 0.5)) - 1.0))
+    worst_j = _isochory((system.body1, system.body2))
     check("isochoric maps", worst_j < 1e-12, "|J - 1| max %.3e" % worst_j)
     # run(config) below raises ValidationError on a map that fails the test,
     # so a report exists only when both bodies pass it
@@ -595,28 +638,15 @@ def verify(config):
         "exact vs order %d: delta %.3e" % (fine.order, abs(ep1 - ep2)),
     )
 
-    # five passes, each drawing its stretches, rotation, pressure and
-    # direction in turn; the arithmetic is one stack of five
-    F, Q, p, G = [], [], [], []
-    for _ in range(5):
-        lam = np.exp(rng.uniform(-0.3, 0.3, 2))
-        F.append(np.diag([lam[0], lam[1], 1.0 / (lam[0] * lam[1])]))
-        Q.append(rng.standard_normal((3, 3)))
-        p.append(rng.uniform(-0.5, 0.5))
-        g = rng.standard_normal((3, 3))
-        G.append(g / np.linalg.norm(g))
-    p, G = np.array(p), np.array(G)
-    Q = np.linalg.qr(np.array(Q))[0]
-    Q[np.linalg.det(Q) < 0.0, :, 0] *= -1.0
-    F = Q @ np.array(F)
+    # the central difference of the augmented energy against P : G, as one
+    # stack of the five draws
     model = NeoHookeanIncompressible(config.body1.C)
     P = piola_stress(model, F, p)
-    h = 1e-6
 
-    def aug(M):
-        return 0.5 * model.C * (tensor3.ddot(M, M) - 3.0) - p * (np.linalg.det(M) - 1.0)
+    def aug(dd, J):
+        return 0.5 * model.C * (dd - 3.0) - p * (J - 1.0)
 
-    fd = (aug(F + h * G) - aug(F - h * G)) / (2.0 * h)
+    fd = (aug(*plus) - aug(*minus)) / (2.0 * FD_STEP)
     gaps = np.abs(fd - tensor3.ddot(P, G)) / np.maximum(1.0, np.abs(fd))
     worst_fd = max(0.0, *gaps.tolist())  # left to right: a NaN gap is never taken
     check("stress derivative", worst_fd < 1e-6, "max relative gap %.3e" % worst_fd)

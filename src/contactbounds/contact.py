@@ -406,8 +406,14 @@ def solve_radial_pressure(body, boundary_traction):
         raise OverflowError(
             "radial pressure coefficient A^2 overflows for A = %r" % (A,)
         ) from None
+    try:
+        a2 = a**2
+    except OverflowError:
+        raise OverflowError(
+            "radial pressure coefficient a^2 overflows for stretch a = %r" % (a,)
+        ) from None
     return RadialProfile(
-        c_inv=0.5 * C * a**2,
+        c_inv=0.5 * C * a2,
         c_sq=-0.5 * C * A2 / a,
         c0=-boundary_traction + rivlin_f(C, A, a, rho),
     )

@@ -116,6 +116,9 @@ EDGE = {
     "bend_A6.29": BEND.replace("A = 1.0", "A = 6.29"),
     # a stretch whose square overflows in the closed form's window
     "comp_a1e200": COMP.replace("a = 0.81", "a = 1e200", 1),
+    # a bending stretch whose square overflows in the radial pressure and
+    # the bending closed form
+    "bend_a1e200": BEND.replace("a = 1.0\nb = 1.0", "a = 1e200\nb = 1.0"),
 }
 
 

@@ -846,6 +846,23 @@ def test_an_overflowing_stretch_square_is_named_by_each_solver(example):
         assert str(linkage.value) == "linkage: stretch a = 1e+200 overflows in a^2"
 
 
+@pytest.mark.parametrize("body", ["a1", "a2"])
+def test_an_overflowing_bending_stretch_square_is_named_by_each_solver(body):
+    # a^2 of a = 1e200 overflows as a Python float in the bending closed form
+    # and in the bending linkage; each names the stretch on its own
+    fp = {"C1": 1.0, "C2": 1.0, "A": 1.0, "a1": 1.0, "a2": 1.0, "b1": 1.0, "b2": 1.0}
+    fp[body] = 1e200
+    with pytest.raises(OverflowError) as closed:
+        load_interval_bending(**fp)
+    assert str(closed.value) == "closed-form window: stretch %s = 1e+200 overflows in %s^2" % (
+        body, body,
+    )
+    for solve in (search_bracket, numeric_load_bounds, brute_force_oracle):
+        with pytest.raises(OverflowError) as linkage:
+            solve("bending", fp)
+        assert str(linkage.value) == "linkage: stretch a = 1e+200 overflows in a^2"
+
+
 def test_linkage_rejects_a_nan_radius():
     fp = {"C1": 1.0, "C2": 1.0, "A": 1.0, "a1": 1.0, "a2": 1.0, "b1": 1.0, "b2": math.nan}
     for solve in (search_bracket, numeric_load_bounds, brute_force_oracle):
@@ -872,7 +889,11 @@ def _linkage_65(example, fp):
             raise InvalidParameters("nonpositive radius in body")
         r, sa = np.sqrt(rho), math.sqrt(a)
         lam = max(float(np.max(a / r)), float(np.max(A * r / sa)), 1.0 / (A * sa))
-        out.append((C, a**2 / rho_c, lam))
+        try:
+            sq = a**2
+        except OverflowError:  # named, as the triaxial branch names it
+            raise OverflowError("linkage: stretch a = %r overflows in a^2" % (a,)) from None
+        out.append((C, sq / rho_c, lam))
     return out
 
 

@@ -9,25 +9,29 @@ import re
 import signal
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contactbounds import bounds, cli, contact, energy, tensor3
+from contactbounds import bounds, cli, contact, energy, kinematics, tensor3
 from contactbounds.errors import (
     ContactBoundsError,
     InfeasibleProblem,
+    NonPositiveJacobian,
     ParseError,
     ValidationError,
 )
+from contactbounds.kinematics import StretchBend, TriaxialStretch
 from contactbounds.material import (
     Constant,
     NeoHookeanIncompressible,
     RadialProfile,
     piola_stress,
 )
+from contactbounds.states import BOX1, BOX2
 
 COMP_CFG = """\
 [system]
@@ -951,6 +955,27 @@ def test_sweep_quotes_overflow_rows():
     assert rows == ['1,,,,,"%s"' % message, '2,,,,,"%s"' % message]
 
 
+def test_sweep_quotes_bending_overflow_rows():
+    # a^2 of body 1's a = 1e200 overflows in the bending closed form
+    cfg = cli.parse_config(BEND_CFG.replace("a = 1.0\nb = 1.0", "a = 1e200\nb = 1.0"))
+    rows = cli.sweep(cfg, "C1", 1.0, 2.0, 2).splitlines()[1:]
+    message = "closed-form window: stretch a1 = 1e+200 overflows in a1^2"
+    assert rows == ['1,,,,,"%s"' % message, '2,,,,,"%s"' % message]
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_main_names_an_overflowing_bending_stretch(tmp_path, capsys, command):
+    # building the system solves body 1's radial pressure, whose a^2 overflows
+    huge = tmp_path / "huge.cfg"
+    huge.write_text(BEND_CFG.replace("a = 1.0\nb = 1.0", "a = 1e200\nb = 1.0"))
+    assert cli.main([command, "--config", str(huge)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "numerical failure: radial pressure coefficient a^2 overflows for stretch a = 1e+200\n"
+    )
+
+
 def test_sweep_argument_validation():
     cfg = cli.parse_config(COMP_CFG)
     with pytest.raises(ValidationError, match="sweep parameter"):
@@ -1444,6 +1469,127 @@ def test_verify_fixed_checks_equal_the_per_matrix_loops(log_c1):
     assert code == 0
     lines = [l for l in text.splitlines() if "tensor identities" in l or "stress derivative" in l]
     assert lines == _fixed_check_lines(C1)
+
+
+def _isochory_loop(bodies):
+    # verify()'s isochoric check as 14 jacobian calls, abscissa by
+    # abscissa: the reference for its stack per body
+    worst_j = 0.0
+    for body in bodies:
+        for x in np.linspace(body.domain.x_lo, body.domain.x_hi, 7):
+            worst_j = max(worst_j, abs(kinematics.jacobian(body.map, (x, 0.5, 0.5)) - 1.0))
+    return worst_j
+
+
+def _outcome(f, *args):
+    # the repr of f's value, or the type and message of what it raised
+    try:
+        with np.errstate(all="ignore"):
+            return repr(f(*args))
+    except Exception as e:
+        return type(e), str(e)
+
+
+def _bodies(family, A, a, b):
+    # the two bodies' maps on the standard boxes
+    maps = [
+        TriaxialStretch(ai, bi) if family == "triaxial" else StretchBend(A, ai, bi)
+        for ai, bi in zip(a, b)
+    ]
+    return [types.SimpleNamespace(map=m, domain=box) for m, box in zip(maps, (BOX1, BOX2))]
+
+
+# positive floats from the subnormals to the largest powers of ten, and
+# offsets of either sign
+POSITIVE = st.floats(-323.0, 308.0).map(lambda e: 10.0**e)
+OFFSET = st.just(0.0) | st.tuples(st.sampled_from((-1.0, 1.0)), POSITIVE).map(
+    lambda t: t[0] * t[1]
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    family=st.sampled_from(("triaxial", "bending")),
+    A=POSITIVE,
+    a=st.tuples(POSITIVE, POSITIVE),
+    b=st.tuples(OFFSET, OFFSET),
+)
+@example("triaxial", 1.0, (5e-324, 1.7976931348623157e308), (-1e308, 1e308))
+@example("bending", 1e-300, (1e100, 1.0), (1.0, 1.0))  # A r / sqrt(a) underflows: J = 0
+@example("bending", 1e-300, (1e-300, 1.0), (1.0, 1.0))  # A sqrt(a) underflows to 0
+@example("bending", 1.0, (1e308, 1.0), (1.0, 1.0))  # 2 a X overflows past X = 0
+@example("bending", 1.0, (1.0, 1.0), (-0.5, 1.0))  # the radius is too small at first
+@example("bending", 1e200, (1.0, 1.0), (1.0, 1e308))
+@example("bending", 1e308, (4.0, 1.0), (4.0, 0.0))  # J is NaN across body 1
+@example("bending", 1.0, (1.0, 5e307), (1.0, 1e308))  # J is NaN from body 2's 5th abscissa
+def test_isochory_stack_equals_the_jacobian_loop(family, A, a, b):
+    # the residual's float, or the error and its message, of the 14 calls
+    bodies = _bodies(family, A, a, b)
+    assert _outcome(cli._isochory, bodies) == _outcome(_isochory_loop, bodies)
+
+
+@pytest.mark.parametrize(
+    "family, a, nonpositive, point",
+    [
+        # every abscissa of body 2, whose axial stretch is 0.9
+        ("triaxial", (0.81, 0.9), lambda f00: f00 > 0.85, "[0.5 0.5 0.5]"),
+        # body 1's radial stretch a / r falls below 0.8 from X = 1/3 on
+        ("bending", (1.0, 1.0), lambda f00: f00 < 0.8, "[0.33333333 0.5        0.5       ]"),
+    ],
+    ids=["triaxial", "bending"],
+)
+def test_isochory_raises_jacobians_error_on_a_nonpositive_det(
+    monkeypatch, family, a, nonpositive, point
+):
+    # det patched to J - 2 where it holds, in tensor3 and in kinematics
+    real = tensor3.det
+
+    def det(m):
+        return real(m) - 2.0 * nonpositive(np.asarray(m)[..., 0, 0])
+
+    bodies = _bodies(family, 1.0, a, (1.0, 1.0))
+    monkeypatch.setattr(tensor3, "det", det)
+    monkeypatch.setattr(kinematics, "det", det)
+    with pytest.raises(NonPositiveJacobian) as stacked:
+        cli._isochory(bodies)
+    with pytest.raises(NonPositiveJacobian) as loop:
+        _isochory_loop(bodies)
+    assert str(stacked.value) == str(loop.value) == "det F = -1 at X = %s" % point
+
+
+def test_verify_fixed_draws_are_built_once_and_read_only(monkeypatch):
+    cli._fixed_draws.cache_clear()
+    first = cli.verify(cli.parse_config(COMP_CFG))
+    ms, F, p, G, plus, minus = cli._fixed_draws()
+    for v in (ms, F, p, G) + plus + minus:
+        assert isinstance(v, np.ndarray) and not v.flags.writeable
+    assert ms.shape == (20, 3, 3) and F.shape == G.shape == (5, 3, 3) and p.shape == (5,)
+    with pytest.raises(ValueError):
+        F[0, 0, 0] = 1.0
+
+    # a second verify draws nothing and factors nothing, on another config
+    # too (the probe sets of its seed are cached by bounds)
+    def refuse(*args, **kw):
+        raise AssertionError("a fixed draw was made again")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    assert cli.verify(cli.parse_config(COMP_CFG)) == first
+    assert cli.verify(cli.parse_config(COH_CFG))[0] == 0
+    assert cli._fixed_draws.cache_info().misses == 1
+
+
+def test_import_and_run_leave_the_verify_draws_unbuilt():
+    # verify's fixtures cost the first verify() only: not the import, not run()
+    code = (
+        "from contactbounds import cli\n"
+        "cli.run(cli.parse_config(%r))\n"
+        "info = cli._fixed_draws.cache_info()\n"
+        "print(info.hits, info.misses, info.currsize)\n" % COMP_CFG
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 0 0\n"
 
 
 HUGE_MODULUS_CFG = COMP_CFG.replace("C = 1.0\na = 0.81", "C = 1e9\na = 0.9").replace(

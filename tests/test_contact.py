@@ -354,6 +354,23 @@ def test_radial_pressure_argument_validation():
         solve_radial_pressure(body, 0.0)
 
 
+@pytest.mark.parametrize(
+    "A, a, message",
+    [
+        (1e300, 1.0, "radial pressure coefficient A^2 overflows for A = 1e+300"),
+        (1.0, 1e200, "radial pressure coefficient a^2 overflows for stretch a = 1e+200"),
+        # A^2 is checked first
+        (1e300, 1e200, "radial pressure coefficient A^2 overflows for A = 1e+300"),
+    ],
+)
+def test_radial_pressure_names_an_overflowing_square(A, a, message):
+    # A^2 and a^2 are Python float powers, which raise on overflow
+    body = BodySpec(BOX1, NeoHookeanIncompressible(1.0), StretchBend(A, a, 1.0))
+    with pytest.raises(OverflowError) as err:
+        solve_radial_pressure(body, 0.0)
+    assert str(err.value) == message
+
+
 def _face_samples(domain, axis, value):
     # the 5 x 5 sample points of the face {axis = value}, one at a time
     col = "xyz".index(axis)
