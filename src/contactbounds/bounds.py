@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import InfeasibleProblem, InvalidParameters
 from .kinematics import R_MIN, TriaxialStretch
+from .material import Constant
 from .tensor3 import _cpow, _sum9, cofactor
 
 __all__ = [
@@ -98,7 +99,7 @@ def _stations(lo, hi, interior, triaxial):
     # stations, the squared bubble at the primal side's interior stations;
     # built once per (x-range, side, family) and shared, so read-only
     if triaxial:
-        xs = np.asarray([0.5 * (lo + hi)] if interior else [lo, 0.5 * (lo + hi), hi])
+        xs = np.asarray([0.5 * (lo + hi)])  # one station: the state does not vary with x
     elif interior:
         xs = np.linspace(lo, hi, X_SAMPLES + 2)[1:-1]
     else:
@@ -157,17 +158,20 @@ def _probe_forms(probe_count, seed):
     return _probe_set(seed, probe_count)
 
 
-def _forms(C, probes, F, p):
-    # material.hessian_quadratic_form, stations (rows of F, p) by probes.
-    # Every body's gradient is diagonal (triaxial, and bending in its
-    # frame), and cof(G) : F of diagonal F is (c00 F00 + c11 F11) + c22 F22:
-    # _sum9's pairwise sum of the nine products adds these three and six
-    # exact zeros, so it differs at most in the sign of a zero, which
-    # C |G|^2 > 0 absorbs
-    gg, cd = probes
+def _cof_dots(cd, F):
+    # cof(G) : F, stations (rows of F) by probes, from the probes' diagonal
+    # cofactor rows cd. Every body's gradient is diagonal (triaxial, and bending
+    # in its frame), and cof(G) : F of diagonal F is (c00 F00 + c11 F11) + c22 F22:
+    # _sum9's pairwise sum of the nine products adds these three and six exact
+    # zeros, so it differs at most in the sign of a zero, which C |G|^2 > 0 absorbs
     d = F.diagonal(axis1=-2, axis2=-1)
-    s = (cd[0] * d[:, 0, None] + cd[1] * d[:, 1, None]) + cd[2] * d[:, 2, None]
-    return C * gg - p[:, None] * 2.0 * s
+    return (cd[0] * d[:, 0, None] + cd[1] * d[:, 1, None]) + cd[2] * d[:, 2, None]
+
+
+def _forms(C, probes, F, p):
+    # material.hessian_quadratic_form, stations (rows of F, p) by probes
+    gg, cd = probes
+    return C * gg - p[:, None] * 2.0 * _cof_dots(cd, F)
 
 
 def _side_min(body, probes, interior):
@@ -181,6 +185,18 @@ def _side_min(body, probes, interior):
         q = _forms(body.material.C, probes, F[i : i + n], p[i : i + n])
         m = _running_min(m, w[i : i + n, None] * q)  # x * 1.0 is x, NaN included
     return m
+
+
+def _edge_minima(body, probes, pressures):
+    # _side_min(dataclasses.replace(body, pressure=Constant(p)), probes, False)
+    # for each p in turn, from one gradient stack and cof(G) : F block s: the
+    # edge weights are 1.0 (x * 1.0 is x), (p * 2.0) * s is the column form
+    # p[:, None] * 2.0 * s, and one block's running min is that of _side_min's
+    dom = body.domain
+    xs, _ = _stations(dom.x_lo, dom.x_hi, False, isinstance(body.map, TriaxialStretch))
+    gg, cd = probes
+    Cgg, s = body.material.C * gg, _cof_dots(cd, body.map.gradient(xs))
+    return [_running_min(math.inf, Cgg - (Constant(p).p * 2.0) * s) for p in pressures]
 
 
 def criteria_check(body, probe_count=200, seed=42):
@@ -256,6 +272,10 @@ def load_interval_bending(C1, C2, A, a1, a2, b1, b2, contact_closed=True):
     r0 = math.sqrt(b1)
     r1 = math.sqrt(a1 + b1)
     r2 = math.sqrt(2.0 * a2 + b2)
+    for name, a in (("a1", a1), ("a2", a2)):
+        if A * math.sqrt(a) == 0.0:  # the axial stretch 1 / (A sqrt(a)) divides by zero
+            msg = "closed-form window: A sqrt(%s) underflows to 0 for A = %r, %s = %r"
+            raise ZeroDivisionError(msg % (name, A, name, a))
     lmax1 = max(a1 / r0, A * r1 / math.sqrt(a1), 1.0 / (A * math.sqrt(a1)))
     lmax2 = max(a2 / r1, A * r2 / math.sqrt(a2), 1.0 / (A * math.sqrt(a2)))
     rho_c = a1 + b1  # r1**2 can round above it
@@ -312,6 +332,9 @@ def _linkage(example, fp):
             if not rho_lo > 0.0:  # rho grows with x: the first station decides; a NaN too
                 raise InvalidParameters("nonpositive radius in body")
             sa = math.sqrt(a)
+            if A * sa == 0.0:  # the axial stretch 1 / (A sqrt(a)) divides by zero
+                raise ZeroDivisionError("linkage: A sqrt(a) underflows to 0 for A = %r, a = %r"
+                                        % (A, a))
             lam = max(a / math.sqrt(rho_lo), A * math.sqrt(rho_hi) / sa, 1.0 / (A * sa))
             out.append((C, _linkage_square(a) / rho_c, lam))
         return out, 0.0

@@ -31,14 +31,14 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from . import tensor3
+from . import contact, tensor3
 from .kinematics import TriaxialStretch, injectivity_check, jacobian
-from .material import Constant, NeoHookeanIncompressible, piola_stress
+from .material import NeoHookeanIncompressible, piola_stress
 from .contact import check_kinematic, check_static, evaluate_contact, nominal_traction, rivlin_f
 from .energy import QuadratureRule, _enclose, _resolved_data, potential_energy
 from .bounds import (
+    _edge_minima,
     _probe_forms,
-    _side_min,
     brute_force_oracle,
     criteria_check,
     load_interval_bending,
@@ -589,15 +589,15 @@ def _fixed_draws():
 
 
 def _isochory(bodies):
-    # max |J - 1| at 7 abscissae across each body, one stack per body, left
-    # to right so that a NaN is never taken; jacobian raises at the first
-    # abscissa whose J is not positive
+    # max |J - 1| at 7 abscissae across each body (x_lo alone where J does not
+    # vary with x), one stack per body, left to right so that a NaN is never
+    # taken; jacobian raises at the first abscissa whose J is not positive
     worst = 0.0
     for body in bodies:
-        xs = np.linspace(body.domain.x_lo, body.domain.x_hi, 7)
-        J = tensor3.det(body.map.gradient(xs))
+        xs = contact._abscissae(body, 7)
+        J = np.ravel(tensor3.det(body.map.gradient(xs)))
         if (J <= 0.0).any():
-            jacobian(body.map, (xs[np.argmax(J <= 0.0)], 0.5, 0.5))
+            jacobian(body.map, (np.ravel(xs)[np.argmax(J <= 0.0)], 0.5, 0.5))
         worst = max(worst, *np.abs(J - 1.0).tolist())
     return worst
 
@@ -671,17 +671,12 @@ def verify(config):
             )
     check("interval consistency", ok_iv, detail)
 
-    body = system.body1
-    window = pressure_window(body)[1]
-
-    def flag(p):
-        # criteria_check(...).complementary_ok, without the primal side
-        probe_body = dataclasses.replace(body, pressure=Constant(p))
-        return _side_min(probe_body, _probe_forms(50, config.seed), interior=False) > 0.0
-
-    ok_flip = (not flag(window * 1.02)) and flag(window * 0.98) and (
-        not flag(-window * 1.02)
-    ) and flag(-window * 0.98)
+    # criteria_check(...).complementary_ok of body 1 under a constant
+    # pressure just past and just inside each edge of its window
+    window = pressure_window(system.body1)[1]
+    edges = [k * window for k in (1.02, 0.98, -1.02, -0.98)]
+    edge_min = _edge_minima(system.body1, _probe_forms(50, config.seed), edges)
+    ok_flip = [m > 0.0 for m in edge_min] == [False, True, False, True]
     check("window flip", ok_flip, "edges +/-%s bracket the flip" % _f(window))
 
     ex = EXAMPLES[config.example]

@@ -119,8 +119,22 @@ class BodySpec:
         # max |det F - 1|: det F depends on x alone, so over the 5 abscissae
         # of a 5 x 5 x 5 sample grid. A function of map and box, computed once
         # per body object; dataclasses.replace gives a new one
-        xs = np.linspace(self.domain.x_lo, self.domain.x_hi, 5)
-        return _running_max(0.0, np.abs(det(self.map.gradient(xs)) - 1.0))
+        return _running_max(0.0, np.abs(det(self.map.gradient(_abscissae(self, 5))) - 1.0))
+
+
+def _abscissae(body, n):
+    # where a sampled check reads a body (any object with map and domain): x_lo
+    # as a float where the state does not vary with x, as under a map without a
+    # radius (the triaxial one); else n abscissae across it, shared read-only
+    lo = body.domain.x_lo
+    return float(lo) if body.map.radius(lo) is None else _grid(lo, body.domain.x_hi, n)
+
+
+@functools.lru_cache(maxsize=64)
+def _grid(lo, hi, n):
+    xs = np.linspace(lo, hi, n)
+    xs.setflags(write=False)
+    return xs
 
 
 @dataclass(frozen=True)

@@ -201,6 +201,9 @@ class StretchBend:
     def frame(self, r):
         """Gradient on the cylinder of radius r, in (e_r, e_theta, e_z)."""
         sa = math.sqrt(self.a)
+        if self.A * sa == 0.0:  # the axial stretch 1 / (A sqrt(a)) divides by zero
+            msg = "axial stretch: A sqrt(a) underflows to 0 for A = %r, a = %r"
+            raise ZeroDivisionError(msg % (self.A, self.a))
         return _diag(r, self.a / r, self.A * r / sa, 1.0 / (self.A * sa))
 
     def gradient(self, x):

@@ -119,6 +119,10 @@ EDGE = {
     # a bending stretch whose square overflows in the radial pressure and
     # the bending closed form
     "bend_a1e200": BEND.replace("a = 1.0\nb = 1.0", "a = 1e200\nb = 1.0"),
+    # A sqrt(a) underflows to 0 in the bending frame and the closed form
+    "bend_A1e-300_a1e-300": BEND.replace("A = 1.0", "A = 1e-300").replace(
+        "a = 1.0\nb = 1.0", "a = 1e-300\nb = 1.0"
+    ),
 }
 
 

@@ -196,6 +196,45 @@ def test_side_min_is_the_complementary_minimum(body, scale):
     assert res.complementary_ok is bool(m > 0.0) is (abs(scale) < 1.0)
 
 
+@pytest.mark.parametrize("count", [50, 200])
+@pytest.mark.parametrize(
+    "body",
+    [bend_pair(1.0, 1.4, 1.1, 0.9, 1.0, 3.4, -0.8).body1, triaxial_body(1.3, 0.81, 0.0)],
+    ids=["bend", "triaxial"],
+)
+def test_edge_minima_equal_side_min_on_rebuilt_bodies(monkeypatch, body, count):
+    # verify's window flip and more: signed zeros, subnormal and huge
+    # pressures, and 1e308, whose forms overflow and hold NaN
+    w = pressure_window(body)[1]
+    pressures = [1.02 * w, 0.98 * w, -1.02 * w, -0.98 * w, 0.0, -0.0, 5e-324, 1e300, 1e308]
+    probes = bounds._probe_forms(count, 7)
+    with np.errstate(all="ignore"):
+        want = [bounds._side_min(dataclasses.replace(body, pressure=Constant(p)), probes, False)
+                for p in pressures]
+        grads = []
+        real = type(body.map).gradient
+        monkeypatch.setattr(type(body.map), "gradient", lambda m, x: grads.append(x) or real(m, x))
+        got = bounds._edge_minima(body, probes, pressures)
+    assert [m.hex() for m in got] == [m.hex() for m in want]
+    assert [m > 0.0 for m in got[:4]] == [False, True, False, True]
+    assert got[-1] == -math.inf  # not vacuous: 2 p overflows, and 0 * inf is NaN
+    assert len(grads) == 1  # one gradient stack for every pressure
+
+
+def test_edge_minima_reject_a_non_finite_pressure_in_order():
+    # Constant's check on each edge pressure, in turn: the first non-finite
+    # one raises, after the finite ones before it
+    body = triaxial_body(1.3, 0.81, 0.0)
+    probes = bounds._probe_forms(50, 42)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(InvalidParameters) as old:
+            for p in (0.5, bad, 0.7):
+                bounds._side_min(dataclasses.replace(body, pressure=Constant(p)), probes, False)
+        with pytest.raises(InvalidParameters) as new:
+            bounds._edge_minima(body, probes, [0.5, bad, 0.7])
+        assert str(new.value) == str(old.value) == "pressure must be finite"
+
+
 def test_criteria_station_blocks_give_the_same_result(monkeypatch):
     # 56 probes: 4 stations per block of 250, the last block holds one
     body = bend_pair(1.0, 1.4, 1.1, 0.9, 1.0, 3.4, -0.8).body1
@@ -290,7 +329,8 @@ def test_criteria_stations_are_cached_read_only():
     for interior, triaxial, fresh in [
         (False, False, np.linspace(lo, hi, 33)),
         (True, False, np.linspace(lo, hi, 35)[1:-1]),
-        (False, True, np.array([lo, mid, hi])),
+        # a triaxial state does not vary with x: one mid station on each side
+        (False, True, np.array([mid])),
         (True, True, np.array([mid])),
     ]:
         xs, w = bounds._stations(lo, hi, interior, triaxial)
@@ -863,6 +903,24 @@ def test_an_overflowing_bending_stretch_square_is_named_by_each_solver(body):
         assert str(linkage.value) == "linkage: stretch a = 1e+200 overflows in a^2"
 
 
+@pytest.mark.parametrize("body", ["a1", "a2"])
+def test_an_underflowing_bending_axial_stretch_is_named_by_each_solver(body):
+    # A sqrt(a) of A = a = 1e-300 underflows to 0, so 1 / (A sqrt(a)) would
+    # divide by zero in the bending closed form and in the bending linkage;
+    # each names A and the stretch on its own
+    fp = {"C1": 1.0, "C2": 1.0, "A": 1e-300, "a1": 1.0, "a2": 1.0, "b1": 1.0, "b2": 1.0}
+    fp[body] = 1e-300
+    with pytest.raises(ZeroDivisionError) as closed:
+        load_interval_bending(**fp)
+    assert str(closed.value) == (
+        "closed-form window: A sqrt(%s) underflows to 0 for A = 1e-300, %s = 1e-300" % (body, body)
+    )
+    for solve in (search_bracket, numeric_load_bounds, brute_force_oracle):
+        with pytest.raises(ZeroDivisionError) as linkage:
+            solve("bending", fp)
+        assert str(linkage.value) == "linkage: A sqrt(a) underflows to 0 for A = 1e-300, a = 1e-300"
+
+
 def test_linkage_rejects_a_nan_radius():
     fp = {"C1": 1.0, "C2": 1.0, "A": 1.0, "a1": 1.0, "a2": 1.0, "b1": 1.0, "b2": math.nan}
     for solve in (search_bracket, numeric_load_bounds, brute_force_oracle):
@@ -888,6 +946,8 @@ def _linkage_65(example, fp):
         if not np.all(rho > 0.0):
             raise InvalidParameters("nonpositive radius in body")
         r, sa = np.sqrt(rho), math.sqrt(a)
+        if A * sa == 0.0:  # named, as the bending closed form names it
+            raise ZeroDivisionError("linkage: A sqrt(a) underflows to 0 for A = %r, a = %r" % (A, a))
         lam = max(float(np.max(a / r)), float(np.max(A * r / sa)), 1.0 / (A * sa))
         try:
             sq = a**2
@@ -943,8 +1003,8 @@ def test_linkage_end_stations_give_the_65_station_maxima_bit_for_bit():
         want = _outcome(_linkage_65, example, fp)
         assert _outcome(_linkage_bodies, example, fp) == want, (example, fp)
         seen.add(want[0] if isinstance(want[0], str) else "ok")
-    # every path is taken: accepted, each rejection, and float overflow
-    assert {"ok", "InvalidParameters", "OverflowError"} <= seen
+    # every path is taken: accepted, each rejection, float overflow and underflow
+    assert {"ok", "InvalidParameters", "OverflowError", "ZeroDivisionError"} <= seen
     nan_radius = {"C1": 1.0, "C2": 1.0, "A": 1.0, "a1": 1.0, "a2": 1.0, "b1": 1.0}
     # body 2's squared radius NaN, negative, or 0 exactly at its first station
     for b2 in (math.nan, -3.0, -1.0):

@@ -1312,15 +1312,15 @@ def test_each_interval_builds_the_linkage_once(monkeypatch, text):
     "text", [COMP_CFG, COH_CFG, BEND_CFG], ids=["compression", "cohesive", "bending"]
 )
 def test_each_body_evaluates_its_constraint_residual_once(monkeypatch, text):
-    # one 5-abscissa determinant stack per body: run() checks its two bodies
-    # three times; verify() adds its exact pair and three trial bodies 1, and
-    # its two runs build new bodies, so each evaluates them anew
+    # one determinant call of contact per body, a 5-abscissa stack or a
+    # triaxial body's one matrix: run() checks its two bodies three times;
+    # verify() adds its exact pair and three trial bodies 1, and its two runs
+    # build new bodies, so each evaluates them anew
     calls, per_run = [], []
     real_det, real_run = contact.det, cli.run
 
     def counted_det(m):
-        if np.shape(m) == (5, 3, 3):
-            calls.append(1)
+        calls.append(np.shape(m))
         return real_det(m)
 
     def counted_run(config):
@@ -1633,17 +1633,20 @@ UNDERFLOW_CFG = BEND_CFG.replace("A = 1.0", "A = 1e-200").replace(
 
 
 def test_main_reports_an_underflow_as_a_numerical_failure(tmp_path, capsys):
+    # the build's bending frame names A and a; each sweep row, the closed form's
     cfg_path = tmp_path / "case.cfg"
     cfg_path.write_text(UNDERFLOW_CFG)
     for command in ("run", "verify"):
         assert cli.main([command, "--config", str(cfg_path)]) == 3
-        assert capsys.readouterr().err == "numerical failure: float division by zero\n"
+        assert capsys.readouterr().err == (
+            "numerical failure: axial stretch: A sqrt(a) underflows to 0"
+            " for A = 1e-200, a = 1e-250\n"
+        )
     argv = ["sweep", "--config", str(cfg_path), "--param", "A", "--range", "1e-200:2e-200:3"]
     assert cli.main(argv) == 0
     rows = capsys.readouterr().out.splitlines()
-    assert rows[1:] == [
-        '%s,,,,,"float division by zero"' % v for v in ("1e-200", "1.5e-200", "2e-200")
-    ]
+    msg = "closed-form window: A sqrt(a1) underflows to 0 for A = %s, a1 = 1e-250"
+    assert rows[1:] == ['%s,,,,,"%s"' % (A, msg % A) for A in ("1e-200", "1.5e-200", "2e-200")]
 
 
 # a valid config of each example, as (section, key) -> value

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from contactbounds import contact, material
 from contactbounds.errors import FamilyMismatch, InvalidParameters
@@ -490,12 +492,12 @@ def test_equilibrium_residual_cubes_the_radii_once(monkeypatch):
 
 
 def counting_constraint_dets(monkeypatch):
-    # the determinant stacks of the constraint residual, one per evaluation
+    # every determinant call of contact, the constraint residual's alone: one
+    # per evaluation, a 5-abscissa stack or a triaxial body's one matrix
     calls = []
 
     def counted(m, _det=contact.det):
-        if np.shape(m) == (5, 3, 3):
-            calls.append(1)
+        calls.append(np.shape(m))
         return _det(m)
 
     monkeypatch.setattr(contact, "det", counted)
@@ -508,7 +510,7 @@ def test_constraint_residual_is_evaluated_once_per_body(monkeypatch):
         linked_stretch_pair(1.3, 0.7, 0.8, 1.6, tau=-0.2),
     ]
     calls = counting_constraint_dets(monkeypatch)
-    for system in systems:
+    for system, shape in zip(systems, [(5, 3, 3), (3, 3)]):
         del calls[:]
         worst = 0.0
         for b in (system.body1, system.body2):
@@ -517,12 +519,68 @@ def test_constraint_residual_is_evaluated_once_per_body(monkeypatch):
         for _ in range(2):
             assert check_kinematic(system).residuals["constraint"] == worst
             assert check_static(system, -0.2).residuals["constraint"] == worst
-        assert len(calls) == 2
+        assert calls == [shape, shape]
         # a copy is a new body and evaluates its own
         copy = dataclasses.replace(system, body1=dataclasses.replace(system.body1))
         assert check_kinematic(copy).residuals["constraint"] == worst
         check_static(copy, -0.2)
         assert len(calls) == 3
+
+
+# positive floats from the subnormals to the largest powers of ten, and
+# offsets of either sign
+POSITIVE = st.floats(-323.0, 308.0).map(lambda e: 10.0**e)
+OFFSET = st.just(0.0) | st.tuples(st.sampled_from((-1.0, 1.0)), POSITIVE).map(
+    lambda t: t[0] * t[1]
+)
+
+
+def _outcome(f):
+    # the repr of f()'s value, or the type and message of what it raised
+    try:
+        with np.errstate(all="ignore"):
+            return repr(f())
+    except Exception as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(bend=st.booleans(), A=POSITIVE, a=POSITIVE, b=OFFSET, nan_det=st.booleans())
+@example(False, 1.0, 5e-324, -1e308, False)  # s = 1 / sqrt(a) squares to inf: det is inf
+@example(False, 1.0, 1.7976931348623157e308, 1e308, False)  # s * s is subnormal
+@example(False, 1.0, 0.81, 0.0, True)
+@example(True, 1e308, 4.0, 4.0, False)  # det is NaN at every abscissa
+@example(True, 1e-300, 1e-300, 1.0, False)  # A sqrt(a) underflows to 0
+@example(True, 1.0, 1.0, -0.5, False)  # the radius is too small at x_lo
+def test_constraint_residual_of_one_abscissa_equals_the_stack(bend, A, a, b, nan_det):
+    # a body's residual against the 5-abscissa stack it replaced: bit for
+    # bit, or the same error; a triaxial body reads one matrix at x_lo.
+    # nan_det makes every determinant NaN, which the running maximum never takes
+    m = StretchBend(A, a, b) if bend else TriaxialStretch(a, b)
+    body = BodySpec(BOX1, NeoHookeanIncompressible(1.0), m)
+
+    def stack():
+        xs = np.linspace(BOX1.x_lo, BOX1.x_hi, 5)
+        return contact._running_max(0.0, np.abs(contact.det(m.gradient(xs)) - 1.0))
+
+    with pytest.MonkeyPatch.context() as mp:
+        if nan_det:
+            mp.setattr(contact, "det", lambda F, real=det: real(F) * math.nan)
+        assert _outcome(lambda: body._constraint_residual) == _outcome(stack)
+    if not bend:
+        assert contact._abscissae(body, 5) == 0.0 and type(contact._abscissae(body, 5)) is float
+
+
+def test_sample_grids_are_cached_read_only():
+    bend = bend_pair(1.0, 1.4, 1.1, 0.9, 1.0, 3.4, -0.8).body1
+    contact._grid.cache_clear()
+    for n in (5, 7):
+        xs = contact._abscissae(bend, n)
+        assert xs.tolist() == np.linspace(bend.domain.x_lo, bend.domain.x_hi, n).tolist()
+        assert not xs.flags.writeable
+        assert contact._abscissae(dataclasses.replace(bend), n) is xs
+    info = contact._grid.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
 
 
 def test_state_stack_matches_per_abscissa_calls():

@@ -88,6 +88,18 @@ def test_least_square_radius_is_accepted():
             low.rho(x)
 
 
+def test_underflowing_axial_stretch_names_A_and_a():
+    # A sqrt(a) = 1e-450 rounds to 0, so 1 / (A sqrt(a)) would divide by zero,
+    # on the float and on the array path
+    m = StretchBend(1e-300, 1e-300, 1.0)
+    for x in (0.0, np.array([0.0, 0.25])):
+        with pytest.raises(ZeroDivisionError) as err:
+            m.gradient(x)
+        assert str(err.value) == "axial stretch: A sqrt(a) underflows to 0 for A = 1e-300, a = 1e-300"
+    # a product as small as the least subnormal still divides, to inf
+    assert StretchBend(5e-324, 1.0, 1.0).gradient(0.0)[2, 2] == math.inf
+
+
 def test_gradient_matches_finite_differences():
     maps = [
         TriaxialStretch(0.81, 0.1),
