@@ -1312,8 +1312,8 @@ def test_each_interval_builds_the_linkage_once(monkeypatch, text):
     "text", [COMP_CFG, COH_CFG, BEND_CFG], ids=["compression", "cohesive", "bending"]
 )
 def test_each_body_evaluates_its_constraint_residual_once(monkeypatch, text):
-    # one determinant call of contact per body, a 5-abscissa stack or a
-    # triaxial body's one matrix: run() checks its two bodies three times;
+    # one contact.det call per body, a 5-abscissa stack or a triaxial body's
+    # one matrix: run() checks its two bodies three times;
     # verify() adds its exact pair and three trial bodies 1, and its two runs
     # build new bodies, so each evaluates them anew
     calls, per_run = [], []

@@ -492,8 +492,8 @@ def test_equilibrium_residual_cubes_the_radii_once(monkeypatch):
 
 
 def counting_constraint_dets(monkeypatch):
-    # every determinant call of contact, the constraint residual's alone: one
-    # per evaluation, a 5-abscissa stack or a triaxial body's one matrix
+    # the shape of every contact.det call, all of them the constraint
+    # residual's: a 5-abscissa stack or a triaxial body's one matrix
     calls = []
 
     def counted(m, _det=contact.det):
@@ -568,7 +568,8 @@ def test_constraint_residual_of_one_abscissa_equals_the_stack(bend, A, a, b, nan
             mp.setattr(contact, "det", lambda F, real=det: real(F) * math.nan)
         assert _outcome(lambda: body._constraint_residual) == _outcome(stack)
     if not bend:
-        assert contact._abscissae(body, 5) == 0.0 and type(contact._abscissae(body, 5)) is float
+        x = contact._abscissae(body, 5)
+        assert type(x) is float and x == BOX1.x_lo
 
 
 def test_sample_grids_are_cached_read_only():
