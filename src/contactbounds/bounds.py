@@ -94,20 +94,20 @@ def pressure_window(body):
 
 
 @functools.lru_cache(maxsize=64)
-def _stations(lo, hi, interior, triaxial):
-    # (x, w) of one criteria side: w = 1 at the complementary side's edge
-    # stations, the squared bubble at the primal side's interior stations;
-    # built once per (x-range, side, family) and shared, so read-only
+def _stations(lo, hi, triaxial):
+    # (x, w, k) of criteria_check: the complementary side's k edge stations
+    # with w = 1.0 (x * 1.0 is x, NaN included), then the primal side's
+    # interior stations with the squared bubble; built once per (x-range,
+    # family) and shared, so read-only
     if triaxial:
-        xs = np.asarray([0.5 * (lo + hi)])  # one station: the state does not vary with x
-    elif interior:
-        xs = np.linspace(lo, hi, X_SAMPLES + 2)[1:-1]
+        edge = inner = np.asarray([0.5 * (lo + hi)])  # the state does not vary with x
     else:
-        xs = np.linspace(lo, hi, X_SAMPLES)
-    w = _cpow((xs - lo) * (hi - xs), 2) if interior else np.ones(len(xs))
+        edge, inner = np.linspace(lo, hi, X_SAMPLES), np.linspace(lo, hi, X_SAMPLES + 2)[1:-1]
+    xs = np.concatenate((edge, inner))
+    w = np.concatenate((np.ones(len(edge)), _cpow((inner - lo) * (hi - inner), 2)))
     for v in (xs, w):
         v.setflags(write=False)
-    return xs, w
+    return xs, w, len(edge)
 
 
 def _probes(rng, count):
@@ -174,28 +174,34 @@ def _forms(C, probes, F, p):
     return C * gg - p[:, None] * 2.0 * _cof_dots(cd, F)
 
 
-def _side_min(body, probes, interior):
-    # min of w * _forms over the stations of one side and the probes, by
-    # blocks of stations
+def _minima(body, probes):
+    # (complementary, primal) min of w * _forms over the stations and the
+    # probes, from one state stack, by blocks of stations; a block that
+    # straddles the split feeds each side its own rows
     dom = body.domain
-    xs, w = _stations(dom.x_lo, dom.x_hi, interior, isinstance(body.map, TriaxialStretch))
+    xs, w, k = _stations(dom.x_lo, dom.x_hi, isinstance(body.map, TriaxialStretch))
     F, p = body.state(xs)
-    m, n = math.inf, max(1, CRITERIA_BLOCK // len(probes[0]))
+    comp = primal = math.inf
+    n = max(1, CRITERIA_BLOCK // len(probes[0]))
     for i in range(0, len(xs), n):
-        q = _forms(body.material.C, probes, F[i : i + n], p[i : i + n])
-        m = _running_min(m, w[i : i + n, None] * q)  # x * 1.0 is x, NaN included
-    return m
+        q = w[i : i + n, None] * _forms(body.material.C, probes, F[i : i + n], p[i : i + n])
+        j = max(0, k - i)  # the block's complementary rows
+        if j > 0:
+            comp = _running_min(comp, q[:j])
+        if j < len(q):
+            primal = _running_min(primal, q[j:])
+    return comp, primal
 
 
 def _edge_minima(body, probes, pressures):
-    # _side_min(dataclasses.replace(body, pressure=Constant(p)), probes, False)
-    # for each p in turn, from one gradient stack and cof(G) : F block s: the
+    # _minima(dataclasses.replace(body, pressure=Constant(p)), probes)[0] for
+    # each p in turn, from one gradient stack and cof(G) : F block s: the
     # edge weights are 1.0 (x * 1.0 is x), (p * 2.0) * s is the column form
-    # p[:, None] * 2.0 * s, and one block's running min is that of _side_min's
+    # p[:, None] * 2.0 * s, and one block's running min is that of _minima's
     dom = body.domain
-    xs, _ = _stations(dom.x_lo, dom.x_hi, False, isinstance(body.map, TriaxialStretch))
+    xs, _, k = _stations(dom.x_lo, dom.x_hi, isinstance(body.map, TriaxialStretch))
     gg, cd = probes
-    Cgg, s = body.material.C * gg, _cof_dots(cd, body.map.gradient(xs))
+    Cgg, s = body.material.C * gg, _cof_dots(cd, body.map.gradient(xs[:k]))
     return [_running_min(math.inf, Cgg - (Constant(p).p * 2.0) * s) for p in pressures]
 
 
@@ -211,9 +217,7 @@ def criteria_check(body, probe_count=200, seed=42):
     the seeded random probes guard the rest of the tangent space; the
     seed is an int >= 0.
     """
-    probes = _probe_forms(probe_count, seed)
-    comp_min = _side_min(body, probes, interior=False)
-    primal_min = _side_min(body, probes, interior=True)
+    comp_min, primal_min = _minima(body, _probe_forms(probe_count, seed))
     return CriteriaResult(
         primal_ok=bool(primal_min > 0.0),
         complementary_ok=bool(comp_min > 0.0),
@@ -406,9 +410,10 @@ def numeric_load_bounds(example, fixed_params):
             raise InfeasibleProblem("no feasible load in [%g, %g]" % (b_lo, b_hi))
     if not (math.isfinite(b_lo) and math.isfinite(b_hi)):
         raise OverflowError("load bracket [%g, %g] overflows" % (b_lo, b_hi))
-    # the feasible-side ends: every reported load passes the predicate
-    lo = _bisect(feas[0], b_lo, linkage, cap)
-    return LoadInterval(lo, _bisect(feas[-1], b_hi, linkage, cap), "closed", False)
+    # the feasible-side ends: every reported load passes the predicate. The
+    # seeds are Python floats, exactly the scan's, so no numpy scalar op runs
+    lo = _bisect(float(feas[0]), b_lo, linkage, cap)
+    return LoadInterval(lo, _bisect(float(feas[-1]), b_hi, linkage, cap), "closed", False)
 
 
 def brute_force_oracle(example, fixed_params, grid_n=1000):

@@ -333,7 +333,7 @@ def _equilibrium_residual(body):
         return 0.0
     C = body.material.C
     a, A = m.a, m.A
-    rs = np.linspace(r_in, m.radius(body.domain.x_hi), 101)
+    rs = _grid(r_in, m.radius(body.domain.x_hi), 101)
     # radial momentum balance: d(sigma_rr)/dr = (sigma_tt - sigma_rr)/r
     r3 = _cpow(rs, 3)
     rhs = C * (A**2 * rs / a - a**2 / r3)

@@ -77,14 +77,24 @@ class QuadratureRule:
         return h * self._nodes + 0.5 * (hi + lo), h * self._weights
 
 
-def _node_sum(f, *ws):
-    """Tensor-product quadrature sum of the node values f.
+@functools.lru_cache(maxsize=64)
+def _weights(order, spans):
+    # the tensor-product weights (w0[i] * w1[j]) * ... of an order-n rule
+    # mapped onto each (lo, hi) of spans; built once per (order, spans) and
+    # shared, so read-only
+    rule = QuadratureRule(order)
+    W = functools.reduce(np.multiply.outer, [rule.mapped(lo, hi)[1] for lo, hi in spans])
+    W.setflags(write=False)
+    return W
 
-    Each term is ((w0[i] * w1[j]) * ...) * f[i, j, ...], added in node order
-    from 0.0 (cumsum is sequential): the float a node loop gives.
+
+def _node_sum(f, W):
+    """Tensor-product quadrature sum of the node values f, weights W.
+
+    Each term is W[i, j, ...] * f[i, j, ...], added in node order from 0.0
+    (cumsum is sequential): the float a node loop gives.
     """
-    terms = functools.reduce(np.multiply.outer, ws) * f
-    return np.cumsum(np.concatenate(([0.0], terms.ravel())))[-1]
+    return np.cumsum(np.concatenate(([0.0], (W * f).ravel())))[-1]
 
 
 def _check_finite(v):
@@ -95,23 +105,24 @@ def _check_finite(v):
     return v
 
 
-def _axes(domain, rule):
-    # (nodes, weights) along x, y and z
-    return [rule.mapped(getattr(domain, c + "_lo"), getattr(domain, c + "_hi")) for c in "xyz"]
+def _spans(domain):
+    # (lo, hi) along x, y and z
+    return tuple((getattr(domain, c + "_lo"), getattr(domain, c + "_hi")) for c in "xyz")
 
 
 def integrate_volume(fn, domain, rule=None):
     """Integral of fn(X) over the box by tensor-product quadrature."""
-    (xs, wx), (ys, wy), (zs, wz) = _axes(domain, rule or QuadratureRule())
+    rule, spans = rule or QuadratureRule(), _spans(domain)
+    xs, ys, zs = (rule.mapped(lo, hi)[0] for lo, hi in spans)
     f = [[[_check_finite(float(fn(np.array([x, y, z])))) for z in zs] for y in ys] for x in xs]
-    return _node_sum(np.array(f), wx, wy, wz)
+    return _node_sum(np.array(f), _weights(rule.order, spans))
 
 
 def _x_integral(f, domain, rule):
     """integrate_volume of an integrand of the abscissa alone, given by
     its values f at the x nodes of rule: the same float sum."""
-    (_, wx), (_, wy), (_, wz) = _axes(domain, rule)
-    return _node_sum(np.reshape(_check_finite(f), (-1, 1, 1)), wx, wy, wz)
+    W = _weights(rule.order, _spans(domain))
+    return _node_sum(np.reshape(_check_finite(f), (-1, 1, 1)), W)
 
 
 def integrate_face(fn, domain, axis, value, rule=None):
@@ -125,10 +136,10 @@ def integrate_face(fn, domain, axis, value, rule=None):
 def _face_integral(fn, domain, axis, value, rule):
     """integrate_face of fn evaluated on the whole (nu, nv, 3) node grid
     at once: the same float sum."""
-    (u_lo, u_hi), (v_lo, v_hi) = _face_spans(domain, axis)
-    us, wu = rule.mapped(u_lo, u_hi)
-    vs, wv = rule.mapped(v_lo, v_hi)
-    return _node_sum(_check_finite(fn(_face_grid(axis, value, us, vs))), wu, wv)
+    spans = tuple(_face_spans(domain, axis))
+    us, vs = (rule.mapped(lo, hi)[0] for lo, hi in spans)
+    f = _check_finite(fn(_face_grid(axis, value, us, vs)))
+    return _node_sum(f, _weights(rule.order, spans))
 
 
 @dataclass(frozen=True)

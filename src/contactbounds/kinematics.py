@@ -198,13 +198,19 @@ class StretchBend:
         rho = self.rho(x)
         return math.sqrt(rho) if type(x) is float else _scalar(np.sqrt(rho))
 
-    def frame(self, r):
-        """Gradient on the cylinder of radius r, in (e_r, e_theta, e_z)."""
-        sa = math.sqrt(self.a)
-        if self.A * sa == 0.0:  # the axial stretch 1 / (A sqrt(a)) divides by zero
+    def _axial(self):
+        """A sqrt(a), whose inverse is the axial stretch; raises where it
+        underflows to 0, naming A and a."""
+        k = self.A * math.sqrt(self.a)
+        if k == 0.0:
             msg = "axial stretch: A sqrt(a) underflows to 0 for A = %r, a = %r"
             raise ZeroDivisionError(msg % (self.A, self.a))
-        return _diag(r, self.a / r, self.A * r / sa, 1.0 / (self.A * sa))
+        return k
+
+    def frame(self, r):
+        """Gradient on the cylinder of radius r, in (e_r, e_theta, e_z)."""
+        k = self._axial()
+        return _diag(r, self.a / r, self.A * r / math.sqrt(self.a), 1.0 / k)
 
     def gradient(self, x):
         return self.frame(self.radius(x))
@@ -226,8 +232,7 @@ class StretchBend:
         """(r, 0, z): the image point in the frame of gradient()."""
         X = np.asarray(X, dtype=float)
         r = self._radius_at(X)
-        sa = math.sqrt(self.a)
-        return np.stack([r, np.zeros_like(r), X[..., 2] / (self.A * sa)], axis=-1)
+        return np.stack([r, np.zeros_like(r), X[..., 2] / self._axial()], axis=-1)
 
     def image_volume(self, domain):
         r_lo = self.radius(domain.x_lo)
@@ -236,24 +241,24 @@ class StretchBend:
         # sectors overlap once the sweep exceeds a full turn
         theta = min(self.A * (domain.y_hi - domain.y_lo) / sa, 2.0 * math.pi)
         dz = domain.z_hi - domain.z_lo
-        return 0.5 * (r_hi**2 - r_lo**2) * theta * dz / (self.A * sa)
+        return 0.5 * (r_hi**2 - r_lo**2) * theta * dz / self._axial()
 
     def stretch_max(self, domain):
         sa = math.sqrt(self.a)
         return max(
             self.a / self.radius(domain.x_lo),
             self.A * self.radius(domain.x_hi) / sa,
-            1.0 / (self.A * sa),
+            1.0 / self._axial(),
         )
 
     def i1_terms(self):
         """I1 = (a / r)^2 + (A r / sqrt(a))^2 + (1 / (A sqrt(a)))^2 in rho = r^2."""
-        t, z = self.A / math.sqrt(self.a), 1.0 / (self.A * math.sqrt(self.a))
+        t, z = self.A / math.sqrt(self.a), 1.0 / self._axial()
         return self.a * self.a, t * t, z * z
 
     def axial_piola(self, C, pressure):
         """P_zz = C F_zz - p F_rr F_tt in rho, for a pressure field's terms."""
-        k = self.A * math.sqrt(self.a)
+        k = self._axial()
         return -k * pressure.c_inv, -k * pressure.c_sq, C / k - k * pressure.c0
 
     def volume_integral(self, domain, c_inv, c_sq, c0):

@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,12 +19,13 @@ from contactbounds.kinematics import StretchBend, TriaxialStretch
 from contactbounds.material import (
     Constant,
     NeoHookeanIncompressible,
+    RadialProfile,
     hessian_quadratic_form,
 )
 from contactbounds.contact import BodySpec
 from contactbounds.states import BOX1, BOX2, bend_pair, linked_bend_pair
 from contactbounds import bounds
-from contactbounds.tensor3 import cofactor
+from contactbounds.tensor3 import _cpow, cofactor
 from contactbounds.bounds import (
     brute_force_oracle,
     criteria_check,
@@ -190,7 +192,7 @@ def test_criteria_equal_pointwise_forms(body, probe_count, seed):
 def test_side_min_is_the_complementary_minimum(body, scale):
     # verify's window flip reads the edge stations' minimum alone
     body = dataclasses.replace(body, pressure=Constant(scale * pressure_window(body)[1]))
-    m = bounds._side_min(body, bounds._probe_forms(50, 5), interior=False)
+    m = bounds._minima(body, bounds._probe_forms(50, 5))[0]
     res = criteria_check(body, 50, 5)
     assert m.hex() == res.min_quadratic_value.hex()
     assert res.complementary_ok is bool(m > 0.0) is (abs(scale) < 1.0)
@@ -209,7 +211,7 @@ def test_edge_minima_equal_side_min_on_rebuilt_bodies(monkeypatch, body, count):
     pressures = [1.02 * w, 0.98 * w, -1.02 * w, -0.98 * w, 0.0, -0.0, 5e-324, 1e300, 1e308]
     probes = bounds._probe_forms(count, 7)
     with np.errstate(all="ignore"):
-        want = [bounds._side_min(dataclasses.replace(body, pressure=Constant(p)), probes, False)
+        want = [bounds._minima(dataclasses.replace(body, pressure=Constant(p)), probes)[0]
                 for p in pressures]
         grads = []
         real = type(body.map).gradient
@@ -229,7 +231,7 @@ def test_edge_minima_reject_a_non_finite_pressure_in_order():
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(InvalidParameters) as old:
             for p in (0.5, bad, 0.7):
-                bounds._side_min(dataclasses.replace(body, pressure=Constant(p)), probes, False)
+                bounds._minima(dataclasses.replace(body, pressure=Constant(p)), probes)
         with pytest.raises(InvalidParameters) as new:
             bounds._edge_minima(body, probes, [0.5, bad, 0.7])
         assert str(new.value) == str(old.value) == "pressure must be finite"
@@ -321,28 +323,121 @@ def test_criteria_stations_are_cached_read_only():
     assert criteria_check(dataclasses.replace(bend, pressure=Constant(0.2)), 50, 3) != cold
     assert criteria_check(bend, 50, 3) == cold
     criteria_check(tri, 50, 3)
-    # both sides of each family, built once per x-range
+    bounds._edge_minima(bend, bounds._probe_forms(50, 3), [0.2])
+    # one table per family and x-range, holding both sides; the window
+    # flip's edge minima read the same table
     info = bounds._stations.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (4, 4, 4)
+    assert (info.misses, info.hits, info.currsize) == (2, 3, 2)
     lo, hi = bend.domain.x_lo, bend.domain.x_hi
     mid = 0.5 * (lo + hi)
-    for interior, triaxial, fresh in [
-        (False, False, np.linspace(lo, hi, 33)),
-        (True, False, np.linspace(lo, hi, 35)[1:-1]),
+    for triaxial, edge, inner in [
+        (False, np.linspace(lo, hi, 33), np.linspace(lo, hi, 35)[1:-1]),
         # a triaxial state does not vary with x: one mid station on each side
-        (False, True, np.array([mid])),
-        (True, True, np.array([mid])),
+        (True, np.array([mid]), np.array([mid])),
     ]:
-        xs, w = bounds._stations(lo, hi, interior, triaxial)
-        assert xs.tolist() == fresh.tolist()
-        weights = [((x - lo) * (hi - x)) ** 2 if interior else 1.0 for x in fresh.tolist()]
-        assert w.tolist() == weights
+        xs, w, k = bounds._stations(lo, hi, triaxial)
+        # the complementary stations first, with weight 1.0, then the primal
+        # ones with the squared bubble
+        assert k == len(edge)
+        assert xs.tolist() == edge.tolist() + inner.tolist()
+        assert w.tolist() == [1.0] * k + [((x - lo) * (hi - x)) ** 2 for x in inner.tolist()]
         assert not xs.flags.writeable and not w.flags.writeable
         with pytest.raises(ValueError):
             xs[0] = 1.0
         with pytest.raises(ValueError):
             w[0] = 1.0
-        assert bounds._stations(lo, hi, interior, triaxial)[0] is xs
+        assert bounds._stations(lo, hi, triaxial)[0] is xs
+
+
+def _side_stations(lo, hi, interior, triaxial):
+    # one side's stations and weights, as each side kept them before the two
+    # shared one table
+    if triaxial:
+        xs = np.asarray([0.5 * (lo + hi)])
+    elif interior:
+        xs = np.linspace(lo, hi, bounds.X_SAMPLES + 2)[1:-1]
+    else:
+        xs = np.linspace(lo, hi, bounds.X_SAMPLES)
+    w = _cpow((xs - lo) * (hi - xs), 2) if interior else np.ones(len(xs))
+    return xs, w
+
+
+def _side_min(body, probes, interior):
+    # reference: the minimum of one side from its own state stack, by blocks
+    # of stations counted from the side's first station
+    dom = body.domain
+    xs, w = _side_stations(dom.x_lo, dom.x_hi, interior, isinstance(body.map, TriaxialStretch))
+    F, p = body.state(xs)
+    m, n = math.inf, max(1, bounds.CRITERIA_BLOCK // len(probes[0]))
+    for i in range(0, len(xs), n):
+        q = bounds._forms(body.material.C, probes, F[i : i + n], p[i : i + n])
+        m = _running_min(m, w[i : i + n, None] * q)
+    return m
+
+
+def _minima_or_error(minima, body, probes):
+    # the two minima as hex strings, or the error they raise
+    try:
+        return [m.hex() for m in minima(body, probes)]
+    except (InvalidParameters, ZeroDivisionError) as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    bend=st.booleans(),
+    radial=st.booleans(),
+    box=st.sampled_from([BOX1, BOX2]),
+    C=st.floats(1e-3, 1e3),
+    A=st.floats(0.05, 5.0),
+    a=st.floats(0.05, 5.0),
+    b=st.floats(-1.0, 3.0),
+    p=st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e300, 1e308, -1e308]), st.floats(-5.0, 5.0)),
+    c=st.floats(-5.0, 5.0),
+    count=st.sampled_from([1, 50, 200]),
+    per_block=st.sampled_from([1, 4, 11, 33, 34, 66, 67, None]),
+)
+@example(bend=True, radial=False, box=BOX1, C=1.3, A=1e-300, a=1e-300, b=1.0, p=0.5, c=0.0,
+         count=50, per_block=None)
+def test_criteria_minima_equal_two_side_minima_bit_for_bit(
+    bend, radial, box, C, A, a, b, p, c, count, per_block
+):
+    # one state stack and one table against a state stack per side: signed
+    # zeros, subnormal and huge pressures (NaN forms at 1e308), radial
+    # profiles, radii below the minimum and an underflowing axial stretch;
+    # per_block stations per block of CRITERIA_BLOCK, so that a block ends
+    # on the split (1, 11, 33), straddles it (4, 34 on bending, every one
+    # above 1 on triaxial) or holds the whole table
+    m = StretchBend(A, a, b) if bend else TriaxialStretch(a, b)
+    pressure = RadialProfile(c, -c, p) if bend and radial and abs(p) < 1e300 else Constant(p)
+    body = BodySpec(box, NeoHookeanIncompressible(C), m, pressure)
+    probes = bounds._probe_forms(count, 11)
+    block = bounds.CRITERIA_BLOCK if per_block is None else per_block * (6 + count)
+    with mock.patch.object(bounds, "CRITERIA_BLOCK", block), np.errstate(all="ignore"):
+        got = _minima_or_error(bounds._minima, body, probes)
+        want = _minima_or_error(
+            lambda body, probes: (_side_min(body, probes, False), _side_min(body, probes, True)),
+            body, probes,
+        )
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "body, rows",
+    [(bend_pair(1.0, 1.4, 1.1, 0.9, 1.0, 3.4, -0.8).body1, 66), (triaxial_body(1.3, 0.81, 0.2), 2)],
+    ids=["bend", "triaxial"],
+)
+def test_criteria_check_reads_each_body_once(monkeypatch, body, rows):
+    # one state stack over both sides' stations, and so one pressure call:
+    # a radial profile squares its radii once
+    states, pressures = [], []
+    real_state, real_pressure = BodySpec.state, type(body.pressure).__call__
+    monkeypatch.setattr(BodySpec, "state", lambda b, x: states.append(len(x)) or real_state(b, x))
+    monkeypatch.setattr(type(body.pressure), "__call__",
+                        lambda f, r: pressures.append(r) or real_pressure(f, r))
+    criteria_check(body, 50, 3)
+    assert states == [rows]
+    assert len(pressures) == 1
 
 
 _NAN, _Z, _NZ = math.nan, 0.0, -0.0
@@ -450,6 +545,30 @@ def test_bisection_halves_no_bracket_of_exactly_its_tolerance():
     assert bounds._bisect(-1e-8, 0.0, linkage, 0.0) == -1e-8
     wider = math.nextafter(-1e-8, -1.0)
     assert bounds._bisect(wider, 0.0, linkage, 0.0) == 0.5 * wider
+
+
+@pytest.mark.parametrize("example", ["compression", "cohesive", "bending"])
+def test_bisection_ends_are_the_float64_seeds_ends_as_python_floats(example):
+    # the scan's first and last feasible loads seed the bisection as Python
+    # floats: the same IEEE operations as on the np.float64 elements
+    rng = np.random.default_rng(29)
+    seeded = 0
+    for _ in range(300):
+        fp = _exact_draw(rng, example)
+        linkage, cap = _linkage(example, fp)
+        b_lo, b_hi, feas = bounds._scan(linkage, cap, bounds.COARSE_N)
+        try:
+            iv = numeric_load_bounds(example, fp)
+        except InfeasibleProblem:
+            continue
+        assert type(iv.tau_lo) is float and type(iv.tau_hi) is float
+        if len(feas):
+            assert type(feas[0]) is np.float64
+            lo = bounds._bisect(feas[0], b_lo, linkage, cap)
+            hi = bounds._bisect(feas[-1], b_hi, linkage, cap)
+            assert (iv.tau_lo.hex(), iv.tau_hi.hex()) == (float(lo).hex(), float(hi).hex())
+            seeded += 1
+    assert seeded >= 30  # not vacuous: many draws give a feasible scan
 
 
 def test_open_regime_singletons():

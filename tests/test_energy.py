@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from contactbounds.errors import InadmissibleTrial, InvalidParameters, NonFiniteIntegrand
 from contactbounds.contact import BodySpec, DirichletData, SystemSpec
-from contactbounds.kinematics import Box3, Homogeneous, StretchBend, TriaxialStretch
+from contactbounds.kinematics import Box3, Homogeneous, StretchBend, TriaxialStretch, _face_spans
 from contactbounds import cli, energy
 from contactbounds.energy import (
     QuadratureRule,
@@ -61,6 +62,32 @@ def test_rule_nodes_computed_once_per_order_and_read_only():
         a._nodes[0] = 0.0
     with pytest.raises(ValueError):
         a._weights[0] = 0.0
+
+
+def test_gauss_weight_tensors_are_cached_read_only():
+    # (w0[i] * w1[j]) * w2[k] of each mapped rule, bit for bit, built once
+    # per (order, spans) however many reference energies read it
+    system = stretch_pair(1.3, 0.9, -0.12)
+    box = system.body1.domain
+    energy._weights.cache_clear()
+    for order in (1, 3, 16):
+        rule = QuadratureRule(order)
+        for spans in (energy._spans(box), tuple(_face_spans(box, "x")), ((0.0, 0.5),)):
+            ws = [rule.mapped(lo, hi)[1].tolist() for lo, hi in spans]
+            want = [math.prod(t) for t in itertools.product(*ws)]  # left to right
+            W = energy._weights(order, spans)
+            assert W.shape == tuple(len(w) for w in ws)
+            assert [v.hex() for v in W.ravel().tolist()] == [v.hex() for v in want]
+            assert not W.flags.writeable
+            with pytest.raises(ValueError):
+                W.flat[0] = 1.0
+            assert energy._weights(order, spans) is W
+    assert energy._weights.cache_info().misses == 9
+    fine = QuadratureRule(16)
+    e = potential_energy(system, -0.12, fine)
+    misses = energy._weights.cache_info().misses
+    assert potential_energy(system, -0.12, fine) == e
+    assert energy._weights.cache_info().misses == misses
 
 
 def test_rule_exact_through_degree_15():

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from contactbounds import energy, kinematics
 from contactbounds.errors import InvalidParameters, NonPositiveJacobian
+from contactbounds.material import Constant
+from contactbounds.states import BOX1
 from contactbounds.kinematics import (
     R_MIN,
     Box3,
@@ -98,6 +100,24 @@ def test_underflowing_axial_stretch_names_A_and_a():
         assert str(err.value) == "axial stretch: A sqrt(a) underflows to 0 for A = 1e-300, a = 1e-300"
     # a product as small as the least subnormal still divides, to inf
     assert StretchBend(5e-324, 1.0, 1.0).gradient(0.0)[2, 2] == math.inf
+
+
+@pytest.mark.parametrize("method", ["stretch_max", "i1_terms", "image_volume", "axial_piola",
+                                    "frame_place"])
+def test_every_axial_division_names_an_underflowing_A_sqrt_a(method):
+    # each method that divides by A sqrt(a) names A and a in frame's message,
+    # frame_place too, whose numpy division would give an infinite z
+    m = StretchBend(1e-300, 1e-300, 1.0)
+    call = {
+        "stretch_max": lambda: m.stretch_max(BOX1),
+        "i1_terms": m.i1_terms,
+        "image_volume": lambda: m.image_volume(BOX1),
+        "axial_piola": lambda: m.axial_piola(1.3, Constant(0.2)),
+        "frame_place": lambda: m.frame_place(BOX1.center()),
+    }[method]
+    with pytest.raises(ZeroDivisionError) as err:
+        call()
+    assert str(err.value) == "axial stretch: A sqrt(a) underflows to 0 for A = 1e-300, a = 1e-300"
 
 
 def test_gradient_matches_finite_differences():
@@ -329,11 +349,10 @@ def _injectivity_per_node(map_, domain, quad_order=8):
     # the Gauss sum of det F that the exact volume test replaced: one
     # jacobian() per x node
     rule = energy.QuadratureRule(quad_order)
-    xs, wx = rule.mapped(domain.x_lo, domain.x_hi)
-    ys, wy = rule.mapped(domain.y_lo, domain.y_hi)
-    zs, wz = rule.mapped(domain.z_lo, domain.z_hi)
+    spans = energy._spans(domain)
+    xs, ys, zs = (rule.mapped(lo, hi)[0] for lo, hi in spans)
     Js = [jacobian(map_, (x, ys[0], zs[0])) for x in xs]
-    total = energy._node_sum(np.reshape(Js, (-1, 1, 1)), wx, wy, wz)
+    total = energy._node_sum(np.reshape(Js, (-1, 1, 1)), energy._weights(quad_order, spans))
     vol = image_volume(map_, domain)
     return Js, total, total <= vol + 1e-9 * max(1.0, abs(vol))
 
