@@ -31,7 +31,7 @@ import numpy as np
 from .errors import InfeasibleProblem, InvalidParameters
 from .kinematics import R_MIN, TriaxialStretch
 from .material import Constant
-from .tensor3 import _cpow, _sum9, cofactor
+from .tensor3 import _axial_rate, _cpow, _square, _sum9, cofactor
 
 __all__ = [
     "LoadInterval",
@@ -229,10 +229,7 @@ def criteria_check(body, probe_count=200, seed=42):
 def _body_loads(C, a):
     """(lo, hi) of the loads with |C a^2 - tau| inside one triaxial body's
     window: C sqrt(a) for a <= 1, C / a above 1."""
-    try:
-        a2 = a**2
-    except OverflowError:
-        raise OverflowError("closed-form window: stretch a = %r overflows in a^2" % (a,)) from None
+    a2 = _square(a, "closed-form window: stretch a = %r overflows in a^2")
     if a <= 1.0:
         return C * (a2 - math.sqrt(a)), C * (math.sqrt(a) + a2)
     return C * (a2 - 1.0 / a), C * (a2 + 1.0 / a)
@@ -276,39 +273,23 @@ def load_interval_bending(C1, C2, A, a1, a2, b1, b2, contact_closed=True):
     r0 = math.sqrt(b1)
     r1 = math.sqrt(a1 + b1)
     r2 = math.sqrt(2.0 * a2 + b2)
-    for name, a in (("a1", a1), ("a2", a2)):
-        if A * math.sqrt(a) == 0.0:  # the axial stretch 1 / (A sqrt(a)) divides by zero
-            msg = "closed-form window: A sqrt(%s) underflows to 0 for A = %r, %s = %r"
-            raise ZeroDivisionError(msg % (name, A, name, a))
-    lmax1 = max(a1 / r0, A * r1 / math.sqrt(a1), 1.0 / (A * math.sqrt(a1)))
-    lmax2 = max(a2 / r1, A * r2 / math.sqrt(a2), 1.0 / (A * math.sqrt(a2)))
+    k1, k2 = (_axial_rate(A, a, "closed-form window", n) for n, a in (("a1", a1), ("a2", a2)))
+    lmax1 = max(a1 / r0, A * r1 / math.sqrt(a1), 1.0 / k1)
+    lmax2 = max(a2 / r1, A * r2 / math.sqrt(a2), 1.0 / k2)
     rho_c = a1 + b1  # r1**2 can round above it
-    ends = []
-    for name, C, a, lmax in (("a1", C1, a1, lmax1), ("a2", C2, a2, lmax2)):
-        try:
-            ends.append(C / lmax - C * a**2 / rho_c)
-        except OverflowError:
-            raise OverflowError(
-                "closed-form window: stretch %s = %r overflows in %s^2" % (name, a, name)
-            ) from None
+    msg = "closed-form window: stretch %s = %%r overflows in %s^2"
+    ends = [C / lmax - C * _square(a, msg % (n, n)) / rho_c
+            for n, C, a, lmax in (("a1", C1, a1, lmax1), ("a2", C2, a2, lmax2))]
     lo = 0.0 - min(ends)  # not -min(...): a zero minimum gives +0.0, not -0.0
     hi = 0.0
     return LoadInterval(lo, hi, "closed", not lo < hi)
-
-
-def _linkage_square(a):
-    # a^2 of one body's stretch for _linkage, naming the stretch when the
-    # Python float power overflows
-    try:
-        return a**2
-    except OverflowError:
-        raise OverflowError("linkage: stretch a = %r overflows in a^2" % (a,)) from None
 
 
 def _linkage(example, fp):
     """(per body (C, normal stretch factor s, largest sampled stretch lam),
     load cap: the cohesive g, which must be positive, else 0.0); the one
     place in this module that tells the examples apart."""
+    square = "linkage: stretch a = %r overflows in a^2"
     if example in ("compression", "cohesive"):
         cap = 0.0
         if example == "cohesive":
@@ -317,7 +298,7 @@ def _linkage(example, fp):
         out = []
         for C, a in ((fp["C1"], fp["a1"]), (fp["C2"], fp["a2"])):
             _check_positive(C=C, a=a)
-            out.append((C, _linkage_square(a), max(a, 1.0 / math.sqrt(a))))
+            out.append((C, _square(a, square), max(a, 1.0 / math.sqrt(a))))
         return out, cap
     if example == "bending":
         A, b1 = fp["A"], fp["b1"]
@@ -335,12 +316,9 @@ def _linkage(example, fp):
             rho_lo, rho_hi = 2.0 * a * x_lo + b, 2.0 * a * (x_lo + 0.5) + b
             if not rho_lo > 0.0:  # rho grows with x: the first station decides; a NaN too
                 raise InvalidParameters("nonpositive radius in body")
-            sa = math.sqrt(a)
-            if A * sa == 0.0:  # the axial stretch 1 / (A sqrt(a)) divides by zero
-                raise ZeroDivisionError("linkage: A sqrt(a) underflows to 0 for A = %r, a = %r"
-                                        % (A, a))
-            lam = max(a / math.sqrt(rho_lo), A * math.sqrt(rho_hi) / sa, 1.0 / (A * sa))
-            out.append((C, _linkage_square(a) / rho_c, lam))
+            k = _axial_rate(A, a, "linkage")
+            lam = max(a / math.sqrt(rho_lo), A * math.sqrt(rho_hi) / math.sqrt(a), 1.0 / k)
+            out.append((C, _square(a, square) / rho_c, lam))
         return out, 0.0
     raise InvalidParameters("unknown example %r" % (example,))
 

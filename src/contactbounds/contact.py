@@ -35,7 +35,7 @@ from .material import (
     cauchy_stress,
     piola_stress,
 )
-from .tensor3 import _cpow, det
+from .tensor3 import _cpow, _square, det
 
 __all__ = [
     "BodySpec",
@@ -336,8 +336,10 @@ def _equilibrium_residual(body):
     rs = _grid(r_in, m.radius(body.domain.x_hi), 101)
     # radial momentum balance: d(sigma_rr)/dr = (sigma_tt - sigma_rr)/r
     r3 = _cpow(rs, 3)
-    rhs = C * (A**2 * rs / a - a**2 / r3)
-    dsig = -2.0 * C * a**2 / r3 - body.pressure._derivative(rs, r3)
+    A2 = _square(A, "equilibrium residual: A = %r overflows in A^2")
+    a2 = _square(a, "equilibrium residual: stretch a = %r overflows in a^2")
+    rhs = C * (A2 * rs / a - a2 / r3)
+    dsig = -2.0 * C * a2 / r3 - body.pressure._derivative(rs, r3)
     return _running_max(0.0, np.abs(dsig - rhs))
 
 
@@ -392,7 +394,9 @@ def rivlin_f(C, A, a, s):
     sigma_rr(r) - f(r^2) is constant across a bent block in radial
     equilibrium (see solve_radial_pressure).
     """
-    return C * (A**2 * s / (2.0 * a) + a**2 / (2.0 * s))
+    A2 = _square(A, "rivlin_f: A = %r overflows in A^2")
+    a2 = _square(a, "rivlin_f: stretch a = %r overflows in a^2")
+    return C * (A2 * s / (2.0 * a) + a2 / (2.0 * s))
 
 
 def solve_radial_pressure(body, boundary_traction):
@@ -414,18 +418,8 @@ def solve_radial_pressure(body, boundary_traction):
     C = body.material.C
     a, A = m.a, m.A
     rho = m.rho(body.domain.x_lo)
-    try:
-        A2 = A**2
-    except OverflowError:
-        raise OverflowError(
-            "radial pressure coefficient A^2 overflows for A = %r" % (A,)
-        ) from None
-    try:
-        a2 = a**2
-    except OverflowError:
-        raise OverflowError(
-            "radial pressure coefficient a^2 overflows for stretch a = %r" % (a,)
-        ) from None
+    A2 = _square(A, "radial pressure coefficient A^2 overflows for A = %r")
+    a2 = _square(a, "radial pressure coefficient a^2 overflows for stretch a = %r")
     return RadialProfile(
         c_inv=0.5 * C * a2,
         c_sq=-0.5 * C * A2 / a,

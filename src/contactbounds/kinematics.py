@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameters, NonPositiveJacobian
-from .tensor3 import _scalar, as_mat3, det
+from .tensor3 import _axial_rate, _scalar, as_mat3, det
 
 __all__ = [
     "Box3",
@@ -201,11 +201,7 @@ class StretchBend:
     def _axial(self):
         """A sqrt(a), whose inverse is the axial stretch; raises where it
         underflows to 0, naming A and a."""
-        k = self.A * math.sqrt(self.a)
-        if k == 0.0:
-            msg = "axial stretch: A sqrt(a) underflows to 0 for A = %r, a = %r"
-            raise ZeroDivisionError(msg % (self.A, self.a))
-        return k
+        return _axial_rate(self.A, self.a, "axial stretch")
 
     def frame(self, r):
         """Gradient on the cylinder of radius r, in (e_r, e_theta, e_z)."""

@@ -27,6 +27,7 @@ from .contact import (
     nominal_traction,
     solve_radial_pressure,
 )
+from .tensor3 import _square
 
 __all__ = [
     "BOX1",
@@ -50,7 +51,7 @@ def load_from_stretch_ratio(C, a):
     """Axial nominal traction sustained by the free triaxial stretch a."""
     if a <= 0.0:
         raise InvalidParameters("stretch must be positive")
-    return C * (a - 1.0 / a**2)
+    return C * (a - 1.0 / _square(a, "load from stretch: stretch a = %r overflows in a^2"))
 
 
 def stretch_ratio_from_load(C, tau):
@@ -161,7 +162,8 @@ def linked_stretch_pair(C1, C2, a1, a2, tau, g=0.0, b2=0.0):
 
     p_i = C_i a_i^2 - tau makes both Cauchy contact tractions equal tau.
     """
-    p1, p2 = C1 * a1**2 - tau, C2 * a2**2 - tau
+    p1 = C1 * _square(a1, "linked stretch pair: stretch a1 = %r overflows in a1^2") - tau
+    p2 = C2 * _square(a2, "linked stretch pair: stretch a2 = %r overflows in a2^2") - tau
     return triaxial_system(C1, C2, a1, a2, b2=b2, p1=p1, p2=p2, g=g)
 
 
@@ -173,5 +175,6 @@ def linked_bend_pair(C1, C2, A, a1, a2, b1, tau, g=0.0):
     rho_c = a1 + b1
     if b1 < R_MIN**2 or rho_c <= 0.0:
         raise InvalidParameters("bending offsets give nonpositive radius")
-    p1, p2 = C1 * a1**2 / rho_c - tau, C2 * a2**2 / rho_c - tau
+    p1 = C1 * _square(a1, "linked bend pair: stretch a1 = %r overflows in a1^2") / rho_c - tau
+    p2 = C2 * _square(a2, "linked bend pair: stretch a2 = %r overflows in a2^2") / rho_c - tau
     return bending_system(C1, C2, A, a1, a2, b1, p1=p1, p2=p2, g=g)

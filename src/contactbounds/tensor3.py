@@ -9,6 +9,8 @@ the IEEE operations numpy applies to a stack, so one call gives the
 stack's floats without numpy's overhead on every entry.
 """
 
+import math
+
 import numpy as np
 
 from .errors import InvalidParameters
@@ -74,6 +76,25 @@ def _cpow(v, k):
     if type(v) is float:
         return v**k
     return _scalar(np.reshape([x**k for x in np.ravel(v).tolist()], np.shape(v)))
+
+
+def _square(v, msg):
+    # v ** 2 by Python's float power; where it overflows, msg % (v,) names
+    # the parameter in place of Python's bare errno text
+    try:
+        return v**2
+    except OverflowError:
+        raise OverflowError(msg % (v,)) from None
+
+
+def _axial_rate(A, a, where, name="a"):
+    # A sqrt(a), whose inverse is a bending body's axial stretch; where it
+    # underflows to 0 the message names A and the stretch, not the division
+    k = A * math.sqrt(a)
+    if k == 0.0:
+        msg = "%s: A sqrt(%s) underflows to 0 for A = %r, %s = %r"
+        raise ZeroDivisionError(msg % (where, name, A, name, a))
+    return k
 
 
 def _sum9(m):

@@ -123,6 +123,11 @@ EDGE = {
     "bend_A1e-300_a1e-300": BEND.replace("A = 1.0", "A = 1e-300").replace(
         "a = 1.0\nb = 1.0", "a = 1e-300\nb = 1.0"
     ),
+    # constant pressures on both bending bodies: the equilibrium residual
+    # takes Constant's pressure derivative
+    "bend_pressures": BEND.replace("b = 1.0\n", "b = 1.0\npressure = 0.5\n") + "pressure = 0.5\n",
+    # a section header without its closing bracket, on line 3: exit 2
+    "bad_header": COMP.replace("\n[body1]\n", "[body1\n", 1),
 }
 
 

@@ -1,7 +1,7 @@
 """Mutation audit of the ordering comparisons behind the guarantees.
 
 Every ordering comparison (<, <=, >, >=) in the modules bounds, contact,
-energy, kinematics and material gives two mutants, made with `ast`:
+energy, kinematics, material and states gives two mutants, made with `ast`:
 
 * the negation, e.g. `<` -> `>=`,
 * the boundary swap, e.g. `<` -> `<=`.
@@ -36,7 +36,7 @@ import tempfile
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-MODULES = ("bounds", "contact", "energy", "kinematics", "material")
+MODULES = ("bounds", "contact", "energy", "kinematics", "material", "states")
 SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">="}
 NEGATION = {ast.Lt: ast.GtE, ast.LtE: ast.Gt, ast.Gt: ast.LtE, ast.GtE: ast.Lt}
 BOUNDARY_SWAP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
@@ -51,6 +51,9 @@ EQUIVALENT = {
     ("material", "abs(J - 1.0) > CONSTRAINT_TOL", ">="): "|J - 1| = 1e-8 needs J = 1 +/- 1e-8 "
     "exactly (J - 1 is exact for J in [0.5, 2], and at least 0.5 outside), and 1e-8 is no "
     "multiple of 2^-53, the float spacing there",
+    ("states", "abs(map1.radius(BOX1.x_hi) - r2) <= GAP_TOL", "<"): "radii are at least "
+    "R_MIN = 1e-6 > 2^-20, so a difference of two that is below 1e-10 is exact and a multiple "
+    "of 2^-72, and 1e-10 is no such multiple",
 }
 
 

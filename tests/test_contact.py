@@ -373,6 +373,36 @@ def test_radial_pressure_names_an_overflowing_square(A, a, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "A, a, message",
+    [
+        (1e200, 1.0, "equilibrium residual: A = 1e+200 overflows in A^2"),
+        (1.0, 1e200, "equilibrium residual: stretch a = 1e+200 overflows in a^2"),
+        # A^2 is squared first
+        (1e200, 1e200, "equilibrium residual: A = 1e+200 overflows in A^2"),
+    ],
+)
+def test_equilibrium_residual_names_an_overflowing_square(A, a, message):
+    body = BodySpec(BOX1, NeoHookeanIncompressible(1.0), StretchBend(A, a, 1.0))
+    with pytest.raises(OverflowError) as err:
+        _equilibrium_residual(body)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "A, a, message",
+    [
+        (1e200, 1.0, "rivlin_f: A = 1e+200 overflows in A^2"),
+        (1.0, 1e200, "rivlin_f: stretch a = 1e+200 overflows in a^2"),
+        (1e200, 1e200, "rivlin_f: A = 1e+200 overflows in A^2"),
+    ],
+)
+def test_rivlin_f_names_an_overflowing_square(A, a, message):
+    with pytest.raises(OverflowError) as err:
+        rivlin_f(1.0, A, a, 1.0)
+    assert str(err.value) == message
+
+
 def _face_samples(domain, axis, value):
     # the 5 x 5 sample points of the face {axis = value}, one at a time
     col = "xyz".index(axis)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactbounds.errors import InvalidParameters
+from contactbounds.kinematics import R_MIN
 from contactbounds.contact import (
     check_kinematic,
     check_static,
@@ -158,3 +159,53 @@ def test_bending_system_anchors():
     open_ = bending_system(1.0, 1.5, 1.1, 0.9, 1.0, 2.0, b2=2.5, tau=tau)
     assert evaluate_contact(open_).regime == "open"
     assert nominal_traction(open_.body2, BOX2.x_lo) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_load_from_stretch_ratio_names_an_overflowing_square():
+    with pytest.raises(OverflowError) as err:
+        load_from_stretch_ratio(1.0, 1e200)
+    assert str(err.value) == "load from stretch: stretch a = 1e+200 overflows in a^2"
+
+
+@pytest.mark.parametrize("body", ["a1", "a2"])
+def test_linked_pairs_name_an_overflowing_square(body):
+    stretches = {"a1": 1.0, "a2": 1.0, body: 1e200}
+    with pytest.raises(OverflowError) as err:
+        linked_stretch_pair(1.0, 1.0, tau=0.0, **stretches)
+    assert str(err.value) == "linked stretch pair: stretch %s = 1e+200 overflows in %s^2" % (
+        body, body,
+    )
+    with pytest.raises(OverflowError) as err:
+        linked_bend_pair(1.0, 1.0, 1.0, b1=1.0, tau=0.0, **stretches)
+    assert str(err.value) == "linked bend pair: stretch %s = 1e+200 overflows in %s^2" % (
+        body, body,
+    )
+
+
+def test_stretch_ratio_accepts_the_loads_of_its_range_ends():
+    # tau = load_from_stretch_ratio(C, 1e-9) and (C, 1e9) exactly are inside
+    # the range; the next float past either end is not
+    for C in (1.0, 2.5):
+        lo, hi = load_from_stretch_ratio(C, 1e-9), load_from_stretch_ratio(C, 1e9)
+        assert stretch_ratio_from_load(C, lo) == pytest.approx(1e-9, rel=1e-12)
+        assert stretch_ratio_from_load(C, hi) == pytest.approx(1e9, rel=1e-12)
+        for past in (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)):
+            with pytest.raises(InvalidParameters, match="no stretch ratio"):
+                stretch_ratio_from_load(C, past)
+
+
+def test_pairs_accept_an_inner_square_radius_of_exactly_r_min_squared():
+    s = R_MIN**2
+    # rho_out - a2 - a1 = s exactly: every step is an exact float subtraction
+    assert bend_pair(1.0, 1.0, 1.0, s, 2.0 * s, 4.0 * s, 0.0).body1.map.b == s
+    with pytest.raises(InvalidParameters, match="below minimum"):
+        bend_pair(1.0, 1.0, 1.0, s, 2.0 * s, math.nextafter(4.0 * s, 0.0), 0.0)
+    assert linked_bend_pair(1.0, 1.0, 1.0, 1.0, 1.0, s, tau=0.0).body1.map.b == s
+    with pytest.raises(InvalidParameters, match="nonpositive radius"):
+        linked_bend_pair(1.0, 1.0, 1.0, 1.0, 1.0, math.nextafter(s, 0.0), tau=0.0)
+
+
+def test_linked_bend_pair_rejects_a_contact_radius_of_zero():
+    # a1 + b1 = 0 exactly: refused before p_i = C_i a_i^2 / (a1 + b1) divides
+    with pytest.raises(InvalidParameters, match="nonpositive radius"):
+        linked_bend_pair(1.0, 1.0, 1.0, -1.0, 1.0, 1.0, tau=0.0)

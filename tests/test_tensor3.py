@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contactbounds.errors import InvalidParameters
-from contactbounds.tensor3 import _cpow, as_mat3, cofactor, ddot, det
+from contactbounds.tensor3 import _axial_rate, _cpow, _square, as_mat3, cofactor, ddot, det
 
 entries = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 mat3 = st.lists(entries, min_size=9, max_size=9).map(
@@ -179,3 +180,66 @@ def test_cpow_of_a_float_equals_the_list_path(x, k):
     if got[0] == "value":
         assert type(got[1]) is float
     assert_same_outcome(got, want)
+
+
+# the largest float whose square is finite: its square is 1.7976931348623155e308
+SQUARE_EDGE = 1.3407807929942596e154
+
+
+@given(st.one_of(special, st.sampled_from([SQUARE_EDGE, -SQUARE_EDGE]),
+                 st.floats(allow_nan=False, allow_infinity=False)))
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example(5e-324)
+@example(-0.0)
+@example(1e300)
+def test_square_is_the_float_power_or_names_its_overflow(v):
+    try:
+        want = v**2
+    except OverflowError:
+        with pytest.raises(OverflowError) as err:
+            _square(v, "v = %r overflows in v^2")
+        assert str(err.value) == "v = %r overflows in v^2" % (v,)
+        return
+    got = _square(v, "v = %r overflows in v^2")
+    assert type(got) is float and got.hex() == want.hex()  # NaN's hex is 'nan'
+
+
+def test_square_at_the_largest_finite_square():
+    assert _square(SQUARE_EDGE, "%r") == 1.7976931348623155e308 == SQUARE_EDGE**2
+    assert _square(-SQUARE_EDGE, "%r") == 1.7976931348623155e308
+    up = math.nextafter(SQUARE_EDGE, math.inf)
+    with pytest.raises(OverflowError) as err:
+        _square(up, "stretch a = %r overflows in a^2")
+    assert str(err.value) == "stretch a = 1.3407807929942597e+154 overflows in a^2"
+
+
+positive = st.one_of(
+    st.sampled_from([5e-324, 2.5e-310, 1e-300, 1e-160, 1.0, 1e300, sys.float_info.max]),
+    st.floats(min_value=5e-324, max_value=sys.float_info.max),
+)
+
+
+@given(positive, positive)
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example(1e-300, 1e-300)
+@example(5e-324, 1.0)
+def test_axial_rate_is_the_product_or_names_its_underflow(A, a):
+    want = A * math.sqrt(a)
+    if want == 0.0:
+        with pytest.raises(ZeroDivisionError) as err:
+            _axial_rate(A, a, "frame", "a1")
+        assert str(err.value) == "frame: A sqrt(a1) underflows to 0 for A = %r, a1 = %r" % (A, a)
+        return
+    got = _axial_rate(A, a, "frame", "a1")
+    assert type(got) is float and got.hex() == want.hex()
+
+
+def test_axial_rate_names_where_and_the_stretch():
+    with pytest.raises(ZeroDivisionError) as err:
+        _axial_rate(1e-300, 1e-300, "linkage")
+    assert str(err.value) == "linkage: A sqrt(a) underflows to 0 for A = 1e-300, a = 1e-300"
+    with pytest.raises(ZeroDivisionError) as err:
+        _axial_rate(1e-300, 1e-300, "closed-form window", "a2")
+    assert str(err.value) == (
+        "closed-form window: A sqrt(a2) underflows to 0 for A = 1e-300, a2 = 1e-300"
+    )
