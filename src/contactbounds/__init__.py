@@ -29,15 +29,12 @@ from .kinematics import (
     image_volume,
     injectivity_check,
     jacobian,
-    placement,
 )
 from .material import (
     Constant,
     NeoHookeanIncompressible,
     RadialProfile,
     cauchy_stress,
-    complementary_density,
-    hessian_quadratic_form,
     piola_stress,
     strain_energy,
 )
@@ -61,7 +58,6 @@ from .energy import (
     complementary_energy,
     divergence_identity_residual,
     enclosure,
-    integrate_face,
     integrate_volume,
     potential_energy,
 )
@@ -82,7 +78,6 @@ from .states import (
     BOX2,
     bend_pair,
     linked_bend_pair,
-    linked_stretch_pair,
     load_from_stretch_ratio,
     stretch_pair,
     stretch_ratio_from_load,
@@ -91,7 +86,7 @@ from .tensor3 import cofactor, ddot, det
 
 __version__ = "0.1.0"
 
-_CLI_NAMES = ("ProblemConfig", "RunReport", "parse_config", "run", "serialize_config", "sweep", "verify")
+_CLI_NAMES = ("ProblemConfig", "RunReport", "parse_config", "run", "sweep", "verify")
 
 
 def __getattr__(name):

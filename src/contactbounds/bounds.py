@@ -169,7 +169,8 @@ def _cof_dots(cd, F):
 
 
 def _forms(C, probes, F, p):
-    # material.hessian_quadratic_form, stations (rows of F, p) by probes
+    # C G : G - 2 p cof(G) : F, stations (rows of F, p) by probes: the floats
+    # of hessian_quadratic_form in tests/refimpl.py, one call per probe and station
     gg, cd = probes
     return C * gg - p[:, None] * 2.0 * _cof_dots(cd, F)
 

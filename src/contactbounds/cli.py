@@ -55,7 +55,6 @@ __all__ = [
     "ProblemConfig",
     "RunReport",
     "parse_config",
-    "serialize_config",
     "build_system",
     "run",
     "sweep",
@@ -290,18 +289,6 @@ def parse_config(text):
     return ProblemConfig(
         example, bodies[0], bodies[1], A=A, d_allow=d_allow, g=g, tau=tau, **numerics
     )
-
-
-def serialize_config(config):
-    """Canonical config text; parse(serialize(c)) == c."""
-    out = []
-    for name, keys in SECTIONS.items():
-        src = getattr(config, name) if name in ("body1", "body2") else config
-        items = [(k, getattr(src, k)) for k in keys if getattr(src, k) is not None]
-        if items:
-            out.append("[%s]" % name)
-            out += ["%s = %s" % (k, v if isinstance(v, str) else repr(v)) for k, v in items]
-    return "\n".join(out) + "\n"
 
 
 def build_system(config):

@@ -38,7 +38,6 @@ __all__ = [
     "QuadratureRule",
     "EnergyEnclosure",
     "integrate_volume",
-    "integrate_face",
     "potential_energy",
     "complementary_energy",
     "divergence_identity_residual",
@@ -125,17 +124,10 @@ def _x_integral(f, domain, rule):
     return _node_sum(np.reshape(_check_finite(f), (-1, 1, 1)), W)
 
 
-def integrate_face(fn, domain, axis, value, rule=None):
-    """Integral of fn(X) over the face {axis = value} of the box."""
-    def at_each_node(X):
-        return np.array([[_check_finite(float(fn(P))) for P in row] for row in X])
-
-    return _face_integral(at_each_node, domain, axis, value, rule or QuadratureRule())
-
-
 def _face_integral(fn, domain, axis, value, rule):
-    """integrate_face of fn evaluated on the whole (nu, nv, 3) node grid
-    at once: the same float sum."""
+    """Integral of fn over the face {axis = value} of the box, fn
+    evaluated on the whole (nu, nv, 3) node grid at once: the float sum
+    of integrate_face in tests/refimpl.py, node by node."""
     spans = tuple(_face_spans(domain, axis))
     us, vs = (rule.mapped(lo, hi)[0] for lo, hi in spans)
     f = _check_finite(fn(_face_grid(axis, value, us, vs)))
@@ -243,7 +235,8 @@ def complementary_energy(system, rule=None):
     stress = []
     for body in (system.body1, system.body2):
         # one stress stack per body for its density and its z faces; the
-        # density is P : F - W, the floats of complementary_density
+        # density is P : F - W, the floats of complementary_density in
+        # tests/refimpl.py
         P, F = _body_piola(body, rule.mapped(body.domain.x_lo, body.domain.x_hi)[0])
         total -= _x_integral(ddot(P, F) - strain_energy(body.material, F), body.domain, rule)
         stress.append(P)

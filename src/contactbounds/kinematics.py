@@ -44,7 +44,6 @@ __all__ = [
     "Homogeneous",
     "deformation_gradient",
     "jacobian",
-    "placement",
     "image_volume",
     "injectivity_check",
 ]
@@ -330,11 +329,6 @@ def jacobian(map_, X):
     if J <= 0.0:
         raise NonPositiveJacobian("det F = %.6g at X = %s" % (J, np.asarray(X)))
     return J
-
-
-def placement(map_, X):
-    """Image point chi(X) in Cartesian coordinates."""
-    return _family(map_).place(X)
 
 
 def image_volume(map_, domain):

@@ -11,11 +11,14 @@ whose first Piola-Kirchhoff stress carries a reaction pressure p:
 At det F = 1 the cofactor equals the inverse transpose, so this agrees
 with the usual C F - p F^{-T} while staying polynomial in F.
 
-strain_energy, piola_stress, cauchy_stress and complementary_density
-also take a stack of gradients and pressures: matrix by matrix the
-floats of single calls, and a failed check names the first failing
-matrix. One gradient takes tensor3's Python-float path for its
-determinant and cofactors, with the floats of the stack.
+strain_energy, piola_stress and cauchy_stress also take a stack of
+gradients and pressures: matrix by matrix the floats of single calls,
+and a failed check names the first failing matrix. One gradient takes
+tensor3's Python-float path for its determinant and cofactors, with the
+floats of the stack.
+
+energy and bounds form the complementary density and the criteria's
+quadratic form as stacks; tests/refimpl.py keeps them per matrix.
 """
 
 import math
@@ -33,8 +36,6 @@ __all__ = [
     "strain_energy",
     "piola_stress",
     "cauchy_stress",
-    "complementary_density",
-    "hessian_quadratic_form",
 ]
 
 #: |det F - 1| beyond this violates the incompressibility constraint
@@ -150,22 +151,3 @@ def cauchy_stress(model, F, pressure=0.0):
     _check_model(model)
     sigma = _piola(model, F, pressure) @ np.swapaxes(F, -1, -2)
     return sigma / (J if F.ndim == 2 else J[..., None, None])  # one matrix: a float J
-
-
-def complementary_density(model, F, pressure=0.0):
-    """W_c = P : F - W, evaluated from the same P and W."""
-    F = np.asarray(F, dtype=float)
-    P = piola_stress(model, F, pressure)
-    return ddot(P, F) - strain_energy(model, F)
-
-
-def hessian_quadratic_form(model, F, pressure, G):
-    """Second derivative of W + lambda (det F - 1) along G, lambda = -p.
-
-    Uses the exact expansion det(F + t G) = det F + t cof(F):G
-    + t^2 cof(G):F + t^3 det G, so the form is polynomial and exact.
-    """
-    _check_model(model)
-    F = np.asarray(F, dtype=float)
-    G = np.asarray(G, dtype=float)
-    return model.C * ddot(G, G) - pressure * 2.0 * ddot(cofactor(G), F)

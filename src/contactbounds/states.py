@@ -3,18 +3,19 @@
 Body 1 occupies (0, 1/2) x (0, 1)^2 and body 2 occupies (1/2, 1) x (0, 1)^2.
 triaxial_system and bending_system are the one constructor per family;
 they close the contact gap and equilibrate the pressures by default.
-Built on them, for each family:
+Built on them:
 
-* equilibrium pairs: stretches chosen so the state satisfies the full
-  static admissibility conditions for the load tau (these are the states
-  whose potential and complementary energies coincide),
-* linked pairs: constant pressures read off the contact-plane Cauchy
-  traction, p_i = C_i lambda_n^2 - tau. These realize the bookkeeping
-  behind the closed-form load intervals and generally do not equilibrate
+* equilibrium pairs, one per family: stretches chosen so the state
+  satisfies the full static admissibility conditions for the load tau
+  (the states whose potential and complementary energies coincide),
+* the linked bending pair: constant pressures read off the contact-plane
+  Cauchy traction, p_i = C_i lambda_n^2 - tau. It realizes the bookkeeping
+  behind the closed-form load interval and generally does not equilibrate
   the transverse faces.
 """
 
 import dataclasses
+import math
 
 from .errors import InvalidParameters
 from .kinematics import Box3, R_MIN, StretchBend, TriaxialStretch
@@ -39,7 +40,6 @@ __all__ = [
     "bending_b2",
     "stretch_pair",
     "bend_pair",
-    "linked_stretch_pair",
     "linked_bend_pair",
 ]
 
@@ -51,7 +51,10 @@ def load_from_stretch_ratio(C, a):
     """Axial nominal traction sustained by the free triaxial stretch a."""
     if a <= 0.0:
         raise InvalidParameters("stretch must be positive")
-    return C * (a - 1.0 / _square(a, "load from stretch: stretch a = %r overflows in a^2"))
+    a2 = _square(a, "load from stretch: stretch a = %r overflows in a^2")
+    if a2 == 0.0 or 1.0 / a2 == math.inf:  # a^2 underflows to 0 or below 1 / max float
+        raise OverflowError("load from stretch: 1/a^2 overflows for stretch a = %r" % (a,))
+    return C * (a - 1.0 / a2)
 
 
 def stretch_ratio_from_load(C, tau):
@@ -155,16 +158,6 @@ def bend_pair(C1, C2, A, a1, a2, rho_out, tau, g=0.0):
     if rho1i < R_MIN**2:
         raise InvalidParameters("inner square radius %.3e below minimum" % rho1i)
     return bending_system(C1, C2, A, a1, a2, rho1i, b2=rho2i - a2, tau=tau, g=g)
-
-
-def linked_stretch_pair(C1, C2, a1, a2, tau, g=0.0, b2=0.0):
-    """Triaxial pair with contact-linked constant pressures.
-
-    p_i = C_i a_i^2 - tau makes both Cauchy contact tractions equal tau.
-    """
-    p1 = C1 * _square(a1, "linked stretch pair: stretch a1 = %r overflows in a1^2") - tau
-    p2 = C2 * _square(a2, "linked stretch pair: stretch a2 = %r overflows in a2^2") - tau
-    return triaxial_system(C1, C2, a1, a2, b2=b2, p1=p1, p2=p2, g=g)
 
 
 def linked_bend_pair(C1, C2, A, a1, a2, b1, tau, g=0.0):

@@ -70,21 +70,27 @@ def _scalar(v):
     return float(v) if np.ndim(v) == 0 else v
 
 
-def _cpow(v, k):
+def _cpow(v, k, msg=None):
     # v ** k by C pow, value by value: numpy's array power can differ in
-    # the last bit, so a stack gives the floats of single calls
-    if type(v) is float:
-        return v**k
-    return _scalar(np.reshape([x**k for x in np.ravel(v).tolist()], np.shape(v)))
+    # the last bit, so a stack gives the floats of single calls. Where a
+    # power overflows, the error names the first value that overflows in
+    # place of Python's bare errno text: msg % (value,), or by default as
+    # the radius it is for every caller (a bubble weight stays below 1)
+    try:
+        if type(v) is float:
+            return v**k
+        return _scalar(np.reshape([x**k for x in np.ravel(v).tolist()], np.shape(v)))
+    except OverflowError:
+        if type(v) is not float:
+            for x in np.ravel(v).tolist():
+                _cpow(x, k, msg)  # raises at the first x whose power overflows
+        raise OverflowError(msg % (v,) if msg else "radius r = %r overflows in r^%d" % (v, k)) from None
 
 
 def _square(v, msg):
-    # v ** 2 by Python's float power; where it overflows, msg % (v,) names
-    # the parameter in place of Python's bare errno text
-    try:
-        return v**2
-    except OverflowError:
-        raise OverflowError(msg % (v,)) from None
+    # v ** 2 by Python's power; where a float's overflows, msg % (v,) names
+    # the parameter (an int's or a numpy scalar's power raises no OverflowError)
+    return _cpow(v, 2, msg) if type(v) is float else v**2
 
 
 def _axial_rate(A, a, where, name="a"):

@@ -1,7 +1,8 @@
 """Mutation audit of the ordering comparisons behind the guarantees.
 
-Every ordering comparison (<, <=, >, >=) in the modules bounds, contact,
-energy, kinematics, material and states gives two mutants, made with `ast`:
+Every ordering comparison (<, <=, >, >=) in the modules bounds, cli,
+contact, energy, kinematics, material and states gives two mutants, made
+with `ast` (tensor3 has no ordering comparison):
 
 * the negation, e.g. `<` -> `>=`,
 * the boundary swap, e.g. `<` -> `<=`.
@@ -36,7 +37,7 @@ import tempfile
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-MODULES = ("bounds", "contact", "energy", "kinematics", "material", "states")
+MODULES = ("bounds", "cli", "contact", "energy", "kinematics", "material", "states")
 SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">="}
 NEGATION = {ast.Lt: ast.GtE, ast.LtE: ast.Gt, ast.Gt: ast.LtE, ast.GtE: ast.Lt}
 BOUNDARY_SWAP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
@@ -48,6 +49,14 @@ TIER1 = ("-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-co
 EQUIVALENT = {
     ("bounds", "a <= 1.0", "<"): "at a = 1 both branches give C (1 - 1) and C (1 + 1), "
     "as sqrt(1) and 1 / 1 are both 1",
+    ("cli", "abs(config.body1.a - 1.0) < 1e-12", "<="): "a - 1 is exact for a in [0.5, 2] and "
+    "a multiple of 2^-53 there, and at least 0.5 outside, so it never equals 1e-12",
+    ("cli", "abs(config.body2.a - 1.0) < 1e-12", "<="): "as for body 1",
+    ("cli", "np.linalg.det(Q) < 0.0", "<="): "the fixed draws' Q is orthogonal, det +/-1, never 0",
+    ("cli", "worst_adj < 1e-12", "<="): "the adjugate residual comes from the fixed draws "
+    "alone, 8.882e-16 for every config",
+    ("cli", "worst_j < 1e-12", "<="): "max |J - 1| is a NaN-skipping maximum of |J - 1|, "
+    "which never equals 1e-12, as for material's CONSTRAINT_TOL",
     ("material", "abs(J - 1.0) > CONSTRAINT_TOL", ">="): "|J - 1| = 1e-8 needs J = 1 +/- 1e-8 "
     "exactly (J - 1 is exact for J in [0.5, 2], and at least 0.5 outside), and 1e-8 is no "
     "multiple of 2^-53, the float spacing there",

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from refimpl import hessian_quadratic_form
 
 from contactbounds.errors import InfeasibleProblem, InvalidParameters
 from contactbounds.kinematics import StretchBend, TriaxialStretch
@@ -20,7 +21,6 @@ from contactbounds.material import (
     Constant,
     NeoHookeanIncompressible,
     RadialProfile,
-    hessian_quadratic_form,
 )
 from contactbounds.contact import BodySpec
 from contactbounds.states import BOX1, BOX2, bend_pair, linked_bend_pair

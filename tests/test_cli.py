@@ -157,16 +157,8 @@ def test_bending_specific_validation():
         cli.parse_config(COH_CFG.replace("g = 0.6", "g = 0"))
 
 
-@pytest.mark.parametrize("text", [COMP_CFG, COH_CFG, BEND_CFG])
-def test_serialize_round_trip(text):
-    cfg = cli.parse_config(text)
-    canon = cli.serialize_config(cfg)
-    assert cli.parse_config(canon) == cfg
-    assert cli.serialize_config(cli.parse_config(canon)) == canon
-
-
 def _serialize_key_by_key(config):
-    # the serializer as first written, one line per key
+    # canonical config text, one line per key
     out = ["[system]", "example = %s" % config.example]
     if config.A is not None:
         out.append("A = %r" % config.A)
@@ -205,9 +197,11 @@ def _serialize_key_by_key(config):
         + "pressure = 1e-3\nb = 1.75\n[load]\ntau = -1.5e-7\n[numerics]\nseed = 0\n",
     ],
 )
-def test_serialize_walks_the_sections_key_by_key(text):
+def test_serialize_round_trip(text):
     cfg = cli.parse_config(text)
-    assert cli.serialize_config(cfg) == _serialize_key_by_key(cfg)
+    canon = _serialize_key_by_key(cfg)
+    assert cli.parse_config(canon) == cfg
+    assert _serialize_key_by_key(cli.parse_config(canon)) == canon
 
 
 def test_parse_keeps_the_dataclass_defaults():
@@ -1721,3 +1715,108 @@ def test_main_fuzz_ends_with_a_message_not_a_traceback(
             assert err.startswith(("error: ", "numerical failure: ")), (text, err)
         else:
             assert err == "", (text, err)
+
+
+def test_parse_config_at_the_exact_edges_of_each_range():
+    # each bound of parse_config is itself refused or accepted, as its message says
+    with pytest.raises(ValidationError, match=r"\[body2\] C must be positive"):
+        cli.parse_config(COMP_CFG.replace("C = 1.0\na = 0.81\n\n[load]", "C = 0.0\na = 0.81\n\n[load]"))
+    with pytest.raises(ValidationError, match=r"\[system\] A must be positive"):
+        cli.parse_config(BEND_CFG.replace("A = 1.0", "A = 0.0"))
+    for key, value in (("quad_order", 64), ("grid_n", 2), ("grid_n", 1_000_000),
+                       ("probe_count", 1), ("probe_count", 100_000)):
+        cfg = cli.parse_config(COMP_CFG + "[numerics]\n%s = %d\n" % (key, value))
+        assert getattr(cfg, key) == value
+
+
+def test_sweep_at_the_exact_edges_of_its_steps_and_range(monkeypatch):
+    cfg = cli.parse_config(COMP_CFG)
+    monkeypatch.setattr(cli, "MAX_SWEEP_STEPS", 3)
+    assert len(cli.sweep(cfg, "a1", 0.7, 0.9, 3).splitlines()) == 4
+    with pytest.raises(ValidationError, match="at most 3 steps"):
+        cli.sweep(cfg, "a1", 0.7, 0.9, 4)
+    with pytest.raises(ValidationError, match="lo < hi"):
+        cli.sweep(cfg, "a1", 0.7, 0.7, 3)
+
+
+def test_agreement_accepts_each_gap_at_its_bound():
+    # the oracle within exactly two grid steps of the closed form and the
+    # bisection within exactly 1e-6 agree; one float farther does not
+    config = cli.parse_config(COMP_CFG)
+    b_lo, b_hi = bounds.search_bracket(config.example, cli._fixed_params(config))
+    res = (b_hi - b_lo) / config.grid_n
+    closed = types.SimpleNamespace(tau_lo=0.0, tau_hi=0.0)
+
+    def interval(lo):
+        return types.SimpleNamespace(tau_lo=lo, tau_hi=0.0, regime="closed")
+
+    for d_orc, d_num, ok in ((2.0 * res, 1e-6, True),
+                             (math.nextafter(2.0 * res, 1.0), math.nextafter(1e-6, 1.0), False)):
+        numeric_ok, oracle_ok, _ = cli._agreement(config, closed, interval(-d_num), interval(-d_orc))
+        assert (numeric_ok, oracle_ok) == (ok, ok)
+
+
+def test_isochory_raises_at_the_first_zero_det(monkeypatch):
+    # det patched to 0.0 from X = 1/3 on across body 1: the first J <= 0
+    # is there, although no J is below 0
+    real = tensor3.det
+
+    def det(m):
+        return real(m) * (1.0 - (np.asarray(m)[..., 0, 0] < 0.8))
+
+    bodies = _bodies("bending", 1.0, (1.0, 1.0), (1.0, 1.0))
+    monkeypatch.setattr(tensor3, "det", det)
+    monkeypatch.setattr(kinematics, "det", det)
+    with pytest.raises(NonPositiveJacobian) as err:
+        cli._isochory(bodies)
+    assert str(err.value) == "det F = 0 at X = [0.33333333 0.5        0.5       ]"
+
+
+def _verify_check(monkeypatch, name, patches):
+    # the PASS or FAIL word of one verify check of COMP_CFG under patches of cli
+    with monkeypatch.context() as mp:
+        for attr, value in patches.items():
+            mp.setattr(cli, attr, value)
+        text = cli.verify(cli.parse_config(COMP_CFG))[1]
+    return next(l.split()[0] for l in text.splitlines() if (" %s: " % name) in l)
+
+
+def _stress_derivative_draws(g):
+    # verify's fixed draws with F = I, p = 0 and equal energies at both
+    # difference steps, so the derivative is 0.0 and its gap P : G = g
+    ms = cli._fixed_draws()[0]
+    F, p = np.array([np.eye(3)] * 5), np.zeros(5)
+    G = np.zeros((5, 3, 3))
+    G[:, 0, 0] = g
+    step = (np.full(5, 3.0), np.ones(5))
+    return lambda: (ms, F, p, G, step, step)
+
+
+def _enclosures(gap):
+    return lambda *a: energy.EnergyEnclosure(0.0, gap, gap)
+
+
+@pytest.mark.parametrize(
+    "name, patch, bound, toward, at_bound",
+    [
+        # |ep1 - ep2| < 1e-9 max(1, |ep1|), with ep1 = 0.0
+        ("quadrature convergence",
+         lambda v: {"potential_energy": lambda s, tau, rule=None: v if rule else 0.0},
+         1e-9, 0.0, "FAIL"),
+        # the relative gap |fd - P : G| / max(1, |fd|) < 1e-6, with fd = 0.0
+        ("stress derivative", lambda v: {"_fixed_draws": _stress_derivative_draws(v)},
+         1e-6, 0.0, "FAIL"),
+        # an edge minimum of exactly 0 is not positive, where a flip needs none
+        ("window flip", lambda v: {"_edge_minima": lambda *a: [v, 1.0, -1.0, 1.0]},
+         0.0, 1.0, "PASS"),
+        ("energy equality", lambda v: {"_enclose": _enclosures(v)}, 1e-8, 0.0, "FAIL"),
+        ("enclosure", lambda v: {"_enclose": _enclosures(v)}, -1e-9, -1.0, "PASS"),
+    ],
+    ids=["quadrature", "stress-derivative", "window-flip", "energy-equality", "enclosure"],
+)
+def test_verify_checks_at_their_exact_thresholds(monkeypatch, name, patch, bound, toward,
+                                                 at_bound):
+    # the bound and the next float across it get opposite results
+    across = {"PASS": "FAIL", "FAIL": "PASS"}[at_bound]
+    assert _verify_check(monkeypatch, name, patch(bound)) == at_bound
+    assert _verify_check(monkeypatch, name, patch(math.nextafter(bound, toward))) == across

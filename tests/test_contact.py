@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from refimpl import linked_stretch_pair
 
 from contactbounds import contact, material
 from contactbounds.errors import FamilyMismatch, InvalidParameters
-from contactbounds.kinematics import Box3, Homogeneous, StretchBend, TriaxialStretch, placement
+from contactbounds.kinematics import Box3, Homogeneous, StretchBend, TriaxialStretch
 from contactbounds.material import Constant, NeoHookeanIncompressible, RadialProfile
 from contactbounds.contact import (
     BodySpec,
@@ -33,7 +34,6 @@ from contactbounds.states import (
     bend_pair,
     bending_system,
     linked_bend_pair,
-    linked_stretch_pair,
     stretch_pair,
 )
 
@@ -389,6 +389,15 @@ def test_equilibrium_residual_names_an_overflowing_square(A, a, message):
     assert str(err.value) == message
 
 
+def test_equilibrium_residual_names_an_overflowing_cube_of_a_radius():
+    # rho = 2 X + 1e210, so every radius is near 1e105 and its cube overflows;
+    # the first one, at X = x_lo = 0, is sqrt(1e210)
+    body = BodySpec(BOX1, NeoHookeanIncompressible(1.0), StretchBend(1.0, 1.0, 1e210))
+    with pytest.raises(OverflowError) as err:
+        _equilibrium_residual(body)
+    assert str(err.value) == "radius r = %r overflows in r^3" % (math.sqrt(1e210),)
+
+
 @pytest.mark.parametrize(
     "A, a, message",
     [
@@ -415,22 +424,22 @@ def _face_samples(domain, axis, value):
 
 
 def _pointwise_kinematic(system, data):
-    """check_kinematic's residuals from one placement() call per point."""
+    """check_kinematic's residuals from one place() call per point."""
     b1, b2 = system.body1, system.body2
     worst = 0.0
     for X in _face_samples(b2.domain, "x", b2.domain.x_hi):
-        d = placement(b2.map, X) - placement(data.map2, X)
+        d = b2.map.place(X) - data.map2.place(X)
         worst = max(worst, float(np.max(np.abs(d))))
     if isinstance(b1.map, StretchBend):
         for body, dmap in ((b1, data.map1), (b2, data.map2)):
             for zv in (body.domain.z_lo, body.domain.z_hi):
                 for X in _face_samples(body.domain, "z", zv):
-                    worst = max(worst, abs(placement(body.map, X)[2] - placement(dmap, X)[2]))
+                    worst = max(worst, abs(body.map.place(X)[2] - dmap.place(X)[2]))
             for yv in (body.domain.y_lo, body.domain.y_hi):
                 th = dmap.A * yv / math.sqrt(dmap.a)
                 n = np.array([-math.sin(th), math.cos(th), 0.0])
                 for X in _face_samples(body.domain, "y", yv):
-                    worst = max(worst, abs(float(placement(body.map, X) @ n)))
+                    worst = max(worst, abs(float(body.map.place(X) @ n)))
     con = 0.0
     for body in (b1, b2):
         for x in np.linspace(body.domain.x_lo, body.domain.x_hi, 5):

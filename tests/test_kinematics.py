@@ -19,7 +19,6 @@ from contactbounds.kinematics import (
     image_volume,
     injectivity_check,
     jacobian,
-    placement,
 )
 
 BOX = Box3(0.0, 0.5, 0.0, 1.0, 0.0, 1.0)
@@ -33,7 +32,7 @@ def fd_gradient(map_, X, h=1e-7):
     for j in range(3):
         e = np.zeros(3)
         e[j] = h
-        F[:, j] = (placement(map_, X + e) - placement(map_, X - e)) / (2.0 * h)
+        F[:, j] = (map_.place(X + e) - map_.place(X - e)) / (2.0 * h)
     return F
 
 
@@ -161,16 +160,16 @@ def test_jacobian_rejects_orientation_reversal():
 
 def test_placement_triaxial_affine():
     m = TriaxialStretch(0.81, 0.25)
-    x = placement(m, (0.5, 1.0, 0.0))
+    x = m.place((0.5, 1.0, 0.0))
     assert x == pytest.approx([0.655, 1.0 / 0.9, 0.0], abs=1e-14)
 
 
 def test_placement_bending_embeds_cylinder():
     m = StretchBend(1.0, 1.0, 1.0)
-    x = placement(m, (0.0, math.pi / 2.0, 0.3))
+    x = m.place((0.0, math.pi / 2.0, 0.3))
     assert x == pytest.approx([0.0, 1.0, 0.3], abs=1e-12)
     # radius follows r = sqrt(2 a X + b)
-    x = placement(m, (0.5, 0.0, 0.0))
+    x = m.place((0.5, 0.0, 0.0))
     assert x[0] == pytest.approx(math.sqrt(2.0), abs=1e-14)
 
 
@@ -231,7 +230,7 @@ def test_injectivity_rejects_overwound_sector():
 def test_bending_radius_floor():
     m = StretchBend(1.0, 1.0, -0.5)
     with pytest.raises(InvalidParameters):
-        placement(m, (0.1, 0.0, 0.0))
+        m.place((0.1, 0.0, 0.0))
 
 
 def test_unknown_map_rejected():
@@ -244,7 +243,6 @@ def test_unknown_map_rejected():
     # window, traction or gap is ever computed for one
     for call in (
         lambda: deformation_gradient(unknown, (0.1, 0.5, 0.5)),
-        lambda: placement(unknown, (0.1, 0.5, 0.5)),
         lambda: image_volume(unknown, BOX),
         lambda: pressure_window(BodySpec(BOX, NeoHookeanIncompressible(1.0), unknown)),
     ):
@@ -262,9 +260,8 @@ def test_unknown_map_rejected():
 )
 def test_family_methods_match_module_functions(m):
     X = np.array([0.3, 0.4, 0.7])
-    x_chi = placement(m, X)
+    x_chi = m.place(X)
     assert np.array_equal(m.gradient(0.3), deformation_gradient(m, X))
-    assert np.array_equal(m.place(X), x_chi)
     assert m.image_volume(BOX) == image_volume(m, BOX)
     if isinstance(m, Homogeneous):
         # a data map only: its frame is Cartesian, and it has no body methods
@@ -334,7 +331,7 @@ def test_stacked_flank_dot_equals_pointwise_dot():
     for k in range(len(X)):
         t = 1.2 * float(X[k, 1]) / math.sqrt(0.8)
         nk = np.array([-math.sin(t), math.cos(t), 0.0])
-        assert stacked[k] == float(placement(m, X[k]) @ nk)
+        assert stacked[k] == float(m.place(X[k]) @ nk)
 
 
 def test_stacked_rho_names_the_first_low_abscissa():

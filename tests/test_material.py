@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from refimpl import complementary_density, hessian_quadratic_form
 from test_tensor3 import assert_same_outcome, edge_entries, edge_mat3, outcome
 
 from contactbounds import material
@@ -12,8 +13,6 @@ from contactbounds.material import (
     NeoHookeanIncompressible,
     RadialProfile,
     cauchy_stress,
-    complementary_density,
-    hessian_quadratic_form,
     piola_stress,
     strain_energy,
 )

@@ -26,8 +26,9 @@ def _names(node):
 
 
 def test_one_home_for_float_overflow_and_underflow():
-    # only tensor3._square turns a float power's OverflowError into a named
-    # one, and only tensor3._axial_rate names an A sqrt(a) that underflows
+    # only tensor3._cpow (and _square through it) turns a float power's
+    # OverflowError into a named one, and only tensor3._axial_rate names an
+    # A sqrt(a) that underflows
     catches, raises = set(), set()
     for info in pkgutil.iter_modules(contactbounds.__path__):
         mod = importlib.import_module("contactbounds." + info.name)
@@ -41,5 +42,5 @@ def test_one_home_for_float_overflow_and_underflow():
                 if isinstance(node, ast.Raise) and node.exc is not None:
                     if "ZeroDivisionError" in _names(node.exc):
                         raises.add((info.name, fn.name))
-    assert catches == {("tensor3", "_square")}
+    assert catches == {("tensor3", "_cpow")}
     assert raises == {("tensor3", "_axial_rate")}

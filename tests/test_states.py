@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from refimpl import linked_stretch_pair
 
 from contactbounds.errors import InvalidParameters
 from contactbounds.kinematics import R_MIN
@@ -19,7 +20,6 @@ from contactbounds.states import (
     bend_pair,
     bending_system,
     linked_bend_pair,
-    linked_stretch_pair,
     load_from_stretch_ratio,
     stretch_pair,
     stretch_ratio_from_load,
@@ -165,6 +165,33 @@ def test_load_from_stretch_ratio_names_an_overflowing_square():
     with pytest.raises(OverflowError) as err:
         load_from_stretch_ratio(1.0, 1e200)
     assert str(err.value) == "load from stretch: stretch a = 1e+200 overflows in a^2"
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        1e-200,  # a^2 underflows to 0
+        1e-160,  # a^2 is subnormal and 1 / a^2 overflows
+        5e-324,
+    ],
+)
+def test_load_from_stretch_ratio_names_an_overflowing_inverse_square(a):
+    with pytest.raises(OverflowError) as err:
+        load_from_stretch_ratio(1.0, a)
+    assert str(err.value) == "load from stretch: 1/a^2 overflows for stretch a = %r" % (a,)
+
+
+def test_load_from_stretch_ratio_at_the_smallest_stretch_with_a_finite_inverse_square():
+    # the edge of the check: the smallest a whose 1 / a^2 is finite gives
+    # C (a - 1 / a^2), and the next float down is refused
+    a = 1.0 / math.sqrt(1.7976931348623157e308)
+    while 1.0 / (a * a) == math.inf:
+        a = math.nextafter(a, 1.0)
+    while 1.0 / (math.nextafter(a, 0.0) ** 2) != math.inf:
+        a = math.nextafter(a, 0.0)
+    assert load_from_stretch_ratio(1.0, a) == a - 1.0 / a**2 == -1.7976931348623143e308
+    with pytest.raises(OverflowError):
+        load_from_stretch_ratio(1.0, math.nextafter(a, 0.0))
 
 
 @pytest.mark.parametrize("body", ["a1", "a2"])

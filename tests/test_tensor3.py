@@ -113,6 +113,36 @@ def test_cpow_matches_scalar_power_value_by_value(k):
     assert got.ravel().tolist() == [float(x) ** k for x in v.tolist()]
 
 
+def test_cpow_names_the_first_value_whose_power_overflows():
+    # value by value in C order; a float and a one-value list say the same
+    stack = np.array([[1.0, 2.0], [-1e200, 1e300]])
+    with pytest.raises(OverflowError) as err:
+        _cpow(stack, 2)
+    assert str(err.value) == "radius r = -1e+200 overflows in r^2"
+    for v in (1e103, [1e103], np.array([0.5, 1e103])):
+        with pytest.raises(OverflowError) as err:
+            _cpow(v, 3)
+        assert str(err.value) == "radius r = 1e+103 overflows in r^3"
+        assert err.value.__cause__ is None and err.value.__suppress_context__
+    with pytest.raises(OverflowError) as err:
+        _cpow([1.0, 1e200], 2, "stretch a = %r overflows in a^2")
+    assert str(err.value) == "stretch a = 1e+200 overflows in a^2"
+    # the largest finite square is a value, the next float up is named
+    assert _cpow([SQUARE_EDGE], 2)[0] == 1.7976931348623155e308
+    with pytest.raises(OverflowError) as err:
+        _cpow([math.nextafter(SQUARE_EDGE, math.inf)], 2)
+    assert str(err.value) == "radius r = 1.3407807929942597e+154 overflows in r^2"
+
+
+def test_square_leaves_an_int_and_a_numpy_scalar_to_their_own_power():
+    # only a Python float's power raises OverflowError: an int squares
+    # exactly, a numpy scalar gives inf with numpy's warning, as v**2 does
+    assert _square(3, "%r") == 9 and type(_square(3, "%r")) is int
+    assert type(_square(np.float64(1.5), "%r")) is np.float64
+    with np.errstate(over="ignore"):
+        assert _square(np.float64(1e200), "%r") == math.inf
+
+
 def test_cpow_returns_a_python_float_for_a_scalar():
     for x in (1.3, np.float64(1.3), np.array(1.3)):
         assert type(_cpow(x, 3)) is float and _cpow(x, 3) == 1.3**3
