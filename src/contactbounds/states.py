@@ -54,7 +54,11 @@ def load_from_stretch_ratio(C, a):
     a2 = _square(a, "load from stretch: stretch a = %r overflows in a^2")
     if a2 == 0.0 or 1.0 / a2 == math.inf:  # a^2 underflows to 0 or below 1 / max float
         raise OverflowError("load from stretch: 1/a^2 overflows for stretch a = %r" % (a,))
-    return C * (a - 1.0 / a2)
+    load = C * (a - 1.0 / a2)
+    if math.isinf(load):
+        msg = "load from stretch: C (a - 1/a^2) overflows for C = %r, stretch a = %r"
+        raise OverflowError(msg % (C, a))
+    return load
 
 
 def stretch_ratio_from_load(C, tau):

@@ -15,9 +15,11 @@ The script prints one line per mutant,
 
     <module> <line>:<column> <operator> -> <mutant> <killing test | survived>
 
-then the number of mutants and of survivors. Run from anywhere:
+then the number of mutants and of survivors. Run from anywhere, over
+all seven modules or over the ones named:
 
     python tests/mutants.py
+    python tests/mutants.py contact states
 
 A survivor that is equivalent to the original (no input tells them apart)
 is named in EQUIVALENT with the reason, keyed by the comparison's source
@@ -118,7 +120,12 @@ def tier1(copy):
     return out.returncode, None
 
 
-def main():
+def main(argv=None):
+    chosen = sys.argv[1:] if argv is None else argv
+    unknown = [m for m in chosen if m not in MODULES]
+    if unknown:
+        sys.exit("unknown module(s) %s; choose from %s" % (" ".join(unknown), " ".join(MODULES)))
+    chosen = [m for m in MODULES if m in chosen] if chosen else MODULES
     check_equivalent()
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         copy = pathlib.Path(tmp) / "tree"
@@ -134,7 +141,7 @@ def main():
             sys.exit("the unmutated copy fails tier-1: %s" % (failed or "exit %s" % code))
         print("baseline: tier-1 passes in %.1f s" % (time.perf_counter() - start), flush=True)
         total = survived = 0
-        for m in MODULES:
+        for m in chosen:
             target = pkg / (m + ".py")
             for site, text, op, new, source in mutants(m):
                 target.write_text(source)

@@ -1306,16 +1306,16 @@ def test_each_interval_builds_the_linkage_once(monkeypatch, text):
     "text", [COMP_CFG, COH_CFG, BEND_CFG], ids=["compression", "cohesive", "bending"]
 )
 def test_each_body_evaluates_its_constraint_residual_once(monkeypatch, text):
-    # one contact.det call per body, a 5-abscissa stack or a triaxial body's
-    # one matrix: run() checks its two bodies three times;
+    # one contact._constraint call per body, over 5 abscissae or a triaxial
+    # body's x_lo: run() checks its two bodies three times;
     # verify() adds its exact pair and three trial bodies 1, and its two runs
     # build new bodies, so each evaluates them anew
     calls, per_run = [], []
-    real_det, real_run = contact.det, cli.run
+    real_constraint, real_run = contact._constraint, cli.run
 
-    def counted_det(m):
-        calls.append(np.shape(m))
-        return real_det(m)
+    def counted_constraint(m, xs):
+        calls.append(np.shape(xs))
+        return real_constraint(m, xs)
 
     def counted_run(config):
         n = len(calls)
@@ -1323,7 +1323,7 @@ def test_each_body_evaluates_its_constraint_residual_once(monkeypatch, text):
         per_run.append(len(calls) - n)
         return report
 
-    monkeypatch.setattr(contact, "det", counted_det)
+    monkeypatch.setattr(contact, "_constraint", counted_constraint)
     monkeypatch.setattr(cli, "run", counted_run)
     config = cli.parse_config(text)
     cli.run(config)
@@ -1339,24 +1339,18 @@ def test_each_body_evaluates_its_constraint_residual_once(monkeypatch, text):
     ids=["compression", "cohesive", "bending"],
 )
 def test_each_body_takes_one_cauchy_stress_per_face(monkeypatch, text, per_run, per_verify):
-    # each Cauchy stress evaluation is named by the face state taken just
-    # before it, and no (body object, face) pair comes twice. run() takes
+    # each Cauchy stress evaluation is named by its body and face, and no
+    # (body object, face) pair comes twice. run() takes
     # both contact faces and, without a load, body 1's outer face (a bending
     # build takes body 1's contact face first); verify() takes its own
     # build, two run()s and its exact pair, and its trials need none
-    calls, last = [], []
-    state, real = contact.BodySpec.state, contact.cauchy_stress
+    calls, real = [], contact._sigma_nn
 
-    def stated(self, x):
-        last[:] = [(self, x)]
-        return state(self, x)
+    def counted(body, x):
+        calls.append((body, x))
+        return real(body, x)
 
-    def counted(model, F, p=0.0):
-        calls.append(last[0])
-        return real(model, F, p)
-
-    monkeypatch.setattr(contact.BodySpec, "state", stated)
-    monkeypatch.setattr(contact, "cauchy_stress", counted)
+    monkeypatch.setattr(contact, "_sigma_nn", counted)
     config = cli.parse_config(text)
     cli.run(config)
     assert len(calls) == per_run

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import refimpl
 from refimpl import linked_stretch_pair
 
 from contactbounds import contact, material
@@ -531,15 +532,15 @@ def test_equilibrium_residual_cubes_the_radii_once(monkeypatch):
 
 
 def counting_constraint_dets(monkeypatch):
-    # the shape of every contact.det call, all of them the constraint
-    # residual's: a 5-abscissa stack or a triaxial body's one matrix
+    # the shape of the abscissae of every constraint residual evaluation:
+    # the 5 of a sample grid or a triaxial body's x_lo
     calls = []
 
-    def counted(m, _det=contact.det):
-        calls.append(np.shape(m))
-        return _det(m)
+    def counted(m, xs, _constraint=contact._constraint):
+        calls.append(np.shape(xs))
+        return _constraint(m, xs)
 
-    monkeypatch.setattr(contact, "det", counted)
+    monkeypatch.setattr(contact, "_constraint", counted)
     return calls
 
 
@@ -549,7 +550,7 @@ def test_constraint_residual_is_evaluated_once_per_body(monkeypatch):
         linked_stretch_pair(1.3, 0.7, 0.8, 1.6, tau=-0.2),
     ]
     calls = counting_constraint_dets(monkeypatch)
-    for system, shape in zip(systems, [(5, 3, 3), (3, 3)]):
+    for system, shape in zip(systems, [(5,), ()]):
         del calls[:]
         worst = 0.0
         for b in (system.body1, system.body2):
@@ -591,24 +592,174 @@ def _outcome(f):
 @example(True, 1e308, 4.0, 4.0, False)  # det is NaN at every abscissa
 @example(True, 1e-300, 1e-300, 1.0, False)  # A sqrt(a) underflows to 0
 @example(True, 1.0, 1.0, -0.5, False)  # the radius is too small at x_lo
+@example(True, 1e-310, 1.0, 1.0, False)  # F_zz = 1 / A sqrt(a) is inf: det F is NaN
+@example(True, 1e308, 1.0, 100.0, False)  # F_tt = A r / sqrt(a) is inf: det F is NaN
 def test_constraint_residual_of_one_abscissa_equals_the_stack(bend, A, a, b, nan_det):
-    # a body's residual against the 5-abscissa stack it replaced: bit for
-    # bit, or the same error; a triaxial body reads one matrix at x_lo.
-    # nan_det makes every determinant NaN, which the running maximum never takes
+    # a body's residual, in floats per abscissa, against the 5-abscissa
+    # stack it replaced: bit for bit, or the same error; a triaxial body
+    # reads x_lo alone. nan_det makes every determinant NaN, which the
+    # running maximum never takes
     m = StretchBend(A, a, b) if bend else TriaxialStretch(a, b)
     body = BodySpec(BOX1, NeoHookeanIncompressible(1.0), m)
 
-    def stack():
-        xs = np.linspace(BOX1.x_lo, BOX1.x_hi, 5)
-        return contact._running_max(0.0, np.abs(contact.det(m.gradient(xs)) - 1.0))
-
     with pytest.MonkeyPatch.context() as mp:
         if nan_det:
-            mp.setattr(contact, "det", lambda F, real=det: real(F) * math.nan)
-        assert _outcome(lambda: body._constraint_residual) == _outcome(stack)
+            mp.setattr(contact, "_det_diag", lambda *d, real=contact._det_diag: real(*d) * math.nan)
+            mp.setattr(refimpl, "det", lambda F, real=det: real(F) * math.nan)
+        assert _outcome(lambda: body._constraint_residual) == _outcome(
+            lambda: refimpl.constraint_residual(body)
+        )
     if not bend:
         x = contact._abscissae(body, 5)
         assert type(x) is float and x == BOX1.x_lo
+
+
+# as OFFSET, with -0.0 too
+SIGNED = st.sampled_from((0.0, -0.0)) | st.tuples(st.sampled_from((-1.0, 1.0)), POSITIVE).map(
+    lambda t: t[0] * t[1]
+)
+
+
+def _hex(v):
+    # float.hex of a float, through tuples; None stays None
+    return tuple(map(_hex, v)) if isinstance(v, tuple) else v if v is None else float.hex(v)
+
+
+def _hex_outcome(f):
+    # f()'s value as hex, or the type and message of what it raised
+    return _outcome(lambda: _hex(f()))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    bend=st.booleans(), C=POSITIVE, A=POSITIVE, a=POSITIVE, b=SIGNED,
+    p=st.tuples(SIGNED, SIGNED, SIGNED), radial=st.booleans(),
+    x=st.sampled_from((0.0, 0.5)) | st.floats(0.0, 0.5),
+)
+@example(True, 1.0, 1e-170, 1e300, 1e-12, (0.0, 0.0, 0.0), False, 0.0)  # F_tt underflows: det F = 0
+@example(True, 1.0, 1e-300, 1e-300, 1.0, (0.0, 0.0, 0.0), False, 0.5)  # A sqrt(a) underflows to 0
+@example(True, 1.0, 1.0, 1.0, -0.5, (0.0, 0.0, 0.0), False, 0.0)  # the radius is too small
+@example(True, 1.0, 1.0, 1.0, 1e-12, (1e300, 0.0, 0.0), True, 0.0)  # p = inf: sigma_nn is NaN
+@example(True, 1.0, 1e-310, 1.0, 1.0, (0.0, 0.0, 0.0), False, 0.5)  # F_zz = inf: det F is NaN
+@example(False, 1.0, 1.0, 5e-324, 0.0, (1.0, 0.0, 0.0), False, 0.5)  # s^2 = inf: det F is inf
+@example(False, 6e-323, 1.0, 0.25, 0.0, (5e-324, 0.0, 0.0), False, 0.5)  # P_00 F_00 is -0.0
+def test_cauchy_traction_in_floats_equals_the_stress_tensor(bend, C, A, a, b, p, radial, x):
+    # sigma_nn and the radius of a face from the diagonal, against the full
+    # Cauchy stress: bit for bit, or the same error
+    m = StretchBend(A, a, b) if bend else TriaxialStretch(a, b)
+    pressure = RadialProfile(*p) if bend and radial else Constant(p[0])
+    body = BodySpec(BOX1, NeoHookeanIncompressible(C), m, pressure)
+    want = _hex_outcome(lambda: (refimpl.cauchy_traction(body, x), m.radius(x)))
+    assert _hex_outcome(lambda: contact._sigma_nn(body, x)) == want
+
+
+# boxes whose z / A sqrt(a) overflows on no grid column, on some (the grid's
+# z near 0 stays finite) or on all of them
+_FLANK_BOXES = (
+    BOX1,
+    Box3(-0.3, 0.2, 0.1, 0.7, -1.0, 2.5),
+    Box3(0.0, 0.5, 0.0, 1.0, -1e10, 1e-300),
+    Box3(0.0, 0.5, -2.0, 3.0, 1e300, 1.5e300),
+)
+_BEND_MAP = st.tuples(POSITIVE, POSITIVE, SIGNED).map(lambda t: StretchBend(*t))
+
+
+def _flank_case(box, m, dmap):
+    return BodySpec(box, NeoHookeanIncompressible(1.0), m), dmap
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(box=st.sampled_from(_FLANK_BOXES), m=_BEND_MAP, dmap=_BEND_MAP)
+@example(_FLANK_BOXES[2], StretchBend(1e-300, 1.0, 1.0), StretchBend(1.0, 1.0, 1.0))
+@example(_FLANK_BOXES[3], StretchBend(1e-300, 1.0, 1.0), StretchBend(1.1, 0.9, 1.0))
+@example(BOX1, StretchBend(1e-300, 1e-300, 1.0), StretchBend(1.0, 1.0, 1.0))  # underflow
+@example(BOX1, StretchBend(1.0, 1.0, -0.5), StretchBend(1e-300, 1e-300, 1.0))  # low radius first
+def test_flank_residual_of_ten_rows_equals_the_grids(box, m, dmap):
+    # _flank over one row per abscissa and flank against the 5 x 5 grids of
+    # both y faces: bit for bit, or the same error
+    body, dmap = _flank_case(box, m, dmap)
+    assert _hex_outcome(lambda: contact._flank(body, dmap)) == _hex_outcome(
+        lambda: refimpl.flank(body, dmap)
+    )
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(box=st.sampled_from(_FLANK_BOXES), m=_BEND_MAP, dmap=_BEND_MAP)
+@example(_FLANK_BOXES[2], StretchBend(1e-300, 1.0, 1.0), StretchBend(1e-300, 4.0, 1.0))
+@example(_FLANK_BOXES[2], StretchBend(1e-300, 1.0, 1.0), StretchBend(2e-300, 1.0, 1.0))
+@example(BOX1, StretchBend(1.0, 1.0, 1.0), StretchBend(1e-300, 1e-300, 1.0))  # data underflow
+@example(BOX1, StretchBend(1e-300, 1e-300, -0.5), StretchBend(1.0, 1.0, 1.0))  # low radius first
+@example(BOX1, StretchBend(1.0, 1.0, 1.0), StretchBend(1.0, 1.0, -0.5))  # the data's radius
+def test_axial_difference_at_two_heights_equals_the_grids(box, m, dmap):
+    # _axial_difference at z_lo and z_hi against the 5 x 5 grids of both z
+    # faces: bit for bit, or the same error
+    body, dmap = _flank_case(box, m, dmap)
+    assert _hex_outcome(lambda: contact._axial_difference(body, dmap)) == _hex_outcome(
+        lambda: refimpl.axial_difference(body, dmap)
+    )
+
+
+def test_flank_skips_the_rows_whose_axial_coordinate_overflows():
+    # k = A sqrt(a) = 1e-300: z / k is -inf on four grid columns of the box
+    # and 1 on the fifth, so the grids' NaN rows are skipped, and the ten
+    # rows read that fifth column
+    body, dmap = _flank_case(_FLANK_BOXES[2], StretchBend(1e-300, 1.0, 1.0), StretchBend(1.0, 1.0, 1.0))
+    X = _face_points(body.domain, "y", (body.domain.y_lo, body.domain.y_hi))
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = body.map.frame_place(X)[:, 2]
+        want = refimpl.flank(body, dmap)
+    assert np.isinf(z).sum() == 40 and set(z[np.isfinite(z)].tolist()) == {1.0}
+    rows = contact._flank_points(body.domain)
+    assert rows.shape == (10, 3) and set(rows[:, 2].tolist()) == {1e-300}
+    assert not rows.flags.writeable and contact._flank_points(dataclasses.replace(body.domain)) is rows
+    got = contact._flank(body, dmap)
+    assert got > 0.0 and got == want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    C=st.tuples(POSITIVE, POSITIVE), a=st.tuples(POSITIVE, POSITIVE),
+    p=st.tuples(SIGNED, SIGNED), tau=SIGNED,
+)
+@example((1.0, 1.0), (5e-324, 1.0), (1.0, 0.0), -math.inf)  # P_00 - tau = -inf + inf
+@example((1.0, 1.0), (0.81, 0.81), (0.0, 0.0), math.nan)
+@example((1e308, 1e308), (1.7976931348623157e308, 5e-324), (-1e308, 1e308), 0.0)
+def test_triaxial_neumann_residual_in_floats_equals_the_stress_tensors(C, a, p, tau):
+    # the dead load and traction-free faces from the diagonal Piola stress,
+    # against the full tensors: bit for bit
+    bodies = [
+        BodySpec(box, NeoHookeanIncompressible(Ci), TriaxialStretch(ai), Constant(pi))
+        for box, Ci, ai, pi in zip((BOX1, BOX2), C, a, p)
+    ]
+    system = SystemSpec(*bodies)
+    assert _hex_outcome(lambda: contact._neumann_residual(system, tau)) == _hex_outcome(
+        lambda: refimpl.neumann_residual(system, tau)
+    )
+
+
+def test_nominal_traction_looks_up_each_face_radius_once(monkeypatch):
+    # the radius comes with the kept sigma_nn: one rho per face, whether
+    # nominal_traction or contact_traction asks first; an abscissa that is
+    # not a float keeps nothing and looks its radius up once per call
+    body = dataclasses.replace(bend_pair(1.0, 1.4, 1.1, 0.9, 1.0, 3.4, -0.8).body1)
+    fresh = dataclasses.replace(body)
+    want = {x: contact_traction(fresh, x) * fresh.map.radius(x) / fresh.map.a
+            for x in (0.0, 0.25, 0.5)}
+    calls = []
+
+    def counted(self, x, rho=StretchBend.rho):
+        calls.append(x)
+        return rho(self, x)
+
+    monkeypatch.setattr(StretchBend, "rho", counted)
+    assert nominal_traction(body, 0.0) == want[0.0]
+    contact_traction(body, 0.0)
+    assert nominal_traction(body, 0.0) == want[0.0]
+    contact_traction(body, 0.5)
+    assert nominal_traction(body, 0.5) == nominal_traction(body, 0.5) == want[0.5]
+    assert calls == [0.0, 0.5]
+    assert nominal_traction(body, np.float64(0.25)) == want[0.25]
+    assert calls == [0.0, 0.5, 0.25]
 
 
 def test_sample_grids_are_cached_read_only():
@@ -729,20 +880,14 @@ def test_kinematic_check_rejects_a_held_face_below_the_minimum_radius():
 
 
 def counting_cauchy(monkeypatch):
-    # the (body, abscissa) of each Cauchy stress evaluation, named by the
-    # face state taken just before it
-    calls, last, state, real = [], [], BodySpec.state, contact.cauchy_stress
+    # the (body, abscissa) of each Cauchy stress evaluation
+    calls, real = [], contact._sigma_nn
 
-    def stated(self, x):
-        last[:] = [(self, x)]
-        return state(self, x)
+    def counted(body, x):
+        calls.append((body, x))
+        return real(body, x)
 
-    def counted(model, F, p=0.0):
-        calls.append(last[0])
-        return real(model, F, p)
-
-    monkeypatch.setattr(BodySpec, "state", stated)
-    monkeypatch.setattr(contact, "cauchy_stress", counted)
+    monkeypatch.setattr(contact, "_sigma_nn", counted)
     return calls
 
 
@@ -771,15 +916,15 @@ def test_a_raising_face_raises_again(monkeypatch):
     assert list(low._memo) == [("sigma", 0.5)]
     # a stress that raises once is evaluated again on the next call
     body = dataclasses.replace(_BEND.body1)
-    calls, real = [], contact.cauchy_stress
+    calls, real = [], contact._sigma_nn
 
-    def fails_once(model, F, p=0.0):
-        calls.append(F)
+    def fails_once(b, x):
+        calls.append(x)
         if len(calls) == 1:
             raise ArithmeticError("first call")
-        return real(model, F, p)
+        return real(b, x)
 
-    monkeypatch.setattr(contact, "cauchy_stress", fails_once)
+    monkeypatch.setattr(contact, "_sigma_nn", fails_once)
     with pytest.raises(ArithmeticError, match="first call"):
         contact_traction(body, 0.5)
     assert contact_traction(body, 0.5) == contact_traction(_BEND.body1, 0.5)

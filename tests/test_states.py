@@ -194,6 +194,38 @@ def test_load_from_stretch_ratio_at_the_smallest_stretch_with_a_finite_inverse_s
         load_from_stretch_ratio(1.0, math.nextafter(a, 0.0))
 
 
+_LOAD_OVERFLOW = "load from stretch: C (a - 1/a^2) overflows for C = %r, stretch a = %r"
+
+
+@pytest.mark.parametrize(
+    "C, a",
+    [
+        (2.0, 7.458340731200208e-155),  # 1 / a^2 is finite, C times it is not
+        (1e300, 1e10),
+    ],
+)
+def test_load_from_stretch_ratio_names_an_overflowing_load(C, a):
+    with pytest.raises(OverflowError) as err:
+        load_from_stretch_ratio(C, a)
+    assert str(err.value) == _LOAD_OVERFLOW % (C, a)
+
+
+@pytest.mark.parametrize(
+    "C, a, load",
+    [
+        (1.0272532199213231e308, 2.0, 1.7976931348623155e308),  # a - 1 / a^2 = 1.75
+        (1.0000000000000007, 7.458340731200208e-155, -1.7976931348623155e308),
+    ],
+)
+def test_load_from_stretch_ratio_at_the_largest_finite_load(C, a, load):
+    # the largest C whose load at a is finite gives it; the next float up is refused
+    assert load_from_stretch_ratio(C, a) == load
+    above = math.nextafter(C, math.inf)
+    with pytest.raises(OverflowError) as err:
+        load_from_stretch_ratio(above, a)
+    assert str(err.value) == _LOAD_OVERFLOW % (above, a)
+
+
 @pytest.mark.parametrize("body", ["a1", "a2"])
 def test_linked_pairs_name_an_overflowing_square(body):
     stretches = {"a1": 1.0, "a2": 1.0, body: 1e200}
