@@ -34,7 +34,6 @@ from .material import (
     Constant,
     NeoHookeanIncompressible,
     RadialProfile,
-    cauchy_stress,
     piola_stress,
     strain_energy,
 )

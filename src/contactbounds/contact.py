@@ -130,6 +130,13 @@ def _det_diag(d0, d1, d2):
     return d0 * (d1 * d2) if math.isfinite(d1) and math.isfinite(d2) else math.nan
 
 
+def _piola_diag(C, p, d0, d1, d2):
+    # the diagonal of P = C F - p cof F at F = diag(d0, d1, d2) in Python
+    # floats; the cofactors off the diagonal are exact zeros for finite
+    # d0, d1, d2 and p, and so is P there
+    return C * d0 - p * (d1 * d2), C * d1 - p * (d0 * d2), C * d2 - p * (d0 * d1)
+
+
 def _constraint(m, xs):
     # max |det F - 1| at the abscissae xs (a float or an array), left to
     # right so that a NaN is never taken; every radius is looked up before
@@ -250,7 +257,7 @@ def _sigma_nn(body, x):
         raise NonPositiveJacobian("det F = %.6g" % J)
     if not math.isfinite(p):
         return math.nan, r
-    return ((body.material.C * d0 - p * (d1 * d2)) * d0 + 0.0) / J, r
+    return (_piola_diag(body.material.C, p, d0, d1, d2)[0] * d0 + 0.0) / J, r
 
 
 def _traction(body, x):
@@ -408,15 +415,13 @@ def _neumann_residual(system, tau):
         return abs(nominal_traction(b1, b1.domain.x_lo) - tau)
     worst = 0.0
     for body, loaded in ((b1, True), (b2, False)):
-        # P = C F - p cof F at F = diag(a, s, s): the cofactors off the
-        # diagonal are exact zeros, as a, s and p are finite, and so is P
-        # there; det F = a s^2 > 0 for every positive a, so no check raises
-        a, s, _ = body.map._diagonal()
-        C, p = body.material.C, body.pressure(None)
+        # F = diag(a, s, s) with det F = a s^2 > 0 for every positive a, so
+        # no check raises; P_22 = P_11
+        P00, P11, _ = _piola_diag(body.material.C, body.pressure(None), *body.map._diagonal())
         # the transverse faces are traction free, the loaded face carries
         # tau; body 2's outer face is placement-controlled
-        side = abs(C * s - p * (a * s))
-        resid = [abs(C * a - p * (s * s) - tau), side] if loaded else [side]
+        side = abs(P11)
+        resid = [abs(P00 - tau), side] if loaded else [side]
         if not any(map(math.isnan, resid)):  # else the stress's maximum is NaN, never taken
             worst = max(worst, *resid)
     return worst

@@ -11,14 +11,15 @@ whose first Piola-Kirchhoff stress carries a reaction pressure p:
 At det F = 1 the cofactor equals the inverse transpose, so this agrees
 with the usual C F - p F^{-T} while staying polynomial in F.
 
-strain_energy, piola_stress and cauchy_stress also take a stack of
-gradients and pressures: matrix by matrix the floats of single calls,
-and a failed check names the first failing matrix. One gradient takes
-tensor3's Python-float path for its determinant and cofactors, with the
-floats of the stack.
+strain_energy and piola_stress also take a stack of gradients and
+pressures: matrix by matrix the floats of single calls, and a failed
+check names the first failing matrix. One gradient takes tensor3's
+Python-float path for its determinant and cofactors, with the floats of
+the stack.
 
 energy and bounds form the complementary density and the criteria's
-quadratic form as stacks; tests/refimpl.py keeps them per matrix.
+quadratic form as stacks; tests/refimpl.py keeps them per matrix, and
+the full Cauchy stress, whose normal entry contact takes in floats.
 """
 
 import math
@@ -35,7 +36,6 @@ __all__ = [
     "RadialProfile",
     "strain_energy",
     "piola_stress",
-    "cauchy_stress",
 ]
 
 #: |det F - 1| beyond this violates the incompressibility constraint
@@ -142,12 +142,3 @@ def piola_stress(model, F, pressure=0.0):
     F = np.asarray(F, dtype=float)
     _check_det(F)
     return _piola(model, F, pressure)
-
-
-def cauchy_stress(model, F, pressure=0.0):
-    """sigma = J^{-1} P F^T, with one determinant check."""
-    F = np.asarray(F, dtype=float)
-    J = _check_det(F)
-    _check_model(model)
-    sigma = _piola(model, F, pressure) @ np.swapaxes(F, -1, -2)
-    return sigma / (J if F.ndim == 2 else J[..., None, None])  # one matrix: a float J

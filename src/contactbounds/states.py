@@ -47,14 +47,20 @@ BOX1 = Box3(0.0, 0.5, 0.0, 1.0, 0.0, 1.0)
 BOX2 = Box3(0.5, 1.0, 0.0, 1.0, 0.0, 1.0)
 
 
-def load_from_stretch_ratio(C, a):
-    """Axial nominal traction sustained by the free triaxial stretch a."""
+def _load(C, a):
+    # C (a - 1/a^2), +-inf where the product overflows; the ends of
+    # stretch_ratio_from_load's range take it so
     if a <= 0.0:
         raise InvalidParameters("stretch must be positive")
     a2 = _square(a, "load from stretch: stretch a = %r overflows in a^2")
     if a2 == 0.0 or 1.0 / a2 == math.inf:  # a^2 underflows to 0 or below 1 / max float
         raise OverflowError("load from stretch: 1/a^2 overflows for stretch a = %r" % (a,))
-    load = C * (a - 1.0 / a2)
+    return C * (a - 1.0 / a2)
+
+
+def load_from_stretch_ratio(C, a):
+    """Axial nominal traction sustained by the free triaxial stretch a."""
+    load = _load(C, a)
     if math.isinf(load):
         msg = "load from stretch: C (a - 1/a^2) overflows for C = %r, stretch a = %r"
         raise OverflowError(msg % (C, a))
@@ -69,9 +75,7 @@ def stretch_ratio_from_load(C, tau):
     increasing and convex, so the iterates fall monotonically and the
     first one that does not has reached rounding level.
     """
-    if not (
-        load_from_stretch_ratio(C, 1e-9) <= tau <= load_from_stretch_ratio(C, 1e9)
-    ):
+    if not (_load(C, 1e-9) <= tau <= _load(C, 1e9)):  # an infinite end takes every tau
         raise InvalidParameters("no stretch ratio for tau = %r" % (tau,))
     k = tau / C
     a = max(1.0, k + 1.0)

@@ -6,6 +6,7 @@ hessian_quadratic_form call per probe and station, the complementary
 energy's density stack against complementary_density, and the energies'
 face sums (energy._face_integral) against integrate_face, which evaluates
 its integrand node by node. linked_stretch_pair is a triaxial fixture.
+cauchy_stress is the full Cauchy stress of one gradient or a stack.
 
 The admissibility checks' numpy forms, each over its full sample grid,
 are the references of contact's Python-float kernels: constraint_residual
@@ -21,7 +22,7 @@ import numpy as np
 from contactbounds.contact import _abscissae, _face_points, _running_max, nominal_traction
 from contactbounds.energy import QuadratureRule, _check_finite, _face_integral
 from contactbounds.kinematics import StretchBend
-from contactbounds.material import _check_model, cauchy_stress, piola_stress, strain_energy
+from contactbounds.material import _check_det, _check_model, _piola, piola_stress, strain_energy
 from contactbounds.states import triaxial_system
 from contactbounds.tensor3 import _square, cofactor, ddot, det
 
@@ -61,6 +62,15 @@ def linked_stretch_pair(C1, C2, a1, a2, tau, g=0.0, b2=0.0):
     p1 = C1 * _square(a1, "linked stretch pair: stretch a1 = %r overflows in a1^2") - tau
     p2 = C2 * _square(a2, "linked stretch pair: stretch a2 = %r overflows in a2^2") - tau
     return triaxial_system(C1, C2, a1, a2, b2=b2, p1=p1, p2=p2, g=g)
+
+
+def cauchy_stress(model, F, pressure=0.0):
+    """sigma = J^{-1} P F^T, with one determinant check."""
+    F = np.asarray(F, dtype=float)
+    J = _check_det(F)
+    _check_model(model)
+    sigma = _piola(model, F, pressure) @ np.swapaxes(F, -1, -2)
+    return sigma / (J if F.ndim == 2 else J[..., None, None])  # one matrix: a float J
 
 
 def constraint_residual(body):

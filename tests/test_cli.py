@@ -970,6 +970,32 @@ def test_main_names_an_overflowing_bending_stretch(tmp_path, capsys, command):
     )
 
 
+@pytest.mark.parametrize(
+    "text, body, residual",
+    [
+        (COMP_CFG, "1", "3.000e-01"),
+        (COMP_CFG, "2", "3.000e-01"),
+        (COH_CFG, "1", "6.000e-01"),
+        (COH_CFG, "2", "3.000e-01"),
+    ],
+    ids=["compression-body1", "compression-body2", "cohesive-body1", "cohesive-body2"],
+)
+def test_verify_reaches_the_static_trial_for_a_modulus_whose_load_range_overflows(
+    tmp_path, capsys, text, body, residual
+):
+    # with C = 1e300, C (a - 1/a^2) overflows at both ends of the range of
+    # the reference stretch's inversion; the inversion goes on and the
+    # static trial fails on its action-reaction residual
+    head = "[body%s]\nC = " % body
+    start = text.index(head) + len(head)
+    huge = tmp_path / "huge.cfg"
+    huge.write_text(text[:start] + "1e300" + text[text.index("\n", start):])
+    assert cli.main(["verify", "--config", str(huge)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "numerical failure: static trial: action_reaction residual = %s\n" % residual
+
+
 def test_sweep_argument_validation():
     cfg = cli.parse_config(COMP_CFG)
     with pytest.raises(ValidationError, match="sweep parameter"):

@@ -253,6 +253,24 @@ def test_stretch_ratio_accepts_the_loads_of_its_range_ends():
                 stretch_ratio_from_load(C, past)
 
 
+@pytest.mark.parametrize(
+    "C, tau, a",
+    [
+        (1e300, -3e299, 0.9093392328648923),
+        (1e300, 5e299, 1.1974293369330329),
+        # the first C whose load at a = 1e-9 overflows, and the most negative float
+        (1.7976931348623164e290, -1.7976931348623157e308, 1.0000000000000003e-09),
+        # the first C whose load at a = 1e9 overflows, and the largest float
+        (1.7976931348623164e299, 1.7976931348623157e308, 999999999.9999996),
+    ],
+)
+def test_stretch_ratio_inverts_loads_when_its_range_ends_overflow(C, tau, a):
+    # an end whose load C (a - 1/a^2) overflows is -inf or inf and bounds no
+    # load; the inversion goes on, and load_from_stretch_ratio's own refusal
+    # of that load is not taken
+    assert stretch_ratio_from_load(C, tau) == a
+
+
 def test_pairs_accept_an_inner_square_radius_of_exactly_r_min_squared():
     s = R_MIN**2
     # rho_out - a2 - a1 = s exactly: every step is an exact float subtraction
