@@ -158,51 +158,69 @@ def _probe_forms(probe_count, seed):
     return _probe_set(seed, probe_count)
 
 
-def _cof_dots(cd, F):
-    # cof(G) : F, stations (rows of F) by probes, from the probes' diagonal
-    # cofactor rows cd. Every body's gradient is diagonal (triaxial, and bending
-    # in its frame), and cof(G) : F of diagonal F is (c00 F00 + c11 F11) + c22 F22:
-    # _sum9's pairwise sum of the nine products adds these three and six exact
-    # zeros, so it differs at most in the sign of a zero, which C |G|^2 > 0 absorbs
-    d = F.diagonal(axis1=-2, axis2=-1)
-    return (cd[0] * d[:, 0, None] + cd[1] * d[:, 1, None]) + cd[2] * d[:, 2, None]
+def _column(v):
+    # a value per station as a column against the probes; a float, the same
+    # at every station, stays a float
+    return v[:, None] if np.ndim(v) else v
 
 
-def _forms(C, probes, F, p):
-    # C G : G - 2 p cof(G) : F, stations (rows of F, p) by probes: the floats
-    # of hessian_quadratic_form in tests/refimpl.py, one call per probe and station
+def _cof_dots(cd, d0, d1, d2):
+    # cof(G) : F at F = diag(d0, d1, d2), stations by probes, from the probes'
+    # diagonal cofactor rows cd; d0, d1 and d2 are station columns or floats.
+    # Every body's gradient is diagonal (triaxial, and bending in its frame),
+    # and cof(G) : F of diagonal F is (c00 F00 + c11 F11) + c22 F22: _sum9's
+    # pairwise sum of the nine products adds these three and six exact zeros,
+    # so it differs at most in the sign of a zero, which C |G|^2 > 0 absorbs
+    return (cd[0] * d0 + cd[1] * d1) + cd[2] * d2
+
+
+def _forms(C, probes, p, d0, d1, d2):
+    # C G : G - 2 p cof(G) : F at F = diag(d0, d1, d2), stations by probes, p
+    # and the diagonal as station columns or floats: the floats of
+    # hessian_quadratic_form in tests/refimpl.py, one call per probe and station
     gg, cd = probes
-    return C * gg - p[:, None] * 2.0 * _cof_dots(cd, F)
+    return C * gg - p * 2.0 * _cof_dots(cd, d0, d1, d2)
 
 
 def _minima(body, probes):
     # (complementary, primal) min of w * _forms over the stations and the
-    # probes, from one state stack, by blocks of stations; a block that
-    # straddles the split feeds each side its own rows
-    dom = body.domain
-    xs, w, k = _stations(dom.x_lo, dom.x_hi, isinstance(body.map, TriaxialStretch))
-    F, p = body.state(xs)
+    # probes, from the gradient's diagonal and the pressure at every station,
+    # by blocks of stations; a block that straddles the split feeds each side
+    # its own rows, and the edge rows, of weight 1.0, need no product (x * 1.0
+    # is x). A triaxial state is the same at every station: one row serves both
+    dom, m = body.domain, body.map
+    xs, w, k = _stations(dom.x_lo, dom.x_hi, isinstance(m, TriaxialStretch))
+    r = m.radius(xs)
+    d0, d1, d2 = m._diagonal(r)
+    p = body.pressure(r)
+    C = body.material.C
+    if r is None:
+        row = _forms(C, probes, p, d0, d1, d2)
+        return _running_min(math.inf, row), _running_min(math.inf, w[k] * row)
+    d0, d1, p = _column(d0), _column(d1), _column(p)
     comp = primal = math.inf
     n = max(1, CRITERIA_BLOCK // len(probes[0]))
     for i in range(0, len(xs), n):
-        q = w[i : i + n, None] * _forms(body.material.C, probes, F[i : i + n], p[i : i + n])
+        block = slice(i, i + n)
+        q = _forms(C, probes, p[block] if np.ndim(p) else p, d0[block], d1[block], d2)
         j = max(0, k - i)  # the block's complementary rows
         if j > 0:
             comp = _running_min(comp, q[:j])
         if j < len(q):
-            primal = _running_min(primal, q[j:])
+            primal = _running_min(primal, w[i + j : i + n, None] * q[j:])
     return comp, primal
 
 
 def _edge_minima(body, probes, pressures):
     # _minima(dataclasses.replace(body, pressure=Constant(p)), probes)[0] for
-    # each p in turn, from one gradient stack and cof(G) : F block s: the
-    # edge weights are 1.0 (x * 1.0 is x), (p * 2.0) * s is the column form
-    # p[:, None] * 2.0 * s, and one block's running min is that of _minima's
-    dom = body.domain
-    xs, _, k = _stations(dom.x_lo, dom.x_hi, isinstance(body.map, TriaxialStretch))
+    # each p in turn, from one diagonal and cof(G) : F block s: (p * 2.0) * s
+    # is the column form p[:, None] * 2.0 * s, and one block's running min is
+    # that of _minima's
+    dom, m = body.domain, body.map
+    xs, _, k = _stations(dom.x_lo, dom.x_hi, isinstance(m, TriaxialStretch))
+    d0, d1, d2 = m._diagonal(m.radius(xs[:k]))
     gg, cd = probes
-    Cgg, s = body.material.C * gg, _cof_dots(cd, body.map.gradient(xs[:k]))
+    Cgg, s = body.material.C * gg, _cof_dots(cd, _column(d0), _column(d1), d2)
     return [_running_min(math.inf, Cgg - (Constant(p).p * 2.0) * s) for p in pressures]
 
 

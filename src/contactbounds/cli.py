@@ -33,7 +33,7 @@ from .errors import (
 )
 from . import contact, tensor3
 from .kinematics import TriaxialStretch, injectivity_check, jacobian
-from .material import NeoHookeanIncompressible, piola_stress
+from .material import NeoHookeanIncompressible, _check_det
 from .contact import check_kinematic, check_static, evaluate_contact, nominal_traction, rivlin_f
 from .energy import QuadratureRule, _enclose, _resolved_data, potential_energy
 from .bounds import (
@@ -552,8 +552,9 @@ def _fixed_draws():
     # verify's draws from default_rng(0), which no config changes: the 20
     # matrices of the adjugate identity, then the stress derivative's five
     # passes, each drawing its stretches, rotation, pressure and direction
-    # in turn, with |M|^2 and det M of M = F + hG and F - hG. Built on the
-    # first verify(), never at import, and shared read-only
+    # in turn, with |M|^2 and det M of M = F + hG and F - hG, and cof F after
+    # piola_stress's check on det F, which no config changes either. Built on
+    # the first verify(), never at import, and shared read-only
     rng = np.random.default_rng(0)
     ms = rng.standard_normal((20, 3, 3))
     F, Q, p, G = [], [], [], []
@@ -570,22 +571,25 @@ def _fixed_draws():
     F = Q @ np.array(F)
     steps = (F + FD_STEP * G, F - FD_STEP * G)
     plus, minus = [(tensor3.ddot(M, M), np.linalg.det(M)) for M in steps]
-    for v in (ms, F, p, G) + plus + minus:
+    _check_det(F)
+    cof = tensor3.cofactor(F)
+    for v in (ms, F, p, G, cof) + plus + minus:
         v.setflags(write=False)
-    return ms, F, p, G, plus, minus
+    return ms, F, p, G, cof, plus, minus
 
 
 def _isochory(bodies):
     # max |J - 1| at 7 abscissae across each body (x_lo alone where J does not
-    # vary with x), one stack per body, left to right so that a NaN is never
-    # taken; jacobian raises at the first abscissa whose J is not positive
+    # vary with x), in Python floats per abscissa, left to right so that a NaN
+    # is never taken; jacobian raises at the first abscissa whose J is not positive
     worst = 0.0
     for body in bodies:
-        xs = contact._abscissae(body, 7)
-        J = np.ravel(tensor3.det(body.map.gradient(xs)))
-        if (J <= 0.0).any():
-            jacobian(body.map, (np.ravel(xs)[np.argmax(J <= 0.0)], 0.5, 0.5))
-        worst = contact._running_max(worst, np.abs(J - 1.0))
+        xs = np.atleast_1d(contact._abscissae(body, 7)).tolist()
+        Js = contact._jacobians(body.map, xs)
+        for x, J in zip(xs, Js):
+            if J <= 0.0:
+                jacobian(body.map, (x, 0.5, 0.5))
+        worst = max(worst, *[abs(J - 1.0) for J in Js])
     return worst
 
 
@@ -600,7 +604,7 @@ def verify(config):
             failures += 1
         lines.append("%s %s: %s" % ("PASS" if ok else "FAIL", name, detail))
 
-    ms, F, p, G, plus, minus = _fixed_draws()
+    ms, F, p, G, cof, plus, minus = _fixed_draws()
     # the adjugate identity cof(m)^T m = det(m) I of the algebra behind the
     # stresses and criteria, singular draws included
     adj = tensor3.cofactor(ms).swapaxes(-2, -1) @ ms - tensor3.det(ms)[:, None, None] * np.eye(3)
@@ -626,9 +630,9 @@ def verify(config):
     )
 
     # the central difference of the augmented energy against P : G, as one
-    # stack of the five draws
+    # stack of the five draws; P = C F - p cof F, the floats of piola_stress
     model = NeoHookeanIncompressible(config.body1.C)
-    P = piola_stress(model, F, p)
+    P = model.C * F - p[:, None, None] * cof
 
     def aug(dd, J):
         return 0.5 * model.C * (dd - 3.0) - p * (J - 1.0)

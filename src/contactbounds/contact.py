@@ -13,10 +13,12 @@ in the energy module close. They agree for equal transverse stretches
 and differ otherwise; neither is a bug.
 
 The gradients of both body families are diagonal, so the checks take the
-constraint residual, the tractions, the triaxial boundary tractions and
-the axial placements in Python floats, each at the few stations its value
-depends on, and the flank residual over one row per abscissa and flank;
-tests/refimpl.py keeps their numpy forms over the full sample grids.
+constraint residual, the gap, the tractions, the triaxial boundary
+tractions and the axial placements in Python floats, each at the few
+stations its value depends on, and the flank residual over one row per
+abscissa and flank; tests/refimpl.py keeps their numpy forms over the
+full sample grids. A NaN det F at any abscissa makes the constraint
+residual NaN, which no tolerance admits.
 """
 
 import functools
@@ -30,9 +32,11 @@ from .kinematics import (
     Box3,
     StretchBend,
     TriaxialStretch,
+    _det_diag,
     _face_grid,
     _face_spans,
     _family,
+    _normal_at,
     _points,
 )
 from .material import Constant, NeoHookeanIncompressible, RadialProfile
@@ -123,13 +127,6 @@ class BodySpec:
         return _constraint(self.map, _abscissae(self, 5))
 
 
-def _det_diag(d0, d1, d2):
-    # tensor3.det of diag(d0, d1, d2), d0, d1, d2 >= 0, in Python floats: its
-    # terms beside d0 d1 d2 multiply zeros, +0.0 unless d1 or d2 is not
-    # finite, where 0 * inf is NaN
-    return d0 * (d1 * d2) if math.isfinite(d1) and math.isfinite(d2) else math.nan
-
-
 def _piola_diag(C, p, d0, d1, d2):
     # the diagonal of P = C F - p cof F at F = diag(d0, d1, d2) in Python
     # floats; the cofactors off the diagonal are exact zeros for finite
@@ -137,12 +134,24 @@ def _piola_diag(C, p, d0, d1, d2):
     return C * d0 - p * (d1 * d2), C * d1 - p * (d0 * d2), C * d2 - p * (d0 * d1)
 
 
-def _constraint(m, xs):
-    # max |det F - 1| at the abscissae xs (a float or an array), left to
-    # right so that a NaN is never taken; every radius is looked up before
-    # the map's A sqrt(a), as for a stack of gradients
+def _jacobians(m, xs):
+    # det F at the abscissae xs (a float or an array), as Python floats; every
+    # radius is looked up before the map's A sqrt(a), as for a stack of gradients
     rs = [m.radius(x) for x in np.atleast_1d(xs).tolist()]
-    return max(0.0, *[abs(_det_diag(*m._diagonal(r)) - 1.0) for r in rs])
+    return [_det_diag(*m._diagonal(r)) for r in rs]
+
+
+def _constraint(m, xs):
+    # max |det F - 1| at the abscissae xs, or NaN where any det F is NaN
+    res = [abs(J - 1.0) for J in _jacobians(m, xs)]
+    return math.nan if any(map(math.isnan, res)) else max(0.0, *res)
+
+
+def _worst_constraint(system):
+    # the larger residual of the two bodies, NaN where either is NaN (max
+    # keeps its first argument against a NaN)
+    r1, r2 = system.body1._constraint_residual, system.body2._constraint_residual
+    return r2 if math.isnan(r2) else max(r1, r2)
 
 
 def _abscissae(body, n):
@@ -238,9 +247,22 @@ def gap_value(system):
     Negative means separated (body 1 face short of the plane reached by
     body 2), positive means interpenetration.
     """
-    Xc = system.body1.domain.center()
-    Xc[0] = system.x_c
-    return float(system.body1.map.normal_position(Xc) - system.body2.map.normal_position(Xc))
+    x = float(system.x_c)
+    return _normal_at(system.body1.map, x) - _normal_at(system.body2.map, x)
+
+
+def _face_state(body, x):
+    # (r, (d0, d1, d2), p, J) on the face X = x in Python floats: the radius,
+    # the gradient's diagonal, the pressure and det F, with the checks of
+    # state and piola_stress in their order
+    m = body.map
+    r = m.radius(x)
+    d = m._diagonal(r)
+    p = body.pressure(r)
+    J = _det_diag(*d)
+    if J <= 0.0:
+        raise NonPositiveJacobian("det F = %.6g" % J)
+    return r, d, p, J
 
 
 def _sigma_nn(body, x):
@@ -248,13 +270,7 @@ def _sigma_nn(body, x):
     # checks of state and cauchy_stress in their order. F is diagonal, so
     # (P F^T)_00 adds to P_00 F_00 products with a zero: exact +0.0, which
     # turn a -0.0 into +0.0, or NaN where the pressure is not finite
-    m = body.map
-    r = m.radius(x)
-    d0, d1, d2 = m._diagonal(r)
-    p = body.pressure(r)
-    J = _det_diag(d0, d1, d2)
-    if J <= 0.0:
-        raise NonPositiveJacobian("det F = %.6g" % J)
+    r, (d0, d1, d2), p, J = _face_state(body, x)
     if not math.isfinite(p):
         return math.nan, r
     return (_piola_diag(body.material.C, p, d0, d1, d2)[0] * d0 + 0.0) / J, r
@@ -367,11 +383,10 @@ def check_kinematic(system, dirichlet=None):
             flank = body._kept(("flank", dmap.A, dmap.a), lambda: _flank(body, dmap))
             worst_d = max(worst_d, flank)
     gap_res = max(0.0, gap_value(system) - system.d_allow)
-    con_res = max(system.body1._constraint_residual, system.body2._constraint_residual)
     residuals = {
         "dirichlet": worst_d,
         "gap": gap_res,
-        "constraint": con_res,
+        "constraint": _worst_constraint(system),
     }
     ok = all(residuals[k] <= TOLERANCES[k] for k in residuals)
     return AdmissibilityReport(kinematic_ok=ok, static_ok=None, residuals=residuals)
@@ -440,13 +455,12 @@ def check_static(system, tau):
     T1 = nominal_traction(b1, xc)
     T2 = nominal_traction(b2, xc)
     sign = max(0.0, T1 - system.g, T2 - system.g)
-    con = max(b1._constraint_residual, b2._constraint_residual)
     residuals = {
         "equilibrium": eq,
         "neumann": neu,
         "contact_traction_sign": sign,
         "action_reaction": abs(T1 - T2),
-        "constraint": con,
+        "constraint": _worst_constraint(system),
     }
     ok = all(residuals[k] <= TOLERANCES[k] for k in residuals)
     return AdmissibilityReport(kinematic_ok=None, static_ok=ok, residuals=residuals)

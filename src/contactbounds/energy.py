@@ -21,17 +21,31 @@ Both energies are exact by default: each density is c_inv / rho + c_sq
 rho + c0 in the squared bend radius rho, which the family integrates, and
 each face integrand is affine in the face coordinates. Given a
 QuadratureRule, they take its Gauss sum, the reference verify compares.
+Every body's gradient is diagonal, so the exact held face, the axial data
+stretch and the Gauss sum of the stored energy read the diagonal in
+Python floats or columns, the floats of the gradient stacks they replace
+(tests/refimpl.py keeps those); the Gauss sum of the complementary energy
+keeps its stress stacks.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InadmissibleTrial, InvalidParameters, NonFiniteIntegrand
-from .kinematics import StretchBend, _face_grid, _face_spans, _family
-from .material import piola_stress, strain_energy
-from .contact import DirichletData, check_kinematic, check_static
+from .kinematics import (
+    Homogeneous,
+    StretchBend,
+    _det_diag,
+    _face_grid,
+    _face_spans,
+    _family,
+    _normal_at,
+)
+from .material import _check_jacobian, piola_stress, strain_energy
+from .contact import DirichletData, _face_state, _piola_diag, check_kinematic, check_static
 from .tensor3 import ddot
 
 __all__ = [
@@ -176,12 +190,37 @@ def _face_pairing(body, dmap, axis, side, rule, P):
     return _face_integral(pairing, body.domain, axis, face, rule)
 
 
-def _x_face_exact(fn, domain, x):
-    # the integral of fn, affine in y and z, over the face {X = x}: its
-    # area times fn at the centroid
-    X = domain.center()
+def _x_area(domain):
+    # the area of a face {X = x}: the integral of an integrand affine in y
+    # and z over it is this area times the integrand at the centroid
+    return (domain.y_hi - domain.y_lo) * (domain.z_hi - domain.z_lo)
+
+
+def _held_face(body, dmap):
+    # the exact pairing of body's face X = x_hi with dmap: the area times
+    # (P N) . chi at the face centroid, after piola_stress's check. P's first
+    # column is (P_00, C 0 - p cof_10, C 0 - p cof_20), cof_10 = 0 0 - 0 d2 and
+    # cof_20 = 0 0 - 0 d1: exact +0.0, or NaN where p, d1 or d2 is not finite;
+    # the dot product adds its three terms to +0.0 in order, as np.dot does
+    x = body.domain.x_hi
+    _, (d0, d1, d2), p, _ = _face_state(body, x)
+    X = body.domain.center()
     X[0] = x
-    return (domain.y_hi - domain.y_lo) * (domain.z_hi - domain.z_lo) * fn(X)
+    c0, c1, c2 = dmap.frame_place(X).tolist()
+    zero = 0.0 if all(map(math.isfinite, (p, d1, d2))) else math.nan
+    P00 = _piola_diag(body.material.C, p, d0, d1, d2)[0]
+    return _x_area(body.domain) * (((0.0 + P00 * c0) + zero * c1) + zero * c2)
+
+
+def _stored_energy(body, xs):
+    # W = C/2 (I1 - 3) at the abscissae xs from the gradient's diagonal, with
+    # strain_energy's constrained check on det F: I1 = (d0^2 + d1^2) + d2^2 is
+    # _sum9's pairwise sum of the nine squares, whose other six are exact zeros
+    m = body.map
+    d0, d1, d2 = m._diagonal(m.radius(xs))  # floats for a triaxial state, the same at every node
+    J = [_det_diag(u, v, d2) for u, v in zip(np.ravel(d0).tolist(), np.ravel(d1).tolist())]
+    _check_jacobian(np.array(J), constrained=True)
+    return 0.5 * body.material.C * ((d0 * d0 + d1 * d1) + d2 * d2 - 3.0)
 
 
 def potential_energy(system, tau, rule=None):
@@ -195,11 +234,11 @@ def potential_energy(system, tau, rule=None):
             w = 0.5 * C * k_inv, 0.5 * C * k_sq, 0.5 * C * (k0 - 3.0)
             total += body.map.volume_integral(body.domain, *w)
         b1 = system.body1
-        load = _x_face_exact(b1.map.normal_position, b1.domain, b1.domain.x_lo)
+        load = _x_area(b1.domain) * _normal_at(b1.map, float(b1.domain.x_lo))
         return _check_finite(total + tau * load)
     for body in (system.body1, system.body2):
-        F = body.map.gradient(rule.mapped(body.domain.x_lo, body.domain.x_hi)[0])
-        total += _x_integral(strain_energy(body.material, F), body.domain, rule)
+        W = _stored_energy(body, rule.mapped(body.domain.x_lo, body.domain.x_hi)[0])
+        total += _x_integral(W, body.domain, rule)
     # the dead load pairs with the image coordinate along the load:
     # x for the triaxial family, the face radius for bending
     b1 = system.body1
@@ -220,16 +259,17 @@ def complementary_energy(system, rule=None):
             wc = (0.5 * C * k_inv - 3.0 * p.c_inv, 0.5 * C * k_sq - 3.0 * p.c_sq,
                   0.5 * C * k0 + 1.5 * C - 3.0 * p.c0)
             total -= body.map.volume_integral(body.domain, *wc)
-        P = _body_piola(b2, b2.domain.x_hi)[0]
-        total += _x_face_exact(
-            lambda X: P[:, 0] @ data.map2.frame_place(X), b2.domain, b2.domain.x_hi
-        )
+        total += _held_face(b2, data.map2)
         if isinstance(b2.map, StretchBend):
             # the axial faces pair P_zz with the data's z = F_zz Z: together the
-            # volume integral of P_zz times the data's F_zz
+            # volume integral of P_zz times the data's F_zz, the same at every x
             for body, dmap in zip((system.body1, b2), (data.map1, data.map2)):
                 axial = body.map.axial_piola(body.material.C, body.pressure)
-                F_zz = dmap.gradient(body.domain.x_hi)[2, 2]  # the same at every x
+                x = body.domain.x_hi
+                if isinstance(dmap, Homogeneous):
+                    F_zz = dmap.F0[2, 2]
+                else:
+                    F_zz = dmap._diagonal(dmap.radius(x))[2]
                 total += body.map.volume_integral(body.domain, *axial) * F_zz
         return _check_finite(total)
     stress = []

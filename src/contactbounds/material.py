@@ -106,7 +106,11 @@ class RadialProfile:
 def _check_det(F, constrained=False):
     # det F, or an error at the first matrix with det F <= 0 or, when
     # constrained, with |det F - 1| beyond the constraint tolerance
-    J = det(F)
+    return _check_jacobian(det(F), constrained)
+
+
+def _check_jacobian(J, constrained=False):
+    # _check_det on the determinants J, a float or an array
     bad = J <= 0.0
     if constrained:
         bad = bad | (abs(J - 1.0) > CONSTRAINT_TOL)

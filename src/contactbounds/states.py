@@ -75,7 +75,9 @@ def stretch_ratio_from_load(C, tau):
     increasing and convex, so the iterates fall monotonically and the
     first one that does not has reached rounding level.
     """
-    if not (_load(C, 1e-9) <= tau <= _load(C, 1e9)):  # an infinite end takes every tau
+    # an infinite end of the range admits every load, so an infinite tau is
+    # refused on its own: Newton's first step would be NaN
+    if not (_load(C, 1e-9) <= tau <= _load(C, 1e9) and math.isfinite(tau)):
         raise InvalidParameters("no stretch ratio for tau = %r" % (tau,))
     k = tau / C
     a = max(1.0, k + 1.0)

@@ -13,16 +13,38 @@ are the references of contact's Python-float kernels: constraint_residual
 of contact._constraint, cauchy_traction of contact._sigma_nn, flank of
 contact._flank (over 10 of the 50 rows), axial_difference of
 contact._axial_difference and neumann_residual of contact._neumann_residual.
+
+The gradient-stack forms of the readers that take a body's diagonal
+instead: criteria_forms and edge_minima of bounds._forms and
+bounds._edge_minima, gap_value of contact.gap_value, injectivity_check of
+kinematics.injectivity_check, isochory of cli._isochory, and
+potential_energy and complementary_energy of the energy functions (the
+Gauss sum of the stored energy, the exact held face and axial data
+stretch).
 """
 
 import math
 
 import numpy as np
 
+from contactbounds.bounds import _running_min, _stations
 from contactbounds.contact import _abscissae, _face_points, _running_max, nominal_traction
-from contactbounds.energy import QuadratureRule, _check_finite, _face_integral
-from contactbounds.kinematics import StretchBend
-from contactbounds.material import _check_det, _check_model, _piola, piola_stress, strain_energy
+from contactbounds.energy import (
+    QuadratureRule,
+    _check_finite,
+    _face_integral,
+    _resolved_data,
+    _x_integral,
+)
+from contactbounds.kinematics import StretchBend, TriaxialStretch, image_volume, jacobian
+from contactbounds.material import (
+    Constant,
+    _check_det,
+    _check_model,
+    _piola,
+    piola_stress,
+    strain_energy,
+)
 from contactbounds.states import triaxial_system
 from contactbounds.tensor3 import _square, cofactor, ddot, det
 
@@ -74,8 +96,10 @@ def cauchy_stress(model, F, pressure=0.0):
 
 
 def constraint_residual(body):
-    """max |det F - 1| over the 5 abscissae of a sample grid, as one stack."""
-    return _running_max(0.0, np.abs(det(body.map.gradient(_abscissae(body, 5))) - 1.0))
+    """max |det F - 1| over the 5 abscissae of a sample grid, as one stack;
+    NaN where any det F is NaN."""
+    res = np.abs(det(body.map.gradient(_abscissae(body, 5))) - 1.0)
+    return math.nan if np.isnan(res).any() else _running_max(0.0, res)
 
 
 def cauchy_traction(body, x_face):
@@ -117,3 +141,98 @@ def neumann_residual(system, tau):
             resid[:, 0] = 0.0  # body 2 outer face is placement-controlled
         worst = max(worst, float(np.max(resid)))
     return worst
+
+
+def criteria_forms(C, probes, F, p):
+    """C G : G - 2 p cof(G) : F, stations (rows of the stack F, p) by probes,
+    from the probes' (|G|^2, diagonal cofactor rows)."""
+    gg, cd = probes
+    d = F.diagonal(axis1=-2, axis2=-1)
+    dots = (cd[0] * d[:, 0, None] + cd[1] * d[:, 1, None]) + cd[2] * d[:, 2, None]
+    return C * gg - p[:, None] * 2.0 * dots
+
+
+def edge_minima(body, probes, pressures):
+    """The complementary minimum under each constant pressure in turn, from
+    the gradient stack of the complementary criteria stations."""
+    dom = body.domain
+    xs, _, k = _stations(dom.x_lo, dom.x_hi, isinstance(body.map, TriaxialStretch))
+    gg, cd = probes
+    d = body.map.gradient(xs[:k]).diagonal(axis1=-2, axis2=-1)
+    s = (cd[0] * d[:, 0, None] + cd[1] * d[:, 1, None]) + cd[2] * d[:, 2, None]
+    return [_running_min(math.inf, body.material.C * gg - (Constant(p).p * 2.0) * s)
+            for p in pressures]
+
+
+def gap_value(system):
+    """Normal gap from each map's normal_position at the face centre."""
+    Xc = system.body1.domain.center()
+    Xc[0] = system.x_c
+    return float(system.body1.map.normal_position(Xc) - system.body2.map.normal_position(Xc))
+
+
+def injectivity_check(map_, domain):
+    """The volume test from jacobian at the box centre."""
+    total = jacobian(map_, domain.center()) * domain.volume()
+    vol = image_volume(map_, domain)
+    return total <= vol + 1e-9 * max(1.0, abs(vol))
+
+
+def isochory(bodies):
+    """max |J - 1| at 7 abscissae of each body from one det stack per body;
+    jacobian raises at the first abscissa whose J is not positive."""
+    worst = 0.0
+    for body in bodies:
+        xs = _abscissae(body, 7)
+        J = np.ravel(det(body.map.gradient(xs)))
+        if (J <= 0.0).any():
+            jacobian(body.map, (np.ravel(xs)[np.argmax(J <= 0.0)], 0.5, 0.5))
+        worst = _running_max(worst, np.abs(J - 1.0))
+    return worst
+
+
+def _x_face_exact(fn, domain, x):
+    # the area of the face {X = x} times fn at its centroid
+    X = domain.center()
+    X[0] = x
+    return (domain.y_hi - domain.y_lo) * (domain.z_hi - domain.z_lo) * fn(X)
+
+
+def potential_energy(system, tau, rule=None):
+    """energy.potential_energy from the gradient stacks and face centroids."""
+    total = 0.0
+    if rule is None:
+        for body in (system.body1, system.body2):
+            C, (k_inv, k_sq, k0) = body.material.C, body.map.i1_terms()
+            w = 0.5 * C * k_inv, 0.5 * C * k_sq, 0.5 * C * (k0 - 3.0)
+            total += body.map.volume_integral(body.domain, *w)
+        b1 = system.body1
+        load = _x_face_exact(b1.map.normal_position, b1.domain, b1.domain.x_lo)
+        return _check_finite(total + tau * load)
+    for body in (system.body1, system.body2):
+        F = body.map.gradient(rule.mapped(body.domain.x_lo, body.domain.x_hi)[0])
+        total += _x_integral(strain_energy(body.material, F), body.domain, rule)
+    b1 = system.body1
+    load = _face_integral(b1.map.normal_position, b1.domain, "x", b1.domain.x_lo, rule)
+    return total + tau * load
+
+
+def complementary_energy(system):
+    """The exact energy.complementary_energy from body 2's full stress at its
+    held face and the data maps' gradients."""
+    data = _resolved_data(system)
+    total = 0.0
+    b2 = system.body2
+    for body in (system.body1, b2):
+        C, (k_inv, k_sq, k0), p = body.material.C, body.map.i1_terms(), body.pressure
+        wc = (0.5 * C * k_inv - 3.0 * p.c_inv, 0.5 * C * k_sq - 3.0 * p.c_sq,
+              0.5 * C * k0 + 1.5 * C - 3.0 * p.c0)
+        total -= body.map.volume_integral(body.domain, *wc)
+    P = piola_stress(b2.material, *b2.state(b2.domain.x_hi))
+    total += _x_face_exact(lambda X: P[:, 0] @ data.map2.frame_place(X), b2.domain, b2.domain.x_hi)
+    if isinstance(b2.map, StretchBend):
+        for body, dmap in zip((system.body1, b2), (data.map1, data.map2)):
+            axial = body.map.axial_piola(body.material.C, body.pressure)
+            F_zz = dmap.gradient(body.domain.x_hi)[2, 2]
+            total += body.map.volume_integral(body.domain, *axial) * F_zz
+    return _check_finite(total)

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+import refimpl
+from draws import draws
 from refimpl import hessian_quadratic_form
 
 from contactbounds.errors import InfeasibleProblem, InvalidParameters
@@ -213,14 +215,15 @@ def test_edge_minima_equal_side_min_on_rebuilt_bodies(monkeypatch, body, count):
     with np.errstate(all="ignore"):
         want = [bounds._minima(dataclasses.replace(body, pressure=Constant(p)), probes)[0]
                 for p in pressures]
-        grads = []
-        real = type(body.map).gradient
-        monkeypatch.setattr(type(body.map), "gradient", lambda m, x: grads.append(x) or real(m, x))
+        diagonals = []
+        real = type(body.map)._diagonal
+        monkeypatch.setattr(type(body.map), "_diagonal",
+                            lambda m, r: diagonals.append(r) or real(m, r))
         got = bounds._edge_minima(body, probes, pressures)
     assert [m.hex() for m in got] == [m.hex() for m in want]
     assert [m > 0.0 for m in got[:4]] == [False, True, False, True]
     assert got[-1] == -math.inf  # not vacuous: 2 p overflows, and 0 * inf is NaN
-    assert len(grads) == 1  # one gradient stack for every pressure
+    assert len(diagonals) == 1  # one diagonal for every pressure
 
 
 def test_edge_minima_reject_a_non_finite_pressure_in_order():
@@ -276,7 +279,7 @@ def test_diagonal_kernel_gives_the_nine_term_forms_bit_for_bit(monkeypatch, C):
     with np.errstate(all="ignore"):
         ref = _nine_term_forms(C, 42, 50, F, p)
         calls = _counting_sum9(monkeypatch)
-        q = bounds._forms(C, probes, F, p)
+        q = bounds._forms(C, probes, p[:, None], d[:, :1], d[:, 1:2], d[:, 2:])
     assert calls == []  # the diagonal kernel
     assert q.shape == ref.shape == (len(d), 56)
     assert np.array_equal(q.view(np.uint64), ref.view(np.uint64))
@@ -291,7 +294,9 @@ def test_negative_zero_off_the_diagonal_keeps_the_diagonal_kernel(monkeypatch):
     p = np.array([0.3, -0.0, 0.0])
     ref = _nine_term_forms(1.3, 42, 50, F, p)
     calls = _counting_sum9(monkeypatch)
-    assert np.array_equal(bounds._forms(1.3, probes, F, p).view(np.uint64), ref.view(np.uint64))
+    d = F.diagonal(axis1=1, axis2=2)
+    q = bounds._forms(1.3, probes, p[:, None], d[:, :1], d[:, 1:2], d[:, 2:])
+    assert np.array_equal(q.view(np.uint64), ref.view(np.uint64))
     assert calls == []
 
 
@@ -370,7 +375,7 @@ def _side_min(body, probes, interior):
     F, p = body.state(xs)
     m, n = math.inf, max(1, bounds.CRITERIA_BLOCK // len(probes[0]))
     for i in range(0, len(xs), n):
-        q = bounds._forms(body.material.C, probes, F[i : i + n], p[i : i + n])
+        q = refimpl.criteria_forms(body.material.C, probes, F[i : i + n], p[i : i + n])
         m = _running_min(m, w[i : i + n, None] * q)
     return m
 
@@ -383,60 +388,62 @@ def _minima_or_error(minima, body, probes):
         return type(e), str(e)
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(
-    bend=st.booleans(),
-    radial=st.booleans(),
-    box=st.sampled_from([BOX1, BOX2]),
-    C=st.floats(1e-3, 1e3),
-    A=st.floats(0.05, 5.0),
-    a=st.floats(0.05, 5.0),
-    b=st.floats(-1.0, 3.0),
-    p=st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e300, 1e308, -1e308]), st.floats(-5.0, 5.0)),
-    c=st.floats(-5.0, 5.0),
-    count=st.sampled_from([1, 50, 200]),
-    per_block=st.sampled_from([1, 4, 11, 33, 34, 66, 67, None]),
-)
-@example(bend=True, radial=False, box=BOX1, C=1.3, A=1e-300, a=1e-300, b=1.0, p=0.5, c=0.0,
-         count=50, per_block=None)
-def test_criteria_minima_equal_two_side_minima_bit_for_bit(
-    bend, radial, box, C, A, a, b, p, c, count, per_block
-):
-    # one state stack and one table against a state stack per side: signed
-    # zeros, subnormal and huge pressures (NaN forms at 1e308), radial
+def _criteria_draw(d):
+    p = d.choice([0.0, -0.0, 5e-324, 1e300, 1e308, -1e308]) if d.flag() else d.uniform(-5.0, 5.0)
+    return dict(
+        bend=d.flag(), radial=d.flag(), box=d.choice([BOX1, BOX2]), C=d.uniform(1e-3, 1e3),
+        A=d.uniform(0.05, 5.0), a=d.uniform(0.05, 5.0), b=d.uniform(-1.0, 3.0), p=p,
+        c=d.uniform(-5.0, 5.0), count=d.choice([1, 50, 200]),
+        per_block=d.choice([1, 4, 11, 33, 34, 66, 67, None]),
+    )
+
+
+def test_criteria_minima_equal_two_side_minima_bit_for_bit():
+    # the diagonal kernel over one table against a state stack per side:
+    # signed zeros, subnormal and huge pressures (NaN forms at 1e308), radial
     # profiles, radii below the minimum and an underflowing axial stretch;
     # per_block stations per block of CRITERIA_BLOCK, so that a block ends
     # on the split (1, 11, 33), straddles it (4, 34 on bending, every one
-    # above 1 on triaxial) or holds the whole table
-    m = StretchBend(A, a, b) if bend else TriaxialStretch(a, b)
-    pressure = RadialProfile(c, -c, p) if bend and radial and abs(p) < 1e300 else Constant(p)
-    body = BodySpec(box, NeoHookeanIncompressible(C), m, pressure)
-    probes = bounds._probe_forms(count, 11)
-    block = bounds.CRITERIA_BLOCK if per_block is None else per_block * (6 + count)
-    with mock.patch.object(bounds, "CRITERIA_BLOCK", block), np.errstate(all="ignore"):
-        got = _minima_or_error(bounds._minima, body, probes)
-        want = _minima_or_error(
-            lambda body, probes: (_side_min(body, probes, False), _side_min(body, probes, True)),
-            body, probes,
-        )
-    assert got == want
+    # above 1 on triaxial) or holds the whole table. The edge minima of the
+    # draw's constant pressure and its negation against their gradient stack
+    cases = [dict(bend=True, radial=False, box=BOX1, C=1.3, A=1e-300, a=1e-300, b=1.0, p=0.5,
+                  c=0.0, count=50, per_block=None)] + draws(402, 400, _criteria_draw)
+    for case in cases:
+        bend, radial, box, C, A, a, b, p, c, count, per_block = case.values()
+        m = StretchBend(A, a, b) if bend else TriaxialStretch(a, b)
+        pressure = RadialProfile(c, -c, p) if bend and radial and abs(p) < 1e300 else Constant(p)
+        body = BodySpec(box, NeoHookeanIncompressible(C), m, pressure)
+        probes = bounds._probe_forms(count, 11)
+        block = bounds.CRITERIA_BLOCK if per_block is None else per_block * (6 + count)
+        with mock.patch.object(bounds, "CRITERIA_BLOCK", block), np.errstate(all="ignore"):
+            got = _minima_or_error(bounds._minima, body, probes)
+            want = _minima_or_error(
+                lambda body, probes: (_side_min(body, probes, False), _side_min(body, probes, True)),
+                body, probes,
+            )
+            assert got == want, case
+            edges = [p, -p]
+            got = _minima_or_error(lambda b, q: bounds._edge_minima(b, q, edges), body, probes)
+            want = _minima_or_error(lambda b, q: refimpl.edge_minima(b, q, edges), body, probes)
+            assert got == want, case
 
 
 @pytest.mark.parametrize(
     "body, rows",
-    [(bend_pair(1.0, 1.4, 1.1, 0.9, 1.0, 3.4, -0.8).body1, 66), (triaxial_body(1.3, 0.81, 0.2), 2)],
+    [(bend_pair(1.0, 1.4, 1.1, 0.9, 1.0, 3.4, -0.8).body1, 66), (triaxial_body(1.3, 0.81, 0.2), None)],
     ids=["bend", "triaxial"],
 )
 def test_criteria_check_reads_each_body_once(monkeypatch, body, rows):
-    # one state stack over both sides' stations, and so one pressure call:
-    # a radial profile squares its radii once
-    states, pressures = [], []
-    real_state, real_pressure = BodySpec.state, type(body.pressure).__call__
-    monkeypatch.setattr(BodySpec, "state", lambda b, x: states.append(len(x)) or real_state(b, x))
+    # one diagonal over both sides' stations (a triaxial body's has no
+    # radii), and so one pressure call: a radial profile squares its radii once
+    diagonals, pressures = [], []
+    real_diagonal, real_pressure = type(body.map)._diagonal, type(body.pressure).__call__
+    monkeypatch.setattr(type(body.map), "_diagonal",
+                        lambda m, r: diagonals.append(r if r is None else len(r)) or real_diagonal(m, r))
     monkeypatch.setattr(type(body.pressure), "__call__",
                         lambda f, r: pressures.append(r) or real_pressure(f, r))
     criteria_check(body, 50, 3)
-    assert states == [rows]
+    assert diagonals == [rows]
     assert len(pressures) == 1
 
 

@@ -13,6 +13,8 @@ import types
 
 import numpy as np
 import pytest
+import refimpl
+from draws import draws
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -1513,33 +1515,29 @@ def _bodies(family, A, a, b):
     return [types.SimpleNamespace(map=m, domain=box) for m, box in zip(maps, (BOX1, BOX2))]
 
 
-# positive floats from the subnormals to the largest powers of ten, and
-# offsets of either sign
-POSITIVE = st.floats(-323.0, 308.0).map(lambda e: 10.0**e)
-OFFSET = st.just(0.0) | st.tuples(st.sampled_from((-1.0, 1.0)), POSITIVE).map(
-    lambda t: t[0] * t[1]
-)
+def _isochory_draw(d):
+    return (d.choice(("triaxial", "bending")), d.positive(), (d.positive(), d.positive()),
+            (d.offset(), d.offset()))
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(
-    family=st.sampled_from(("triaxial", "bending")),
-    A=POSITIVE,
-    a=st.tuples(POSITIVE, POSITIVE),
-    b=st.tuples(OFFSET, OFFSET),
-)
-@example("triaxial", 1.0, (5e-324, 1.7976931348623157e308), (-1e308, 1e308))
-@example("bending", 1e-300, (1e100, 1.0), (1.0, 1.0))  # A r / sqrt(a) underflows: J = 0
-@example("bending", 1e-300, (1e-300, 1.0), (1.0, 1.0))  # A sqrt(a) underflows to 0
-@example("bending", 1.0, (1e308, 1.0), (1.0, 1.0))  # 2 a X overflows past X = 0
-@example("bending", 1.0, (1.0, 1.0), (-0.5, 1.0))  # the radius is too small at first
-@example("bending", 1e200, (1.0, 1.0), (1.0, 1e308))
-@example("bending", 1e308, (4.0, 1.0), (4.0, 0.0))  # J is NaN across body 1
-@example("bending", 1.0, (1.0, 5e307), (1.0, 1e308))  # J is NaN from body 2's 5th abscissa
-def test_isochory_stack_equals_the_jacobian_loop(family, A, a, b):
-    # the residual's float, or the error and its message, of the 14 calls
-    bodies = _bodies(family, A, a, b)
-    assert _outcome(cli._isochory, bodies) == _outcome(_isochory_loop, bodies)
+def test_isochory_stack_equals_the_jacobian_loop():
+    # the residual's float, or the error and its message, of the 14 calls,
+    # and of the det stack per body (tests/refimpl.py) that the floats per
+    # abscissa replaced
+    cases = [
+        ("triaxial", 1.0, (5e-324, 1.7976931348623157e308), (-1e308, 1e308)),
+        ("bending", 1e-300, (1e100, 1.0), (1.0, 1.0)),  # A r / sqrt(a) underflows: J = 0
+        ("bending", 1e-300, (1e-300, 1.0), (1.0, 1.0)),  # A sqrt(a) underflows to 0
+        ("bending", 1.0, (1e308, 1.0), (1.0, 1.0)),  # 2 a X overflows past X = 0
+        ("bending", 1.0, (1.0, 1.0), (-0.5, 1.0)),  # the radius is too small at first
+        ("bending", 1e200, (1.0, 1.0), (1.0, 1e308)),
+        ("bending", 1e308, (4.0, 1.0), (4.0, 0.0)),  # J is NaN across body 1
+        ("bending", 1.0, (1.0, 5e307), (1.0, 1e308)),  # J is NaN from body 2's 5th abscissa
+    ] + draws(1539, 400, _isochory_draw)
+    for case in cases:
+        bodies = _bodies(*case)
+        got = _outcome(cli._isochory, bodies)
+        assert got == _outcome(_isochory_loop, bodies) == _outcome(refimpl.isochory, bodies), case
 
 
 @pytest.mark.parametrize(
@@ -1555,15 +1553,16 @@ def test_isochory_stack_equals_the_jacobian_loop(family, A, a, b):
 def test_isochory_raises_jacobians_error_on_a_nonpositive_det(
     monkeypatch, family, a, nonpositive, point
 ):
-    # det patched to J - 2 where it holds, in tensor3 and in kinematics
-    real = tensor3.det
+    # det patched to J - 2 where it holds: in kinematics, for jacobian, and
+    # on the diagonal that _isochory reads
+    real, real_diag = tensor3.det, contact._det_diag
 
     def det(m):
         return real(m) - 2.0 * nonpositive(np.asarray(m)[..., 0, 0])
 
     bodies = _bodies(family, 1.0, a, (1.0, 1.0))
-    monkeypatch.setattr(tensor3, "det", det)
     monkeypatch.setattr(kinematics, "det", det)
+    monkeypatch.setattr(contact, "_det_diag", lambda *d: real_diag(*d) - 2.0 * nonpositive(d[0]))
     with pytest.raises(NonPositiveJacobian) as stacked:
         cli._isochory(bodies)
     with pytest.raises(NonPositiveJacobian) as loop:
@@ -1574,10 +1573,12 @@ def test_isochory_raises_jacobians_error_on_a_nonpositive_det(
 def test_verify_fixed_draws_are_built_once_and_read_only(monkeypatch):
     cli._fixed_draws.cache_clear()
     first = cli.verify(cli.parse_config(COMP_CFG))
-    ms, F, p, G, plus, minus = cli._fixed_draws()
-    for v in (ms, F, p, G) + plus + minus:
+    ms, F, p, G, cof, plus, minus = cli._fixed_draws()
+    for v in (ms, F, p, G, cof) + plus + minus:
         assert isinstance(v, np.ndarray) and not v.flags.writeable
-    assert ms.shape == (20, 3, 3) and F.shape == G.shape == (5, 3, 3) and p.shape == (5,)
+    assert ms.shape == (20, 3, 3) and F.shape == G.shape == cof.shape == (5, 3, 3)
+    assert p.shape == (5,)
+    assert np.array_equal(cof, tensor3.cofactor(F))
     with pytest.raises(ValueError):
         F[0, 0, 0] = 1.0
 
@@ -1591,6 +1592,40 @@ def test_verify_fixed_draws_are_built_once_and_read_only(monkeypatch):
     assert cli.verify(cli.parse_config(COMP_CFG)) == first
     assert cli.verify(cli.parse_config(COH_CFG))[0] == 0
     assert cli._fixed_draws.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("C", [1e-3, 0.7, 1.0, 3.3, 1e6])
+def test_verify_stress_is_piola_stress_of_the_fixed_draws(monkeypatch, C):
+    # C F - p cof F from the kept cofactors: the stress that verify pairs
+    # with G, bit for bit that of piola_stress on the five draws
+    _, F, p, G, _, _, _ = cli._fixed_draws()
+    seen = []
+    real = tensor3.ddot
+    monkeypatch.setattr(tensor3, "ddot", lambda a, b: (b is G and seen.append(a)) or real(a, b))
+    config = cli.parse_config(COMP_CFG.replace("C = 1.0", "C = %r" % C, 1))
+    assert cli.verify(config)[0] == 0
+    want = piola_stress(NeoHookeanIncompressible(C), F, p)
+    assert len(seen) == 1 and np.array_equal(seen[0].view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("text", [COMP_EQ_CFG, COH_CFG, BEND_TAU_CFG, BEND_CFG],
+                         ids=["compression", "cohesive", "bending-load", "bending"])
+def test_run_and_verify_build_no_gradient_stack(monkeypatch, text):
+    # every reader of a body's state in run() and verify() takes the
+    # diagonal: the criteria stations, the held face, the gap, injectivity,
+    # isochory and the Gauss sum of the stored energy
+    config = cli.parse_config(text)
+    want = cli.format_report(cli.run(config)), cli.verify(config)
+
+    def refuse(*args):
+        raise AssertionError("a gradient stack was built")
+
+    monkeypatch.setattr(kinematics, "_diag", refuse)
+    assert (cli.format_report(cli.run(config)), cli.verify(config)) == want
+    assert want[1][0] == 0
+    # the patch bites: a gradient stack is built through it
+    with pytest.raises(AssertionError, match="gradient stack"):
+        cli.build_system(config).body1.map.gradient(np.zeros(2))
 
 
 def test_import_and_run_leave_the_verify_draws_unbuilt():
@@ -1779,14 +1814,14 @@ def test_agreement_accepts_each_gap_at_its_bound():
 def test_isochory_raises_at_the_first_zero_det(monkeypatch):
     # det patched to 0.0 from X = 1/3 on across body 1: the first J <= 0
     # is there, although no J is below 0
-    real = tensor3.det
+    real, real_diag = tensor3.det, contact._det_diag
 
     def det(m):
         return real(m) * (1.0 - (np.asarray(m)[..., 0, 0] < 0.8))
 
     bodies = _bodies("bending", 1.0, (1.0, 1.0), (1.0, 1.0))
-    monkeypatch.setattr(tensor3, "det", det)
     monkeypatch.setattr(kinematics, "det", det)
+    monkeypatch.setattr(contact, "_det_diag", lambda *d: real_diag(*d) * (1.0 - (d[0] < 0.8)))
     with pytest.raises(NonPositiveJacobian) as err:
         cli._isochory(bodies)
     assert str(err.value) == "det F = 0 at X = [0.33333333 0.5        0.5       ]"
@@ -1809,7 +1844,7 @@ def _stress_derivative_draws(g):
     G = np.zeros((5, 3, 3))
     G[:, 0, 0] = g
     step = (np.full(5, 3.0), np.ones(5))
-    return lambda: (ms, F, p, G, step, step)
+    return lambda: (ms, F, p, G, F, step, step)
 
 
 def _enclosures(gap):

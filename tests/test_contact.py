@@ -4,9 +4,8 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 import refimpl
+from draws import draws, hex_outcome as _hex_outcome, outcome as _outcome
 from refimpl import linked_stretch_pair
 
 from contactbounds import contact, material
@@ -567,90 +566,90 @@ def test_constraint_residual_is_evaluated_once_per_body(monkeypatch):
         assert len(calls) == 3
 
 
-# positive floats from the subnormals to the largest powers of ten, and
-# offsets of either sign
-POSITIVE = st.floats(-323.0, 308.0).map(lambda e: 10.0**e)
-OFFSET = st.just(0.0) | st.tuples(st.sampled_from((-1.0, 1.0)), POSITIVE).map(
-    lambda t: t[0] * t[1]
-)
+# the float-kernel laws below run their named cases and then a few hundred
+# fixed draws (tests/draws.py): positive floats from the subnormals to the
+# largest powers of ten, offsets and signed values of either sign
 
 
-def _outcome(f):
-    # the repr of f()'s value, or the type and message of what it raised
-    try:
-        with np.errstate(all="ignore"):
-            return repr(f())
-    except Exception as e:
-        return type(e), str(e)
+def _constraint_draw(d):
+    return d.flag(), d.positive(), d.positive(), d.offset(), d.flag()
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(bend=st.booleans(), A=POSITIVE, a=POSITIVE, b=OFFSET, nan_det=st.booleans())
-@example(False, 1.0, 5e-324, -1e308, False)  # s = 1 / sqrt(a) squares to inf: det is inf
-@example(False, 1.0, 1.7976931348623157e308, 1e308, False)  # s * s is subnormal
-@example(False, 1.0, 0.81, 0.0, True)
-@example(True, 1e308, 4.0, 4.0, False)  # det is NaN at every abscissa
-@example(True, 1e-300, 1e-300, 1.0, False)  # A sqrt(a) underflows to 0
-@example(True, 1.0, 1.0, -0.5, False)  # the radius is too small at x_lo
-@example(True, 1e-310, 1.0, 1.0, False)  # F_zz = 1 / A sqrt(a) is inf: det F is NaN
-@example(True, 1e308, 1.0, 100.0, False)  # F_tt = A r / sqrt(a) is inf: det F is NaN
-def test_constraint_residual_of_one_abscissa_equals_the_stack(bend, A, a, b, nan_det):
+def test_constraint_residual_of_one_abscissa_equals_the_stack():
     # a body's residual, in floats per abscissa, against the 5-abscissa
     # stack it replaced: bit for bit, or the same error; a triaxial body
-    # reads x_lo alone. nan_det makes every determinant NaN, which the
-    # running maximum never takes
-    m = StretchBend(A, a, b) if bend else TriaxialStretch(a, b)
-    body = BodySpec(BOX1, NeoHookeanIncompressible(1.0), m)
-
-    with pytest.MonkeyPatch.context() as mp:
-        if nan_det:
-            mp.setattr(contact, "_det_diag", lambda *d, real=contact._det_diag: real(*d) * math.nan)
-            mp.setattr(refimpl, "det", lambda F, real=det: real(F) * math.nan)
-        assert _outcome(lambda: body._constraint_residual) == _outcome(
-            lambda: refimpl.constraint_residual(body)
-        )
-    if not bend:
-        x = contact._abscissae(body, 5)
-        assert type(x) is float and x == BOX1.x_lo
-
-
-# as OFFSET, with -0.0 too
-SIGNED = st.sampled_from((0.0, -0.0)) | st.tuples(st.sampled_from((-1.0, 1.0)), POSITIVE).map(
-    lambda t: t[0] * t[1]
-)
-
-
-def _hex(v):
-    # float.hex of a float, through tuples; None stays None
-    return tuple(map(_hex, v)) if isinstance(v, tuple) else v if v is None else float.hex(v)
-
-
-def _hex_outcome(f):
-    # f()'s value as hex, or the type and message of what it raised
-    return _outcome(lambda: _hex(f()))
+    # reads x_lo alone. nan_det makes every determinant NaN, and a NaN
+    # determinant makes the residual NaN
+    cases = [
+        (False, 1.0, 5e-324, -1e308, False),  # s = 1 / sqrt(a) squares to inf: det is inf
+        (False, 1.0, 1.7976931348623157e308, 1e308, False),  # s * s is subnormal
+        (False, 1.0, 0.81, 0.0, True),
+        (True, 1e308, 4.0, 4.0, False),  # det is NaN at every abscissa
+        (True, 1e-300, 1e-300, 1.0, False),  # A sqrt(a) underflows to 0
+        (True, 1.0, 1.0, -0.5, False),  # the radius is too small at x_lo
+        (True, 1e-310, 1.0, 1.0, False),  # F_zz = 1 / A sqrt(a) is inf: det F is NaN
+        (True, 1e308, 1.0, 100.0, False),  # F_tt = A r / sqrt(a) is inf: det F is NaN
+    ] + draws(597, 300, _constraint_draw)
+    nans = 0
+    for case in cases:
+        bend, A, a, b, nan_det = case
+        m = StretchBend(A, a, b) if bend else TriaxialStretch(a, b)
+        body = BodySpec(BOX1, NeoHookeanIncompressible(1.0), m)
+        with pytest.MonkeyPatch.context() as mp:
+            if nan_det:
+                mp.setattr(contact, "_det_diag", lambda *d, real=contact._det_diag: real(*d) * math.nan)
+                mp.setattr(refimpl, "det", lambda F, real=det: real(F) * math.nan)
+            got = _outcome(lambda: body._constraint_residual)
+            assert got == _outcome(lambda: refimpl.constraint_residual(body)), case
+        nans += got == "nan"
+        if not bend:
+            x = contact._abscissae(body, 5)
+            assert type(x) is float and x == BOX1.x_lo
+    assert nans > 10
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(
-    bend=st.booleans(), C=POSITIVE, A=POSITIVE, a=POSITIVE, b=SIGNED,
-    p=st.tuples(SIGNED, SIGNED, SIGNED), radial=st.booleans(),
-    x=st.sampled_from((0.0, 0.5)) | st.floats(0.0, 0.5),
-)
-@example(True, 1.0, 1e-170, 1e300, 1e-12, (0.0, 0.0, 0.0), False, 0.0)  # F_tt underflows: det F = 0
-@example(True, 1.0, 1e-300, 1e-300, 1.0, (0.0, 0.0, 0.0), False, 0.5)  # A sqrt(a) underflows to 0
-@example(True, 1.0, 1.0, 1.0, -0.5, (0.0, 0.0, 0.0), False, 0.0)  # the radius is too small
-@example(True, 1.0, 1.0, 1.0, 1e-12, (1e300, 0.0, 0.0), True, 0.0)  # p = inf: sigma_nn is NaN
-@example(True, 1.0, 1e-310, 1.0, 1.0, (0.0, 0.0, 0.0), False, 0.5)  # F_zz = inf: det F is NaN
-@example(False, 1.0, 1.0, 5e-324, 0.0, (1.0, 0.0, 0.0), False, 0.5)  # s^2 = inf: det F is inf
-@example(False, 6e-323, 1.0, 0.25, 0.0, (5e-324, 0.0, 0.0), False, 0.5)  # P_00 F_00 is -0.0
-def test_cauchy_traction_in_floats_equals_the_stress_tensor(bend, C, A, a, b, p, radial, x):
+def test_a_nan_det_fails_the_kinematic_and_static_checks():
+    # F_zz = 1 / A sqrt(a) is inf on StretchBend(1e-310, 1, 1), so det F is
+    # NaN at every abscissa: the constraint residual is NaN, on either body
+    # alone too, and no check admits it
+    nan_map, ok_map = StretchBend(1e-310, 1.0, 1.0), StretchBend(1.0, 1.0, 1.0)
+    model = NeoHookeanIncompressible(1.0)
+    for m1, m2 in ((nan_map, nan_map), (ok_map, nan_map), (nan_map, ok_map)):
+        system = SystemSpec(BodySpec(BOX1, model, m1), BodySpec(BOX2, model, m2))
+        kin, stat = check_kinematic(system), check_static(system, -0.1)
+        assert math.isnan(kin.residuals["constraint"]) and kin.kinematic_ok is False
+        assert math.isnan(stat.residuals["constraint"]) and stat.static_ok is False
+    # the residual of a finite body stays its own
+    fine = SystemSpec(BodySpec(BOX1, model, ok_map), BodySpec(BOX2, model, ok_map))
+    assert check_kinematic(fine).residuals["constraint"] == max(
+        refimpl.constraint_residual(fine.body1), refimpl.constraint_residual(fine.body2))
+
+
+def _cauchy_draw(d):
+    x = d.choice((0.0, 0.5)) if d.flag() else d.uniform(0.0, 0.5)
+    return (d.flag(), d.positive(), d.positive(), d.positive(), d.signed(),
+            (d.signed(), d.signed(), d.signed()), d.flag(), x)
+
+
+def test_cauchy_traction_in_floats_equals_the_stress_tensor():
     # sigma_nn and the radius of a face from the diagonal, against the full
     # Cauchy stress: bit for bit, or the same error
-    m = StretchBend(A, a, b) if bend else TriaxialStretch(a, b)
-    pressure = RadialProfile(*p) if bend and radial else Constant(p[0])
-    body = BodySpec(BOX1, NeoHookeanIncompressible(C), m, pressure)
-    want = _hex_outcome(lambda: (refimpl.cauchy_traction(body, x), m.radius(x)))
-    assert _hex_outcome(lambda: contact._sigma_nn(body, x)) == want
+    cases = [
+        (True, 1.0, 1e-170, 1e300, 1e-12, (0.0, 0.0, 0.0), False, 0.0),  # F_tt underflows: det F = 0
+        (True, 1.0, 1e-300, 1e-300, 1.0, (0.0, 0.0, 0.0), False, 0.5),  # A sqrt(a) underflows to 0
+        (True, 1.0, 1.0, 1.0, -0.5, (0.0, 0.0, 0.0), False, 0.0),  # the radius is too small
+        (True, 1.0, 1.0, 1.0, 1e-12, (1e300, 0.0, 0.0), True, 0.0),  # p = inf: sigma_nn is NaN
+        (True, 1.0, 1e-310, 1.0, 1.0, (0.0, 0.0, 0.0), False, 0.5),  # F_zz = inf: det F is NaN
+        (False, 1.0, 1.0, 5e-324, 0.0, (1.0, 0.0, 0.0), False, 0.5),  # s^2 = inf: det F is inf
+        (False, 6e-323, 1.0, 0.25, 0.0, (5e-324, 0.0, 0.0), False, 0.5),  # P_00 F_00 is -0.0
+    ] + draws(646, 400, _cauchy_draw)
+    for case in cases:
+        bend, C, A, a, b, p, radial, x = case
+        m = StretchBend(A, a, b) if bend else TriaxialStretch(a, b)
+        pressure = RadialProfile(*p) if bend and radial else Constant(p[0])
+        body = BodySpec(BOX1, NeoHookeanIncompressible(C), m, pressure)
+        want = _hex_outcome(lambda: (refimpl.cauchy_traction(body, x), m.radius(x)))
+        assert _hex_outcome(lambda: contact._sigma_nn(body, x)) == want, case
 
 
 # boxes whose z / A sqrt(a) overflows on no grid column, on some (the grid's
@@ -661,42 +660,51 @@ _FLANK_BOXES = (
     Box3(0.0, 0.5, 0.0, 1.0, -1e10, 1e-300),
     Box3(0.0, 0.5, -2.0, 3.0, 1e300, 1.5e300),
 )
-_BEND_MAP = st.tuples(POSITIVE, POSITIVE, SIGNED).map(lambda t: StretchBend(*t))
+
+
+def _bend_map(d):
+    return StretchBend(d.positive(), d.positive(), d.signed())
+
+
+def _flank_draw(d):
+    return d.choice(_FLANK_BOXES), _bend_map(d), _bend_map(d)
 
 
 def _flank_case(box, m, dmap):
     return BodySpec(box, NeoHookeanIncompressible(1.0), m), dmap
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(box=st.sampled_from(_FLANK_BOXES), m=_BEND_MAP, dmap=_BEND_MAP)
-@example(_FLANK_BOXES[2], StretchBend(1e-300, 1.0, 1.0), StretchBend(1.0, 1.0, 1.0))
-@example(_FLANK_BOXES[3], StretchBend(1e-300, 1.0, 1.0), StretchBend(1.1, 0.9, 1.0))
-@example(BOX1, StretchBend(1e-300, 1e-300, 1.0), StretchBend(1.0, 1.0, 1.0))  # underflow
-@example(BOX1, StretchBend(1.0, 1.0, -0.5), StretchBend(1e-300, 1e-300, 1.0))  # low radius first
-def test_flank_residual_of_ten_rows_equals_the_grids(box, m, dmap):
+def test_flank_residual_of_ten_rows_equals_the_grids():
     # _flank over one row per abscissa and flank against the 5 x 5 grids of
     # both y faces: bit for bit, or the same error
-    body, dmap = _flank_case(box, m, dmap)
-    assert _hex_outcome(lambda: contact._flank(body, dmap)) == _hex_outcome(
-        lambda: refimpl.flank(body, dmap)
-    )
+    cases = [
+        (_FLANK_BOXES[2], StretchBend(1e-300, 1.0, 1.0), StretchBend(1.0, 1.0, 1.0)),
+        (_FLANK_BOXES[3], StretchBend(1e-300, 1.0, 1.0), StretchBend(1.1, 0.9, 1.0)),
+        (BOX1, StretchBend(1e-300, 1e-300, 1.0), StretchBend(1.0, 1.0, 1.0)),  # underflow
+        (BOX1, StretchBend(1.0, 1.0, -0.5), StretchBend(1e-300, 1e-300, 1.0)),  # low radius first
+    ] + draws(677, 400, _flank_draw)
+    for case in cases:
+        body, dmap = _flank_case(*case)
+        assert _hex_outcome(lambda: contact._flank(body, dmap)) == _hex_outcome(
+            lambda: refimpl.flank(body, dmap)
+        ), case
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(box=st.sampled_from(_FLANK_BOXES), m=_BEND_MAP, dmap=_BEND_MAP)
-@example(_FLANK_BOXES[2], StretchBend(1e-300, 1.0, 1.0), StretchBend(1e-300, 4.0, 1.0))
-@example(_FLANK_BOXES[2], StretchBend(1e-300, 1.0, 1.0), StretchBend(2e-300, 1.0, 1.0))
-@example(BOX1, StretchBend(1.0, 1.0, 1.0), StretchBend(1e-300, 1e-300, 1.0))  # data underflow
-@example(BOX1, StretchBend(1e-300, 1e-300, -0.5), StretchBend(1.0, 1.0, 1.0))  # low radius first
-@example(BOX1, StretchBend(1.0, 1.0, 1.0), StretchBend(1.0, 1.0, -0.5))  # the data's radius
-def test_axial_difference_at_two_heights_equals_the_grids(box, m, dmap):
+def test_axial_difference_at_two_heights_equals_the_grids():
     # _axial_difference at z_lo and z_hi against the 5 x 5 grids of both z
     # faces: bit for bit, or the same error
-    body, dmap = _flank_case(box, m, dmap)
-    assert _hex_outcome(lambda: contact._axial_difference(body, dmap)) == _hex_outcome(
-        lambda: refimpl.axial_difference(body, dmap)
-    )
+    cases = [
+        (_FLANK_BOXES[2], StretchBend(1e-300, 1.0, 1.0), StretchBend(1e-300, 4.0, 1.0)),
+        (_FLANK_BOXES[2], StretchBend(1e-300, 1.0, 1.0), StretchBend(2e-300, 1.0, 1.0)),
+        (BOX1, StretchBend(1.0, 1.0, 1.0), StretchBend(1e-300, 1e-300, 1.0)),  # data underflow
+        (BOX1, StretchBend(1e-300, 1e-300, -0.5), StretchBend(1.0, 1.0, 1.0)),  # low radius first
+        (BOX1, StretchBend(1.0, 1.0, 1.0), StretchBend(1.0, 1.0, -0.5)),  # the data's radius
+    ] + draws(693, 400, _flank_draw)
+    for case in cases:
+        body, dmap = _flank_case(*case)
+        assert _hex_outcome(lambda: contact._axial_difference(body, dmap)) == _hex_outcome(
+            lambda: refimpl.axial_difference(body, dmap)
+        ), case
 
 
 def test_flank_skips_the_rows_whose_axial_coordinate_overflows():
@@ -716,25 +724,54 @@ def test_flank_skips_the_rows_whose_axial_coordinate_overflows():
     assert got > 0.0 and got == want
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(
-    C=st.tuples(POSITIVE, POSITIVE), a=st.tuples(POSITIVE, POSITIVE),
-    p=st.tuples(SIGNED, SIGNED), tau=SIGNED,
-)
-@example((1.0, 1.0), (5e-324, 1.0), (1.0, 0.0), -math.inf)  # P_00 - tau = -inf + inf
-@example((1.0, 1.0), (0.81, 0.81), (0.0, 0.0), math.nan)
-@example((1e308, 1e308), (1.7976931348623157e308, 5e-324), (-1e308, 1e308), 0.0)
-def test_triaxial_neumann_residual_in_floats_equals_the_stress_tensors(C, a, p, tau):
+def _neumann_draw(d):
+    return ((d.positive(), d.positive()), (d.positive(), d.positive()),
+            (d.signed(), d.signed()), d.signed())
+
+
+def test_triaxial_neumann_residual_in_floats_equals_the_stress_tensors():
     # the dead load and traction-free faces from the diagonal Piola stress,
     # against the full tensors: bit for bit
-    bodies = [
-        BodySpec(box, NeoHookeanIncompressible(Ci), TriaxialStretch(ai), Constant(pi))
-        for box, Ci, ai, pi in zip((BOX1, BOX2), C, a, p)
-    ]
-    system = SystemSpec(*bodies)
-    assert _hex_outcome(lambda: contact._neumann_residual(system, tau)) == _hex_outcome(
-        lambda: refimpl.neumann_residual(system, tau)
-    )
+    cases = [
+        ((1.0, 1.0), (5e-324, 1.0), (1.0, 0.0), -math.inf),  # P_00 - tau = -inf + inf
+        ((1.0, 1.0), (0.81, 0.81), (0.0, 0.0), math.nan),
+        ((1e308, 1e308), (1.7976931348623157e308, 5e-324), (-1e308, 1e308), 0.0),
+    ] + draws(727, 300, _neumann_draw)
+    for case in cases:
+        C, a, p, tau = case
+        bodies = [
+            BodySpec(box, NeoHookeanIncompressible(Ci), TriaxialStretch(ai), Constant(pi))
+            for box, Ci, ai, pi in zip((BOX1, BOX2), C, a, p)
+        ]
+        system = SystemSpec(*bodies)
+        assert _hex_outcome(lambda: contact._neumann_residual(system, tau)) == _hex_outcome(
+            lambda: refimpl.neumann_residual(system, tau)
+        ), case
+
+
+def _gap_draw(d):
+    bend = d.flag()
+    maps = [StretchBend(d.positive(), d.positive(), d.offset()) if bend
+            else TriaxialStretch(d.positive(), d.offset()) for _ in range(2)]
+    return maps, d.choice((BOX1, Box3(-0.3, 0.2, 0.1, 0.7, -1.0, 2.5)))
+
+
+def test_gap_in_floats_equals_the_face_centre():
+    # each map's normal coordinate on the contact plane as a float, against
+    # normal_position at the face centre: bit for bit, or the same error
+    cases = [
+        ([TriaxialStretch(1e308, 1e308), TriaxialStretch(1e308, -1e308)], BOX1),  # inf - inf
+        ([StretchBend(1.0, 1.0, -1.5), StretchBend(1.0, 1.0, 1.0)], BOX1),  # low radius, body 1
+        ([StretchBend(1.0, 1.0, 1.0), StretchBend(1.0, 1.0, -1.5)], BOX1),  # and body 2
+        ([StretchBend(1.0, 1e308, 1e308), StretchBend(1.0, 1.0, 1.0)], BOX1),  # rho is inf
+    ] + draws(235, 300, _gap_draw)
+    for case in cases:
+        maps, box = case
+        box2 = Box3(box.x_hi, box.x_hi + 0.5, box.y_lo, box.y_hi, box.z_lo, box.z_hi)
+        model = NeoHookeanIncompressible(1.0)
+        system = SystemSpec(BodySpec(box, model, maps[0]), BodySpec(box2, model, maps[1]))
+        want = _hex_outcome(lambda: refimpl.gap_value(system))
+        assert _hex_outcome(lambda: gap_value(system)) == want, case
 
 
 def test_nominal_traction_looks_up_each_face_radius_once(monkeypatch):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import refimpl
+from draws import draws, hex_outcome
 from refimpl import complementary_density, integrate_face, linked_stretch_pair
 
 from contactbounds.errors import InadmissibleTrial, InvalidParameters, NonFiniteIntegrand
@@ -21,7 +23,9 @@ from contactbounds.energy import (
     potential_energy,
 )
 from contactbounds.material import (
+    Constant,
     NeoHookeanIncompressible,
+    RadialProfile,
     piola_stress,
     strain_energy,
 )
@@ -416,3 +420,103 @@ def test_exact_energies_raise_on_a_nonfinite_coefficient():
         potential_energy(system, -0.1)
     with pytest.raises(NonFiniteIntegrand):
         complementary_energy(system)
+
+
+def _energy_map(d, bend, wide):
+    # a map of the family, its parameters from the subnormals to 1e308 when
+    # wide, else of order one, where most energies are finite
+    pos, off = (d.positive, d.offset) if wide else (lambda: d.uniform(0.2, 3.0),) * 2
+    if bend:
+        return StretchBend(pos(), pos(), off())
+    return TriaxialStretch(pos(), off() - 1.5)
+
+
+def _energy_system(d, bend, radial, wide):
+    # a pair of one family with draws of moduli, maps and pressures
+    bodies = []
+    for box in (BOX1, BOX2):
+        c = (d.signed(), d.signed(), d.signed()) if wide else [d.uniform(-2.0, 2.0)] * 3
+        pressure = RadialProfile(*c) if bend and radial else Constant(c[2])
+        C = d.positive() if wide else d.uniform(0.1, 10.0)
+        bodies.append(BodySpec(box, NeoHookeanIncompressible(C), _energy_map(d, bend, wide),
+                               pressure))
+    return SystemSpec(*bodies)
+
+
+def _potential_draw(d):
+    wide = d.flag()
+    tau = d.signed() if wide else d.uniform(-2.0, 2.0)
+    return _energy_system(d, d.flag(), False, wide), tau, d.choice((None, 1, 3, 8))
+
+
+def test_potential_energy_from_the_diagonal_equals_the_gradient_stacks():
+    # the stored energy's Gauss sum from the diagonal with its constrained
+    # det check, and the exact load from the face radius or a x + b as a
+    # float, against the gradient stacks and the centroid (tests/refimpl.py):
+    # bit for bit, or the same error
+    model = NeoHookeanIncompressible(1.0)
+
+    def pair(m1, m2):
+        return SystemSpec(BodySpec(BOX1, model, m1), BodySpec(BOX2, model, m2))
+
+    ok = StretchBend(1.0, 1.0, 1.0)
+    cases = [
+        (pair(TriaxialStretch(5e-324), TriaxialStretch(1.0)), -0.1, 8),  # s^2 = inf: |J - 1| = inf
+        (pair(ok, StretchBend(1e-170, 1e300, 1e-12)), 0.0, 3),  # F_tt underflows: J = 0
+        (pair(ok, StretchBend(1e-310, 1.0, 1.0)), 0.0, 8),  # F_zz = inf: J is NaN, W is inf
+        (pair(StretchBend(1e-300, 1e-300, 1.0), ok), 0.0, 1),  # A sqrt(a) underflows to 0
+        (pair(StretchBend(1.0, 1.0, -0.5), ok), 0.0, None),  # the radius is too small
+        (stretch_pair(1.3, 0.9, -0.12), -0.12, 8),
+        (bend_pair(1.0, 1.4, 1.1, 0.9, 1.0, 3.4, -0.8), -0.8, 13),
+    ] + draws(201, 300, _potential_draw)
+    for case in cases:
+        system, tau, order = case
+        rule = order and QuadratureRule(order)
+        want = hex_outcome(lambda: refimpl.potential_energy(system, tau, rule))
+        assert hex_outcome(lambda: potential_energy(system, tau, rule)) == want, case
+
+
+def _data_map(d, bend, wide):
+    kind = d.choice(("own", "same", "triaxial", "homogeneous"))
+    if kind == "own":
+        return None
+    if kind == "same":
+        return _energy_map(d, bend, wide)
+    if kind == "triaxial":
+        return _energy_map(d, False, wide)
+    F0 = [[d.uniform(-2.0, 2.0) for _ in range(3)] for _ in range(3)]
+    return Homogeneous(F0, [d.uniform(-1.0, 1.0) for _ in range(3)])
+
+
+def _complementary_draw(d):
+    bend, wide = d.flag(), d.flag()
+    system = _energy_system(d, bend, d.flag(), wide)
+    data = DirichletData(_data_map(d, bend, wide), _data_map(d, bend, wide))
+    return dataclasses.replace(system, dirichlet=data)
+
+
+def test_exact_complementary_energy_from_the_diagonal_equals_the_stress_stack():
+    # body 2's held face from P_00 at x_hi and the data's placement, and
+    # the data's axial stretch from its diagonal (a Homogeneous map keeps
+    # F0), against the full stress and gradient (tests/refimpl.py): bit for
+    # bit, or the same error
+    model = NeoHookeanIncompressible(1.0)
+    ok = StretchBend(1.0, 1.0, 1.0)
+
+    def pair(m2, p2=Constant(0.0), data=DirichletData()):
+        return SystemSpec(BodySpec(BOX1, model, ok), BodySpec(BOX2, model, m2, p2),
+                          dirichlet=data)
+
+    cases = [
+        pair(StretchBend(1e-170, 1e300, 1e-12)),  # F_tt underflows: det F = 0
+        pair(StretchBend(1e-310, 1.0, 1.0), Constant(1.0)),  # F_zz = inf: P_10 is NaN
+        pair(ok, RadialProfile(1e308, 1e308, 0.0)),  # p = inf at x_hi: P_10 is NaN
+        pair(ok, data=DirichletData(map2=StretchBend(1.0, 1.0, -2.0))),  # the data's radius
+        pair(ok, data=DirichletData(map2=StretchBend(1e-300, 1e-300, 1.0))),  # its A sqrt(a)
+        pair(ok, data=DirichletData(Homogeneous(np.diag([1.0, 1.0, 2.0])), TriaxialStretch(0.7))),
+        _homogeneous_pair(),
+        bend_pair(1.0, 1.4, 1.1, 0.9, 1.0, 3.4, -0.8),
+    ] + draws(223, 300, _complementary_draw)
+    for system in cases:
+        want = hex_outcome(lambda: refimpl.complementary_energy(system))
+        assert hex_outcome(lambda: complementary_energy(system)) == want, system

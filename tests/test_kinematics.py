@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import refimpl
+from draws import draws, outcome
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -413,3 +415,50 @@ def test_stacked_injectivity_passes_a_nan_determinant():
         ok = injectivity_check(m, BOX)
         assert ok == _injectivity_per_node(m, BOX)[2]
     assert not ok  # the image volume is NaN too
+
+
+#: a box whose centre is at x = 0
+_CENTRED = Box3(-0.25, 0.25, 0.0, 1.0, 0.0, 1.0)
+
+
+def _injectivity_draw(d):
+    kind = d.choice(("triaxial", "bending", "homogeneous"))
+    if kind == "triaxial":
+        m = TriaxialStretch(d.positive(), d.offset())
+    elif kind == "bending":
+        m = StretchBend(d.positive(), d.positive(), d.offset())
+    else:
+        m = Homogeneous([[d.uniform(-2.0, 2.0) for _ in range(3)] for _ in range(3)])
+    return m, d.choice((BOX, _CENTRED, Box3(-0.3, 0.2, 0.1, 0.7, -1.0, 2.5)))
+
+
+def test_injectivity_of_a_body_map_reads_det_f_off_its_diagonal():
+    # a body family's det F as the diagonal's product in floats, jacobian
+    # raising where it is not positive, against jacobian at the box centre
+    # (tests/refimpl.py): the same bool, or the same error
+    cases = [
+        (StretchBend(1e-300, 1e100, 1.0), _CENTRED),  # F_tt underflows at x = 0: det F = 0
+        (StretchBend(1e-310, 1.0, 1.0), BOX),  # F_zz = inf: det F is NaN, which passes
+        (StretchBend(1e-300, 1e-300, 1.0), BOX),  # A sqrt(a) underflows to 0
+        (StretchBend(1.0, 1.0, -0.3), BOX),  # the radius is too small at x_lo, not the centre
+        (TriaxialStretch(5e-324), BOX),  # s^2 = inf: det F is inf
+        (StretchBend(7.0, 1.0, 1.0), BOX),  # winds past a full turn
+        (Homogeneous(np.diag([-0.5, 2.0, 1.0])), BOX),
+    ] + draws(367, 300, _injectivity_draw)
+    kinds = set()
+    for case in cases:
+        got = outcome(lambda: injectivity_check(*case))
+        assert got == outcome(lambda: refimpl.injectivity_check(*case)), case
+        kinds.add(got if isinstance(got, str) else got[0])
+    assert kinds == {"True", "False", InvalidParameters, NonPositiveJacobian, ZeroDivisionError}
+
+
+def test_injectivity_of_a_body_map_builds_no_gradient(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a gradient was built")
+
+    monkeypatch.setattr(kinematics, "_diag", refuse)
+    for m in (TriaxialStretch(0.81, 0.1), StretchBend(1.1, 0.9, 1.0)):
+        assert injectivity_check(m, BOX)
+    with pytest.raises(AssertionError, match="a gradient was built"):
+        injectivity_check(StretchBend(1e-300, 1e100, 1.0), _CENTRED)  # jacobian names det F = 0

@@ -271,6 +271,24 @@ def test_stretch_ratio_inverts_loads_when_its_range_ends_overflow(C, tau, a):
     assert stretch_ratio_from_load(C, tau) == a
 
 
+@pytest.mark.parametrize(
+    "C, tau",
+    [
+        # the first C whose load at a = 1e-9 overflows: the range starts at -inf
+        (1.7976931348623164e290, -math.inf),
+        # the first C whose load at a = 1e9 overflows: the range ends at inf
+        (1.7976931348623164e299, math.inf),
+        (1.0, math.inf),
+        (1.0, -math.inf),
+    ],
+)
+def test_stretch_ratio_refuses_an_infinite_load(C, tau):
+    # an infinite end admits every finite load, not an infinite one, whose
+    # Newton step would be NaN and return the start (1.0) or inf
+    with pytest.raises(InvalidParameters, match=r"^no stretch ratio for tau = %s$" % tau):
+        stretch_ratio_from_load(C, tau)
+
+
 def test_pairs_accept_an_inner_square_radius_of_exactly_r_min_squared():
     s = R_MIN**2
     # rho_out - a2 - a1 = s exactly: every step is an exact float subtraction
