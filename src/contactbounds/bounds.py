@@ -20,6 +20,11 @@ formula here.
 The open-contact regime carries the load through the contact face alone,
 which pins tau to 0 (or the cohesive cap g); it is reported as a
 degenerate singleton interval.
+
+criteria_check forms the quadratic form from each body's diagonal
+gradient and pressure at its stations, as station columns against the
+probes, one row for a triaxial body, whose state does not vary with x;
+tests/refimpl.py keeps the form over a gradient stack.
 """
 
 import functools

@@ -390,12 +390,10 @@ def _minima_or_error(minima, body, probes):
 
 def _criteria_draw(d):
     p = d.choice([0.0, -0.0, 5e-324, 1e300, 1e308, -1e308]) if d.flag() else d.uniform(-5.0, 5.0)
-    return dict(
-        bend=d.flag(), radial=d.flag(), box=d.choice([BOX1, BOX2]), C=d.uniform(1e-3, 1e3),
-        A=d.uniform(0.05, 5.0), a=d.uniform(0.05, 5.0), b=d.uniform(-1.0, 3.0), p=p,
-        c=d.uniform(-5.0, 5.0), count=d.choice([1, 50, 200]),
-        per_block=d.choice([1, 4, 11, 33, 34, 66, 67, None]),
-    )
+    # (bend, radial, box, C, A, a, b, p, c, count, per_block)
+    return (d.flag(), d.flag(), d.choice([BOX1, BOX2]), d.uniform(1e-3, 1e3), d.uniform(0.05, 5.0),
+            d.uniform(0.05, 5.0), d.uniform(-1.0, 3.0), p, d.uniform(-5.0, 5.0),
+            d.choice([1, 50, 200]), d.choice([1, 4, 11, 33, 34, 66, 67, None]))
 
 
 def test_criteria_minima_equal_two_side_minima_bit_for_bit():
@@ -406,10 +404,9 @@ def test_criteria_minima_equal_two_side_minima_bit_for_bit():
     # on the split (1, 11, 33), straddles it (4, 34 on bending, every one
     # above 1 on triaxial) or holds the whole table. The edge minima of the
     # draw's constant pressure and its negation against their gradient stack
-    cases = [dict(bend=True, radial=False, box=BOX1, C=1.3, A=1e-300, a=1e-300, b=1.0, p=0.5,
-                  c=0.0, count=50, per_block=None)] + draws(402, 400, _criteria_draw)
-    for case in cases:
-        bend, radial, box, C, A, a, b, p, c, count, per_block = case.values()
+    cases = [(True, False, BOX1, 1.3, 1e-300, 1e-300, 1.0, 0.5, 0.0, 50, None)]
+    for case in cases + draws(402, 400, _criteria_draw):
+        bend, radial, box, C, A, a, b, p, c, count, per_block = case
         m = StretchBend(A, a, b) if bend else TriaxialStretch(a, b)
         pressure = RadialProfile(c, -c, p) if bend and radial and abs(p) < 1e300 else Constant(p)
         body = BodySpec(box, NeoHookeanIncompressible(C), m, pressure)

@@ -589,6 +589,7 @@ def test_constraint_residual_of_one_abscissa_equals_the_stack():
         (True, 1.0, 1.0, -0.5, False),  # the radius is too small at x_lo
         (True, 1e-310, 1.0, 1.0, False),  # F_zz = 1 / A sqrt(a) is inf: det F is NaN
         (True, 1e308, 1.0, 100.0, False),  # F_tt = A r / sqrt(a) is inf: det F is NaN
+        (True, 1e308, 1.0, 2.5, False),  # F_tt is inf from x = 0.375 on: NaN at two abscissae
     ] + draws(597, 300, _constraint_draw)
     nans = 0
     for case in cases:
