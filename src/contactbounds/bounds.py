@@ -17,6 +17,16 @@ window as C / lambda_max, with lambda_max the largest principal stretch
 sampled across the body (its two end stations when bending), not from any
 formula here.
 
+Both read a linkage through its window table, (C s, C / lam) per body,
+built once per search with its bracket; the CLI's run() shares one search
+between the bisection, the oracle and the agreement check. The bisection
+is seeded by the first and last feasible loads of a 129-point grid over
+the bracket, found without the grid: the feasible loads are one run of
+floats, so an index estimate from the windows' intersection is walked to
+a load that fails no window from below and whose predecessor does (the
+last load likewise from above). tests/refimpl.py keeps the numpy scan
+and bisection over the linkage that this replaced.
+
 The open-contact regime carries the load through the contact face alone,
 which pins tau to 0 (or the cohesive cap g); it is reported as a
 degenerate singleton interval.
@@ -30,6 +40,7 @@ tests/refimpl.py keeps the form over a gradient stack.
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -347,14 +358,26 @@ def _linkage(example, fp):
     raise InvalidParameters("unknown example %r" % (example,))
 
 
-def _feasible_closed(tau, linkage, cap):
-    # the window |C s - tau| < C / lam of every body, for one load or an
-    # array of them; C / lam is the least of the thresholds C / lambda_k,
-    # as division rounds monotonically, and tau <= cap rejects a NaN load
+def _windows(linkage):
+    # the window table: per body (C s, C / lam), so that a load tau lies in
+    # the body's window when |C s - tau| < C / lam; C / lam is the least of
+    # the thresholds C / lambda_k, as division rounds monotonically
+    return tuple((C * s, C / lam) for C, s, lam in linkage)
+
+
+def _feasible_closed(tau, table, cap):
+    # every body's window and tau <= cap, which rejects a NaN load, for one
+    # load or an array of them
     ok = tau <= cap
-    for C, s, lam in linkage:
-        ok = ok & (abs(C * s - tau) < C / lam)
+    for cs, w in table:
+        ok = ok & (abs(cs - tau) < w)
     return ok
+
+
+def _window_ends(table, cap):
+    # the ends of the windows' intersection below the cap
+    (cs1, w1), (cs2, w2) = table
+    return max(cs1 - w1, cs2 - w2), min(cap, cs1 + w1, cs2 + w2)
 
 
 def _bracket(linkage, cap):
@@ -364,11 +387,19 @@ def _bracket(linkage, cap):
     return -2.0 * span - 1.0, min(cap, span) + 2.0 * span + 1.0
 
 
-def _scan(linkage, cap, n):
-    # the bracket and the feasible loads of an n-point grid over it
-    b_lo, b_hi = _bracket(linkage, cap)
-    taus = np.linspace(b_lo, b_hi, n)
-    return b_lo, b_hi, taus[_feasible_closed(taus, linkage, cap)]
+class _Search(NamedTuple):
+    # one linkage's load search, shared by the bisection, the oracle and the
+    # CLI's agreement check
+    table: tuple  # _windows of the linkage
+    cap: float
+    bracket: tuple  # (b_lo, b_hi)
+    closed: bool  # the contact regime
+
+
+def _search(example, fixed_params):
+    linkage, cap = _linkage(example, fixed_params)
+    closed = fixed_params.get("contact_closed", True)
+    return _Search(_windows(linkage), cap, _bracket(linkage, cap), closed)
 
 
 def search_bracket(example, fixed_params):
@@ -376,18 +407,88 @@ def search_bracket(example, fixed_params):
     return _bracket(*_linkage(example, fixed_params))
 
 
-def _bisect(inside, outside, linkage, cap):
+def _scan(table, cap, lo, hi, n):
+    # the n-point grid over [lo, hi] and its feasible loads, by numpy
+    taus = np.linspace(lo, hi, n)
+    return taus, taus[_feasible_closed(taus, table, cap)]
+
+
+def _seeds(table, cap, bracket, n):
+    # (first, last) feasible load of _scan's grid over the bracket, as Python
+    # floats, or None when it holds none. Load i < n - 1 is i * step + b_lo,
+    # linspace's arithmetic, and the last b_hi; b_lo < b_hi (_bracket's is at
+    # least 2 wide), so the loads ascend. As C s - tau rounds monotonically,
+    # the loads that fail a window from below (C s - tau >= w) form a first
+    # run of the grid, those past the cap or a window's upper edge a last
+    # run, and the finite loads between are the feasible ones. Each run's end
+    # is estimated from the windows' intersection and walked to where it is
+    # certified: below at i - 1 and not at i, not above at j and above at j + 1
+    b_lo, b_hi = bracket
+    step = (b_hi - b_lo) / (n - 1)
+    if not step < math.inf:  # every load but b_hi is NaN or infinite: numpy decides
+        feas = _scan(table, cap, b_lo, b_hi, n)[1].tolist()
+        return (feas[0], feas[-1]) if feas else None
+    (cs1, w1), (cs2, w2) = table
+    lo_w, hi_w = _window_ends(table, cap)
+
+    def load(i):
+        return b_hi if i == n - 1 else i * step + b_lo
+
+    def below(tau):
+        return cs1 - tau >= w1 or cs2 - tau >= w2
+
+    def above(tau):
+        return tau > cap or cs1 - tau <= -w1 or cs2 - tau <= -w2
+
+    # the index past the last load below lo_w, clamped to [0, n]
+    i = int(max(min((lo_w - b_lo) / step, n - 1.0), -1.0)) + 1
+    while i > 0 and not below(load(i - 1)):
+        i -= 1
+    while i < n and below(load(i)):
+        i += 1
+    # the index of the last load below hi_w, clamped to [-1, n - 1]
+    j = int(max(min((hi_w - b_lo) / step, n - 1.0), -1.0))
+    while j < n - 1 and not above(load(j + 1)):
+        j += 1
+    while j >= 0 and above(load(j)):
+        j -= 1
+    return (load(i), load(j)) if i <= j else None
+
+
+def _bisect(inside, outside, table, cap):
     # halve between a feasible and an infeasible load until the two are
     # BISECTION_TOL apart or no float lies between them; the feasible end
+    (cs1, w1), (cs2, w2) = table
     while abs(outside - inside) > BISECTION_TOL:
         mid = 0.5 * (inside + outside)
         if mid == inside or mid == outside:
             break
-        if _feasible_closed(mid, linkage, cap):
+        if mid <= cap and abs(cs1 - mid) < w1 and abs(cs2 - mid) < w2:
             inside = mid
         else:
             outside = mid
     return inside
+
+
+def _numeric(search):
+    # numeric_load_bounds of a built search
+    table, cap, (b_lo, b_hi), closed = search
+    if not closed:
+        return LoadInterval(cap, cap, "open", False)
+    seeds = _seeds(table, cap, (b_lo, b_hi), COARSE_N)
+    if seeds is None:
+        # the scan can step over a narrow interval: seed both bisections
+        # from the middle of the windows' own intersection
+        lo_w, hi_w = _window_ends(table, cap)
+        mid = 0.5 * (lo_w + hi_w)
+        if not _feasible_closed(mid, table, cap):
+            raise InfeasibleProblem("no feasible load in [%g, %g]" % (b_lo, b_hi))
+        seeds = mid, mid
+    if not (math.isfinite(b_lo) and math.isfinite(b_hi)):
+        raise OverflowError("load bracket [%g, %g] overflows" % (b_lo, b_hi))
+    # the feasible-side ends: every reported load passes the predicate
+    lo = _bisect(seeds[0], b_lo, table, cap)
+    return LoadInterval(lo, _bisect(seeds[1], b_hi, table, cap), "closed", False)
 
 
 def numeric_load_bounds(example, fixed_params):
@@ -399,23 +500,31 @@ def numeric_load_bounds(example, fixed_params):
     InfeasibleProblem when no load in the bracket is feasible and
     OverflowError when the bracket is not finite.
     """
-    linkage, cap = _linkage(example, fixed_params)
-    if not fixed_params.get("contact_closed", True):
+    return _numeric(_search(example, fixed_params))
+
+
+def _oracle(search, grid_n):
+    # brute_force_oracle of a built search
+    table, cap, (b_lo, b_hi), closed = search
+    if not closed:
         return LoadInterval(cap, cap, "open", False)
-    b_lo, b_hi, feas = _scan(linkage, cap, COARSE_N)
-    if not len(feas):
-        # the scan can step over a narrow interval: seed both bisections
-        # from the middle of the windows' own intersection
-        lo_w = max(C * s - C / lam for C, s, lam in linkage)
-        feas = [0.5 * (lo_w + min(cap, *(C * s + C / lam for C, s, lam in linkage)))]
-        if not _feasible_closed(feas[0], linkage, cap):
-            raise InfeasibleProblem("no feasible load in [%g, %g]" % (b_lo, b_hi))
-    if not (math.isfinite(b_lo) and math.isfinite(b_hi)):
-        raise OverflowError("load bracket [%g, %g] overflows" % (b_lo, b_hi))
-    # the feasible-side ends: every reported load passes the predicate. The
-    # seeds are Python floats, exactly the scan's, so no numpy scalar op runs
-    lo = _bisect(float(feas[0]), b_lo, linkage, cap)
-    return LoadInterval(lo, _bisect(float(feas[-1]), b_hi, linkage, cap), "closed", False)
+    taus, acc = _scan(table, cap, b_lo, b_hi, grid_n + 1)
+    if not len(acc):
+        # an interval narrower than the grid step can lie between two grid
+        # loads: rescan the cells next to the grid load whose worst margin,
+        # past the cap or a body's window edge, is least. Each margin is
+        # |slope| 1 in tau, so their maximum is convex and least nearest
+        # the middle of the feasible set
+        worst = taus - cap
+        for cs, w in table:
+            worst = np.maximum(worst, abs(cs - taus) - w)
+        i = np.argmin(worst)
+        acc = _scan(table, cap, taus[max(i - 1, 0)], taus[min(i + 1, grid_n)], grid_n + 1)[1]
+    if len(acc):
+        return LoadInterval(float(acc[0]), float(acc[-1]), "closed", False)
+    # closed regime rejected everything: the open regime carries the
+    # load through the free contact face, pinning tau to the cap
+    return LoadInterval(cap, cap, "open", False)
 
 
 def brute_force_oracle(example, fixed_params, grid_n=1000):
@@ -430,24 +539,4 @@ def brute_force_oracle(example, fixed_params, grid_n=1000):
     """
     if grid_n < 2:
         raise InvalidParameters("grid_n must be >= 2")
-    linkage, cap = _linkage(example, fixed_params)
-    b_lo, b_hi, acc = _scan(linkage, cap, grid_n + 1)
-    closed = fixed_params.get("contact_closed", True)
-    if closed and not len(acc):
-        # an interval narrower than the grid step can lie between two grid
-        # loads: rescan the cells next to the grid load whose worst margin,
-        # past the cap or a body's window edge, is least. Each margin is
-        # |slope| 1 in tau, so their maximum is convex and least nearest
-        # the middle of the feasible set
-        taus = np.linspace(b_lo, b_hi, grid_n + 1)
-        worst = taus - cap
-        for C, s, lam in linkage:
-            worst = np.maximum(worst, abs(C * s - taus) - C / lam)
-        i = np.argmin(worst)
-        taus = np.linspace(taus[max(i - 1, 0)], taus[min(i + 1, grid_n)], grid_n + 1)
-        acc = taus[_feasible_closed(taus, linkage, cap)]
-    if closed and len(acc):
-        return LoadInterval(float(acc[0]), float(acc[-1]), "closed", False)
-    # closed regime rejected everything: the open regime carries the
-    # load through the free contact face, pinning tau to the cap
-    return LoadInterval(cap, cap, "open", False)
+    return _oracle(_search(example, fixed_params), grid_n)

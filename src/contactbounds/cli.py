@@ -38,13 +38,14 @@ from .contact import check_kinematic, check_static, evaluate_contact, nominal_tr
 from .energy import QuadratureRule, _enclose, _resolved_data, potential_energy
 from .bounds import (
     _edge_minima,
+    _numeric,
+    _oracle,
     _probe_forms,
-    brute_force_oracle,
+    _search,
     criteria_check,
     load_interval_bending,
     load_interval_compression,
     load_interval_cohesive,
-    numeric_load_bounds,
     pressure_window,
     search_bracket,
 )
@@ -318,15 +319,15 @@ def _fixed_params(config, **override):
     return fp
 
 
-def _agreement(config, closed, numeric, oracle):
+def _agreement(config, bracket, closed, numeric, oracle):
     """Compare the numeric and oracle intervals with a non-empty closed form.
 
     Bisection must land within max(1e-6, 1e-14 max(|lo|, |hi|)) of both
-    endpoints, the oracle within two steps of its load grid. Returns
-    (numeric_ok, oracle_ok, detail); without a numeric interval
-    numeric_ok is false and detail None.
+    endpoints, the oracle within two steps of its load grid over the
+    search bracket. Returns (numeric_ok, oracle_ok, detail); without a
+    numeric interval numeric_ok is false and detail None.
     """
-    b_lo, b_hi = search_bracket(config.example, _fixed_params(config))
+    b_lo, b_hi = bracket
     res = (b_hi - b_lo) / config.grid_n
     lo, hi = closed.tau_lo, closed.tau_hi
     d_orc = max(abs(oracle.tau_lo - lo), abs(oracle.tau_hi - hi))
@@ -369,14 +370,16 @@ def run(config):
     )
     fp = _fixed_params(config)
     closed = EXAMPLES[config.example].closed_form(**fp)
+    # numeric_load_bounds and brute_force_oracle on one linkage and bracket
+    search = _search(config.example, fp)
     numeric = None
     try:
-        numeric = numeric_load_bounds(config.example, fp)
+        numeric = _numeric(search)
     except InfeasibleProblem as e:
         warnings.append(W_EMPTY % e)
-    oracle = brute_force_oracle(config.example, fp, config.grid_n)
+    oracle = _oracle(search, config.grid_n)
     if not closed.empty:
-        numeric_ok, oracle_ok, _ = _agreement(config, closed, numeric, oracle)
+        numeric_ok, oracle_ok, _ = _agreement(config, search.bracket, closed, numeric, oracle)
         if numeric is not None and not numeric_ok:
             warnings.append(W_MISMATCH % "numeric endpoints off the closed form")
         if not oracle_ok:
@@ -550,13 +553,16 @@ FD_STEP = 1e-6
 @functools.lru_cache(maxsize=None)
 def _fixed_draws():
     # verify's draws from default_rng(0), which no config changes: the 20
-    # matrices of the adjugate identity, then the stress derivative's five
-    # passes, each drawing its stretches, rotation, pressure and direction
-    # in turn, with |M|^2 and det M of M = F + hG and F - hG, and cof F after
-    # piola_stress's check on det F, which no config changes either. Built on
-    # the first verify(), never at import, and shared read-only
+    # matrices of the adjugate identity cof(m)^T m = det(m) I, kept as its
+    # worst residual, then the stress derivative's five passes, each drawing
+    # its stretches, rotation, pressure and direction in turn, with |M|^2 and
+    # det M of M = F + hG and F - hG, and cof F after piola_stress's check on
+    # det F, which no config changes either. Built on the first verify(),
+    # never at import, and shared read-only
     rng = np.random.default_rng(0)
     ms = rng.standard_normal((20, 3, 3))
+    adj = tensor3.cofactor(ms).swapaxes(-2, -1) @ ms - tensor3.det(ms)[:, None, None] * np.eye(3)
+    worst_adj = float(np.max(np.abs(adj)))
     F, Q, p, G = [], [], [], []
     for _ in range(5):
         lam = np.exp(rng.uniform(-0.3, 0.3, 2))
@@ -573,15 +579,16 @@ def _fixed_draws():
     plus, minus = [(tensor3.ddot(M, M), np.linalg.det(M)) for M in steps]
     _check_det(F)
     cof = tensor3.cofactor(F)
-    for v in (ms, F, p, G, cof) + plus + minus:
+    for v in (F, p, G, cof) + plus + minus:
         v.setflags(write=False)
-    return ms, F, p, G, cof, plus, minus
+    return worst_adj, F, p, G, cof, plus, minus
 
 
 def _isochory(bodies):
     # max |J - 1| at 7 abscissae across each body (x_lo alone where J does not
-    # vary with x), in Python floats per abscissa, left to right so that a NaN
-    # is never taken; jacobian raises at the first abscissa whose J is not positive
+    # vary with x), in Python floats per abscissa, or NaN where any J is NaN,
+    # as contact._constraint reads it; jacobian raises at the first abscissa
+    # whose J is not positive, in either body
     worst = 0.0
     for body in bodies:
         xs = np.atleast_1d(contact._abscissae(body, 7)).tolist()
@@ -589,7 +596,9 @@ def _isochory(bodies):
         for x, J in zip(xs, Js):
             if J <= 0.0:
                 jacobian(body.map, (x, 0.5, 0.5))
-        worst = max(worst, *[abs(J - 1.0) for J in Js])
+        res = [abs(J - 1.0) for J in Js]
+        # max keeps its first argument against a NaN
+        worst = math.nan if any(map(math.isnan, res)) else max(worst, *res)
     return worst
 
 
@@ -604,11 +613,9 @@ def verify(config):
             failures += 1
         lines.append("%s %s: %s" % ("PASS" if ok else "FAIL", name, detail))
 
-    ms, F, p, G, cof, plus, minus = _fixed_draws()
-    # the adjugate identity cof(m)^T m = det(m) I of the algebra behind the
-    # stresses and criteria, singular draws included
-    adj = tensor3.cofactor(ms).swapaxes(-2, -1) @ ms - tensor3.det(ms)[:, None, None] * np.eye(3)
-    worst_adj = float(np.max(np.abs(adj)))
+    worst_adj, F, p, G, cof, plus, minus = _fixed_draws()
+    # the adjugate identity of the algebra behind the stresses and criteria,
+    # singular draws included
     check("tensor identities", worst_adj < 1e-12, "adjugate residual %.3e" % worst_adj)
 
     system = build_system(config)
@@ -653,7 +660,8 @@ def verify(config):
         )
     else:
         oracle = report.oracle
-        numeric_ok, oracle_ok, detail = _agreement(config, closed, numeric, oracle)
+        bracket = search_bracket(config.example, _fixed_params(config))
+        numeric_ok, oracle_ok, detail = _agreement(config, bracket, closed, numeric, oracle)
         ok_iv = numeric_ok and oracle_ok
         if numeric is None:  # the bisection's reason, as run() warned it
             prefix = W_EMPTY % ""

@@ -21,13 +21,26 @@ kinematics.injectivity_check, isochory of cli._isochory, and
 potential_energy and complementary_energy of the energy functions (the
 Gauss sum of the stored energy, the exact held face and axial data
 stretch).
+
+The load search's numpy form over the linkage (C, s, lam) per body:
+feasible_closed of bounds._feasible_closed over the window table, scan
+of the 129-point grid whose first and last feasible loads bounds._seeds
+finds, bisect of bounds._bisect, and numeric_load_bounds built on them.
 """
 
 import math
 
 import numpy as np
 
-from contactbounds.bounds import _running_min, _stations
+from contactbounds.bounds import (
+    BISECTION_TOL,
+    COARSE_N,
+    LoadInterval,
+    _bracket,
+    _linkage,
+    _running_min,
+    _stations,
+)
 from contactbounds.contact import _abscissae, _face_points, _running_max, nominal_traction
 from contactbounds.energy import (
     QuadratureRule,
@@ -36,6 +49,7 @@ from contactbounds.energy import (
     _resolved_data,
     _x_integral,
 )
+from contactbounds.errors import InfeasibleProblem
 from contactbounds.kinematics import StretchBend, TriaxialStretch, image_volume, jacobian
 from contactbounds.material import (
     Constant,
@@ -179,15 +193,17 @@ def injectivity_check(map_, domain):
 
 
 def isochory(bodies):
-    """max |J - 1| at 7 abscissae of each body from one det stack per body;
-    jacobian raises at the first abscissa whose J is not positive."""
+    """max |J - 1| at 7 abscissae of each body from one det stack per body,
+    NaN where any J is NaN; jacobian raises at the first abscissa whose J is
+    not positive."""
     worst = 0.0
     for body in bodies:
         xs = _abscissae(body, 7)
         J = np.ravel(det(body.map.gradient(xs)))
         if (J <= 0.0).any():
             jacobian(body.map, (np.ravel(xs)[np.argmax(J <= 0.0)], 0.5, 0.5))
-        worst = _running_max(worst, np.abs(J - 1.0))
+        res = np.abs(J - 1.0)
+        worst = math.nan if np.isnan(res).any() else _running_max(worst, res)
     return worst
 
 
@@ -236,3 +252,51 @@ def complementary_energy(system):
             F_zz = dmap.gradient(body.domain.x_hi)[2, 2]
             total += body.map.volume_integral(body.domain, *axial) * F_zz
     return _check_finite(total)
+
+
+def feasible_closed(tau, linkage, cap):
+    """The window |C s - tau| < C / lam of every body and tau <= cap, which
+    rejects a NaN load, for one load or an array of them."""
+    ok = tau <= cap
+    for C, s, lam in linkage:
+        ok = ok & (abs(C * s - tau) < C / lam)
+    return ok
+
+
+def scan(linkage, cap, n):
+    """The bracket and the feasible loads of an n-point grid over it."""
+    b_lo, b_hi = _bracket(linkage, cap)
+    taus = np.linspace(b_lo, b_hi, n)
+    return b_lo, b_hi, taus[feasible_closed(taus, linkage, cap)]
+
+
+def bisect(inside, outside, linkage, cap):
+    """Halve between a feasible and an infeasible load until the two are
+    BISECTION_TOL apart or no float lies between them; the feasible end."""
+    while abs(outside - inside) > BISECTION_TOL:
+        mid = 0.5 * (inside + outside)
+        if mid == inside or mid == outside:
+            break
+        if feasible_closed(mid, linkage, cap):
+            inside = mid
+        else:
+            outside = mid
+    return inside
+
+
+def numeric_load_bounds(example, fixed_params):
+    """The bisection seeded from the scan's first and last feasible loads,
+    or from the middle of the windows' intersection when it has none."""
+    linkage, cap = _linkage(example, fixed_params)
+    if not fixed_params.get("contact_closed", True):
+        return LoadInterval(cap, cap, "open", False)
+    b_lo, b_hi, feas = scan(linkage, cap, COARSE_N)
+    if not len(feas):
+        lo_w = max(C * s - C / lam for C, s, lam in linkage)
+        feas = [0.5 * (lo_w + min(cap, *(C * s + C / lam for C, s, lam in linkage)))]
+        if not feasible_closed(feas[0], linkage, cap):
+            raise InfeasibleProblem("no feasible load in [%g, %g]" % (b_lo, b_hi))
+    if not (math.isfinite(b_lo) and math.isfinite(b_hi)):
+        raise OverflowError("load bracket [%g, %g] overflows" % (b_lo, b_hi))
+    lo = bisect(float(feas[0]), b_lo, linkage, cap)
+    return LoadInterval(lo, bisect(float(feas[-1]), b_hi, linkage, cap), "closed", False)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 import refimpl
-from draws import draws
+from draws import _hex, draws, hex_outcome, outcome
 from refimpl import hessian_quadratic_form
 
 from contactbounds.errors import InfeasibleProblem, InvalidParameters
@@ -545,10 +545,11 @@ def test_criteria_fail_both_sides_on_the_window_edge():
 
 def test_bisection_halves_no_bracket_of_exactly_its_tolerance():
     linkage = _linkage("compression", {"C1": 1.0, "C2": 1.0, "a1": 0.9, "a2": 0.9})[0]
-    assert bounds.BISECTION_TOL == 1e-8 and _feasible_closed(-5e-9, linkage, 0.0)
-    assert bounds._bisect(-1e-8, 0.0, linkage, 0.0) == -1e-8
+    table = bounds._windows(linkage)
+    assert bounds.BISECTION_TOL == 1e-8 and _feasible_closed(-5e-9, table, 0.0)
+    assert bounds._bisect(-1e-8, 0.0, table, 0.0) == -1e-8
     wider = math.nextafter(-1e-8, -1.0)
-    assert bounds._bisect(wider, 0.0, linkage, 0.0) == 0.5 * wider
+    assert bounds._bisect(wider, 0.0, table, 0.0) == 0.5 * wider
 
 
 @pytest.mark.parametrize("example", ["compression", "cohesive", "bending"])
@@ -560,7 +561,7 @@ def test_bisection_ends_are_the_float64_seeds_ends_as_python_floats(example):
     for _ in range(300):
         fp = _exact_draw(rng, example)
         linkage, cap = _linkage(example, fp)
-        b_lo, b_hi, feas = bounds._scan(linkage, cap, bounds.COARSE_N)
+        b_lo, b_hi, feas = refimpl.scan(linkage, cap, bounds.COARSE_N)
         try:
             iv = numeric_load_bounds(example, fp)
         except InfeasibleProblem:
@@ -568,8 +569,8 @@ def test_bisection_ends_are_the_float64_seeds_ends_as_python_floats(example):
         assert type(iv.tau_lo) is float and type(iv.tau_hi) is float
         if len(feas):
             assert type(feas[0]) is np.float64
-            lo = bounds._bisect(feas[0], b_lo, linkage, cap)
-            hi = bounds._bisect(feas[-1], b_hi, linkage, cap)
+            lo = refimpl.bisect(feas[0], b_lo, linkage, cap)
+            hi = refimpl.bisect(feas[-1], b_hi, linkage, cap)
             assert (iv.tau_lo.hex(), iv.tau_hi.hex()) == (float(lo).hex(), float(hi).hex())
             seeded += 1
     assert seeded >= 30  # not vacuous: many draws give a feasible scan
@@ -711,8 +712,8 @@ def test_numeric_bounds_are_certified(example, fp):
     iv = numeric_load_bounds(example, fp)
     linkage = _linkage(example, fp)[0]
     cap = fp.get("g", 0.0)
-    assert _feasible_closed(iv.tau_lo, linkage, cap)
-    assert _feasible_closed(iv.tau_hi, linkage, cap)
+    assert refimpl.feasible_closed(iv.tau_lo, linkage, cap)
+    assert refimpl.feasible_closed(iv.tau_hi, linkage, cap)
 
 
 def test_numeric_bounds_infeasible_when_closed_set_is_empty():
@@ -730,13 +731,13 @@ def test_numeric_bounds_survive_a_scan_miss():
     b_lo, b_hi = search_bracket("cohesive", SCAN_MISS)
     linkage = _linkage("cohesive", SCAN_MISS)[0]
     scan = np.linspace(b_lo, b_hi, 129)
-    assert not any(_feasible_closed(t, linkage, SCAN_MISS["g"]) for t in scan)
+    assert not any(refimpl.feasible_closed(t, linkage, SCAN_MISS["g"]) for t in scan)
     closed = load_interval_cohesive(**SCAN_MISS)
     iv = numeric_load_bounds("cohesive", SCAN_MISS)
     assert abs(iv.tau_lo - closed.tau_lo) <= 1e-6
     assert abs(iv.tau_hi - closed.tau_hi) <= 1e-6
-    assert _feasible_closed(iv.tau_lo, linkage, SCAN_MISS["g"])
-    assert _feasible_closed(iv.tau_hi, linkage, SCAN_MISS["g"])
+    assert refimpl.feasible_closed(iv.tau_lo, linkage, SCAN_MISS["g"])
+    assert refimpl.feasible_closed(iv.tau_hi, linkage, SCAN_MISS["g"])
 
 
 def _exact_bodies(example, fp):
@@ -818,10 +819,174 @@ def test_bisection_and_oracle_ends_pass_the_exact_predicate(example):
     assert ends >= 400  # not a vacuous law: many draws give an interval
 
 
+# the cohesive edge config coh_narrow_scan of tests/golden_outputs.py: a
+# scan miss that the CLI runs
+COH_NARROW_SCAN = {"C1": 1.0, "a1": 1.2, "C2": 2.0, "a2": 1.2, "g": 0.691638795986622}
+
+
+def _search_draw(d):
+    # (example, fixed params): moduli, stretches, caps and radii from the
+    # exact referee's ranges; or with one modulus 1e-8..1e-1 of that range,
+    # which makes intervals narrower than a coarse scan step; or from the
+    # whole positive float range, whose brackets and squares overflow. One
+    # draw in ten has an open contact
+    example, kind = d.choice(("compression", "cohesive", "bending")), d.choice(range(3))
+    if kind == 2:
+        fp = {k: d.positive() for k in ("C1", "C2", "a1", "a2", "g", "A", "b1")}
+        fp["b2"] = d.choice((None, d.offset()))
+    else:
+        fp = {"C1": math.exp(d.uniform(-3.0, 3.0)), "C2": math.exp(d.uniform(-3.0, 3.0)),
+              "g": math.exp(d.uniform(-3.0, 3.0)), "A": d.uniform(0.5, 1.5)}
+        if example == "bending":
+            fp.update(a1=d.uniform(0.3, 3.0), a2=d.uniform(0.3, 3.0), b1=d.uniform(0.2, 3.0))
+            fp["b2"] = d.choice((None, fp["a1"] + fp["b1"] - fp["a2"]))
+        else:
+            fp.update(a1=math.exp(d.uniform(-1.0, 1.0)), a2=math.exp(d.uniform(-1.0, 1.0)))
+        if kind == 1:
+            fp[d.choice(("C1", "C2"))] *= 10.0 ** d.uniform(-8.0, -1.0)
+    if d.choice(range(10)) == 0:
+        fp["contact_closed"] = False
+    return example, fp
+
+
+def _interval_bits(f):
+    # the interval's ends as float.hex with its regime and emptiness, or the
+    # error's type and message
+    return outcome(lambda: _bits(f()))
+
+
+def test_search_equals_the_numpy_scan_and_bisection():
+    # numeric_load_bounds against the numpy scan and bisection over the
+    # linkage (tests/refimpl.py) that the window table replaced: equal
+    # intervals bit for bit, or the same error
+    cases = [
+        ("cohesive", SCAN_MISS),
+        ("cohesive", COH_NARROW_SCAN),
+        ("cohesive", {"C1": 1.0, "C2": 1.0, "a1": 0.81, "a2": 0.81, "g": 1e-300}),  # the cap binds
+        ("cohesive", {"C1": 1.0, "C2": 1.0, "a1": 0.81, "a2": 0.81, "g": 1e308}),
+        ("compression", {"C1": 1.0, "C2": 1.0, "a1": 1.0, "a2": 1.0}),  # no feasible load
+        # the bracket overflows: to (-inf, inf) with no feasible load, and
+        # with the windows' middle feasible
+        ("compression", {"C1": 1e300, "C2": 1.0, "a1": 1e10, "a2": 0.81}),
+        ("compression", {"C1": 1e308, "C2": 1.0, "a1": 0.9, "a2": 0.9}),
+        ("compression", {"C1": 1e154, "C2": 1e154, "a1": 0.9, "a2": 0.9}),
+        ("bending", {"C1": 1.0, "C2": 1.0, "A": 1.0, "a1": 1.0, "a2": 1.0, "b1": 1.0}),
+    ] + draws(3541, 1500, _search_draw)
+    seen = set()
+    for example, fp in cases:
+        got = _interval_bits(lambda: numeric_load_bounds(example, fp))
+        want = _interval_bits(lambda: refimpl.numeric_load_bounds(example, fp))
+        assert got == want, (example, fp)
+        if isinstance(want, tuple):
+            seen.add(want[0].__name__)
+        elif fp.get("contact_closed", True):
+            linkage, cap = _linkage(example, fp)
+            seen.add("scan" if len(refimpl.scan(linkage, cap, bounds.COARSE_N)[2]) else "miss")
+    # every path: seeds from the scan, a scan miss, each error
+    assert {"scan", "miss", "InfeasibleProblem", "OverflowError", "InvalidParameters"} <= seen
+
+
+def _seeds_draw(d):
+    # a linkage (C, s, lam) per body, a cap, a bracket and a grid size: the
+    # bracket inside the feasible loads (seeds on the grid's first and last
+    # loads), across either end of them, around them, away from them, or
+    # _bracket's; an end may be -0.0, +0.0, NaN or infinite
+    linkage = [(math.exp(d.uniform(-3.0, 3.0)), math.exp(d.uniform(-2.0, 1.0)),
+                d.uniform(1.0, 4.0)) for _ in range(2)]
+    cap = d.choice((0.0, math.exp(d.uniform(-3.0, 3.0)), 1e308))
+    lo_w, hi_w = bounds._window_ends(bounds._windows(linkage), cap)
+    width = hi_w - lo_w if lo_w < hi_w else 1.0
+    u = [d.uniform(0.0, 1.0) for _ in range(2)]
+    lo, hi = d.choice((
+        (lo_w + 0.5 * width * u[0], hi_w - 0.5 * width * u[1]),
+        (lo_w - width * u[0], lo_w + width * u[1]),
+        (hi_w - width * u[0], hi_w + width * u[1]),
+        (lo_w - 3.0 * width * u[0], hi_w + 3.0 * width * u[1]),
+        (hi_w + width * u[0], hi_w + 2.0 * width),
+        bounds._bracket(linkage, cap),
+    ))
+    ends = (-0.0, 0.0, math.nan, math.inf, -math.inf)
+    if d.choice(range(5)) == 0:
+        lo = d.choice(ends)
+    if d.choice(range(5)) == 0:
+        hi = d.choice(ends)
+    n = d.choice((2, 3, bounds.COARSE_N, int(d.uniform(2.0, 300.0))))
+    return linkage, cap, (lo, hi), n
+
+
+# linkages whose window tables are small integers, (3, 1) and (2, 4): loads
+# on a window's edge or the cap compare exactly, on either body
+EXACT_EDGES = [(2.0, 1.5, 2.0), (4.0, 0.5, 1.0)]
+
+
+def test_seeds_are_the_first_and_last_feasible_loads_of_the_numpy_grid():
+    # _seeds against np.linspace and the predicate over the linkage, on
+    # brackets whose loads ascend (the step is positive or not finite)
+    cases = [
+        # loads 2, 3 and 4 on body 1's window (2, 4), either body first
+        (EXACT_EDGES, 10.0, (2.0, 4.0), 3),
+        (EXACT_EDGES[::-1], 10.0, (2.0, 4.0), 3),
+        # the cap on the load 3, which it admits
+        (EXACT_EDGES, 3.0, (2.0, 4.0), 3),
+        (EXACT_EDGES, 3.0, (2.5, 3.5), 3),
+        # the whole grid inside both windows, and one load in them
+        (EXACT_EDGES, 10.0, (2.5, 3.5), 5),
+        (EXACT_EDGES, 10.0, (1.0, 5.0), 5),
+        # the first feasible index is 6; its estimate, 5, is one short
+        ([(1.0, 0.7, 1.0), (4.0, 0.5, 1.0)], 1e9, (-0.30160332886120034, -0.2605581100144728),
+         bounds.COARSE_N),
+    ]
+    seen = set()
+    for linkage, cap, (lo, hi), n in cases + draws(3542, 3000, _seeds_draw):
+        if (hi - lo) / (n - 1) <= 0.0:
+            continue
+        with np.errstate(all="ignore"):  # the grid of a bracket that is not finite
+            taus = np.linspace(lo, hi, n)
+            got = bounds._seeds(bounds._windows(linkage), cap, (lo, hi), n)
+        ok = np.flatnonzero(refimpl.feasible_closed(taus, linkage, cap))
+        feas = taus[ok].tolist()
+        want = (feas[0], feas[-1]) if feas else None
+        assert _hex(got) == _hex(want), (linkage, cap, lo, hi, n)
+        if feas:
+            seen.add((ok[0] == 0, ok[-1] == n - 1))
+        seen.add("empty" if not feas else "finite" if math.isfinite(hi - lo) else "overflow")
+    # seeds on the first and last load, on either alone and on neither
+    assert {(True, True), (True, False), (False, True), (False, False)} <= seen
+    assert {"empty", "finite", "overflow"} <= seen
+
+
+def _bisect_draw(d):
+    # a linkage and cap as _seeds_draw's, and a seed that may be +/-0.0 or NaN
+    linkage, cap, (lo, hi), _ = _seeds_draw(d)
+    return linkage, cap, d.choice((0.0, -0.0, math.nan, lo, hi)), d.choice(bounds._bracket(linkage, cap))
+
+
+def test_bisect_over_the_table_equals_the_bisection_over_the_linkage():
+    # the two-body bisection and the predicate's scalar loads against their
+    # linkage forms, +/-0.0 and NaN loads included
+    cases = [
+        # the mid loads 3 (the cap), 4 (body 1's upper edge) and 2 (its
+        # lower edge), either body first
+        (EXACT_EDGES, 3.0, 2.5, 3.5),
+        (EXACT_EDGES, 10.0, 3.0, 5.0),
+        (EXACT_EDGES[::-1], 10.0, 3.0, 5.0),
+        (EXACT_EDGES, 10.0, 3.0, 1.0),
+        (EXACT_EDGES[::-1], 10.0, 3.0, 1.0),
+    ]
+    for linkage, cap, inside, outside in cases + draws(3543, 1000, _bisect_draw):
+        table = bounds._windows(linkage)
+        got = hex_outcome(lambda: bounds._bisect(inside, outside, table, cap))
+        assert got == hex_outcome(lambda: refimpl.bisect(inside, outside, linkage, cap))
+        for tau in (inside, outside, math.inf, -math.inf, cap, math.nextafter(cap, math.inf),
+                    2.0, 4.0, 6.0, -2.0):
+            assert _feasible_closed(tau, table, cap) is refimpl.feasible_closed(tau, linkage, cap)
+
+
 CLOSED_FORM_CODE = {"load_interval_compression", "load_interval_cohesive",
                     "load_interval_bending", "_body_loads", "_triaxial_interval"}
-SEARCH_CODE = {"_linkage", "_feasible_closed", "_bracket", "_scan", "_bisect",
-               "search_bracket", "numeric_load_bounds", "brute_force_oracle"}
+SEARCH_CODE = {"_linkage", "_windows", "_feasible_closed", "_window_ends", "_bracket", "_search",
+               "_scan", "_seeds", "_bisect", "_numeric", "_oracle", "search_bracket",
+               "numeric_load_bounds", "brute_force_oracle"}
 
 
 def _reached(start):
@@ -874,15 +1039,16 @@ def test_feasible_closed_takes_the_scan_array(example, fp, cap_ok):
     # the array of loads gives the scalar result load by load, NaN, +/-inf
     # and the cap itself included
     linkage, cap = _linkage(example, fp)
+    table = bounds._windows(linkage)
     b_lo, b_hi = search_bracket(example, fp)
     extra = [math.nan, math.inf, -math.inf, cap, math.nextafter(cap, math.inf)]
     taus = np.append(np.linspace(b_lo, b_hi, bounds.COARSE_N), extra)
-    ok = _feasible_closed(taus, linkage, cap)
+    ok = _feasible_closed(taus, table, cap)
     assert ok.dtype == bool and ok.shape == taus.shape
-    scalar = [_feasible_closed(t, linkage, cap) for t in taus.tolist()]
+    scalar = [_feasible_closed(t, table, cap) for t in taus.tolist()]
     assert all(type(v) is bool for v in scalar)
     assert ok.tolist() == scalar
-    assert scalar == [bool(_feasible_closed(t, linkage, cap)) for t in taus]
+    assert scalar == [bool(_feasible_closed(t, table, cap)) for t in taus]
     assert scalar == [_feasible_reference(t, linkage, cap) for t in taus.tolist()]
     assert scalar[-5:] == [False, False, False, cap_ok, False]
 
@@ -990,7 +1156,7 @@ def test_bisection_ends_where_the_floats_run_out():
         # a few units in the last place of the closed form's own rounding
         assert abs(lo - closed.tau_lo) <= max(1e-6, 1e-14 * abs(closed.tau_lo))
         assert abs(hi - closed.tau_hi) <= max(1e-6, 1e-14 * abs(closed.tau_hi))
-        assert _feasible_closed(lo, _linkage(example, fp)[0], fp.get("g", 0.0))
+        assert refimpl.feasible_closed(lo, _linkage(example, fp)[0], fp.get("g", 0.0))
 
 
 @pytest.mark.parametrize("example", ["compression", "cohesive"])

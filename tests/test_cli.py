@@ -880,7 +880,7 @@ def test_sweep_across_unit_stretch_matches_bisection():
         param, lo, hi, empty = row.split(",")[:4]
         fp = cli._fixed_params(config, a1=float(param))
         try:
-            numeric = cli.numeric_load_bounds("cohesive", fp)
+            numeric = bounds.numeric_load_bounds("cohesive", fp)
         except InfeasibleProblem:
             numeric = None
         assert (empty == "true") == (numeric is None), row
@@ -1115,7 +1115,7 @@ def test_verify_reads_its_own_run(monkeypatch, text):
     # one run for the interval line, one more for determinism; the
     # bisection runs only inside them
     calls = {"run": 0, "numeric": 0}
-    real_run, real_numeric = cli.run, cli.numeric_load_bounds
+    real_run, real_numeric = cli.run, cli._numeric
 
     def counted_run(config):
         calls["run"] += 1
@@ -1126,7 +1126,7 @@ def test_verify_reads_its_own_run(monkeypatch, text):
         return real_numeric(*args, **kwargs)
 
     monkeypatch.setattr(cli, "run", counted_run)
-    monkeypatch.setattr(cli, "numeric_load_bounds", counted_numeric)
+    monkeypatch.setattr(cli, "_numeric", counted_numeric)
     assert cli.verify(cli.parse_config(text))[0] == 0
     assert calls == {"run": 2, "numeric": 2}
 
@@ -1312,7 +1312,7 @@ def test_package_runs_without_scipy():
     "text", [COMP_CFG, COH_CFG, BEND_CFG], ids=["compression", "cohesive", "bending"]
 )
 def test_each_interval_builds_the_linkage_once(monkeypatch, text):
-    # run(): the bisection, the oracle and the agreement bracket;
+    # run(): one for the bisection, the oracle and the agreement bracket;
     # verify(): two runs and its own agreement bracket
     calls = []
     real_linkage = bounds._linkage
@@ -1324,10 +1324,10 @@ def test_each_interval_builds_the_linkage_once(monkeypatch, text):
     monkeypatch.setattr(bounds, "_linkage", counted_linkage)
     config = cli.parse_config(text)
     cli.run(config)
-    assert len(calls) == 3
+    assert len(calls) == 1
     del calls[:]
     assert cli.verify(config)[0] == 0
-    assert len(calls) == 7
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize(
@@ -1493,7 +1493,8 @@ def _isochory_loop(bodies):
     worst_j = 0.0
     for body in bodies:
         for x in np.linspace(body.domain.x_lo, body.domain.x_hi, 7):
-            worst_j = max(worst_j, abs(kinematics.jacobian(body.map, (x, 0.5, 0.5)) - 1.0))
+            r = abs(kinematics.jacobian(body.map, (x, 0.5, 0.5)) - 1.0)
+            worst_j = r if math.isnan(r) else max(worst_j, r)  # a NaN stays
     return worst_j
 
 
@@ -1540,6 +1541,21 @@ def test_isochory_stack_equals_the_jacobian_loop():
         assert got == _outcome(_isochory_loop, bodies) == _outcome(refimpl.isochory, bodies), case
 
 
+def test_isochory_refuses_a_nan_jacobian():
+    # J is NaN at every abscissa of body 1 on StretchBend(1e308, 4.0, 4.0)
+    # and finite on body 2's StretchBend(1e308, 1.0, 0.0): the residual is
+    # NaN in either order, as the constraint residual reads body 1, and
+    # fails verify's < 1e-12
+    maps = (StretchBend(1e308, 4.0, 4.0), StretchBend(1e308, 1.0, 0.0))
+    bodies = [types.SimpleNamespace(map=m, domain=box) for m, box in zip(maps, (BOX1, BOX2))]
+    with np.errstate(all="ignore"):
+        assert 0.0 < cli._isochory(bodies[1:]) < 1e-12
+        assert math.isnan(contact._constraint(maps[0], contact._abscissae(bodies[0], 5)))
+        for pair in (bodies, bodies[::-1]):
+            worst = cli._isochory(pair)
+            assert math.isnan(worst) and not worst < 1e-12
+
+
 @pytest.mark.parametrize(
     "family, a, nonpositive, point",
     [
@@ -1573,10 +1589,11 @@ def test_isochory_raises_jacobians_error_on_a_nonpositive_det(
 def test_verify_fixed_draws_are_built_once_and_read_only(monkeypatch):
     cli._fixed_draws.cache_clear()
     first = cli.verify(cli.parse_config(COMP_CFG))
-    ms, F, p, G, cof, plus, minus = cli._fixed_draws()
-    for v in (ms, F, p, G, cof) + plus + minus:
+    worst_adj, F, p, G, cof, plus, minus = cli._fixed_draws()
+    for v in (F, p, G, cof) + plus + minus:
         assert isinstance(v, np.ndarray) and not v.flags.writeable
-    assert ms.shape == (20, 3, 3) and F.shape == G.shape == cof.shape == (5, 3, 3)
+    assert type(worst_adj) is float and "adjugate residual %.3e" % worst_adj in first[1]
+    assert F.shape == G.shape == cof.shape == (5, 3, 3)
     assert p.shape == (5,)
     assert np.array_equal(cof, tensor3.cofactor(F))
     with pytest.raises(ValueError):
@@ -1587,8 +1604,16 @@ def test_verify_fixed_draws_are_built_once_and_read_only(monkeypatch):
     def refuse(*args, **kw):
         raise AssertionError("a fixed draw was made again")
 
+    real_cofactor = tensor3.cofactor
+
+    def cofactor(m):
+        if np.shape(m) == (20, 3, 3):  # the adjugate identity's draws
+            refuse()
+        return real_cofactor(m)
+
     monkeypatch.setattr(np.random, "default_rng", refuse)
     monkeypatch.setattr(np.linalg, "qr", refuse)
+    monkeypatch.setattr(tensor3, "cofactor", cofactor)
     assert cli.verify(cli.parse_config(COMP_CFG)) == first
     assert cli.verify(cli.parse_config(COH_CFG))[0] == 0
     assert cli._fixed_draws.cache_info().misses == 1
@@ -1629,16 +1654,24 @@ def test_run_and_verify_build_no_gradient_stack(monkeypatch, text):
 
 
 def test_import_and_run_leave_the_verify_draws_unbuilt():
-    # verify's fixtures cost the first verify() only: not the import, not run()
+    # verify's fixtures cost the first verify() only: not the import, not
+    # run(); the adjugate identity's cofactor of its 20 draws runs there once
     code = (
+        "from contactbounds import tensor3\n"
+        "shapes, real = [], tensor3.cofactor\n"
+        "tensor3.cofactor = lambda m: shapes.append(m.shape) or real(m)\n"
         "from contactbounds import cli\n"
-        "cli.run(cli.parse_config(%r))\n"
+        "config = cli.parse_config(%r)\n"
+        "cli.run(config)\n"
         "info = cli._fixed_draws.cache_info()\n"
-        "print(info.hits, info.misses, info.currsize)\n" % COMP_CFG
+        "print(info.hits, info.misses, info.currsize, shapes.count((20, 3, 3)))\n"
+        "cli.verify(config)\n"
+        "cli.verify(config)\n"
+        "print(shapes.count((20, 3, 3)))\n" % COMP_CFG
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0 0 0\n"
+    assert proc.stdout == "0 0 0 0\n1\n"
 
 
 HUGE_MODULUS_CFG = COMP_CFG.replace("C = 1.0\na = 0.81", "C = 1e9\na = 0.9").replace(
@@ -1807,7 +1840,8 @@ def test_agreement_accepts_each_gap_at_its_bound():
 
     for d_orc, d_num, ok in ((2.0 * res, 1e-6, True),
                              (math.nextafter(2.0 * res, 1.0), math.nextafter(1e-6, 1.0), False)):
-        numeric_ok, oracle_ok, _ = cli._agreement(config, closed, interval(-d_num), interval(-d_orc))
+        numeric_ok, oracle_ok, _ = cli._agreement(config, (b_lo, b_hi), closed, interval(-d_num),
+                                                  interval(-d_orc))
         assert (numeric_ok, oracle_ok) == (ok, ok)
 
 

@@ -10,7 +10,7 @@ from refimpl import linked_stretch_pair
 
 from contactbounds import contact, material
 from contactbounds.errors import FamilyMismatch, InvalidParameters
-from contactbounds.kinematics import Box3, Homogeneous, StretchBend, TriaxialStretch
+from contactbounds.kinematics import R_MIN, Box3, Homogeneous, StretchBend, TriaxialStretch
 from contactbounds.material import Constant, NeoHookeanIncompressible, RadialProfile
 from contactbounds.contact import (
     BodySpec,
@@ -664,7 +664,10 @@ _FLANK_BOXES = (
 
 
 def _bend_map(d):
-    return StretchBend(d.positive(), d.positive(), d.signed())
+    # b from [R_MIN^2, 1e308], log-uniform, four times in five, so that the
+    # radius check at x_lo passes; else a signed value, which mostly fails it
+    b = max(R_MIN**2, 10.0 ** d.uniform(-12.0, 308.0)) if d.choice(range(5)) else d.signed()
+    return StretchBend(d.positive(), d.positive(), b)
 
 
 def _flank_draw(d):
